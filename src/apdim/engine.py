@@ -8,6 +8,7 @@ for any thread count and evaluation order.
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -173,7 +174,7 @@ class SnapshotResult:
 
 @dataclass(frozen=True, eq=False)
 class DeploymentContext:
-    """Deployment-static data shared by every snapshot evaluator."""
+    """Deployment-static data shared by every system evaluated on one layout."""
 
     area: ServiceArea
     prop: ch.PropagationParams
@@ -181,113 +182,111 @@ class DeploymentContext:
     l_ap_ap: np.ndarray  # average AP-to-AP gains (diagonal unused)
     n_users: int
     sigma_z2: float
+    w_total_mhz: float
+    sigma2_mw: float
+    gamma_t_linear: float
 
     @property
     def n_aps(self) -> int:
         return self.layout.n_aps
 
 
-def make_context(
-    area: ServiceArea,
-    prop: ch.PropagationParams,
-    layout: Layout,
-    n_users: int,
-    sigma_z2: float = 1.0,
-) -> DeploymentContext:
-    l_ap_ap = ch.average_gains(area, prop, layout.ap_xy, layout.ap_xy)
+def make_context(scn, layout: Layout) -> DeploymentContext:
     return DeploymentContext(
-        area=area, prop=prop, layout=layout, l_ap_ap=l_ap_ap, n_users=n_users, sigma_z2=sigma_z2
+        area=scn.area,
+        prop=scn.propagation,
+        layout=layout,
+        l_ap_ap=ch.average_gains(scn.area, scn.propagation, layout.ap_xy, layout.ap_xy),
+        n_users=scn.n_users,
+        sigma_z2=scn.radio.sigma_z2,
+        w_total_mhz=scn.radio.bandwidth_mhz,
+        sigma2_mw=scn.sigma2_mw,
+        gamma_t_linear=scn.gamma_t_linear,
     )
 
 
-def _snapshot_common(ctx: DeploymentContext, rng: np.random.Generator):
-    """Steps shared by all systems: drop, associate, select one user per AP."""
+@dataclass(frozen=True, eq=False)
+class Snapshot:
+    """The part of a snapshot every system shares: user drop, association, selection."""
+
+    avg: np.ndarray  # average AP-to-user gains, (n_aps, n_users)
+    serving: np.ndarray  # APs with a scheduled user, ascending
+    cols: np.ndarray  # the user each serving AP schedules
+
+
+def draw_snapshot(ctx: DeploymentContext, rng: np.random.Generator) -> Snapshot:
     users = drop_users(ctx.area, ctx.n_users, rng)
     avg = ch.average_gains(ctx.area, ctx.prop, ctx.layout.ap_xy, users)
-    assoc = associate(avg)
-    serving, cols = select_served(assoc, ctx.n_aps, rng)
-    return avg, serving, cols
+    serving, cols = select_served(associate(avg), ctx.n_aps, rng)
+    return Snapshot(avg=avg, serving=serving, cols=cols)
 
 
-class WifiSnapshotEvaluator:
+def _scored(ctx: DeploymentContext, rates, sinr, **diagnostics) -> SnapshotResult:
+    return SnapshotResult(
+        rates_mbps=rates,
+        sinr=sinr,
+        outage=sinr < ctx.gamma_t_linear,
+        lambda_s_sample=float(rates.sum()) / ctx.area.area_km2,
+        served=int(rates.shape[0]),
+        **diagnostics,
+    )
+
+
+def _faded_gains(ctx: DeploymentContext, snap: Snapshot, rng: np.random.Generator) -> np.ndarray:
+    """AP-to-user power gains, one column per scheduled user."""
+    z = ch.draw_fading(rng, (ctx.n_aps, snap.cols.shape[0]), ctx.sigma_z2)
+    return snap.avg[:, snap.cols] * np.abs(z) ** 2
+
+
+def wifi_snapshot(
+    ctx: DeploymentContext,
+    snap: Snapshot,
+    rng: np.random.Generator,
+    params: wifi.WifiParams,
+    assignment: planning.ChannelAssignment,
+) -> SnapshotResult:
     """One Wi-Fi transmission epoch: contention graph, SSI draw, rate equation."""
+    gains = _faded_gains(ctx, snap, rng)
+    z_ap = ch.draw_symmetric_fading(rng, ctx.n_aps, ctx.sigma_z2)
+    g_ap_ap = ctx.l_ap_ap * np.abs(z_ap) ** 2
+    graph = wifi.build_contention_graph(assignment, g_ap_ap, params, participating=snap.serving)
+    active = wifi.sample_ssi(graph, rng)
+    _, rates, sinr = wifi.wifi_rates(
+        active, snap.serving, gains, params, ctx.w_total_mhz, ctx.sigma2_mw
+    )
+    return _scored(ctx, rates, sinr)
 
-    def __init__(
-        self,
-        ctx: DeploymentContext,
-        params: wifi.WifiParams,
-        assignment: planning.ChannelAssignment,
-        w_total_mhz: float,
-        sigma2_mw: float,
-        gamma_t_linear: float,
-    ):
-        self.ctx = ctx
-        self.params = params
-        self.assignment = assignment
-        self.w_total_mhz = w_total_mhz
-        self.sigma2_mw = sigma2_mw
-        self.gamma_t_linear = gamma_t_linear
 
-    def evaluate(self, rng: np.random.Generator) -> SnapshotResult:
-        ctx = self.ctx
-        avg, serving, cols = _snapshot_common(ctx, rng)
-        z = ch.draw_fading(rng, (ctx.n_aps, cols.shape[0]), ctx.sigma_z2)
-        gains = avg[:, cols] * np.abs(z) ** 2
-        z_ap = ch.draw_symmetric_fading(rng, ctx.n_aps, ctx.sigma_z2)
-        g_ap_ap = ctx.l_ap_ap * np.abs(z_ap) ** 2
-        graph = wifi.build_contention_graph(
-            self.assignment, g_ap_ap, self.params, participating=serving
+def static_snapshot(
+    ctx: DeploymentContext,
+    snap: Snapshot,
+    rng: np.random.Generator,
+    params: static_cellular.StaticParams,
+    assignments: Sequence[planning.ChannelAssignment],
+) -> list[SnapshotResult]:
+    """Full-buffer frequency-planned cellular snapshot, one result per reuse plan.
+
+    Every plan is scored on the same fading draw.
+    """
+    gains = _faded_gains(ctx, snap, rng)
+    return [
+        _scored(
+            ctx,
+            *static_cellular.static_rates(
+                assignment, snap.serving, gains, params, ctx.w_total_mhz, ctx.sigma2_mw
+            ),
         )
-        active = wifi.sample_ssi(graph, rng)
-        _, rates, sinr = wifi.wifi_rates(
-            active, serving, gains, self.params, self.w_total_mhz, self.sigma2_mw
-        )
-        return SnapshotResult(
-            rates_mbps=rates,
-            sinr=sinr,
-            outage=sinr < self.gamma_t_linear,
-            lambda_s_sample=float(rates.sum()) / ctx.area.area_km2,
-            served=int(rates.shape[0]),
-        )
+        for assignment in assignments
+    ]
 
 
-class StaticSnapshotEvaluator:
-    """Full-buffer frequency-planned cellular snapshot."""
-
-    def __init__(
-        self,
-        ctx: DeploymentContext,
-        params: static_cellular.StaticParams,
-        assignment: planning.ChannelAssignment,
-        w_total_mhz: float,
-        sigma2_mw: float,
-        gamma_t_linear: float,
-    ):
-        self.ctx = ctx
-        self.params = params
-        self.assignment = assignment
-        self.w_total_mhz = w_total_mhz
-        self.sigma2_mw = sigma2_mw
-        self.gamma_t_linear = gamma_t_linear
-
-    def evaluate(self, rng: np.random.Generator) -> SnapshotResult:
-        ctx = self.ctx
-        avg, serving, cols = _snapshot_common(ctx, rng)
-        z = ch.draw_fading(rng, (ctx.n_aps, cols.shape[0]), ctx.sigma_z2)
-        gains = avg[:, cols] * np.abs(z) ** 2
-        rates, sinr = static_cellular.static_rates(
-            self.assignment, serving, gains, self.params, self.w_total_mhz, self.sigma2_mw
-        )
-        return SnapshotResult(
-            rates_mbps=rates,
-            sinr=sinr,
-            outage=sinr < self.gamma_t_linear,
-            lambda_s_sample=float(rates.sum()) / ctx.area.area_km2,
-            served=int(rates.shape[0]),
-        )
-
-
-class ZfSnapshotEvaluator:
+def zf_snapshot(
+    ctx: DeploymentContext,
+    snap: Snapshot,
+    rng: np.random.Generator,
+    params: zf.ZfParams,
+    erroneous: bool,
+) -> SnapshotResult:
     """Multi-cell ZF snapshot: inversion precoder plus PAPC power optimization.
 
     With ``erroneous`` set, the precoder and powers come from CSIT that is
@@ -295,67 +294,35 @@ class ZfSnapshotEvaluator:
     true (AR(1)-evolved) channel. Near-singular CSIT draws are replaced by a
     fresh fading draw, up to MAX_REDRAWS_PER_SNAPSHOT.
     """
-
-    def __init__(
-        self,
-        ctx: DeploymentContext,
-        params: zf.ZfParams,
-        w_total_mhz: float,
-        sigma2_mw: float,
-        gamma_t_linear: float,
-        erroneous: bool = False,
-    ):
-        self.ctx = ctx
-        self.params = params
-        self.w_total_mhz = w_total_mhz
-        self.sigma2_mw = sigma2_mw
-        self.gamma_t_linear = gamma_t_linear
-        self.erroneous = erroneous
-
-    def evaluate(self, rng: np.random.Generator) -> SnapshotResult:
-        ctx = self.ctx
-        avg, serving, cols = _snapshot_common(ctx, rng)
-        sqrt_l = np.sqrt(avg[np.ix_(serving, cols)].T)  # (user j, antenna i)
-        redraws = 0
-        while True:
-            z_base = ch.draw_fading(rng, sqrt_l.shape, ctx.sigma_z2)
-            if self.erroneous:
-                z_now, _ = ch.delayed_csit(
-                    z_base, self.params.delta, self.params.rho, rng, ctx.sigma_z2
-                )
-                h_hat = sqrt_l * z_base
-                h_true = sqrt_l * z_now
-            else:
-                h_hat = h_true = sqrt_l * z_base
-            try:
-                bf = zf.build_beamformer(h_hat)
-                break
-            except zf.SingularChannelError:
-                redraws += 1
-                if redraws > MAX_REDRAWS_PER_SNAPSHOT:
-                    raise RuntimeError(
-                        f"snapshot exceeded {MAX_REDRAWS_PER_SNAPSHOT} singular-channel redraws"
-                    )
-        alloc = zf.allocate_power(
-            bf, self.sigma2_mw, self.params.pt_mw, self.w_total_mhz, self.params.eta_zf
-        )
-        if self.erroneous:
-            rates, sinr = zf.zf_rates_erroneous(
-                h_true, bf, alloc, self.w_total_mhz, self.sigma2_mw, self.params.eta_zf
-            )
+    sqrt_l = np.sqrt(snap.avg[np.ix_(snap.serving, snap.cols)].T)  # (user j, antenna i)
+    redraws = 0
+    while True:
+        z_base = ch.draw_fading(rng, sqrt_l.shape, ctx.sigma_z2)
+        if erroneous:
+            z_now, _ = ch.delayed_csit(z_base, params.delta, params.rho, rng, ctx.sigma_z2)
+            h_hat = sqrt_l * z_base
+            h_true = sqrt_l * z_now
         else:
-            rates, sinr = zf.zf_rates_ideal(
-                alloc, self.w_total_mhz, self.sigma2_mw, self.params.eta_zf
-            )
-        return SnapshotResult(
-            rates_mbps=rates,
-            sinr=sinr,
-            outage=sinr < self.gamma_t_linear,
-            lambda_s_sample=float(rates.sum()) / ctx.area.area_km2,
-            served=int(rates.shape[0]),
-            redraws=redraws,
-            solver_fallbacks=0 if alloc.converged else 1,
+            h_hat = h_true = sqrt_l * z_base
+        try:
+            bf = zf.build_beamformer(h_hat)
+            break
+        except zf.SingularChannelError:
+            redraws += 1
+            if redraws > MAX_REDRAWS_PER_SNAPSHOT:
+                raise RuntimeError(
+                    f"snapshot exceeded {MAX_REDRAWS_PER_SNAPSHOT} singular-channel redraws"
+                )
+    alloc = zf.allocate_power(bf, ctx.sigma2_mw, params.pt_mw, ctx.w_total_mhz, params.eta_zf)
+    if erroneous:
+        rates, sinr = zf.zf_rates_erroneous(
+            h_true, bf, alloc, ctx.w_total_mhz, ctx.sigma2_mw, params.eta_zf
         )
+    else:
+        rates, sinr = zf.zf_rates_ideal(alloc, ctx.w_total_mhz, ctx.sigma2_mw, params.eta_zf)
+    return _scored(
+        ctx, rates, sinr, redraws=redraws, solver_fallbacks=0 if alloc.converged else 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -373,32 +340,7 @@ class RunResult:
     lambda_samples: np.ndarray
 
 
-def run_snapshots(
-    evaluator,
-    n_snapshots: int,
-    master_seed: int,
-    deployment_id: int = 0,
-    threads: int = 1,
-) -> RunResult:
-    """Run independent snapshots and aggregate estimates.
-
-    Snapshots may execute on a thread pool; each derives its generator from
-    (master_seed, deployment_id, snapshot index) and results are aggregated in
-    snapshot order, so the output is identical for any thread count.
-    """
-    if n_snapshots < 1:
-        raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots}")
-
-    def one(s: int) -> SnapshotResult:
-        rng = substream(master_seed, deployment_id, _SALT_SNAPSHOT, s)
-        return evaluator.evaluate(rng)
-
-    if threads <= 1:
-        results = [one(s) for s in range(n_snapshots)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n_snapshots)))
-
+def _aggregate(results: Sequence[SnapshotResult]) -> RunResult:
     lambda_samples = np.array([r.lambda_s_sample for r in results])
     outage_hits = sum(int(r.outage.sum()) for r in results)
     served_total = sum(r.served for r in results)
@@ -410,6 +352,50 @@ def run_snapshots(
         solver_fallbacks=sum(r.solver_fallbacks for r in results),
         lambda_samples=lambda_samples,
     )
+
+
+Evaluator = Callable[[Snapshot, np.random.Generator], list]
+
+
+def run_snapshots(
+    ctx: DeploymentContext,
+    evaluators: Sequence[Evaluator],
+    n_snapshots: int,
+    master_seed: int,
+    deployment_id: int = 0,
+    threads: int = 1,
+) -> list[list[RunResult]]:
+    """Run independent snapshots and aggregate estimates per evaluator output.
+
+    Each snapshot draws the shared prefix (``draw_snapshot``) once from its
+    generator, derived from (master_seed, deployment_id, snapshot index). Every
+    evaluator then gets its own copy of that generator as it stands after the
+    prefix, so each consumes random numbers exactly as if it ran alone, and
+    returns a list of SnapshotResult. Entry [e][v] of the return value
+    aggregates output v of evaluator e over all snapshots.
+
+    Snapshots may execute on a thread pool; results are aggregated in
+    snapshot order, so the output is identical for any thread count.
+    """
+    if n_snapshots < 1:
+        raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots}")
+
+    def one(s: int) -> list[list[SnapshotResult]]:
+        rng = substream(master_seed, deployment_id, _SALT_SNAPSHOT, s)
+        snap = draw_snapshot(ctx, rng)
+        return [evaluate(snap, copy.deepcopy(rng)) for evaluate in evaluators]
+
+    if threads <= 1:
+        results = [one(s) for s in range(n_snapshots)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(one, range(n_snapshots)))
+
+    # results[s][e][v] -> per evaluator e, per output v, the samples over s
+    return [
+        [_aggregate(samples) for samples in zip(*per_snapshot)]
+        for per_snapshot in zip(*results)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +422,6 @@ class DeploymentRecord:
     served_samples: int
     zf_redraws: int
     solver_fallbacks: int
-    k_search: Optional[planning.ReuseSearchResult] = None
 
 
 def _wifi_params_for(scn, system: str) -> wifi.WifiParams:
@@ -450,99 +435,118 @@ def _wifi_params_for(scn, system: str) -> wifi.WifiParams:
     )
 
 
-def evaluate_deployment(
+def _evaluator(scn, ctx: DeploymentContext, system: str, plan) -> tuple[list, Evaluator]:
+    """The channel counts a system reports on and its per-snapshot evaluator.
+
+    ``plan(k)`` returns the rung's channel assignment for k channels.
+    """
+    if system in ("wifi-baseline", "wifi-aggressive"):
+        params = _wifi_params_for(scn, system)
+        assignment = plan(params.k_wifi)
+        return [params.k_wifi], lambda snap, rng: [
+            wifi_snapshot(ctx, snap, rng, params, assignment)
+        ]
+    if system == "static":
+        sparams = static_cellular.StaticParams(eta_sta=scn.static.eta_sta, pt_mw=scn.radio.pt_mw)
+        ks = list(range(1, min(scn.static.k_max, ctx.n_aps) + 1))
+        assignments = [plan(k) for k in ks]
+        return ks, lambda snap, rng: static_snapshot(ctx, snap, rng, sparams, assignments)
+    erroneous = system == "zf-erroneous"
+    zparams = zf.ZfParams(
+        eta_zf=scn.zf.eta_zf,
+        pt_mw=scn.radio.pt_mw,
+        delta=scn.zf.delta if erroneous else 0.0,
+        rho=scn.zf.rho,
+    )
+    return [None], lambda snap, rng: [zf_snapshot(ctx, snap, rng, zparams, erroneous)]
+
+
+def run_rung(
     scn,
     layout: Layout,
-    system: str,
+    systems: Sequence[str],
     deployment_id: int,
     n_snapshots: Optional[int] = None,
     threads: int = 1,
-) -> DeploymentRecord:
-    """Evaluate one system on one AP layout under a scenario.
+) -> dict:
+    """Run every system on one AP layout in one snapshot pass.
+
+    Returns {system: {k: RunResult}}: K^wifi for Wi-Fi, every reuse number
+    K = 1..min(k_max, n_aps) for static, and None for ZF. The AP-to-AP gains
+    and each K's channel assignment are built once and shared by the systems.
 
     ``scn`` is a Scenario (see apdim.scenario); only its documented attributes
     are touched, keeping this module independent of the config layer.
     """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    for system in systems:
+        if system not in SYSTEMS:
+            raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
     n_snapshots = scn.engine.n_snapshots if n_snapshots is None else n_snapshots
     seed = scn.engine.seed
-    ctx = make_context(scn.area, scn.propagation, layout, scn.n_users, scn.radio.sigma_z2)
-    w_mhz = scn.radio.bandwidth_mhz
-    sigma2 = scn.sigma2_mw
-    gamma = scn.gamma_t_linear
+    ctx = make_context(scn, layout)
+    plans: dict = {}
 
-    k_channels: Optional[int]
-    k_search: Optional[planning.ReuseSearchResult] = None
-
-    if system in ("wifi-baseline", "wifi-aggressive"):
-        params = _wifi_params_for(scn, system)
-        assignment = planning.assign_channels(
-            ctx.l_ap_ap, params.k_wifi, substream(seed, deployment_id, _SALT_PLANNING, params.k_wifi)
-        )
-        evaluator = WifiSnapshotEvaluator(ctx, params, assignment, w_mhz, sigma2, gamma)
-        run = run_snapshots(evaluator, n_snapshots, seed, deployment_id, threads)
-        k_channels = params.k_wifi
-    elif system == "static":
-        sparams = static_cellular.StaticParams(eta_sta=scn.static.eta_sta, pt_mw=scn.radio.pt_mw)
-
-        def handle(k: int) -> planning.KRecord:
-            assignment = planning.assign_channels(
+    def plan(k: int) -> planning.ChannelAssignment:
+        if k not in plans:
+            plans[k] = planning.assign_channels(
                 ctx.l_ap_ap, k, substream(seed, deployment_id, _SALT_PLANNING, k)
             )
-            ev = StaticSnapshotEvaluator(ctx, sparams, assignment, w_mhz, sigma2, gamma)
-            res = run_snapshots(ev, n_snapshots, seed, deployment_id, threads)
-            return planning.KRecord(
-                k=k,
-                lambda_s_mean=res.lambda_s.mean,
-                outage_mean=res.outage.mean,
-                outage_ci_high=res.outage.ci_high,
-                payload=res,
-            )
+        return plans[k]
 
-        k_search = planning.search_k_star(ctx.n_aps, scn.static.k_max, scn.radio.beta, handle)
-        if k_search.feasible:
-            best = k_search.record_for(k_search.k_star)
-            k_channels = k_search.k_star
-        else:
+    specs = [_evaluator(scn, ctx, system, plan) for system in systems]
+    runs = run_snapshots(ctx, [ev for _, ev in specs], n_snapshots, seed, deployment_id, threads)
+    return {system: dict(zip(ks, per_k)) for system, (ks, _), per_k in zip(systems, specs, runs)}
+
+
+def k_star(outages: dict, beta: float) -> Optional[int]:
+    """Smallest reuse number K whose outage estimate meets beta, or None."""
+    return min((k for k, est in outages.items() if est.mean < beta), default=None)
+
+
+def evaluate_rung(
+    scn,
+    layout: Layout,
+    systems: Sequence[str],
+    deployment_id: int,
+    n_snapshots: Optional[int] = None,
+    threads: int = 1,
+) -> list[DeploymentRecord]:
+    """Evaluate each system on one AP layout; one record per system, in order."""
+    n_snapshots = scn.engine.n_snapshots if n_snapshots is None else n_snapshots
+    beta = scn.radio.beta
+    records = []
+    for system, runs in run_rung(scn, layout, systems, deployment_id, n_snapshots, threads).items():
+        if system == "static":
+            k_channels = k_star({k: run.outage for k, run in runs.items()}, beta)
             # No K met the constraint; report the least-bad K as a diagnostic.
-            best = min(k_search.records, key=lambda r: (r.outage_mean, r.k))
-            k_channels = None
-        run = best.payload
-    else:  # zf-ideal / zf-erroneous
-        erroneous = system == "zf-erroneous"
-        zparams = zf.ZfParams(
-            eta_zf=scn.zf.eta_zf,
-            pt_mw=scn.radio.pt_mw,
-            delta=scn.zf.delta if erroneous else 0.0,
-            rho=scn.zf.rho,
+            least_bad = min(runs, key=lambda k: (runs[k].outage.mean, k))
+            run = runs[least_bad if k_channels is None else k_channels]
+        else:
+            ((k_channels, run),) = runs.items()
+        outage_ok = run.outage.ci_high < beta
+        if system == "static" and k_channels is None:
+            outage_ok = False
+        mu = run.lambda_s.mean / scn.traffic.lambda_u_per_km2
+        records.append(
+            DeploymentRecord(
+                system=system,
+                nx=layout.nx,
+                ny=layout.ny,
+                ap_count=layout.n_aps,
+                ap_density_per_km2=layout.density_per_km2,
+                k_channels=k_channels,
+                outage_feasible=outage_ok,
+                lambda_s=run.lambda_s,
+                outage=run.outage,
+                mu_mbps_per_user=mu,
+                demand_gb_month=throughput_to_demand(max(mu, 0.0), scn.traffic),
+                n_snapshots=n_snapshots,
+                served_samples=run.served_total,
+                zf_redraws=run.redraws,
+                solver_fallbacks=run.solver_fallbacks,
+            )
         )
-        evaluator = ZfSnapshotEvaluator(ctx, zparams, w_mhz, sigma2, gamma, erroneous=erroneous)
-        run = run_snapshots(evaluator, n_snapshots, seed, deployment_id, threads)
-        k_channels = None
-
-    outage_ok = run.outage.ci_high < scn.radio.beta
-    if system == "static" and k_channels is None:
-        outage_ok = False
-    mu = run.lambda_s.mean / scn.traffic.lambda_u_per_km2
-    return DeploymentRecord(
-        system=system,
-        nx=layout.nx,
-        ny=layout.ny,
-        ap_count=layout.n_aps,
-        ap_density_per_km2=layout.density_per_km2,
-        k_channels=k_channels,
-        outage_feasible=outage_ok,
-        lambda_s=run.lambda_s,
-        outage=run.outage,
-        mu_mbps_per_user=mu,
-        demand_gb_month=throughput_to_demand(max(mu, 0.0), scn.traffic),
-        n_snapshots=n_snapshots,
-        served_samples=run.served_total,
-        zf_redraws=run.redraws,
-        solver_fallbacks=run.solver_fallbacks,
-        k_search=k_search,
-    )
+    return records
 
 
 @dataclass(frozen=True, eq=False)
@@ -573,8 +577,9 @@ def dimension(
 
     A deployment is feasible for demand D when the upper 95% bound of its
     outage estimate is below beta and its mean area throughput covers
-    mu(D) * E[lambda_u]. The ladder walk stops early once every demand point
-    has found its minimum, unless ``stop_when_satisfied`` is off.
+    mu(D) * E[lambda_u]. Each rung evaluates every system still walking in
+    one snapshot pass. A system stops early once every demand point has
+    found its minimum, unless ``stop_when_satisfied`` is off.
     """
     demand_grid = tuple(scn.demand_gb_month)
     if any(b < a for a, b in zip(demand_grid, demand_grid[1:])):
@@ -584,28 +589,34 @@ def dimension(
         d: demand_to_throughput(d, scn.traffic) * scn.traffic.lambda_u_per_km2
         for d in demand_grid
     }
-    per_system = {}
-    for system in systems:
-        records = []
-        minimums = {d: None for d in demand_grid}
-        for rung_id, (nx, ny) in enumerate(ladder):
-            layout = place_aps(scn.area, nx, ny)
-            rec = evaluate_deployment(scn, layout, system, rung_id, n_snapshots, threads)
-            records.append(rec)
+    systems = list(dict.fromkeys(systems))
+    records = {system: [] for system in systems}
+    minimums = {system: dict.fromkeys(demand_grid) for system in systems}
+    walking = systems
+    for rung_id, (nx, ny) in enumerate(ladder):
+        if not walking:
+            break
+        layout = place_aps(scn.area, nx, ny)
+        for rec in evaluate_rung(scn, layout, walking, rung_id, n_snapshots, threads):
+            records[rec.system].append(rec)
             if progress is not None:
                 progress(
-                    f"{system} {nx}x{ny}: lambda_s={rec.lambda_s.mean:.4g} Mbps/km2 "
+                    f"{rec.system} {nx}x{ny}: lambda_s={rec.lambda_s.mean:.4g} Mbps/km2 "
                     f"outage={rec.outage.mean:.4f} feasible={rec.outage_feasible}"
                 )
+            mins = minimums[rec.system]
             for d in demand_grid:
-                if minimums[d] is None and rec.outage_feasible and rec.lambda_s.mean >= targets[d]:
-                    minimums[d] = rec
-            if stop_when_satisfied and all(v is not None for v in minimums.values()):
-                break
-        per_system[system] = SystemDimensioning(
+                if mins[d] is None and rec.outage_feasible and rec.lambda_s.mean >= targets[d]:
+                    mins[d] = rec
+        if stop_when_satisfied:
+            walking = [s for s in walking if any(v is None for v in minimums[s].values())]
+    per_system = {
+        system: SystemDimensioning(
             system=system,
-            records=tuple(records),
-            minimums=minimums,
+            records=tuple(records[system]),
+            minimums=minimums[system],
             ladder_cap=scn.engine.ladder_max_aps,
         )
+        for system in systems
+    }
     return DimensioningResult(demand_grid=demand_grid, ladder=ladder, per_system=per_system)

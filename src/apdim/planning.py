@@ -1,4 +1,4 @@
-"""Frequency planning: greedy min-interference channel assignment and the K* search.
+"""Frequency planning: greedy min-interference channel assignment.
 
 The same assignment heuristic serves both the Wi-Fi channelization and the
 static-cellular reuse plan; planning is done once per deployment on average
@@ -8,7 +8,6 @@ path gains, never per fading snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -49,54 +48,3 @@ def assign_channels(l_ap_ap: np.ndarray, k: int, rng: np.random.Generator) -> Ch
         others = np.arange(n) != i
         aggregate[others, c] += l_ap_ap[i, others]
     return ChannelAssignment(k=k, channel_of=channel_of)
-
-
-@dataclass(frozen=True)
-class KRecord:
-    """Engine evaluation of one reuse number K."""
-
-    k: int
-    lambda_s_mean: float  # Mbps/km2
-    outage_mean: float
-    outage_ci_high: float
-    payload: object = None  # whatever the engine handle wants to keep per K
-
-
-@dataclass(frozen=True)
-class ReuseSearchResult:
-    k_star: int | None  # None = no K met the outage constraint
-    records: tuple[KRecord, ...]
-
-    @property
-    def feasible(self) -> bool:
-        return self.k_star is not None
-
-    def record_for(self, k: int) -> KRecord:
-        for rec in self.records:
-            if rec.k == k:
-                return rec
-        raise KeyError(f"no record for K={k}")
-
-
-def search_k_star(
-    n_aps: int,
-    k_max: int,
-    beta: float,
-    evaluate: Callable[[int], KRecord],
-) -> ReuseSearchResult:
-    """Exhaustively evaluate K = 1..min(k_max, n_aps), return the smallest feasible K.
-
-    ``evaluate`` runs the Monte-Carlo engine for one K and returns its record;
-    K is feasible when the estimated outage satisfies nu < beta. All per-K
-    records are kept for diagnostics whether or not a feasible K exists.
-    """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    records = []
-    k_star = None
-    for k in range(1, min(k_max, n_aps) + 1):
-        rec = evaluate(k)
-        records.append(rec)
-        if k_star is None and rec.outage_mean < beta:
-            k_star = k
-    return ReuseSearchResult(k_star=k_star, records=tuple(records))

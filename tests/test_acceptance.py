@@ -34,7 +34,7 @@ def _ladder_records(scn, system: str, n_snapshots: int, max_aps=None):
     records = []
     for rung, (nx, ny) in enumerate(geometry.grid_ladder(max_aps or scn.engine.ladder_max_aps)):
         layout = geometry.place_aps(scn.area, nx, ny)
-        records.append(engine.evaluate_deployment(scn, layout, system, rung, n_snapshots))
+        records.extend(engine.evaluate_rung(scn, layout, [system], rung, n_snapshots))
     return records
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from apdim import channel as ch
-from apdim import engine, geometry, planning, scenario
+from apdim import engine, geometry, planning, scenario, static_cellular, wifi, zf
 
 OPEN_AREA = geometry.ServiceArea(lx=100, ly=100)
 
@@ -164,41 +164,52 @@ def test_select_served_uniform_choice():
 
 # --- snapshot runs ---------------------------------------------------------------
 
-def _wifi_evaluator(scn, layout, system="wifi-baseline"):
-    ctx = engine.make_context(scn.area, scn.propagation, layout, scn.n_users, scn.radio.sigma_z2)
+def _wifi_setup(scn, layout, system="wifi-baseline"):
+    ctx = engine.make_context(scn, layout)
     params = engine._wifi_params_for(scn, system)
     assignment = planning.assign_channels(
         ctx.l_ap_ap, params.k_wifi, engine.substream(scn.engine.seed, 0, 2, params.k_wifi)
     )
-    return engine.WifiSnapshotEvaluator(
-        ctx, params, assignment, scn.radio.bandwidth_mhz, scn.sigma2_mw, scn.gamma_t_linear
+    return ctx, params, assignment
+
+
+def _wifi_run(scn, layout, n_snapshots, master_seed, deployment_id, threads=1):
+    ctx, params, assignment = _wifi_setup(scn, layout)
+
+    def evaluate(snap, rng):
+        return [engine.wifi_snapshot(ctx, snap, rng, params, assignment)]
+
+    ((run,),) = engine.run_snapshots(
+        ctx, [evaluate], n_snapshots, master_seed, deployment_id, threads
     )
+    return run
 
 
 def test_run_snapshots_deterministic():
     scn = scenario.preset("table1-open")
-    ev = _wifi_evaluator(scn, geometry.place_aps(scn.area, 2, 2))
-    a = engine.run_snapshots(ev, 25, master_seed=9, deployment_id=3)
-    b = engine.run_snapshots(ev, 25, master_seed=9, deployment_id=3)
+    layout = geometry.place_aps(scn.area, 2, 2)
+    a = _wifi_run(scn, layout, 25, master_seed=9, deployment_id=3)
+    b = _wifi_run(scn, layout, 25, master_seed=9, deployment_id=3)
     assert a.lambda_s == b.lambda_s and a.outage == b.outage
     assert (a.lambda_samples == b.lambda_samples).all()
 
 
 def test_run_snapshots_thread_invariant():
     scn = scenario.preset("table1-open")
-    ev = _wifi_evaluator(scn, geometry.place_aps(scn.area, 3, 3))
-    a = engine.run_snapshots(ev, 24, master_seed=9, deployment_id=0, threads=1)
-    b = engine.run_snapshots(ev, 24, master_seed=9, deployment_id=0, threads=4)
+    layout = geometry.place_aps(scn.area, 3, 3)
+    a = _wifi_run(scn, layout, 24, master_seed=9, deployment_id=0, threads=1)
+    b = _wifi_run(scn, layout, 24, master_seed=9, deployment_id=0, threads=4)
     assert a.lambda_s == b.lambda_s and a.outage == b.outage
     assert (a.lambda_samples == b.lambda_samples).all()
 
 
 def test_snapshot_rate_sum_conservation():
     scn = scenario.preset("table1-open")
-    ev = _wifi_evaluator(scn, geometry.place_aps(scn.area, 2, 3))
+    ctx, params, assignment = _wifi_setup(scn, geometry.place_aps(scn.area, 2, 3))
     for s in range(10):
         rng = engine.substream(5, 0, engine._SALT_SNAPSHOT, s)
-        result = ev.evaluate(rng)
+        snap = engine.draw_snapshot(ctx, rng)
+        result = engine.wifi_snapshot(ctx, snap, rng, params, assignment)
         assert result.lambda_s_sample * scn.area.area_km2 == pytest.approx(
             result.rates_mbps.sum(), rel=1e-9
         )
@@ -208,16 +219,14 @@ def test_snapshot_rate_sum_conservation():
 def test_open_env_wifi_saturation_small():
     # analytic ceiling: 3 active APs x 54 Mbps / 0.01 km2 = 16200 Mbps/km2
     scn = scenario.preset("table1-open")
-    ev = _wifi_evaluator(scn, geometry.place_aps(scn.area, 3, 3))
-    run = engine.run_snapshots(ev, 60, master_seed=11, deployment_id=0)
+    run = _wifi_run(scn, geometry.place_aps(scn.area, 3, 3), 60, master_seed=11, deployment_id=0)
     assert run.lambda_s.mean == pytest.approx(16200.0, rel=0.02)
 
 
 def test_zf_dominates_static_at_matched_seeds_open_env():
     scn = scenario.preset("table1-open")
     layout = geometry.place_aps(scn.area, 3, 3)
-    rec_zf = engine.evaluate_deployment(scn, layout, "zf-ideal", 0, n_snapshots=60)
-    rec_st = engine.evaluate_deployment(scn, layout, "static", 0, n_snapshots=60)
+    rec_zf, rec_st = engine.evaluate_rung(scn, layout, ["zf-ideal", "static"], 0, n_snapshots=60)
     assert rec_zf.lambda_s.mean >= rec_st.lambda_s.mean
 
 
@@ -227,8 +236,7 @@ def test_zf_erroneous_matches_ideal_at_delta_zero():
     raw["zf"]["delta"] = 0.0
     scn0 = scenario.from_dict(raw)
     layout = geometry.place_aps(scn0.area, 2, 2)
-    a = engine.evaluate_deployment(scn0, layout, "zf-ideal", 0, n_snapshots=30)
-    b = engine.evaluate_deployment(scn0, layout, "zf-erroneous", 0, n_snapshots=30)
+    a, b = engine.evaluate_rung(scn0, layout, ["zf-ideal", "zf-erroneous"], 0, n_snapshots=30)
     assert a.lambda_s.mean == b.lambda_s.mean
     assert a.outage.mean == b.outage.mean
 
@@ -285,7 +293,143 @@ def test_dimension_rejects_unsorted_demand():
         engine.dimension(scn, ["zf-ideal"])
 
 
-def test_evaluate_deployment_rejects_unknown_system():
+def test_evaluate_rung_rejects_unknown_system():
     scn = _tiny_scenario([1.0])
     with pytest.raises(ValueError):
-        engine.evaluate_deployment(scn, geometry.place_aps(scn.area, 1, 1), "lte", 0)
+        engine.evaluate_rung(scn, geometry.place_aps(scn.area, 1, 1), ["zf-ideal", "lte"], 0)
+
+
+# --- reuse number K* ----------------------------------------------------------------
+
+def _outage(mean, ci_high=None):
+    ci_high = mean if ci_high is None else ci_high
+    return engine.Estimate(mean=mean, count=1000, ci_low=mean, ci_high=ci_high)
+
+
+def test_k_star_picks_smallest_feasible():
+    outages = {1: 0.4, 2: 0.2, 3: 0.04, 4: 0.01}
+    assert engine.k_star({k: _outage(v) for k, v in outages.items()}, 0.05) == 3
+
+
+def test_k_star_none_feasible():
+    assert engine.k_star({k: _outage(0.5) for k in (1, 2, 3)}, 0.05) is None
+
+
+def test_static_reuse_numbers_capped_at_n_aps():
+    scn = _tiny_scenario([1.0])
+    for (nx, ny), ks in (((1, 3), [1, 2, 3]), ((4, 4), list(range(1, 13)))):
+        layout = geometry.place_aps(scn.area, nx, ny)
+        runs = engine.run_rung(scn, layout, ["static"], 0, n_snapshots=2)
+        assert list(runs["static"]) == ks  # K = 1..min(k_max = 12, n_aps)
+
+
+def test_static_single_ap_k_star_is_one():
+    # a lone AP has no co-channel interference at K = 1; with worst-corner SNR
+    # far above the threshold the outage is ~0 and K* = 1
+    scn = _tiny_scenario([1.0])
+    (rec,) = engine.evaluate_rung(scn, geometry.place_aps(scn.area, 1, 1), ["static"], 0)
+    assert rec.k_channels == 1 and rec.outage_feasible
+
+
+# --- the shared snapshot pass ------------------------------------------------------
+# Reference: every system, and every static K, run on its own from the public
+# building blocks, each snapshot redoing the drop, gains and selection.
+
+def _reference_snapshot(scn, layout, rng):
+    users = engine.drop_users(scn.area, scn.n_users, rng)
+    avg = ch.average_gains(scn.area, scn.propagation, layout.ap_xy, users)
+    serving, cols = engine.select_served(engine.associate(avg), layout.n_aps, rng)
+    return avg, serving, cols
+
+
+def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_ap, rng):
+    w, sigma2, pt = scn.radio.bandwidth_mhz, scn.sigma2_mw, scn.radio.pt_mw
+    if system == "static":
+        z = ch.draw_fading(rng, (layout.n_aps, cols.shape[0]))
+        gains = avg[:, cols] * np.abs(z) ** 2
+        params = static_cellular.StaticParams(eta_sta=scn.static.eta_sta, pt_mw=pt)
+        return static_cellular.static_rates(assignment, serving, gains, params, w, sigma2)
+    if system.startswith("wifi"):
+        baseline = system == "wifi-baseline"
+        cs = scn.wifi.cs_thr_baseline_dbm if baseline else scn.wifi.cs_thr_aggressive_dbm
+        params = wifi.WifiParams(
+            cs_thr_dbm=cs, k_wifi=scn.wifi.k_wifi, eta_wifi=scn.wifi.eta_wifi, pt_mw=pt
+        )
+        z = ch.draw_fading(rng, (layout.n_aps, cols.shape[0]))
+        gains = avg[:, cols] * np.abs(z) ** 2
+        g_ap_ap = l_ap_ap * np.abs(ch.draw_symmetric_fading(rng, layout.n_aps)) ** 2
+        graph = wifi.build_contention_graph(assignment, g_ap_ap, params, participating=serving)
+        active = wifi.sample_ssi(graph, rng)
+        _, rates, sinr = wifi.wifi_rates(active, serving, gains, params, w, sigma2)
+        return rates, sinr
+    delta = scn.zf.delta if system == "zf-erroneous" else 0.0
+    sqrt_l = np.sqrt(avg[np.ix_(serving, cols)].T)
+    while True:
+        z = ch.draw_fading(rng, sqrt_l.shape)
+        z_now = ch.delayed_csit(z, delta, scn.zf.rho, rng)[0] if system == "zf-erroneous" else z
+        try:
+            bf = zf.build_beamformer(sqrt_l * z)
+            break
+        except zf.SingularChannelError:
+            pass
+    alloc = zf.allocate_power(bf, sigma2, pt, w, scn.zf.eta_zf)
+    if system == "zf-erroneous":
+        return zf.zf_rates_erroneous(sqrt_l * z_now, bf, alloc, w, sigma2, scn.zf.eta_zf)
+    return zf.zf_rates_ideal(alloc, w, sigma2, scn.zf.eta_zf)
+
+
+def _reference_run(scn, layout, system, k, deployment_id, n_snapshots):
+    seed = scn.engine.seed
+    l_ap_ap = ch.average_gains(scn.area, scn.propagation, layout.ap_xy, layout.ap_xy)
+    assignment = None
+    if k is not None:
+        plan_rng = engine.substream(seed, deployment_id, 2, k)
+        assignment = planning.assign_channels(l_ap_ap, k, plan_rng)
+    lambdas, hits, served = [], 0, 0
+    for s in range(n_snapshots):
+        rng = engine.substream(seed, deployment_id, 1, s)
+        avg, serving, cols = _reference_snapshot(scn, layout, rng)
+        rates, sinr = _reference_rates(
+            scn, layout, system, assignment, avg, serving, cols, l_ap_ap, rng
+        )
+        lambdas.append(float(rates.sum()) / scn.area.area_km2)
+        hits += int((sinr < scn.gamma_t_linear).sum())
+        served += int(rates.shape[0])
+    return np.array(lambdas), hits, served
+
+
+@pytest.mark.parametrize("preset,nx,ny", [("table1-open", 3, 3), ("table1-obstructed", 2, 2)])
+def test_shared_pass_matches_independent_runs(preset, nx, ny):
+    raw = scenario.preset_raw(preset)
+    raw["engine"].update(seed=20240601)
+    scn = scenario.from_dict(raw)
+    layout = geometry.place_aps(scn.area, nx, ny)
+    n_snapshots, deployment_id = 20, 4
+    runs = engine.run_rung(scn, layout, engine.SYSTEMS, deployment_id, n_snapshots)
+    assert list(runs) == list(engine.SYSTEMS)
+    assert list(runs["static"]) == list(range(1, min(scn.static.k_max, layout.n_aps) + 1))
+    for system, per_k in runs.items():
+        for k, run in per_k.items():
+            lambdas, hits, served = _reference_run(
+                scn, layout, system, k, deployment_id, n_snapshots
+            )
+            assert np.array_equal(run.lambda_samples, lambdas), (system, k)
+            assert run.served_total == served, (system, k)
+            assert run.outage == engine.wilson_estimate(hits, served), (system, k)
+
+
+def test_dimension_computes_average_gains_once_per_snapshot(monkeypatch):
+    scn = _tiny_scenario([1.0], ladder_cap=6, snapshots=3)
+    calls = []
+    average_gains = ch.average_gains
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return average_gains(*args, **kwargs)
+
+    monkeypatch.setattr(ch, "average_gains", counted)
+    res = engine.dimension(scn, engine.SYSTEMS, stop_when_satisfied=False)
+    rungs = len(res.ladder)
+    assert rungs == 4
+    assert all(len(dims.records) == rungs for dims in res.per_system.values())
+    assert len(calls) == rungs * (3 + 1)  # AP-to-AP once, AP-to-user once per snapshot

@@ -1,4 +1,4 @@
-"""Frequency planning: the greedy assignment heuristic and the K* search."""
+"""Frequency planning: the greedy channel assignment heuristic."""
 
 import numpy as np
 import pytest
@@ -68,33 +68,6 @@ def test_assignment_validation():
         planning.ChannelAssignment(k=2, channel_of=np.array([0, 2]))
 
 
-def _record(k, outage, lam=1000.0):
-    return planning.KRecord(k=k, lambda_s_mean=lam, outage_mean=outage, outage_ci_high=outage)
-
-
-def test_search_k_star_picks_smallest_feasible():
-    outages = {1: 0.4, 2: 0.2, 3: 0.04, 4: 0.01}
-    res = planning.search_k_star(10, 4, 0.05, lambda k: _record(k, outages[k]))
-    assert res.k_star == 3
-    assert res.feasible
-    assert [r.k for r in res.records] == [1, 2, 3, 4]
-    assert res.record_for(3).outage_mean < 0.05
-
-
-def test_search_k_star_exhaustion_infeasible():
-    res = planning.search_k_star(3, 12, 0.05, lambda k: _record(k, 0.5))
-    assert res.k_star is None
-    assert not res.feasible
-    assert [r.k for r in res.records] == [1, 2, 3]  # capped at N_ap
-
-
-def test_search_k_star_single_ap_no_interference():
-    # a lone AP has no co-channel interference at K = 1; with worst-corner SNR
-    # far above the threshold the outage is ~0 and K* = 1
-    res = planning.search_k_star(1, 12, 0.05, lambda k: _record(k, 0.0))
-    assert res.k_star == 1
-
-
 def test_open_env_2x2_reuse1_is_outage_bound():
     # Brute-force SINR CDF for K = 1 on a 2x2 open grid: midcell users see
     # interference comparable to signal, so P(SINR < 2) is far above 5%.
@@ -112,9 +85,3 @@ def test_open_env_2x2_reuse1_is_outage_bound():
     sinr = signal / (total - signal + sigma2)
     outage_fraction = np.mean(sinr < 10 ** 0.3)
     assert outage_fraction > 0.3  # K=1 is hopeless in the open environment
-
-
-def test_krecord_lookup_missing():
-    res = planning.search_k_star(2, 2, 0.05, lambda k: _record(k, 0.5))
-    with pytest.raises(KeyError):
-        res.record_for(7)
