@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Layout, ServiceArea, crossing_counts
+from .geometry import ServiceArea, crossing_counts
 
 # Pathloss is evaluated at max(d, 1 m); the model diverges below the 1 m
 # intercept that the constant-loss term represents.
@@ -85,45 +85,6 @@ def draw_symmetric_fading(rng: np.random.Generator, n: int, sigma_z2: float = 1.
         z[iu] = draw_fading(rng, iu[0].shape, sigma_z2)
         z = z + z.T
     return z
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One block-fading snapshot: average gains L, fading Z, H = sqrt(L)*Z, G = |H|^2."""
-
-    L: np.ndarray
-    Z: np.ndarray
-    H: np.ndarray
-    G: np.ndarray
-
-
-def realization_from(L: np.ndarray, Z: np.ndarray) -> ChannelRealization:
-    H = np.sqrt(L) * Z
-    return ChannelRealization(L=L, Z=Z, H=H, G=np.abs(H) ** 2)
-
-
-def draw_realization(
-    layout: Layout,
-    users,
-    params: PropagationParams,
-    rng: np.random.Generator,
-    sigma_z2: float = 1.0,
-) -> ChannelRealization:
-    """Draw one AP-to-user channel snapshot for the given user positions."""
-    users = np.atleast_2d(np.asarray(users, dtype=float))
-    if users.shape[0] == 0:
-        raise ValueError("users must be nonempty")
-    L = average_gains(layout.area, params, layout.ap_xy, users)
-    Z = draw_fading(rng, L.shape, sigma_z2)
-    return realization_from(L, Z)
-
-
-@dataclass(frozen=True, eq=False)
-class DelayedChannel:
-    """CSIT view of a channel: h_hat entries equal the true channel except on outdated links."""
-
-    h_hat: np.ndarray
-    outdated_mask: np.ndarray
 
 
 def delayed_csit(

@@ -13,7 +13,7 @@ import os
 import sys
 import time
 
-from . import engine, oracles, results, scenario as scn_mod
+from . import engine, results, scenario as scn_mod
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
@@ -148,6 +148,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # Imported here: the oracles need scipy, which the other verbs never load.
+    from . import oracles
+
     return 0 if oracles.run_all() else 1
 
 

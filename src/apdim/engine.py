@@ -113,8 +113,13 @@ def wilson_estimate(successes: int, trials: int) -> Estimate:
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
     hw = Z95 / denom * np.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
+    # Clamped so that ci_low <= p <= ci_high holds exactly; rounding in
+    # center -/+ hw would otherwise leave e.g. ci_low ~1e-20 above p = 0.
     return Estimate(
-        mean=p, count=trials, ci_low=max(0.0, center - hw), ci_high=min(1.0, center + hw)
+        mean=p,
+        count=trials,
+        ci_low=min(p, max(0.0, center - hw)),
+        ci_high=max(p, min(1.0, center + hw)),
     )
 
 
@@ -498,9 +503,14 @@ def run_rung(
     return {system: dict(zip(ks, per_k)) for system, (ks, _), per_k in zip(systems, specs, runs)}
 
 
+def outage_feasible(outage: Estimate, beta: float) -> bool:
+    """The one feasibility rule: the upper 95% bound of the outage is below beta."""
+    return bool(outage.ci_high < beta)
+
+
 def k_star(outages: dict, beta: float) -> Optional[int]:
-    """Smallest reuse number K whose outage estimate meets beta, or None."""
-    return min((k for k, est in outages.items() if est.mean < beta), default=None)
+    """Smallest reuse number K whose outage estimate is feasible, or None."""
+    return min((k for k, est in outages.items() if outage_feasible(est, beta)), default=None)
 
 
 def evaluate_rung(
@@ -518,14 +528,13 @@ def evaluate_rung(
     for system, runs in run_rung(scn, layout, systems, deployment_id, n_snapshots, threads).items():
         if system == "static":
             k_channels = k_star({k: run.outage for k, run in runs.items()}, beta)
-            # No K met the constraint; report the least-bad K as a diagnostic.
-            least_bad = min(runs, key=lambda k: (runs[k].outage.mean, k))
-            run = runs[least_bad if k_channels is None else k_channels]
+            if k_channels is None:
+                # No K is feasible; report the least-bad K as a diagnostic.
+                run = runs[min(runs, key=lambda k: (runs[k].outage.mean, k))]
+            else:
+                run = runs[k_channels]
         else:
             ((k_channels, run),) = runs.items()
-        outage_ok = run.outage.ci_high < beta
-        if system == "static" and k_channels is None:
-            outage_ok = False
         mu = run.lambda_s.mean / scn.traffic.lambda_u_per_km2
         records.append(
             DeploymentRecord(
@@ -535,7 +544,7 @@ def evaluate_rung(
                 ap_count=layout.n_aps,
                 ap_density_per_km2=layout.density_per_km2,
                 k_channels=k_channels,
-                outage_feasible=outage_ok,
+                outage_feasible=outage_feasible(run.outage, beta),
                 lambda_s=run.lambda_s,
                 outage=run.outage,
                 mu_mbps_per_user=mu,

@@ -33,15 +33,6 @@ class ServiceArea:
     def area_km2(self) -> float:
         return self.lx * self.ly / 1e6
 
-    def contains(self, xy) -> np.ndarray:
-        xy = np.asarray(xy, dtype=float)
-        return (
-            (xy[..., 0] >= 0.0)
-            & (xy[..., 0] <= self.lx)
-            & (xy[..., 1] >= 0.0)
-            & (xy[..., 1] <= self.ly)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Layout:

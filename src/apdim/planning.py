@@ -25,9 +25,6 @@ class ChannelAssignment:
         if np.any(self.channel_of < 0) or np.any(self.channel_of >= self.k):
             raise ValueError("channel indices must lie in [0, k)")
 
-    def aps_on(self, ch: int) -> np.ndarray:
-        return np.flatnonzero(self.channel_of == ch)
-
 
 def assign_channels(l_ap_ap: np.ndarray, k: int, rng: np.random.Generator) -> ChannelAssignment:
     """Greedy assignment: visit APs in random order, pick the least-interfered channel.

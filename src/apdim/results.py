@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import platform
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,47 +63,35 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One (deployment, system) line of the run CSV."""
-
-    scenario_id: str
-    record: DeploymentRecord
-
-    def values(self) -> list:
-        r = self.record
-        return [
-            self.scenario_id,
-            r.system,
-            r.nx,
-            r.ny,
-            r.ap_count,
-            r.ap_density_per_km2,
-            r.k_channels,
-            r.outage_feasible,
-            r.lambda_s.mean,
-            r.lambda_s.ci_low,
-            r.lambda_s.ci_high,
-            r.outage.mean,
-            r.outage.ci_low,
-            r.outage.ci_high,
-            r.mu_mbps_per_user,
-            r.demand_gb_month,
-            r.n_snapshots,
-            r.served_samples,
-            r.zf_redraws,
-            r.solver_fallbacks,
-        ]
-
-
 def write_result_csv(path: str, scenario_id: str, result: DimensioningResult) -> int:
     """Write one row per evaluated (deployment, system); returns the row count."""
     rows = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(RESULT_COLUMNS) + "\n")
         for system in result.per_system:
-            for rec in result.per_system[system].records:
-                cells = ResultRow(scenario_id, rec).values()
+            for r in result.per_system[system].records:
+                cells = [
+                    scenario_id,
+                    r.system,
+                    r.nx,
+                    r.ny,
+                    r.ap_count,
+                    r.ap_density_per_km2,
+                    r.k_channels,
+                    r.outage_feasible,
+                    r.lambda_s.mean,
+                    r.lambda_s.ci_low,
+                    r.lambda_s.ci_high,
+                    r.outage.mean,
+                    r.outage.ci_low,
+                    r.outage.ci_high,
+                    r.mu_mbps_per_user,
+                    r.demand_gb_month,
+                    r.n_snapshots,
+                    r.served_samples,
+                    r.zf_redraws,
+                    r.solver_fallbacks,
+                ]
                 fh.write(",".join(_fmt(c) if not isinstance(c, str) else c for c in cells) + "\n")
                 rows += 1
     return rows

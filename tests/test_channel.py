@@ -85,33 +85,21 @@ def test_symmetric_fading_reciprocal():
     assert np.mean(np.abs(off) ** 2) == pytest.approx(1.0, abs=0.15)
 
 
-def test_realization_identities():
+def test_average_gains_in_unit_interval():
     area = ServiceArea(lx=100, ly=100, wx=2, wy=2)
     layout = place_aps(area, 2, 2)
     params = ch.PropagationParams(l0_db=37.0, alpha=3.0, lw_db=8.0)
-    rng = np.random.default_rng(14)
-    users = rng.random((30, 2)) * 100
-    real = ch.draw_realization(layout, users, params, rng)
-    assert real.L.shape == (4, 30)
-    assert ((real.L > 0) & (real.L <= 1)).all()
-    assert np.allclose(real.H, np.sqrt(real.L) * real.Z)
-    assert np.allclose(real.G, real.L * np.abs(real.Z) ** 2)
-    assert np.allclose(real.G, np.abs(real.H) ** 2)
-
-
-def test_draw_realization_requires_users():
-    layout = place_aps(ServiceArea(lx=100, ly=100), 1, 1)
-    with pytest.raises(ValueError):
-        ch.draw_realization(layout, np.empty((0, 2)), OPEN, np.random.default_rng(0))
+    users = np.random.default_rng(14).random((30, 2)) * 100
+    gains = ch.average_gains(area, params, layout.ap_xy, users)
+    assert gains.shape == (4, 30)
+    assert ((gains > 0) & (gains <= 1)).all()
 
 
 def test_snapshots_are_independent_block_fading():
-    layout = place_aps(ServiceArea(lx=100, ly=100), 1, 1)
-    user = np.array([[30.0, 40.0]])
     draws = []
     for s in range(10_000):
         rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(s,)))
-        draws.append(ch.draw_realization(layout, user, OPEN, rng).Z[0, 0])
+        draws.append(ch.draw_fading(rng, (1, 1))[0, 0])
     z = np.array(draws)
     lag1 = np.corrcoef(np.abs(z[:-1]) ** 2, np.abs(z[1:]) ** 2)[0, 1]
     assert abs(lag1) < 0.02

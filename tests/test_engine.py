@@ -75,6 +75,15 @@ def test_wilson_estimate_bounds():
         engine.wilson_estimate(5, 0)
 
 
+def test_wilson_interval_contains_p_exactly():
+    for trials in (100, 3977, 10**6):
+        for successes in (0, 1, trials // 2, trials - 1, trials):
+            est = engine.wilson_estimate(successes, trials)
+            assert 0.0 <= est.ci_low <= est.mean <= est.ci_high <= 1.0
+    assert engine.wilson_estimate(0, 3977).ci_low == 0.0
+    assert engine.wilson_estimate(3977, 3977).ci_high == 1.0
+
+
 def test_wilson_coverage_quick():
     # 200 synthetic Bernoulli streams; coverage should be near 95%
     rng = np.random.default_rng(60)
@@ -315,6 +324,13 @@ def test_k_star_none_feasible():
     assert engine.k_star({k: _outage(0.5) for k in (1, 2, 3)}, 0.05) is None
 
 
+def test_k_star_uses_the_outage_upper_bound():
+    # K = 1 and 2 have a mean outage below beta but an upper bound above it
+    outages = {1: _outage(0.04, 0.07), 2: _outage(0.03, 0.05), 3: _outage(0.02, 0.04)}
+    assert engine.k_star(outages, 0.05) == 3
+    assert [engine.outage_feasible(est, 0.05) for est in outages.values()] == [False, False, True]
+
+
 def test_static_reuse_numbers_capped_at_n_aps():
     scn = _tiny_scenario([1.0])
     for (nx, ny), ks in (((1, 3), [1, 2, 3]), ((4, 4), list(range(1, 13)))):
@@ -328,7 +344,7 @@ def test_static_single_ap_k_star_is_one():
     # far above the threshold the outage is ~0 and K* = 1
     scn = _tiny_scenario([1.0])
     (rec,) = engine.evaluate_rung(scn, geometry.place_aps(scn.area, 1, 1), ["static"], 0)
-    assert rec.k_channels == 1 and rec.outage_feasible
+    assert rec.k_channels == 1 and rec.outage_feasible is True
 
 
 # --- the shared snapshot pass ------------------------------------------------------

@@ -1,8 +1,11 @@
 """Configuration schema, presets, env overrides, and the CLI surface."""
 
+import csv
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +186,49 @@ def test_cli_run_writes_csv_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
     assert manifest["tool"] == "apdim"
     assert manifest["dimensioning"]["zf-ideal"][0]["feasible"] is True
+
+
+def _readme_run_columns():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = text.index("`run` CSV columns, in order:") + len("`run` CSV columns, in order:")
+    listing = re.sub(r"\([^)]*\)", "", text[start:text.index("`sweep` CSV columns")])
+    return re.findall(r"`([a-z0-9_]+)`", listing)  # column names, notes in parentheses dropped
+
+
+def test_cli_run_csv_matches_readme_schema(tmp_path):
+    # at 40 snapshots the 1-AP rungs have too few samples to be feasible and
+    # the larger ones are feasible, so both spellings are written
+    out = tmp_path / "run.csv"
+    proc = _run_cli(
+        [
+            "run",
+            "--preset",
+            "table1-open",
+            "--systems",
+            "static,zf-ideal",
+            "--out",
+            str(out),
+            "--snapshots",
+            "40",
+            "--full-ladder",
+            "--quiet",
+        ],
+        env_extra={"APDIM_DEMAND_GB_MONTH": "[1.0]", "APDIM_ENGINE__LADDER_MAX_APS": "4"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len(_readme_run_columns()) == 20
+    assert rows[0] == _readme_run_columns()
+    feasible = {row[rows[0].index("outage_feasible")] for row in rows[1:]}
+    assert feasible == {"true", "false"}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, apdim.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_sweep_writes_demand_rows(tmp_path):
