@@ -3,7 +3,10 @@ estimates with confidence intervals, demand conversion, and the AP-count search.
 
 Determinism contract: every snapshot derives its own generator from
 (master_seed, deployment_id, snapshot_index), so results are bit-identical
-for any thread count and evaluation order.
+for any thread count and evaluation order. One snapshot pass per rung serves
+every system: the shared prefix is drawn once and each system continues on
+its own copy of the generator, so its results do not depend on which other
+systems run beside it.
 """
 
 from __future__ import annotations
