@@ -55,13 +55,24 @@ def average_gains(area: ServiceArea, params: PropagationParams, tx_xy, rx_xy) ->
     """Linear average path gains between all tx/rx point pairs, (n_tx, n_rx).
 
     Euclidean distance (clamped at 1 m) plus the strict wall-crossing count.
+    Evaluates ``linear_gain(path_loss_db(d, phi))`` with the same operations
+    in the same order, in place in one (n_tx, n_rx) buffer, so every value
+    is bit-identical to the two-step formula.
     """
     tx_xy = np.atleast_2d(np.asarray(tx_xy, dtype=float))
     rx_xy = np.atleast_2d(np.asarray(rx_xy, dtype=float))
-    diff = tx_xy[:, None, :] - rx_xy[None, :, :]
-    d = np.maximum(np.hypot(diff[..., 0], diff[..., 1]), MIN_DISTANCE_M)
-    phi = crossing_counts(area, tx_xy, rx_xy)
-    return linear_gain(params.l0_db + 10.0 * params.alpha * np.log10(d) + phi * params.lw_db)
+    out = np.subtract.outer(tx_xy[:, 0], rx_xy[:, 0])
+    scratch = np.subtract.outer(tx_xy[:, 1], rx_xy[:, 1])
+    np.hypot(out, scratch, out=out)
+    np.maximum(out, MIN_DISTANCE_M, out=out)
+    np.log10(out, out=out)
+    np.multiply(10.0 * params.alpha, out, out=out)
+    np.add(params.l0_db, out, out=out)
+    np.multiply(crossing_counts(area, tx_xy, rx_xy), params.lw_db, out=scratch)
+    np.add(out, scratch, out=out)
+    np.negative(out, out=out)
+    np.divide(out, 10.0, out=out)
+    return np.power(10.0, out, out=out)
 
 
 def noise_power_mw(boltzmann_j_per_k: float, temperature_k: float, bandwidth_hz: float) -> float:

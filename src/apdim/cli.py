@@ -48,6 +48,10 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
 
 def _parse_threads(text: str) -> int:
     if text == "auto":
+        # The CPUs this process may run on, which CPU affinity can restrict
+        # below the machine's count; sched_getaffinity is missing on some OSes.
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     n = int(text)
     if n < 1:

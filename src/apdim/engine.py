@@ -11,7 +11,6 @@ systems run beside it.
 
 from __future__ import annotations
 
-import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -277,15 +276,10 @@ def static_snapshot(
     Every plan is scored on the same fading draw.
     """
     gains = _faded_gains(ctx, snap, rng)
-    return [
-        _scored(
-            ctx,
-            *static_cellular.static_rates(
-                assignment, snap.serving, gains, params, ctx.w_total_mhz, ctx.sigma2_mw
-            ),
-        )
-        for assignment in assignments
-    ]
+    scores = static_cellular.static_rates(
+        assignments, snap.serving, gains, params, ctx.w_total_mhz, ctx.sigma2_mw
+    )
+    return [_scored(ctx, rates, sinr) for rates, sinr in scores]
 
 
 def zf_snapshot(
@@ -365,6 +359,17 @@ def _aggregate(results: Sequence[SnapshotResult]) -> RunResult:
 Evaluator = Callable[[Snapshot, np.random.Generator], list]
 
 
+def _generator_at(state: dict) -> np.random.Generator:
+    """A new generator whose bit generator starts at ``state``.
+
+    Three times cheaper than ``copy.deepcopy`` of a generator, which pickles
+    it. The seed is overwritten at once; a fixed one skips the OS entropy read.
+    """
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
 def run_snapshots(
     ctx: DeploymentContext,
     evaluators: Sequence[Evaluator],
@@ -378,8 +383,9 @@ def run_snapshots(
     Each snapshot draws the shared prefix (``draw_snapshot``) once from its
     generator, derived from (master_seed, deployment_id, snapshot index). Every
     evaluator then gets its own copy of that generator as it stands after the
-    prefix, so each consumes random numbers exactly as if it ran alone, and
-    returns a list of SnapshotResult. Entry [e][v] of the return value
+    prefix (a new generator set to the prefix's bit-generator state), so each
+    consumes random numbers exactly as if it ran alone, and returns a list of
+    SnapshotResult. Entry [e][v] of the return value
     aggregates output v of evaluator e over all snapshots.
 
     Snapshots may execute on a thread pool; results are aggregated in
@@ -391,7 +397,8 @@ def run_snapshots(
     def one(s: int) -> list[list[SnapshotResult]]:
         rng = substream(master_seed, deployment_id, _SALT_SNAPSHOT, s)
         snap = draw_snapshot(ctx, rng)
-        return [evaluate(snap, copy.deepcopy(rng)) for evaluate in evaluators]
+        state = rng.bit_generator.state
+        return [evaluate(snap, _generator_at(state)) for evaluate in evaluators]
 
     if threads <= 1:
         results = [one(s) for s in range(n_snapshots)]

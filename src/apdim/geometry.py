@@ -85,20 +85,28 @@ def crossing_counts(area: ServiceArea, a_xy, b_xy) -> np.ndarray:
     Counts walls whose coordinate lies strictly between the two endpoints'
     coordinates; an endpoint exactly on a wall does not cross it.
     Returns an (n, m) int array for a_xy of shape (n, 2) and b_xy of (m, 2).
+
+    The walls strictly between lo and hi are those ranked from
+    searchsorted(walls, lo, "right") to searchsorted(walls, hi, "left").
+    searchsorted is monotone, so the rank of max(a, b) is the max of the
+    points' ranks (and likewise for min): ranks are found once per point and
+    combined per pair.
     """
     a_xy = np.atleast_2d(np.asarray(a_xy, dtype=float))
     b_xy = np.atleast_2d(np.asarray(b_xy, dtype=float))
-    xw, yw = wall_positions(area)
     total = np.zeros((a_xy.shape[0], b_xy.shape[0]), dtype=np.int64)
-    for walls, axis in ((xw, 0), (yw, 1)):
+    for walls, axis in zip(wall_positions(area), (0, 1)):
         if walls.size == 0:
             continue
-        av = a_xy[:, axis][:, None]
-        bv = b_xy[:, axis][None, :]
-        lo = np.minimum(av, bv)
-        hi = np.maximum(av, bv)
-        cnt = np.searchsorted(walls, hi, side="left") - np.searchsorted(walls, lo, side="right")
-        total += np.maximum(cnt, 0)  # lo == hi on a wall would give -1
+        a, b = a_xy[:, axis], b_xy[:, axis]
+        cnt = np.maximum.outer(
+            np.searchsorted(walls, a, side="left"), np.searchsorted(walls, b, side="left")
+        )
+        cnt -= np.minimum.outer(
+            np.searchsorted(walls, a, side="right"), np.searchsorted(walls, b, side="right")
+        )
+        np.maximum(cnt, 0, out=cnt)  # lo == hi on a wall would give -1
+        total += cnt
     return total
 
 

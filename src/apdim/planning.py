@@ -42,6 +42,7 @@ def assign_channels(l_ap_ap: np.ndarray, k: int, rng: np.random.Generator) -> Ch
     for i in rng.permutation(n):
         c = int(np.argmin(aggregate[i]))
         channel_of[i] = c
-        others = np.arange(n) != i
-        aggregate[others, c] += l_ap_ap[i, others]
+        # Also adds AP i's own (unused) diagonal entry to row i, which is
+        # never read again: each AP is visited once.
+        aggregate[:, c] += l_ap_ap[i]
     return ChannelAssignment(k=k, channel_of=channel_of)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,38 +23,34 @@ class StaticParams:
 
 
 def static_rates(
-    assignment: ChannelAssignment,
+    assignments: Sequence[ChannelAssignment],
     serving_aps: np.ndarray,
     gains: np.ndarray,
     params: StaticParams,
     w_total_mhz: float,
     sigma2_mw: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user rate (Mbps) and SINR under static reuse-K planning.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-user rate (Mbps) and SINR under static reuse-K planning, per plan.
 
-    Every AP with traffic transmits in every snapshot (full buffer), so the
-    interference at a served user sums over all co-channel transmitters except
-    the serving AP. Each link uses w = W / K and sees noise sigma2 / K; the
-    rate clamps at R_max = w * eta_sta.
+    Returns one (rates, sinr) pair per assignment, all scored on the same
+    gains. Every AP with traffic transmits in every snapshot (full buffer), so
+    the interference at a served user sums over all co-channel transmitters
+    except the serving AP. Each link uses w = W / K and sees noise
+    sigma2 / K; the rate clamps at R_max = w * eta_sta.
 
     ``gains`` holds AP-to-user power gains with one column per served user,
     aligned with ``serving_aps`` (column i belongs to the user served by
     serving_aps[i]).
     """
-    k = assignment.k
+    rx = gains[serving_aps] * params.pt_mw  # rx[j, i]: power from serving AP j at user i
+    signal = np.diag(rx)
+    channels = np.array([a.channel_of[serving_aps] for a in assignments])
+    co_channel = channels[:, :, None] == channels[:, None, :]
+    # Summed over transmitters in ascending order; the exact zeros of other
+    # channels leave each co-channel sum bit-identical to a per-channel sum.
+    interference = (rx * co_channel).sum(axis=1) - signal
+    k = np.array([[a.k] for a in assignments], dtype=float)
     w = w_total_mhz / k
-    r_max = w * params.eta_sta
-    noise = sigma2_mw / k
-
-    n_served = serving_aps.shape[0]
-    sinr = np.empty(n_served, dtype=float)
-    channels = assignment.channel_of[serving_aps]
-    for ch in np.unique(channels):
-        sel = np.flatnonzero(channels == ch)
-        tx = serving_aps[sel]  # co-channel transmitters (all of them transmit)
-        rx = gains[np.ix_(tx, sel)] * params.pt_mw
-        signal = np.diag(rx)
-        interference = rx.sum(axis=0) - signal
-        sinr[sel] = signal / (interference + noise)
-    rates = np.minimum(w * np.log2(1.0 + sinr), r_max)
-    return rates, sinr
+    sinr = signal / (interference + sigma2_mw / k)
+    rates = np.minimum(w * np.log2(1.0 + sinr), w * params.eta_sta)
+    return list(zip(rates, sinr))

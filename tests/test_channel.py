@@ -95,6 +95,30 @@ def test_average_gains_in_unit_interval():
     assert ((gains > 0) & (gains <= 1)).all()
 
 
+def test_average_gains_equal_two_step_formula():
+    # the in-place kernel against linear_gain(path_loss_db(d, phi)) on the
+    # same distances and brute-force wall counts, bit for bit
+    from apdim.oracles import brute_force_wall_crossings
+
+    rng = np.random.default_rng(15)
+    cases = (
+        (ServiceArea(lx=100, ly=80), ch.PropagationParams(l0_db=40.05, alpha=3.5)),
+        (ServiceArea(lx=100, ly=80, wx=4, wy=3), ch.PropagationParams(40.05, 4.0, 10.0)),
+    )
+    for area, params in cases:
+        tx = place_aps(area, 7, 6).ap_xy
+        users = rng.random((60, 2)) * [area.lx, area.ly]
+        users[:20] = tx[:20] + rng.uniform(-0.7, 0.7, (20, 2))  # pairs under 1 m
+        for rx in (users, tx):  # tx against itself: coincident pairs
+            diff = tx[:, None, :] - rx[None, :, :]
+            d = np.maximum(np.hypot(diff[..., 0], diff[..., 1]), ch.MIN_DISTANCE_M)
+            phi = np.array(
+                [[brute_force_wall_crossings(area, tuple(p), tuple(q)) for q in rx] for p in tx]
+            )
+            expected = ch.linear_gain(ch.path_loss_db(params, d, phi))
+            assert np.array_equal(ch.average_gains(area, params, tx, rx), expected)
+
+
 def test_snapshots_are_independent_block_fading():
     draws = []
     for s in range(10_000):

@@ -364,7 +364,7 @@ def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_a
         z = ch.draw_fading(rng, (layout.n_aps, cols.shape[0]))
         gains = avg[:, cols] * np.abs(z) ** 2
         params = static_cellular.StaticParams(eta_sta=scn.static.eta_sta, pt_mw=pt)
-        return static_cellular.static_rates(assignment, serving, gains, params, w, sigma2)
+        return static_cellular.static_rates([assignment], serving, gains, params, w, sigma2)[0]
     if system.startswith("wifi"):
         baseline = system == "wifi-baseline"
         cs = scn.wifi.cs_thr_baseline_dbm if baseline else scn.wifi.cs_thr_aggressive_dbm

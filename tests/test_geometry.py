@@ -124,6 +124,43 @@ def test_crossing_counts_matrix_matches_scalar():
             assert counts[i, j] == wall_crossings(area, tuple(a[i]), tuple(b[j]))
 
 
+def _pairwise_crossing_counts(area, a_xy, b_xy):
+    """Reference: searchsorted on the broadcast (n, m) pair extremes."""
+    total = np.zeros((len(a_xy), len(b_xy)), dtype=np.int64)
+    for walls, axis in zip(wall_positions(area), (0, 1)):
+        if walls.size == 0:
+            continue
+        av = a_xy[:, axis][:, None]
+        bv = b_xy[:, axis][None, :]
+        lo = np.minimum(av, bv)
+        hi = np.maximum(av, bv)
+        cnt = np.searchsorted(walls, hi, side="left") - np.searchsorted(walls, lo, side="right")
+        total += np.maximum(cnt, 0)
+    return total
+
+
+def test_crossing_counts_equal_pairwise_reference_and_oracle():
+    # walls at x = 20, 40, 60, 80 and y = 20, 40, 60; the coordinate grid puts
+    # endpoints on walls, rays through wall junctions and coincident points,
+    # and keeps the oracle's orientation tests exact. It stays off the area's
+    # boundary, where the oracle sees a ray along the edge touch the walls' ends.
+    area = ServiceArea(lx=100, ly=80, wx=4, wy=3)
+    xs, ys = [5, 20, 35, 40, 60, 70, 80, 95], [10, 20, 40, 55, 60, 75]
+    grid = np.array([(x, y) for x in xs for y in ys], dtype=float)
+    rng = np.random.default_rng(5)
+    a = np.vstack([grid[::2], rng.random((7, 2)) * [100, 80]])
+    b = np.vstack([grid, a[:5]])
+    counts = crossing_counts(area, a, b)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, _pairwise_crossing_counts(area, a, b))
+    oracle = [[brute_force_wall_crossings(area, tuple(p), tuple(q)) for q in b] for p in a]
+    assert np.array_equal(counts, oracle)
+    for walled in (ServiceArea(lx=100, ly=80, wx=0, wy=3), ServiceArea(lx=100, ly=80)):
+        assert np.array_equal(
+            crossing_counts(walled, a, b), _pairwise_crossing_counts(walled, a, b)
+        )
+
+
 def test_grid_ladder_shapes():
     ladder = grid_ladder(100)
     assert ladder[:6] == [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]

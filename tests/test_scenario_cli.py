@@ -289,3 +289,14 @@ def test_parse_systems_helper():
         cli._parse_systems(" , ")
     with pytest.raises(ValueError):
         cli._parse_systems("wifi")
+
+
+def test_parse_threads_auto_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    assert cli._parse_threads("auto") == 2
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._parse_threads("auto") == 8
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._parse_threads("auto") == 1
+    assert cli._parse_threads("3") == 3
