@@ -89,9 +89,6 @@ class Estimate:
     def halfwidth(self) -> float:
         return 0.5 * (self.ci_high - self.ci_low)
 
-    def overlaps(self, other: "Estimate") -> bool:
-        return self.ci_low <= other.ci_high and other.ci_low <= self.ci_high
-
 
 def normal_estimate(samples) -> Estimate:
     """Sample mean with a normal-approximation interval (degenerate at n = 1)."""
@@ -151,19 +148,11 @@ def select_served(
     column (user index) each one serves this snapshot.
     """
     order = np.argsort(assoc, kind="stable")
-    sorted_assoc = assoc[order]
-    ap_ids = np.arange(n_aps)
-    starts = np.searchsorted(sorted_assoc, ap_ids, side="left")
-    ends = np.searchsorted(sorted_assoc, ap_ids, side="right")
-    serving = []
-    chosen = []
-    for ap in ap_ids:
-        m = ends[ap] - starts[ap]
-        if m == 0:
-            continue
-        serving.append(ap)
-        chosen.append(int(order[starts[ap] + rng.integers(m)]))
-    return np.array(serving, dtype=np.int64), np.array(chosen, dtype=np.int64)
+    counts = np.bincount(assoc, minlength=n_aps)
+    serving = np.flatnonzero(counts)
+    starts = np.cumsum(counts)[serving] - counts[serving]
+    # one draw over an array of bounds equals one rng.integers(m) per AP in order
+    return serving, order[starts + rng.integers(counts[serving])]
 
 
 @dataclass(frozen=True, eq=False)

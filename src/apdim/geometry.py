@@ -83,7 +83,9 @@ def crossing_counts(area: ServiceArea, a_xy, b_xy) -> np.ndarray:
     """Wall-crossing counts for every pair (a_i, b_j) of points.
 
     Counts walls whose coordinate lies strictly between the two endpoints'
-    coordinates; an endpoint exactly on a wall does not cross it.
+    coordinates; an endpoint exactly on a wall does not cross it. Walls span
+    the full side, boundary included, so a segment along the area's edge
+    crosses every wall whose coordinate lies strictly between its endpoints.
     Returns an (n, m) int array for a_xy of shape (n, 2) and b_xy of (m, 2).
 
     The walls strictly between lo and hi are those ranked from

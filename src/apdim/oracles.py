@@ -35,7 +35,12 @@ def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
 
 
 def brute_force_wall_crossings(area: ServiceArea, p, q) -> int:
-    """Count wall segments properly intersected by segment p-q."""
+    """Count wall segments properly intersected by segment p-q.
+
+    A proper intersection excludes touching a wall's end, so a segment along
+    the area's boundary crosses nothing here, while ``crossing_counts`` counts
+    every wall it passes. The two are compared on interior points only.
+    """
     xs, ys = wall_positions(area)
     count = 0
     for x in xs:

@@ -7,13 +7,11 @@ channels) in its open and obstructed propagation variants. The total system
 bandwidth is a knob; the presets use 60 MHz so each Wi-Fi channel is 20 MHz.
 """
 
-from __future__ import annotations
-
 import copy
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 
 from .channel import PropagationParams, noise_power_mw
 from .engine import TrafficParams
@@ -26,48 +24,100 @@ class ScenarioError(ValueError):
     """Configuration parse or schema violation, with the offending key path."""
 
 
+# --- schema -----------------------------------------------------------------
+
+def _num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _grid(v) -> bool:
+    ok = isinstance(v, list) and len(v) >= 1 and all(_num(x) and x > 0 for x in v)
+    return ok and all(b >= a for a, b in zip(v, v[1:]))
+
+
+# check kind -> (accepts the JSON value, what it expects, JSON value -> field value)
+_CHECKS = {
+    "string": (lambda v: isinstance(v, str) and v != "", "non-empty string", str),
+    "number": (_num, "finite number", float),
+    "positive": (lambda v: _num(v) and v > 0, "positive number", float),
+    "nonneg": (lambda v: _num(v) and v >= 0, "number >= 0", float),
+    "fraction01": (lambda v: _num(v) and 0 < v < 1, "number in (0, 1)", float),
+    "fraction01c": (lambda v: _num(v) and 0 <= v <= 1, "number in [0, 1]", float),
+    "fraction01r": (lambda v: _num(v) and 0 < v <= 1, "number in (0, 1]", float),
+    "nonneg_int": (lambda v: _int(v) and v >= 0, "integer >= 0", int),
+    "positive_int": (lambda v: _int(v) and v >= 1, "integer >= 1", int),
+    "u64": (lambda v: _int(v) and 0 <= v < 2**64, "integer in [0, 2^64)", int),
+    "demand_grid": (_grid, "ascending list of positive numbers", lambda v: tuple(map(float, v))),
+}
+
+
+def _key(kind: str):
+    """A field read from the JSON key of the same name and checked as ``kind``."""
+    return field(metadata={"kind": kind})
+
+
+# Sections whose classes live outside the config layer: their keys in order,
+# each (JSON key, check kind) or (JSON key, check kind, field name).
+_FOREIGN = {
+    "area": (("lx_m", "positive", "lx"), ("ly_m", "positive", "ly"),
+             ("wx", "nonneg_int"), ("wy", "nonneg_int")),
+    "propagation": (("l0_db", "number"), ("alpha", "nonneg"), ("lw_db", "nonneg")),
+    "traffic": (("omega", "fraction01r"), ("lambda_u_per_km2", "positive")),
+}
+
+
 @dataclass(frozen=True)
 class RadioConfig:
-    bandwidth_mhz: float
-    pt_mw: float
-    gamma_t_db: float
-    beta: float
-    boltzmann_j_per_k: float
-    temperature_k: float
-    sigma_z2: float
+    bandwidth_mhz: float = _key("positive")
+    pt_mw: float = _key("positive")
+    gamma_t_db: float = _key("number")
+    beta: float = _key("fraction01")
+    boltzmann_j_per_k: float = _key("positive")
+    temperature_k: float = _key("positive")
+    sigma_z2: float = _key("positive")
 
 
 @dataclass(frozen=True)
 class WifiConfig:
-    cs_thr_baseline_dbm: float
-    cs_thr_aggressive_dbm: float
-    k_wifi: int
-    eta_wifi: float
+    cs_thr_baseline_dbm: float = _key("number")
+    cs_thr_aggressive_dbm: float = _key("number")
+    k_wifi: int = _key("positive_int")
+    eta_wifi: float = _key("positive")
 
 
 @dataclass(frozen=True)
 class StaticConfig:
-    eta_sta: float
-    k_max: int
+    eta_sta: float = _key("positive")
+    k_max: int = _key("positive_int")
 
 
 @dataclass(frozen=True)
 class ZfConfig:
-    eta_zf: float
-    delta: float
-    rho: float
+    eta_zf: float = _key("positive")
+    delta: float = _key("fraction01c")
+    rho: float = _key("fraction01c")
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    n_snapshots: int
-    seed: int
-    ladder_max_aps: int
+    n_snapshots: int = _key("positive_int")
+    seed: int = _key("u64")
+    ladder_max_aps: int = _key("positive_int")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    scenario_id: str
+    """A validated scenario; its fields are the JSON file's keys, in order.
+
+    A field without a check kind is a section, keyed by its class's fields or
+    by its ``_FOREIGN`` row.
+    """
+
+    scenario_id: str = _key("string")
     area: ServiceArea
     propagation: PropagationParams
     traffic: TrafficParams
@@ -76,7 +126,7 @@ class Scenario:
     static: StaticConfig
     zf: ZfConfig
     engine: EngineConfig
-    demand_gb_month: tuple[float, ...]
+    demand_gb_month: tuple[float, ...] = _key("demand_grid")
 
     @property
     def sigma2_mw(self) -> float:
@@ -95,79 +145,27 @@ class Scenario:
         return max(1, round(self.traffic.lambda_u_per_km2 * self.area.area_km2))
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "area": {
-                "lx_m": self.area.lx,
-                "ly_m": self.area.ly,
-                "wx": self.area.wx,
-                "wy": self.area.wy,
-            },
-            "propagation": {
-                "l0_db": self.propagation.l0_db,
-                "alpha": self.propagation.alpha,
-                "lw_db": self.propagation.lw_db,
-            },
-            "traffic": {
-                "omega": self.traffic.omega,
-                "lambda_u_per_km2": self.traffic.lambda_u_per_km2,
-            },
-            "radio": asdict(self.radio),
-            "wifi": asdict(self.wifi),
-            "static": asdict(self.static),
-            "zf": asdict(self.zf),
-            "engine": asdict(self.engine),
-            "demand_gb_month": list(self.demand_gb_month),
-        }
+        out = {}
+        for key, spec in _SCHEMA.items():
+            value = getattr(self, key)
+            if isinstance(spec, str):
+                out[key] = list(value) if isinstance(value, tuple) else value
+            else:
+                out[key] = {k: getattr(value, name) for k, name, _ in spec[1]}
+        return out
 
 
-# --- schema -----------------------------------------------------------------
-
-def _num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _section_keys(f) -> tuple:
+    """(JSON key, field name, check kind) for each key of a section field, in order."""
+    if f.name in _FOREIGN:
+        return tuple((k, name[0] if name else k, kind) for k, kind, *name in _FOREIGN[f.name])
+    return tuple((g.name, g.name, g.metadata["kind"]) for g in fields(f.type))
 
 
-_CHECKS = {
-    "string": (lambda v: isinstance(v, str) and v != "", "non-empty string"),
-    "number": (_num, "finite number"),
-    "positive": (lambda v: _num(v) and v > 0, "positive number"),
-    "nonneg": (lambda v: _num(v) and v >= 0, "number >= 0"),
-    "fraction01": (lambda v: _num(v) and 0 < v < 1, "number in (0, 1)"),
-    "fraction01c": (lambda v: _num(v) and 0 <= v <= 1, "number in [0, 1]"),
-    "omega": (lambda v: _num(v) and 0 < v <= 1, "number in (0, 1]"),
-    "nonneg_int": (lambda v: _int(v) and v >= 0, "integer >= 0"),
-    "positive_int": (lambda v: _int(v) and v >= 1, "integer >= 1"),
-    "seed": (lambda v: _int(v) and 0 <= v < 2**64, "integer in [0, 2^64)"),
-}
-
+# Top-level key -> check kind, or (section class, _section_keys) for a section.
 _SCHEMA = {
-    "scenario_id": "string",
-    "area": {"lx_m": "positive", "ly_m": "positive", "wx": "nonneg_int", "wy": "nonneg_int"},
-    "propagation": {"l0_db": "number", "alpha": "nonneg", "lw_db": "nonneg"},
-    "traffic": {"omega": "omega", "lambda_u_per_km2": "positive"},
-    "radio": {
-        "bandwidth_mhz": "positive",
-        "pt_mw": "positive",
-        "gamma_t_db": "number",
-        "beta": "fraction01",
-        "boltzmann_j_per_k": "positive",
-        "temperature_k": "positive",
-        "sigma_z2": "positive",
-    },
-    "wifi": {
-        "cs_thr_baseline_dbm": "number",
-        "cs_thr_aggressive_dbm": "number",
-        "k_wifi": "positive_int",
-        "eta_wifi": "positive",
-    },
-    "static": {"eta_sta": "positive", "k_max": "positive_int"},
-    "zf": {"eta_zf": "positive", "delta": "fraction01c", "rho": "fraction01c"},
-    "engine": {"n_snapshots": "positive_int", "seed": "seed", "ladder_max_aps": "positive_int"},
-    "demand_gb_month": "demand_grid",
+    f.name: f.metadata["kind"] if "kind" in f.metadata else (f.type, _section_keys(f))
+    for f in fields(Scenario)
 }
 
 
@@ -175,86 +173,49 @@ def _fail(path: str, expected: str, got) -> ScenarioError:
     return ScenarioError(f"{path}: expected {expected}, got {got!r}")
 
 
+def _check_keys(prefix: str, value: dict, expected) -> None:
+    unknown = set(value) - set(expected)
+    if unknown:
+        raise ScenarioError(f"{prefix}unknown key(s): {', '.join(sorted(unknown))}")
+    missing = set(expected) - set(value)
+    if missing:
+        raise ScenarioError(f"{prefix}missing key(s): {', '.join(sorted(missing))}")
+
+
+def _check(path: str, kind: str, value) -> None:
+    check, label, _ = _CHECKS[kind]
+    if not check(value):
+        raise _fail(path, label, value)
+
+
 def validate_raw(raw: dict) -> None:
     """Schema-check a raw scenario dict; raises ScenarioError naming the key."""
     if not isinstance(raw, dict):
         raise _fail("scenario", "a JSON object", type(raw).__name__)
-    unknown = set(raw) - set(_SCHEMA)
-    if unknown:
-        raise ScenarioError(f"unknown key(s): {', '.join(sorted(unknown))}")
-    missing = set(_SCHEMA) - set(raw)
-    if missing:
-        raise ScenarioError(f"missing key(s): {', '.join(sorted(missing))}")
+    _check_keys("", raw, _SCHEMA)
     for key, spec in _SCHEMA.items():
         value = raw[key]
-        if isinstance(spec, dict):
-            if not isinstance(value, dict):
-                raise _fail(key, "a JSON object", value)
-            unknown = set(value) - set(spec)
-            if unknown:
-                raise ScenarioError(f"{key}: unknown key(s): {', '.join(sorted(unknown))}")
-            missing = set(spec) - set(value)
-            if missing:
-                raise ScenarioError(f"{key}: missing key(s): {', '.join(sorted(missing))}")
-            for sub, kind in spec.items():
-                check, label = _CHECKS[kind]
-                if not check(value[sub]):
-                    raise _fail(f"{key}.{sub}", label, value[sub])
-        elif spec == "demand_grid":
-            ok = (
-                isinstance(value, list)
-                and len(value) >= 1
-                and all(_num(v) and v > 0 for v in value)
-                and all(b >= a for a, b in zip(value, value[1:]))
-            )
-            if not ok:
-                raise _fail(key, "ascending list of positive numbers", value)
-        else:
-            check, label = _CHECKS[spec]
-            if not check(value):
-                raise _fail(key, label, value)
+        if isinstance(spec, str):
+            _check(key, spec, value)
+            continue
+        if not isinstance(value, dict):
+            raise _fail(key, "a JSON object", value)
+        _check_keys(f"{key}: ", value, [sub for sub, _, _ in spec[1]])
+        for sub, _, kind in spec[1]:
+            _check(f"{key}.{sub}", kind, value[sub])
 
 
 def from_dict(raw: dict) -> Scenario:
     """Build a validated Scenario from a raw dict (no defaults applied)."""
     validate_raw(raw)
-    return Scenario(
-        scenario_id=raw["scenario_id"],
-        area=ServiceArea(
-            lx=float(raw["area"]["lx_m"]),
-            ly=float(raw["area"]["ly_m"]),
-            wx=raw["area"]["wx"],
-            wy=raw["area"]["wy"],
-        ),
-        propagation=PropagationParams(
-            l0_db=float(raw["propagation"]["l0_db"]),
-            alpha=float(raw["propagation"]["alpha"]),
-            lw_db=float(raw["propagation"]["lw_db"]),
-        ),
-        traffic=TrafficParams(
-            omega=float(raw["traffic"]["omega"]),
-            lambda_u_per_km2=float(raw["traffic"]["lambda_u_per_km2"]),
-        ),
-        radio=RadioConfig(**{k: float(v) for k, v in raw["radio"].items()}),
-        wifi=WifiConfig(
-            cs_thr_baseline_dbm=float(raw["wifi"]["cs_thr_baseline_dbm"]),
-            cs_thr_aggressive_dbm=float(raw["wifi"]["cs_thr_aggressive_dbm"]),
-            k_wifi=raw["wifi"]["k_wifi"],
-            eta_wifi=float(raw["wifi"]["eta_wifi"]),
-        ),
-        static=StaticConfig(eta_sta=float(raw["static"]["eta_sta"]), k_max=raw["static"]["k_max"]),
-        zf=ZfConfig(
-            eta_zf=float(raw["zf"]["eta_zf"]),
-            delta=float(raw["zf"]["delta"]),
-            rho=float(raw["zf"]["rho"]),
-        ),
-        engine=EngineConfig(
-            n_snapshots=raw["engine"]["n_snapshots"],
-            seed=raw["engine"]["seed"],
-            ladder_max_aps=raw["engine"]["ladder_max_aps"],
-        ),
-        demand_gb_month=tuple(float(v) for v in raw["demand_gb_month"]),
-    )
+    values = {}
+    for key, spec in _SCHEMA.items():
+        if isinstance(spec, str):
+            values[key] = _CHECKS[spec][2](raw[key])
+        else:
+            cls, keys = spec
+            values[key] = cls(**{name: _CHECKS[kind][2](raw[key][k]) for k, name, kind in keys})
+    return Scenario(**values)
 
 
 def apply_env_overrides(raw: dict, environ=None) -> dict:
@@ -276,9 +237,7 @@ def apply_env_overrides(raw: dict, environ=None) -> dict:
             value = text
         node = raw
         for part in path[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ScenarioError(f"env override {name}: no such key {'.'.join(path)}")
-            node = node[part]
+            node = node.get(part) if isinstance(node, dict) else None
         if not isinstance(node, dict) or path[-1] not in node:
             raise ScenarioError(f"env override {name}: no such key {'.'.join(path)}")
         node[path[-1]] = value
@@ -292,9 +251,7 @@ def load_scenario(path: str, use_env: bool = True) -> Scenario:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    if use_env:
-        raw = apply_env_overrides(raw)
-    return from_dict(raw)
+    return from_dict(apply_env_overrides(raw) if use_env else raw)
 
 
 # --- presets -----------------------------------------------------------------
@@ -348,6 +305,4 @@ def preset_raw(name: str) -> dict:
 
 def preset(name: str, use_env: bool = True) -> Scenario:
     raw = preset_raw(name)
-    if use_env:
-        raw = apply_env_overrides(raw)
-    return from_dict(raw)
+    return from_dict(apply_env_overrides(raw) if use_env else raw)

@@ -12,9 +12,6 @@ import numpy as np
 
 from .planning import ChannelAssignment
 
-CS_THR_BASELINE_DBM = -85.0
-CS_THR_AGGRESSIVE_DBM = -65.0
-
 
 @dataclass(frozen=True)
 class WifiParams:

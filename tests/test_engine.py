@@ -96,13 +96,6 @@ def test_wilson_coverage_quick():
     assert covered / 200 >= 0.9
 
 
-def test_estimate_overlaps():
-    a = engine.Estimate(mean=1.0, count=10, ci_low=0.8, ci_high=1.2)
-    b = engine.Estimate(mean=1.3, count=10, ci_low=1.1, ci_high=1.5)
-    c = engine.Estimate(mean=2.0, count=10, ci_low=1.8, ci_high=2.2)
-    assert a.overlaps(b) and not a.overlaps(c)
-
-
 # --- snapshot building blocks ---------------------------------------------------
 
 def test_drop_users_count_and_bounds():
@@ -169,6 +162,45 @@ def test_select_served_uniform_choice():
         _, cols = engine.select_served(assoc, 1, rng)
         counts[cols[0]] += 1
     assert np.allclose(counts / 4000, 0.25, atol=0.03)
+
+
+def _select_served_per_ap(assoc, n_aps, rng):
+    # the per-AP loop select_served replaced: one rng.integers(m) per AP with users
+    order = np.argsort(assoc, kind="stable")
+    starts = np.searchsorted(assoc[order], np.arange(n_aps), side="left")
+    ends = np.searchsorted(assoc[order], np.arange(n_aps), side="right")
+    serving, chosen = [], []
+    for ap in range(n_aps):
+        if ends[ap] > starts[ap]:
+            serving.append(ap)
+            chosen.append(int(order[starts[ap] + rng.integers(ends[ap] - starts[ap])]))
+    return np.array(serving, dtype=np.int64), np.array(chosen, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "n_aps, assoc",
+    [
+        (1, [0] * 7),  # a 1-AP layout
+        (5, [3] * 40),  # every user on one AP, the others empty
+        (6, [0, 0, 2, 2, 2, 5]),  # APs 1, 3 and 4 without a user
+        (30, "random"),
+        (120, "piled"),
+    ],
+)
+def test_select_served_matches_per_ap_draws(n_aps, assoc):
+    layout_rng = np.random.default_rng(n_aps)
+    if assoc == "random":
+        assoc = layout_rng.integers(n_aps, size=500)
+    elif assoc == "piled":  # most users on a few APs, many APs empty
+        assoc = layout_rng.choice([2, 17, 64, 119], size=1200, p=[0.7, 0.2, 0.09, 0.01])
+    assoc = np.asarray(assoc, dtype=np.int64)
+    fast_rng, loop_rng = np.random.default_rng(2024), np.random.default_rng(2024)
+    serving, cols = engine.select_served(assoc, n_aps, fast_rng)
+    want_serving, want_cols = _select_served_per_ap(assoc, n_aps, loop_rng)
+    assert serving.dtype == cols.dtype == np.int64
+    assert serving.tolist() == want_serving.tolist()
+    assert cols.tolist() == want_cols.tolist()
+    assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 # --- snapshot runs ---------------------------------------------------------------

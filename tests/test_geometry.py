@@ -95,6 +95,16 @@ def test_wall_crossings_endpoint_on_wall_not_crossed():
     assert wall_crossings(area, (20, 50), (50, 50)) == 1  # only x=40
 
 
+def test_wall_crossings_along_the_boundary():
+    # walls span the full side, so a segment along the edge crosses every wall
+    # strictly between its endpoints; the proper-intersection oracle sees only
+    # the walls' ends touched and gives 0
+    area = ServiceArea(lx=100, ly=80, wx=0, wy=3)
+    assert wall_crossings(area, (0, 0), (0, 80)) == 3
+    assert wall_crossings(area, (100, 10), (100, 50)) == 2
+    assert brute_force_wall_crossings(area, (0, 0), (0, 80)) == 0
+
+
 def test_wall_crossings_diagonal_eight():
     area = ServiceArea(lx=100, ly=100, wx=4, wy=4)
     # independent oracle: proper segment-segment intersections against all 8 walls

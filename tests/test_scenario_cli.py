@@ -83,6 +83,69 @@ def test_schema_rejects_bad_types():
         scenario.from_dict(raw)
 
 
+def _set(section, key, value):
+    def edit(raw):
+        (raw[section] if section else raw)[key] = value
+        return raw
+    return edit
+
+
+def _drop(section, key):
+    def edit(raw):
+        del (raw[section] if section else raw)[key]
+        return raw
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("radio", "beta", 1.5), "radio.beta: expected number in (0, 1), got 1.5"),
+        (_set("radio", "x", 1), "radio: unknown key(s): x"),
+        (_set(None, "antenna", {}), "unknown key(s): antenna"),
+        (_drop("traffic", "omega"), "traffic: missing key(s): omega"),
+        (_drop(None, "zf"), "missing key(s): zf"),
+        (_set("wifi", "k_wifi", 2.5), "wifi.k_wifi: expected integer >= 1, got 2.5"),
+        (_set("wifi", "k_wifi", True), "wifi.k_wifi: expected integer >= 1, got True"),
+        (
+            _set(None, "demand_gb_month", [5.0, 1.0]),
+            "demand_gb_month: expected ascending list of positive numbers, got [5.0, 1.0]",
+        ),
+        (_set(None, "radio", 3), "radio: expected a JSON object, got 3"),
+        (_set(None, "scenario_id", ""), "scenario_id: expected non-empty string, got ''"),
+        (_set("engine", "seed", -1), "engine.seed: expected integer in [0, 2^64), got -1"),
+        (
+            _set("propagation", "l0_db", float("nan")),
+            "propagation.l0_db: expected finite number, got nan",
+        ),
+        (lambda raw: [raw], "scenario: expected a JSON object, got 'list'"),
+    ],
+)
+def test_schema_error_messages_exact(edit, message):
+    raw = edit(scenario.preset_raw("table1-open"))
+    with pytest.raises(scenario.ScenarioError) as info:
+        scenario.from_dict(raw)
+    assert str(info.value) == message
+
+
+def _readme_scenario_keys():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("| Section | Keys (units) |"):text.index("Noise power is derived")]
+    rows = []
+    for line in table.strip().splitlines()[2:]:
+        section, listing = line.strip("|").split("|")
+        keys = re.findall(r"`([a-z0-9_]+)`", re.sub(r"\([^)]*\)", "", listing))
+        rows.append((section.strip(" `"), keys or None))  # no keys: a top-level value
+    return rows
+
+
+def test_readme_scenario_table_matches_schema():
+    raw = scenario.preset("table1-open", use_env=False).to_dict()
+    schema = [(key, list(v) if isinstance(v, dict) else None) for key, v in raw.items()]
+    assert len(schema) == 10
+    assert _readme_scenario_keys() == schema
+
+
 def test_env_override_applies():
     raw = scenario.preset_raw("table1-open")
     out = scenario.apply_env_overrides(
