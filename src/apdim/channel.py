@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ServiceArea, crossing_counts
+from .geometry import ServiceArea, crossing_counts, wall_positions
 
 # Pathloss is evaluated at max(d, 1 m); the model diverges below the 1 m
 # intercept that the constant-loss term represents.
@@ -73,6 +73,35 @@ def average_gains(area: ServiceArea, params: PropagationParams, tx_xy, rx_xy) ->
     np.negative(out, out=out)
     np.divide(out, 10.0, out=out)
     return np.power(10.0, out, out=out)
+
+
+def association_costs(area: ServiceArea, params: PropagationParams, tx_xy, rx_xy) -> np.ndarray:
+    """Linear pathloss without L0 between all tx/rx pairs, (n_tx, n_rx).
+
+    max(d^2, 1)^(alpha/2) * 10^(phi*Lw/10), from squared distances: no hypot,
+    no power for alpha = 2, one square for alpha = 4, and the wall factor
+    from a table indexed by the crossing count. ``average_gains`` equals
+    10^(-L0/10) / cost in exact arithmetic, so the costs rank transmitters
+    as those gains do, up to rounding.
+    """
+    tx_xy = np.atleast_2d(np.asarray(tx_xy, dtype=float))
+    rx_xy = np.atleast_2d(np.asarray(rx_xy, dtype=float))
+    out = np.subtract.outer(tx_xy[:, 0], rx_xy[:, 0])
+    scratch = np.subtract.outer(tx_xy[:, 1], rx_xy[:, 1])
+    np.multiply(out, out, out=out)
+    np.multiply(scratch, scratch, out=scratch)
+    np.add(out, scratch, out=out)
+    np.maximum(out, MIN_DISTANCE_M**2, out=out)
+    with np.errstate(over="ignore"):  # an overflowed cost ranks as inf
+        if params.alpha == 4.0:
+            np.multiply(out, out, out=out)
+        elif params.alpha != 2.0:
+            np.power(out, params.alpha / 2.0, out=out)
+        n_walls = sum(walls.size for walls in wall_positions(area))
+        if params.lw_db != 0.0 and n_walls:
+            wall_factor = 10.0 ** (np.arange(n_walls + 1) * (params.lw_db / 10.0))
+            np.multiply(out, wall_factor[crossing_counts(area, tx_xy, rx_xy)], out=out)
+    return out
 
 
 def noise_power_mw(boltzmann_j_per_k: float, temperature_k: float, bandwidth_hz: float) -> float:

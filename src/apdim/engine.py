@@ -32,6 +32,12 @@ _SALT_PLANNING = 2
 
 MAX_REDRAWS_PER_SNAPSHOT = 100
 
+# Association by ranking costs (associate_users): the relative gap between a
+# user's two best costs below which the exact gains decide, and the largest
+# loss at which exact gains keep the precision that gap assumes.
+RANK_RTOL = 1e-12
+RANKED_LOSS_DB_MAX = 1000.0
+
 SYSTEMS = ("wifi-baseline", "wifi-aggressive", "static", "zf-ideal", "zf-erroneous")
 
 
@@ -139,6 +145,28 @@ def associate(avg_gains: np.ndarray) -> np.ndarray:
     return np.argmax(avg_gains, axis=0)
 
 
+def associate_users(area: ServiceArea, prop: ch.PropagationParams, ap_xy, users) -> np.ndarray:
+    """``associate(ch.average_gains(area, prop, ap_xy, users))``, mostly from cheap costs.
+
+    Each user is ranked by ``ch.association_costs``, which order APs as the
+    exact gains do up to rounding of about 1e-14 relative. A user whose two
+    best costs lie within RANK_RTOL of each other is re-ranked with the exact
+    gains, and so is one whose best loss is beyond RANKED_LOSS_DB_MAX (where
+    exact gains lose that precision, or round to 0 or inf and tie).
+    """
+    users = np.asarray(users, dtype=float)
+    cost = ch.association_costs(area, prop, ap_xy, users)
+    best = np.argmin(cost, axis=0)
+    users_idx = np.arange(cost.shape[1])
+    c1 = cost[best, users_idx]
+    cost[best, users_idx] = np.inf
+    exact = cost.min(axis=0) <= c1 * (1.0 + RANK_RTOL)
+    exact |= ~(np.abs(prop.l0_db + 10.0 * np.log10(c1)) <= RANKED_LOSS_DB_MAX)
+    if exact.any():
+        best[exact] = associate(ch.average_gains(area, prop, ap_xy, users[exact]))
+    return best
+
+
 def select_served(
     assoc: np.ndarray, n_aps: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -205,16 +233,22 @@ def make_context(scn, layout: Layout) -> DeploymentContext:
 class Snapshot:
     """The part of a snapshot every system shares: user drop, association, selection."""
 
-    avg: np.ndarray  # average AP-to-user gains, (n_aps, n_users)
-    serving: np.ndarray  # APs with a scheduled user, ascending
-    cols: np.ndarray  # the user each serving AP schedules
+    served_gains: np.ndarray  # average gains to the scheduled users, (n_aps, n_served)
+    serving: np.ndarray  # APs with a scheduled user, ascending; column i is serving[i]'s user
 
 
 def draw_snapshot(ctx: DeploymentContext, rng: np.random.Generator) -> Snapshot:
+    """Drop users, associate them, schedule one per AP; exact gains for the scheduled only.
+
+    ``ch.average_gains`` is elementwise, so its columns for the scheduled
+    users equal those of the full AP-to-user matrix bit for bit.
+    """
     users = drop_users(ctx.area, ctx.n_users, rng)
-    avg = ch.average_gains(ctx.area, ctx.prop, ctx.layout.ap_xy, users)
-    serving, cols = select_served(associate(avg), ctx.n_aps, rng)
-    return Snapshot(avg=avg, serving=serving, cols=cols)
+    ap_xy = ctx.layout.ap_xy
+    assoc = associate_users(ctx.area, ctx.prop, ap_xy, users)
+    serving, cols = select_served(assoc, ctx.n_aps, rng)
+    served_gains = ch.average_gains(ctx.area, ctx.prop, ap_xy, users[cols])
+    return Snapshot(served_gains=served_gains, serving=serving)
 
 
 def _scored(ctx: DeploymentContext, rates, sinr, **diagnostics) -> SnapshotResult:
@@ -230,8 +264,8 @@ def _scored(ctx: DeploymentContext, rates, sinr, **diagnostics) -> SnapshotResul
 
 def _faded_gains(ctx: DeploymentContext, snap: Snapshot, rng: np.random.Generator) -> np.ndarray:
     """AP-to-user power gains, one column per scheduled user."""
-    z = ch.draw_fading(rng, (ctx.n_aps, snap.cols.shape[0]), ctx.sigma_z2)
-    return snap.avg[:, snap.cols] * np.abs(z) ** 2
+    z = ch.draw_fading(rng, snap.served_gains.shape, ctx.sigma_z2)
+    return snap.served_gains * np.abs(z) ** 2
 
 
 def wifi_snapshot(
@@ -285,7 +319,7 @@ def zf_snapshot(
     true (AR(1)-evolved) channel. Near-singular CSIT draws are replaced by a
     fresh fading draw, up to MAX_REDRAWS_PER_SNAPSHOT.
     """
-    sqrt_l = np.sqrt(snap.avg[np.ix_(snap.serving, snap.cols)].T)  # (user j, antenna i)
+    sqrt_l = np.sqrt(snap.served_gains[snap.serving].T)  # (user j, antenna i)
     redraws = 0
     while True:
         z_base = ch.draw_fading(rng, sqrt_l.shape, ctx.sigma_z2)

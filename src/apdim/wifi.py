@@ -70,7 +70,7 @@ def build_contention_graph(
 
     ``g_ap_ap`` are instantaneous AP-to-AP power gains (assumed reciprocal so
     the relation is symmetric). ``participating`` optionally restricts to the
-    APs that have traffic; others are left out entirely.
+    APs that have traffic (ascending); others are left out entirely.
     """
     n = assignment.channel_of.shape[0]
     if participating is None:
@@ -94,18 +94,19 @@ def sample_ssi(graph: ContentionGraph, rng: np.random.Generator) -> ActiveSet:
     Per channel: visit the channel's APs in a uniformly random order and admit
     each AP iff it is not in the contention domain of any AP admitted so far.
     The result is an independent and maximal set of the channel's graph.
+    ``blocked`` is the running union of the admitted APs' adjacency columns,
+    so AP i is blocked iff adj[i, j] holds for some admitted j.
     """
     active = []
     for aps, adj in zip(graph.members, graph.adjacency):
         m = aps.shape[0]
-        if m == 0:
-            active.append(np.array([], dtype=np.int64))
-            continue
-        admitted: list[int] = []
-        for i in rng.permutation(m):
-            if not admitted or not adj[i, admitted].any():
-                admitted.append(int(i))
-        active.append(np.sort(aps[admitted]))
+        blocked = np.zeros(m, dtype=bool)
+        admitted = np.zeros(m, dtype=bool)
+        for i in rng.permutation(m).tolist():
+            if not blocked[i]:
+                admitted[i] = True
+                blocked |= adj[:, i]
+        active.append(aps[admitted])  # members are ascending
     return ActiveSet(per_channel=tuple(active))
 
 
@@ -134,32 +135,26 @@ def wifi_rates(
     """Per-user Wi-Fi rate and SINR for the users served by active APs.
 
     ``gains`` holds AP-to-user power gains with one column per served user,
-    aligned with ``serving_aps`` (column i belongs to the user selected by
-    serving_aps[i]). Each active AP transmits to its user over w = W / K^wifi;
-    interference comes from the other active APs on the same channel and the
-    noise in that channel is sigma2 / K^wifi.
+    aligned with ``serving_aps`` (ascending; column i belongs to the user
+    selected by serving_aps[i]). Each active AP transmits to its user over
+    w = W / K^wifi; interference comes from the other active APs on the same
+    channel and the noise in that channel is sigma2 / K^wifi.
 
-    Returns (served_positions, rates_mbps, sinr) where served_positions indexes
-    into serving_aps.
+    Returns (served_positions, rates_mbps, sinr), channel by channel, where
+    served_positions indexes into serving_aps. The interference sum runs down
+    the rows of all active APs in that order; other channels' rows add exact
+    zeros, so each user's sum is the one over its own channel's rows alone.
     """
     w = w_total_mhz / params.k_wifi
     r_max = w * params.eta_wifi
     noise = sigma2_mw / params.k_wifi
-    ap_pos = {int(a): i for i, a in enumerate(serving_aps)}
-
-    positions: list[int] = []
-    sinrs: list[float] = []
-    for act in active.per_channel:
-        if act.shape[0] == 0:
-            continue
-        cols = np.array([ap_pos[int(a)] for a in act])
-        rx = gains[np.ix_(act, cols)] * params.pt_mw  # (active, their users)
-        signal = np.diag(rx)
-        interference = rx.sum(axis=0) - signal
-        sinr = signal / (interference + noise)
-        positions.extend(int(c) for c in cols)
-        sinrs.extend(float(s) for s in sinr)
-    positions_arr = np.array(positions, dtype=np.int64)
-    sinr_arr = np.array(sinrs, dtype=float)
-    rates = np.minimum(w * np.log2(1.0 + sinr_arr), r_max)
-    return positions_arr, rates, sinr_arr
+    per_channel = active.per_channel
+    act = np.concatenate([np.empty(0, dtype=np.int64), *per_channel])
+    channel = np.repeat(np.arange(len(per_channel)), [a.shape[0] for a in per_channel])
+    positions = np.searchsorted(serving_aps, act)
+    rx = gains[np.ix_(act, positions)] * params.pt_mw  # (active, their users)
+    signal = np.diag(rx)
+    interference = (rx * (channel[:, None] == channel)).sum(axis=0) - signal
+    sinr = signal / (interference + noise)
+    rates = np.minimum(w * np.log2(1.0 + sinr), r_max)
+    return positions, rates, sinr

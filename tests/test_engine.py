@@ -146,6 +146,103 @@ def test_associate_wall_shadowed_ap_loses():
     assert engine.associate(gains).tolist() == [1]
 
 
+# --- association by ranking costs ----------------------------------------------
+# engine.associate_users must equal the exact argmax, associate(average_gains),
+# for every user, ties included.
+
+WALLED_AREA = geometry.ServiceArea(lx=100, ly=100, wx=4, wy=4)
+
+
+def _probe_users(area, ap_xy, rng):
+    """Users where a ranking from rounded costs would go wrong: on and next to
+    AP-pair bisectors, on wall lines, on and within 1 m of APs, and at random."""
+    extent = np.array([area.lx, area.ly])
+    pts = [rng.random((200, 2)) * extent]
+    n = ap_xy.shape[0]
+    if n > 1:
+        # a random point moved onto the bisector of its two nearest APs
+        p = rng.random((300, 2)) * extent
+        d = np.hypot(p[:, 0] - ap_xy[:, 0, None], p[:, 1] - ap_xy[:, 1, None])
+        i, j = np.argsort(d, axis=0)[:2]
+        ab = ap_xy[j] - ap_xy[i]
+        mid = 0.5 * (ap_xy[i] + ap_xy[j])
+        on = p - ab * (((p - mid) * ab).sum(axis=1) / (ab * ab).sum(axis=1))[:, None]
+        # nudges of 1e-17 to 1e-13 of the AP spacing along the pair's axis
+        # split the two distances by about the rounding of either formula
+        scale = rng.choice([-1.0, 1.0], (300, 1)) * 10.0 ** rng.uniform(-17, -13, (300, 1))
+        pts += [on, on + ab * scale]
+    for walls, axis in zip(geometry.wall_positions(area), (0, 1)):
+        if walls.size:
+            on_wall = rng.random((100, 2)) * extent
+            on_wall[:, axis] = rng.choice(walls, 100)
+            pts.append(on_wall)
+    angle = rng.uniform(0.0, 2.0 * np.pi, (n, 3))
+    radius = rng.uniform(0.0, 1.0, (n, 3))
+    near_ap = ap_xy[:, None, :] + radius[..., None] * np.stack(
+        [np.cos(angle), np.sin(angle)], axis=-1
+    )
+    pts += [ap_xy, near_ap.reshape(-1, 2)]
+    return np.clip(np.concatenate(pts), 0.0, extent)
+
+
+def _probe_layouts(area):
+    twin = np.array([[40.0, 50.0], [41.5, 50.0]])  # 1.5 m apart: users within 1 m of both
+    return [
+        geometry.place_aps(area, 1, 1).ap_xy,
+        geometry.place_aps(area, 2, 1).ap_xy,
+        twin,
+        geometry.place_aps(area, 10, 10).ap_xy,
+    ]
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.5, 4.0])
+@pytest.mark.parametrize("lw_db", [0.0, 10.0])
+def test_associate_users_equals_exact_argmax(alpha, lw_db):
+    prop = ch.PropagationParams(l0_db=37.0, alpha=alpha, lw_db=lw_db)
+    rng = np.random.default_rng(int(10 * alpha + lw_db))
+    for area in (OPEN_AREA, WALLED_AREA):
+        for ap_xy in _probe_layouts(area):
+            users = _probe_users(area, ap_xy, rng)
+            exact = engine.associate(ch.average_gains(area, prop, ap_xy, users))
+            ranked = engine.associate_users(area, prop, ap_xy, users)
+            assert np.array_equal(ranked, exact), (alpha, lw_db, area, ap_xy.shape[0])
+
+
+@pytest.mark.parametrize(
+    "prop",
+    [
+        ch.PropagationParams(l0_db=3300.0, alpha=2.0),  # every exact gain rounds to 0
+        ch.PropagationParams(l0_db=37.0, alpha=0.0, lw_db=10.0),  # cost ties everywhere
+        ch.PropagationParams(l0_db=37.0, alpha=150.0),  # most losses above 1000 dB
+    ],
+)
+def test_associate_users_at_extreme_parameters(prop):
+    rng = np.random.default_rng(5)
+    ap_xy = geometry.place_aps(WALLED_AREA, 3, 3).ap_xy
+    users = _probe_users(WALLED_AREA, ap_xy, rng)
+    exact = engine.associate(ch.average_gains(WALLED_AREA, prop, ap_xy, users))
+    assert np.array_equal(engine.associate_users(WALLED_AREA, prop, ap_xy, users), exact)
+
+
+@pytest.mark.parametrize("preset", ["table1-open", "table1-obstructed"])
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 3), (10, 10)])
+def test_snapshot_served_gains_are_the_exact_matrix_columns(preset, nx, ny):
+    scn = scenario.from_dict(scenario.preset_raw(preset))
+    layout = geometry.place_aps(scn.area, nx, ny)
+    ctx = engine.make_context(scn, layout)
+    for s in range(5):
+        rng = engine.substream(11, nx, s)
+        replay = engine.substream(11, nx, s)
+        snap = engine.draw_snapshot(ctx, rng)
+        users = engine.drop_users(scn.area, scn.n_users, replay)
+        avg = ch.average_gains(scn.area, scn.propagation, layout.ap_xy, users)
+        serving, cols = engine.select_served(engine.associate(avg), layout.n_aps, replay)
+        assert np.array_equal(snap.serving, serving)
+        assert snap.served_gains.shape == (layout.n_aps, cols.shape[0])
+        assert np.array_equal(snap.served_gains, avg[:, cols])
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+
 def test_select_served_one_user_per_nonempty_ap():
     rng = np.random.default_rng(63)
     assoc = np.array([0, 0, 2, 2, 2, 5])

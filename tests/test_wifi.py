@@ -215,3 +215,120 @@ def test_wifi_rate_monotone_in_gains():
 
     assert rate0(2e-8, 1e-8) >= rate0(1e-8, 1e-8)  # own gain up, rate up
     assert rate0(1e-8, 2e-8) <= rate0(1e-8, 1e-8)  # interferer up, rate down
+
+
+# --- vectorized SSI packing and rates vs the per-AP loops they replaced ---------
+
+
+def _loop_sample_ssi(graph, rng):
+    """The per-AP admission loop: AP i is admitted iff adj[i, admitted] is empty."""
+    active = []
+    for aps, adj in zip(graph.members, graph.adjacency):
+        m = aps.shape[0]
+        if m == 0:
+            active.append(np.array([], dtype=np.int64))
+            continue
+        admitted = []
+        for i in rng.permutation(m):
+            if not admitted or not adj[i, admitted].any():
+                admitted.append(int(i))
+        active.append(np.sort(aps[admitted]))
+    return wifi.ActiveSet(per_channel=tuple(active))
+
+
+def _loop_wifi_rates(active, serving_aps, gains, p, w_total_mhz, sigma2_mw):
+    """The per-channel rate loop with dict lookups."""
+    w = w_total_mhz / p.k_wifi
+    noise = sigma2_mw / p.k_wifi
+    ap_pos = {int(a): i for i, a in enumerate(serving_aps)}
+    positions, sinrs = [], []
+    for act in active.per_channel:
+        if act.shape[0] == 0:
+            continue
+        cols = np.array([ap_pos[int(a)] for a in act])
+        rx = gains[np.ix_(act, cols)] * p.pt_mw
+        signal = np.diag(rx)
+        sinr = signal / (rx.sum(axis=0) - signal + noise)
+        positions.extend(int(c) for c in cols)
+        sinrs.extend(float(s) for s in sinr)
+    sinr_arr = np.array(sinrs, dtype=float)
+    rates = np.minimum(w * np.log2(1.0 + sinr_arr), w * p.eta_wifi)
+    return np.array(positions, dtype=np.int64), rates, sinr_arr
+
+
+def _random_graph(rng, sizes, density, symmetric=True):
+    members, adjacency, start = [], [], 0
+    for m in sizes:
+        adj = rng.random((m, m)) < density
+        if symmetric:
+            adj = np.triu(adj, 1)
+            adj = adj | adj.T
+        np.fill_diagonal(adj, False)
+        members.append(start + np.sort(rng.choice(3 * m + 1, m, replace=False)))
+        adjacency.append(adj)
+        start += 3 * m + 1
+    return wifi.ContentionGraph(k=len(sizes), members=tuple(members), adjacency=tuple(adjacency))
+
+
+def _ssi_cases():
+    rng = np.random.default_rng(90)
+    empty = np.array([], dtype=np.int64)
+    no_edges = np.zeros((0, 0), dtype=bool)
+    return {
+        "empty-channels": wifi.ContentionGraph(
+            k=2, members=(empty, empty), adjacency=(no_edges, no_edges)
+        ),
+        "one-ap": wifi.ContentionGraph(
+            k=1, members=(np.array([4]),), adjacency=(np.zeros((1, 1), dtype=bool),)
+        ),
+        "clique": _clique(6),
+        "path": _path3(),
+        **{
+            f"random-{density}": _random_graph(rng, [0, 1, 7, 30], density)
+            for density in (0.0, 0.2, 0.5, 0.9)
+        },
+        "asymmetric": _random_graph(rng, [5, 12, 40], 0.3, symmetric=False),
+    }
+
+
+SSI_CASES = _ssi_cases()
+
+
+@pytest.mark.parametrize("case", list(SSI_CASES))
+def test_sample_ssi_matches_admission_loop(case):
+    graph = SSI_CASES[case]
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = wifi.sample_ssi(graph, rng), _loop_sample_ssi(graph, ref_rng)
+        assert len(got.per_channel) == len(want.per_channel)
+        for g, w in zip(got.per_channel, want.per_channel):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_wifi_rates_match_per_channel_loop(seed):
+    rng = np.random.default_rng(100 + seed)
+    n_aps = 60
+    serving = np.sort(rng.choice(n_aps, 45, replace=False))
+    gains = 10.0 ** rng.uniform(-12, -5, (n_aps, serving.shape[0]))
+    # channels with 0, 1 and several (up to 20) active APs, in random channel order
+    sizes = [0, 1, int(rng.integers(2, 6)), 20]
+    rng.shuffle(sizes)
+    picks = rng.permutation(serving)
+    cuts = np.cumsum(sizes)[:-1]
+    per_channel = tuple(np.sort(a) for a in np.split(picks[: sum(sizes)], cuts))
+    active = wifi.ActiveSet(per_channel=per_channel)
+    p = params(k=len(sizes))
+    got = wifi.wifi_rates(active, serving, gains, p, W_MHZ, SIGMA2)
+    want = _loop_wifi_rates(active, serving, gains, p, W_MHZ, SIGMA2)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_wifi_rates_with_no_active_ap():
+    empty = np.array([], dtype=np.int64)
+    active = wifi.ActiveSet(per_channel=(empty, empty, empty))
+    gains = np.ones((2, 2))
+    pos, rates, sinr = wifi.wifi_rates(active, np.array([0, 1]), gains, params(), W_MHZ, SIGMA2)
+    assert pos.dtype == np.int64 and pos.size == rates.size == sinr.size == 0
