@@ -305,19 +305,31 @@ def static_snapshot(
     return [_scored(ctx, rates, sinr) for rates, sinr in scores]
 
 
+@dataclass(frozen=True, eq=False)
+class ZfPrecoded:
+    """A ZF snapshot up to its power allocation, which ``finish_zf`` takes for many at once."""
+
+    beamformer: zf.Beamformer
+    h_true: Optional[np.ndarray]  # true channel with erroneous CSIT; None with ideal CSIT
+    params: zf.ZfParams
+    redraws: int
+
+
 def zf_snapshot(
     ctx: DeploymentContext,
     snap: Snapshot,
     rng: np.random.Generator,
     params: zf.ZfParams,
     erroneous: bool,
-) -> SnapshotResult:
-    """Multi-cell ZF snapshot: inversion precoder plus PAPC power optimization.
+) -> ZfPrecoded:
+    """Multi-cell ZF snapshot, first phase: fading, CSIT and the inversion precoder.
 
-    With ``erroneous`` set, the precoder and powers come from CSIT that is
-    per-link outdated with probability delta while rates are evaluated on the
+    With ``erroneous`` set, the precoder comes from CSIT that is per-link
+    outdated with probability delta while rates will be evaluated on the
     true (AR(1)-evolved) channel. Near-singular CSIT draws are replaced by a
-    fresh fading draw, up to MAX_REDRAWS_PER_SNAPSHOT.
+    fresh fading draw, up to MAX_REDRAWS_PER_SNAPSHOT. This phase draws every
+    random number of the snapshot; ``finish_zf`` optimizes the PAPC powers
+    and scores the result.
     """
     sqrt_l = np.sqrt(snap.served_gains[snap.serving].T)  # (user j, antenna i)
     redraws = 0
@@ -328,7 +340,8 @@ def zf_snapshot(
             h_hat = sqrt_l * z_base
             h_true = sqrt_l * z_now
         else:
-            h_hat = h_true = sqrt_l * z_base
+            h_hat = sqrt_l * z_base
+            h_true = None
         try:
             bf = zf.build_beamformer(h_hat)
             break
@@ -338,16 +351,40 @@ def zf_snapshot(
                 raise RuntimeError(
                     f"snapshot exceeded {MAX_REDRAWS_PER_SNAPSHOT} singular-channel redraws"
                 )
-    alloc = zf.allocate_power(bf, ctx.sigma2_mw, params.pt_mw, ctx.w_total_mhz, params.eta_zf)
-    if erroneous:
-        rates, sinr = zf.zf_rates_erroneous(
-            h_true, bf, alloc, ctx.w_total_mhz, ctx.sigma2_mw, params.eta_zf
+    return ZfPrecoded(beamformer=bf, h_true=h_true, params=params, redraws=redraws)
+
+
+def finish_zf(ctx: DeploymentContext, precoded: Sequence[ZfPrecoded]) -> list[SnapshotResult]:
+    """Optimize the PAPC powers of all ``precoded`` snapshots at once, then score each.
+
+    One ``zf.allocate_powers`` call per power budget and rate cap stacks
+    every instance; each result equals that of a solve on its own, so the
+    scores do not depend on which snapshots are finished together.
+    """
+    groups: dict = {}
+    for i, pre in enumerate(precoded):
+        groups.setdefault((pre.params.pt_mw, pre.params.eta_zf), []).append(i)
+    allocs: list = [None] * len(precoded)
+    for (pt_mw, eta_zf), members in groups.items():
+        beamformers = [precoded[i].beamformer for i in members]
+        solved = zf.allocate_powers(beamformers, ctx.sigma2_mw, pt_mw, ctx.w_total_mhz, eta_zf)
+        for i, alloc in zip(members, solved):
+            allocs[i] = alloc
+    results = []
+    for pre, alloc in zip(precoded, allocs):
+        eta_zf = pre.params.eta_zf
+        if pre.h_true is None:
+            rates, sinr = zf.zf_rates_ideal(alloc, ctx.w_total_mhz, ctx.sigma2_mw, eta_zf)
+        else:
+            rates, sinr = zf.zf_rates_erroneous(
+                pre.h_true, pre.beamformer, alloc, ctx.w_total_mhz, ctx.sigma2_mw, eta_zf
+            )
+        results.append(
+            _scored(
+                ctx, rates, sinr, redraws=pre.redraws, solver_fallbacks=0 if alloc.converged else 1
+            )
         )
-    else:
-        rates, sinr = zf.zf_rates_ideal(alloc, ctx.w_total_mhz, ctx.sigma2_mw, params.eta_zf)
-    return _scored(
-        ctx, rates, sinr, redraws=redraws, solver_fallbacks=0 if alloc.converged else 1
-    )
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +445,18 @@ def run_snapshots(
     evaluator then gets its own copy of that generator as it stands after the
     prefix (a new generator set to the prefix's bit-generator state), so each
     consumes random numbers exactly as if it ran alone, and returns a list of
-    SnapshotResult. Entry [e][v] of the return value
-    aggregates output v of evaluator e over all snapshots.
+    SnapshotResult. Entry [e][v] of the return value aggregates output v of
+    evaluator e over all snapshots.
 
     Snapshots may execute on a thread pool; results are aggregated in
-    snapshot order, so the output is identical for any thread count.
+    snapshot order, so the output is identical for any thread count. An
+    evaluator may return a ``ZfPrecoded`` in place of a result: all of them
+    are finished after the pool by one ``finish_zf`` call, in snapshot order.
     """
     if n_snapshots < 1:
         raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots}")
 
-    def one(s: int) -> list[list[SnapshotResult]]:
+    def one(s: int) -> list[list]:
         rng = substream(master_seed, deployment_id, _SALT_SNAPSHOT, s)
         snap = draw_snapshot(ctx, rng)
         state = rng.bit_generator.state
@@ -428,6 +467,14 @@ def run_snapshots(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, range(n_snapshots)))
+
+    # After the pool, every ZF output of the pass is finished in one stacked power solve.
+    outputs = [r for per_snap in results for out in per_snap for r in out]
+    finished = iter(finish_zf(ctx, [r for r in outputs if isinstance(r, ZfPrecoded)]))
+    results = [
+        [[next(finished) if isinstance(r, ZfPrecoded) else r for r in out] for out in per_snap]
+        for per_snap in results
+    ]
 
     # results[s][e][v] -> per evaluator e, per output v, the samples over s
     return [

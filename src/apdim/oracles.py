@@ -124,7 +124,7 @@ def random_papc_instance(
     gains = 10.0 ** rng.uniform(-9.0, -5.0, size=(2, 2))
     h = np.sqrt(gains) * ch.draw_fading(rng, (2, 2))
     bf = zf.build_beamformer(h)
-    alloc = zf.allocate_power(bf, sigma2_mw, pt_mw, w_mhz, eta)
+    alloc = zf.allocate_powers([bf], sigma2_mw, pt_mw, w_mhz, eta)[0]
     grid = grid_search_sum_rate(np.abs(bf.w) ** 2, sigma2_mw, pt_mw, w_mhz, eta, points)
     return PapcInstance(
         solver_sum_rate=alloc.sum_rate_mbps,

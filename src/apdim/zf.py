@@ -14,6 +14,7 @@ SNR-scaled variables q = p / sigma2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -91,31 +92,44 @@ class PowerAllocation:
     newton_iterations: int  # interior-point iterations (one Newton matrix each)
 
 
-def allocate_power(
-    beamformer: Beamformer,
+def allocate_powers(
+    beamformers: Sequence[Beamformer],
     sigma2_mw: float,
     pt_mw: float,
     w_mhz: float,
     eta_zf: float,
-) -> PowerAllocation:
-    """Maximize the capped sum rate subject to the per-antenna power constraints.
+) -> list[PowerAllocation]:
+    """Maximize each capped sum rate subject to its per-antenna power constraints.
 
-    ``newton_iterations`` of the result counts interior-point iterations.
+    The beamformers of one size n are solved together in one stacked
+    interior-point loop. Each instance follows exactly the iterates it would
+    follow alone, so its result does not depend on the other beamformers in
+    the call. ``newton_iterations`` of a result counts interior-point
+    iterations. Results are returned in the order of ``beamformers``.
     """
-    a = np.abs(beamformer.w) ** 2  # antenna i load coefficient on user j
     q_cap = 2.0**eta_zf - 1.0  # SNR value at which the rate cap binds
-    b = a * sigma2_mw  # constraint matrix in q = p / sigma2 units
-    q, converged, kkt, iters = _interior_point_solve(b, pt_mw, q_cap)
-    p = q * sigma2_mw
-    rates = np.minimum(w_mhz * np.log2(1.0 + q), w_mhz * eta_zf)
-    return PowerAllocation(
-        p_mw=p,
-        antenna_load_mw=a @ p,
-        sum_rate_mbps=float(rates.sum()),
-        converged=converged,
-        kkt_residual=kkt,
-        newton_iterations=iters,
-    )
+    by_size: dict = {}
+    for i, bf in enumerate(beamformers):
+        by_size.setdefault(bf.w.shape[0], []).append(i)
+    allocations: list = [None] * len(beamformers)
+    for members in by_size.values():
+        # a[k, i, j]: antenna i load coefficient on user j of instance k
+        a = np.stack([np.abs(beamformers[i].w) ** 2 for i in members])
+        b = a * sigma2_mw  # constraint matrices in q = p / sigma2 units
+        for i, a_i, (q, converged, kkt, iters) in zip(
+            members, a, _interior_point_solve(b, pt_mw, q_cap)
+        ):
+            p = q * sigma2_mw
+            rates = np.minimum(w_mhz * np.log2(1.0 + q), w_mhz * eta_zf)
+            allocations[i] = PowerAllocation(
+                p_mw=p,
+                antenna_load_mw=a_i @ p,
+                sum_rate_mbps=float(rates.sum()),
+                converged=converged,
+                kkt_residual=kkt,
+                newton_iterations=iters,
+            )
+    return allocations
 
 
 _MAX_ITERATIONS = 100  # interior-point iterations per solve
@@ -124,10 +138,13 @@ _STEP_TO_BOUNDARY = 0.99  # fraction of the longest step that keeps s, y > 0
 
 def _interior_point_solve(
     b: np.ndarray, budget: float, q_cap: float
-) -> tuple[np.ndarray, bool, float, int]:
+) -> list[tuple[np.ndarray, bool, float, int]]:
     """max sum(log(1+q)) s.t. b @ q <= budget, 0 <= q <= q_cap, by primal-dual interior point.
 
-    The 3n inequalities are stacked as G q <= h with G = [b; -I; I] and
+    ``b`` stacks k instances of one size n, shape (k, n, n); every array of
+    the loop carries the instances on axis 0, and an instance leaves the
+    stack once it converges or reaches the iteration cap. Per instance, the
+    3n inequalities are stacked as G q <= h with G = [b; -I; I] and
     h = [budget; 0; q_cap]; s = h - G q are their slacks and y their
     multipliers. Each iteration builds one reduced Newton matrix
     diag(1/(1+q)^2) + G^T diag(y/s) G, solves it for Mehrotra's predictor and
@@ -135,21 +152,23 @@ def _interior_point_solve(
     search. The corrector's centering target never drops below a tenth of the
     gap tolerance per constraint, so the gap cannot collapse while the
     stationarity residual still lags. Converged means both tolerances hold.
-    Returns (q, converged, relative KKT stationarity residual, iterations);
-    at the iteration cap or on a singular matrix the current strictly
-    feasible q is returned with converged False.
+    Returns (q, converged, relative KKT stationarity residual, iterations)
+    per instance; at the iteration cap or on a singular matrix the current
+    strictly feasible q is returned with converged False.
+
+    Each instance's iterates equal those of a solve on it alone, bit for
+    bit: every product and sum is taken per instance by the BLAS call the
+    unstacked arrays would make (stacked ``matmul`` and ``solve`` loop over
+    the instances), the stacked transpose is a view of a C-contiguous stack
+    as ``b.T`` is of ``b``, and the Mehrotra cube is Python's float power.
     """
-    n = b.shape[1]
+    k, _, n = b.shape
     m = 3 * n  # antenna constraints + lower + upper bounds
     # Strictly feasible start: shrink a uniform point until every row has slack.
-    row_load = b.sum(axis=1) * q_cap
-    theta = min(0.45, 0.45 * budget / max(row_load.max(), np.finfo(float).tiny))
-    q = np.full(n, theta * q_cap)
-    s = np.concatenate((budget - b @ q, q, q_cap - q))
-
-    def g_t(v: np.ndarray) -> np.ndarray:
-        return b.T @ v[:n] - v[n : 2 * n] + v[2 * n :]
-
+    row_load = b.sum(axis=2) * q_cap
+    theta = np.fmin(0.45, 0.45 * budget / np.maximum(row_load.max(axis=1), np.finfo(float).tiny))
+    q = np.repeat((theta * q_cap)[:, None], n, axis=1)
+    s = np.concatenate((budget - _matvec(b, q), q, q_cap - q), axis=1)
     f_scale = max(1.0, n * np.log1p(q_cap))
     # A gap of 1e-8 * f_scale left the objective up to 1e-6 relative below
     # the optimum on weak channels, where the objective is far below f_scale.
@@ -159,48 +178,110 @@ def _interior_point_solve(
     # Centered multipliers, then the bound multipliers raised until the
     # start is exactly stationary; without the shift, weak channels crawl.
     y = min(1.0, f_scale / m) / s
-    r0 = g_t(y) - 1.0 / (1.0 + q)
-    y[n : 2 * n] += np.maximum(r0, 0.0)
-    y[2 * n :] -= np.minimum(r0, 0.0)
+    r0 = _g_t(b, y) - 1.0 / (1.0 + q)
+    y[:, n : 2 * n] += np.maximum(r0, 0.0)
+    y[:, 2 * n :] -= np.minimum(r0, 0.0)
+    solved: list = [None] * k
+    active = np.arange(k)  # instance index of each row of the stack
     iters = 0
     while True:
-        r_dual = g_t(y) - 1.0 / (1.0 + q)
-        kkt = float(np.abs(r_dual).max() * (1.0 + q.min()))
-        gap = float(s @ y)
-        if kkt <= grad_tol and gap <= gap_tol:
-            return q, True, kkt, iters
-        if iters >= _MAX_ITERATIONS:
-            return q, False, kkt, iters
-        d = y / s
-        hess = (b.T * d[:n]) @ b
-        hess[np.diag_indices_from(hess)] += 1.0 / (1.0 + q) ** 2 + d[n : 2 * n] + d[2 * n :]
-
-        def direction(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            # Linearized stationarity with y*ds + s*dy = -r.
-            dq = np.linalg.solve(hess, g_t(r / s) - r_dual)
-            ds = np.concatenate((-(b @ dq), dq, -dq))
-            return dq, ds, -(r + y * ds) / s
-
+        r_dual = _g_t(b, y) - 1.0 / (1.0 + q)
+        kkt = np.abs(r_dual).max(axis=1) * (1.0 + q.min(axis=1))
+        gap = _dot(s, y)
+        converged = (kkt <= grad_tol) & (gap <= gap_tol)
+        stop = converged | (iters >= _MAX_ITERATIONS)
+        if stop.any():
+            for j in np.flatnonzero(stop):
+                solved[active[j]] = (q[j], bool(converged[j]), float(kkt[j]), iters)
+            if stop.all():
+                return solved
+            keep = ~stop
+            active, b, q, s, y, r_dual, gap, kkt = (
+                v[keep] for v in (active, b, q, s, y, r_dual, gap, kkt)
+            )
         try:
-            _, ds_aff, dy_aff = direction(s * y)
-            alpha_aff = min(1.0, _max_step(s, ds_aff), _max_step(y, dy_aff))
-            mu = gap / m
-            mu_aff = float((s + alpha_aff * ds_aff) @ (y + alpha_aff * dy_aff)) / m
-            target = max((mu_aff / mu) ** 3 * mu, mu_floor)
-            dq, ds, dy = direction(s * y - target + ds_aff * dy_aff)
+            q, s, y = _mehrotra_step(b, q, s, y, r_dual, gap, mu_floor)
         except np.linalg.LinAlgError:
-            return q, False, kkt, iters
-        alpha = min(1.0, _STEP_TO_BOUNDARY * min(_max_step(s, ds), _max_step(y, dy)))
-        q = q + alpha * dq
-        s = s + alpha * ds  # stepped with q, not recomputed, so it stays positive
-        y = y + alpha * dy
+            # A stacked solve fails as a whole; redo the step one instance at a time.
+            keep = np.ones(len(active), dtype=bool)
+            steps = []
+            for j in range(len(active)):
+                one = slice(j, j + 1)
+                state = (b[one], q[one], s[one], y[one], r_dual[one], gap[one])
+                try:
+                    steps.append(_mehrotra_step(*state, mu_floor))
+                except np.linalg.LinAlgError:
+                    solved[active[j]] = (q[j], False, float(kkt[j]), iters)
+                    keep[j] = False
+            if not steps:
+                return solved
+            q, s, y = (np.concatenate(v) for v in zip(*steps))
+            active, b = active[keep], b[keep]
         iters += 1
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest alpha with v + alpha * dv >= 0 (inf when dv >= 0)."""
-    neg = dv < 0
-    return float((v[neg] / -dv[neg]).min()) if neg.any() else np.inf
+def _mehrotra_step(
+    b: np.ndarray,
+    q: np.ndarray,
+    s: np.ndarray,
+    y: np.ndarray,
+    r_dual: np.ndarray,
+    gap: np.ndarray,
+    mu_floor: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One predictor-corrector step per stacked instance; returns the new (q, s, y).
+
+    ``b`` must be C-contiguous per instance, as a compacted stack or a basic
+    slice of one is, so that its transposed view takes the BLAS path that
+    ``b.T`` takes alone; a transpose made contiguous would not.
+    """
+    n = q.shape[1]
+    m = 3 * n
+    bt = b.transpose(0, 2, 1)
+    d = y / s
+    hess = (bt * d[:, None, :n]) @ b
+    diag = np.arange(n)
+    hess[:, diag, diag] += 1.0 / (1.0 + q) ** 2 + d[:, n : 2 * n] + d[:, 2 * n :]
+
+    def direction(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Linearized stationarity with y*ds + s*dy = -r.
+        dq = np.linalg.solve(hess, (_g_t(b, r / s) - r_dual)[..., None])[..., 0]
+        ds = np.concatenate((-_matvec(b, dq), dq, -dq), axis=1)
+        return dq, ds, -(r + y * ds) / s
+
+    # fmin and where pick what Python's min picks, also when a step is NaN
+    _, ds_aff, dy_aff = direction(s * y)
+    alpha_aff = np.fmin(np.fmin(1.0, _max_step(s, ds_aff)), _max_step(y, dy_aff))[:, None]
+    mu = gap / m
+    mu_aff = _dot(s + alpha_aff * ds_aff, y + alpha_aff * dy_aff) / m
+    # Python's float power: NumPy's array power differs in the last bit for some values.
+    target = [max((a / c) ** 3 * c, mu_floor) for a, c in zip(mu_aff.tolist(), mu.tolist())]
+    dq, ds, dy = direction(s * y - np.array(target)[:, None] + ds_aff * dy_aff)
+    step_s, step_y = _max_step(s, ds), _max_step(y, dy)
+    alpha = np.fmin(1.0, _STEP_TO_BOUNDARY * np.where(step_y < step_s, step_y, step_s))[:, None]
+    # s is stepped with q, not recomputed, so it stays positive
+    return q + alpha * dq, s + alpha * ds, y + alpha * dy
+
+
+def _g_t(b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """G^T v per stacked instance, for G = [b; -I; I]."""
+    n = b.shape[1]
+    return _matvec(b.transpose(0, 2, 1), v[:, :n]) - v[:, n : 2 * n] + v[:, 2 * n :]
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a[i] @ v[i] for each stacked instance i."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[i] @ v[i] for each stacked instance i."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Per instance, the largest alpha with v + alpha * dv >= 0 (inf where dv >= 0)."""
+    return np.divide(v, -dv, out=np.full_like(v, np.inf), where=dv < 0).min(axis=1)
 
 
 def zf_rates_ideal(

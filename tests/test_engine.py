@@ -517,7 +517,7 @@ def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_a
             break
         except zf.SingularChannelError:
             pass
-    alloc = zf.allocate_power(bf, sigma2, pt, w, scn.zf.eta_zf)
+    alloc = zf.allocate_powers([bf], sigma2, pt, w, scn.zf.eta_zf)[0]
     if system == "zf-erroneous":
         return zf.zf_rates_erroneous(sqrt_l * z_now, bf, alloc, w, sigma2, scn.zf.eta_zf)
     return zf.zf_rates_ideal(alloc, w, sigma2, scn.zf.eta_zf)
@@ -561,6 +561,51 @@ def test_shared_pass_matches_independent_runs(preset, nx, ny):
             assert np.array_equal(run.lambda_samples, lambdas), (system, k)
             assert run.served_total == served, (system, k)
             assert run.outage == engine.wilson_estimate(hits, served), (system, k)
+
+
+def test_zf_rung_with_mixed_sizes_matches_solo_solves():
+    # 3 users on 2x2 APs: a snapshot serves 1, 2 or 3 APs, so one rung stacks
+    # PAPC instances of several sizes.
+    raw = scenario.preset_raw("table1-open")
+    raw["traffic"].update(lambda_u_per_km2=3.0 / scenario.preset("table1-open").area.area_km2)
+    scn = scenario.from_dict(raw)
+    assert scn.n_users == 3
+    layout = geometry.place_aps(scn.area, 2, 2)
+    ctx = engine.make_context(scn, layout)
+    systems, n_snapshots, deployment_id = ("zf-ideal", "zf-erroneous"), 30, 3
+    precoded = []
+    for s in range(n_snapshots):
+        rng = engine.substream(scn.engine.seed, deployment_id, engine._SALT_SNAPSHOT, s)
+        snap = engine.draw_snapshot(ctx, rng)
+        state = rng.bit_generator.state
+        for system in systems:
+            _, evaluate = engine._evaluator(scn, ctx, system, plan=None)
+            precoded.extend(evaluate(snap, engine._generator_at(state)))
+    assert {pre.beamformer.w.shape[0] for pre in precoded} == {1, 2, 3}
+    for got, pre in zip(engine.finish_zf(ctx, precoded), precoded):
+        (want,) = engine.finish_zf(ctx, [pre])
+        assert np.array_equal(got.rates_mbps, want.rates_mbps)
+        assert np.array_equal(got.sinr, want.sinr)
+        assert np.array_equal(got.outage, want.outage)
+        assert (got.lambda_s_sample, got.served) == (want.lambda_s_sample, want.served)
+        assert (got.redraws, got.solver_fallbacks) == (want.redraws, want.solver_fallbacks)
+
+    by_threads = [
+        engine.run_rung(scn, layout, systems, deployment_id, n_snapshots, threads)
+        for threads in (1, 2)
+    ]
+    for system in systems:
+        lambdas, hits, served = _reference_run(
+            scn, layout, system, None, deployment_id, n_snapshots
+        )
+        for runs in by_threads:
+            run = runs[system][None]
+            assert np.array_equal(run.lambda_samples, lambdas), system
+            assert run.served_total == served, system
+            assert run.outage == engine.wilson_estimate(hits, served), system
+        one, two = (runs[system][None] for runs in by_threads)
+        assert (one.lambda_s, one.outage) == (two.lambda_s, two.outage)
+        assert (one.redraws, one.solver_fallbacks) == (two.redraws, two.solver_fallbacks)
 
 
 def test_dimension_computes_average_gains_once_per_snapshot(monkeypatch):

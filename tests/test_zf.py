@@ -64,7 +64,7 @@ def test_allocate_power_scalar_closed_form():
     # N=1: either the antenna budget binds (p = Pt*g) or the cap binds
     for g in (1e-9, 1e-6):
         h = np.array([[np.sqrt(g)]], dtype=complex)
-        alloc = zf.allocate_power(zf.build_beamformer(h), SIGMA2, PT, W_MHZ, ETA)
+        alloc = zf.allocate_powers([zf.build_beamformer(h)], SIGMA2, PT, W_MHZ, ETA)[0]
         expected = min(PT * g, SIGMA2 * (2**ETA - 1))
         assert alloc.p_mw[0] == pytest.approx(expected, rel=1e-6)
 
@@ -72,7 +72,7 @@ def test_allocate_power_scalar_closed_form():
 def test_allocate_power_diagonal_symmetry():
     g = 1e-10  # weak: the antenna budget binds before the cap
     h = np.diag(np.full(3, np.sqrt(g))).astype(complex)
-    alloc = zf.allocate_power(zf.build_beamformer(h), SIGMA2, PT, W_MHZ, ETA)
+    alloc = zf.allocate_powers([zf.build_beamformer(h)], SIGMA2, PT, W_MHZ, ETA)[0]
     expected = min(PT * g, SIGMA2 * (2**ETA - 1))
     assert np.allclose(alloc.p_mw, expected, rtol=1e-6)
 
@@ -88,7 +88,7 @@ def test_allocate_power_papc_feasible_and_kkt():
     rng = np.random.default_rng(52)
     for n in (2, 5, 9):
         bf = zf.build_beamformer(random_h(rng, n))
-        alloc = zf.allocate_power(bf, SIGMA2, PT, W_MHZ, ETA)
+        alloc = zf.allocate_powers([bf], SIGMA2, PT, W_MHZ, ETA)[0]
         assert (alloc.antenna_load_mw <= PT * (1 + 1e-6)).all()
         assert (alloc.p_mw >= 0).all()
         assert alloc.converged
@@ -108,7 +108,7 @@ def test_allocate_power_beats_equal_power_baseline():
     rng = np.random.default_rng(53)
     for n in (2, 4, 8):
         bf = zf.build_beamformer(random_h(rng, n, lo=-12, hi=-6))
-        alloc = zf.allocate_power(bf, SIGMA2, PT, W_MHZ, ETA)
+        alloc = zf.allocate_powers([bf], SIGMA2, PT, W_MHZ, ETA)[0]
         p_eq = _equal_power_baseline(bf, SIGMA2, PT, ETA)
         base_rate = np.minimum(W_MHZ * np.log2(1 + p_eq / SIGMA2), W_MHZ * ETA).sum()
         assert alloc.sum_rate_mbps >= base_rate - 1e-6
@@ -117,9 +117,9 @@ def test_allocate_power_beats_equal_power_baseline():
 def test_allocate_power_permutation_symmetry():
     rng = np.random.default_rng(54)
     h = random_h(rng, 5)
-    alloc = zf.allocate_power(zf.build_beamformer(h), SIGMA2, PT, W_MHZ, ETA)
+    alloc = zf.allocate_powers([zf.build_beamformer(h)], SIGMA2, PT, W_MHZ, ETA)[0]
     perm = np.random.default_rng(1).permutation(5)
-    alloc_p = zf.allocate_power(zf.build_beamformer(h[perm]), SIGMA2, PT, W_MHZ, ETA)
+    alloc_p = zf.allocate_powers([zf.build_beamformer(h[perm])], SIGMA2, PT, W_MHZ, ETA)[0]
     assert alloc_p.sum_rate_mbps == pytest.approx(alloc.sum_rate_mbps, rel=1e-6)
 
 
@@ -223,8 +223,8 @@ def _barrier_reference(
     return q, not stalled, final_grad_rel, total_newton
 
 
-def _geometric_b(rng, n, g0):
-    """PAPC constraint matrix for n users, each dropped in its own AP's unit cell.
+def _geometric_beamformer(rng, n, g0):
+    """Precoder for n users, each dropped in its own AP's unit cell.
 
     APs sit at the cell centres of a square grid; the gain from an antenna to a
     user is g0 * d^-4 (d floored at 0.05 cells) times Rayleigh fading, so each
@@ -236,7 +236,12 @@ def _geometric_b(rng, n, g0):
     users = cells + rng.uniform(0.0, 1.0, size=(n, 2))
     d = np.hypot(*(users[:, None, :] - (cells + 0.5)[None, :, :]).transpose(2, 0, 1))
     h = np.sqrt(g0 * np.maximum(d, 0.05) ** -4.0) * ch.draw_fading(rng, (n, n))
-    return np.abs(zf.build_beamformer(h).w) ** 2 * SIGMA2
+    return zf.build_beamformer(h)
+
+
+def _geometric_b(rng, n, g0):
+    """PAPC constraint matrix of ``_geometric_beamformer``'s precoder."""
+    return np.abs(_geometric_beamformer(rng, n, g0).w) ** 2 * SIGMA2
 
 
 # gain at one cell's distance: the antenna budget binds, every cap binds, or both occur
@@ -252,7 +257,7 @@ def test_interior_point_matches_barrier_reference():
         for n in (1, 2, 5, 9, 25, 49, 100):
             for _ in range(3 if n <= 25 else 1):
                 b = _geometric_b(rng, n, g0)
-                q, converged, kkt, iters = zf._interior_point_solve(b, PT, q_cap)
+                q, converged, kkt, iters = zf._interior_point_solve(b[None], PT, q_cap)[0]
                 q_ref, ref_converged, ref_kkt, _ = _barrier_reference(b, PT, q_cap)
                 iterations.append(iters)
                 assert converged and kkt <= 1e-8
@@ -276,7 +281,8 @@ def test_interior_point_matches_barrier_reference():
 def test_iteration_cap_reports_not_converged(monkeypatch):
     monkeypatch.setattr(zf, "_MAX_ITERATIONS", 1)
     rng = np.random.default_rng(60)
-    alloc = zf.allocate_power(zf.build_beamformer(random_h(rng, 4)), SIGMA2, PT, W_MHZ, ETA)
+    bf = zf.build_beamformer(random_h(rng, 4))
+    alloc = zf.allocate_powers([bf], SIGMA2, PT, W_MHZ, ETA)[0]
     assert alloc.converged is False
     assert alloc.newton_iterations == 1
     assert (alloc.antenna_load_mw <= PT).all() and (alloc.p_mw > 0).all()
@@ -286,8 +292,190 @@ def test_iteration_cap_reports_not_converged(monkeypatch):
     snap_rng = engine.substream(5, 0, engine._SALT_SNAPSHOT, 0)
     snap = engine.draw_snapshot(ctx, snap_rng)
     params = zf.ZfParams(eta_zf=scn.zf.eta_zf, pt_mw=scn.radio.pt_mw)
-    result = engine.zf_snapshot(ctx, snap, snap_rng, params, erroneous=False)
+    (result,) = engine.finish_zf(
+        ctx, [engine.zf_snapshot(ctx, snap, snap_rng, params, erroneous=False)]
+    )
     assert result.solver_fallbacks == 1
+
+
+# --- the stacked solver against the solo solver it replaced ----------------------
+
+def _solo_solve(
+    b: np.ndarray, budget: float, q_cap: float
+) -> tuple[np.ndarray, bool, float, int]:
+    """max sum(log(1+q)) s.t. b @ q <= budget, 0 <= q <= q_cap, by primal-dual interior point.
+
+    The one-instance solver that the stacked zf._interior_point_solve
+    replaced, kept unchanged as a reference (it reads the iteration cap and
+    the step fraction from zf, as it did there).
+    """
+    n = b.shape[1]
+    m = 3 * n  # antenna constraints + lower + upper bounds
+    # Strictly feasible start: shrink a uniform point until every row has slack.
+    row_load = b.sum(axis=1) * q_cap
+    theta = min(0.45, 0.45 * budget / max(row_load.max(), np.finfo(float).tiny))
+    q = np.full(n, theta * q_cap)
+    s = np.concatenate((budget - b @ q, q, q_cap - q))
+
+    def g_t(v: np.ndarray) -> np.ndarray:
+        return b.T @ v[:n] - v[n : 2 * n] + v[2 * n :]
+
+    f_scale = max(1.0, n * np.log1p(q_cap))
+    gap_tol = 1e-10 * f_scale
+    grad_tol = 1e-8  # relative stationarity, well under the 1e-6 contract
+    mu_floor = 0.1 * gap_tol / m
+    y = min(1.0, f_scale / m) / s
+    r0 = g_t(y) - 1.0 / (1.0 + q)
+    y[n : 2 * n] += np.maximum(r0, 0.0)
+    y[2 * n :] -= np.minimum(r0, 0.0)
+    iters = 0
+    while True:
+        r_dual = g_t(y) - 1.0 / (1.0 + q)
+        kkt = float(np.abs(r_dual).max() * (1.0 + q.min()))
+        gap = float(s @ y)
+        if kkt <= grad_tol and gap <= gap_tol:
+            return q, True, kkt, iters
+        if iters >= zf._MAX_ITERATIONS:
+            return q, False, kkt, iters
+        d = y / s
+        hess = (b.T * d[:n]) @ b
+        hess[np.diag_indices_from(hess)] += 1.0 / (1.0 + q) ** 2 + d[n : 2 * n] + d[2 * n :]
+
+        def direction(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            # Linearized stationarity with y*ds + s*dy = -r.
+            dq = np.linalg.solve(hess, g_t(r / s) - r_dual)
+            ds = np.concatenate((-(b @ dq), dq, -dq))
+            return dq, ds, -(r + y * ds) / s
+
+        try:
+            _, ds_aff, dy_aff = direction(s * y)
+            alpha_aff = min(1.0, _solo_max_step(s, ds_aff), _solo_max_step(y, dy_aff))
+            mu = gap / m
+            mu_aff = float((s + alpha_aff * ds_aff) @ (y + alpha_aff * dy_aff)) / m
+            target = max((mu_aff / mu) ** 3 * mu, mu_floor)
+            dq, ds, dy = direction(s * y - target + ds_aff * dy_aff)
+        except np.linalg.LinAlgError:
+            return q, False, kkt, iters
+        alpha = min(1.0, zf._STEP_TO_BOUNDARY * min(_solo_max_step(s, ds), _solo_max_step(y, dy)))
+        q = q + alpha * dq
+        s = s + alpha * ds  # stepped with q, not recomputed, so it stays positive
+        y = y + alpha * dy
+        iters += 1
+
+
+def _solo_max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest alpha with v + alpha * dv >= 0 (inf when dv >= 0)."""
+    neg = dv < 0
+    return float((v[neg] / -dv[neg]).min()) if neg.any() else np.inf
+
+
+def _solo_allocation(beamformer) -> zf.PowerAllocation:
+    """zf.allocate_power as it was before the stacked solver, on ``_solo_solve``."""
+    a = np.abs(beamformer.w) ** 2
+    q_cap = 2.0**ETA - 1.0
+    q, converged, kkt, iters = _solo_solve(a * SIGMA2, PT, q_cap)
+    p = q * SIGMA2
+    rates = np.minimum(W_MHZ * np.log2(1.0 + q), W_MHZ * ETA)
+    return zf.PowerAllocation(
+        p_mw=p,
+        antenna_load_mw=a @ p,
+        sum_rate_mbps=float(rates.sum()),
+        converged=converged,
+        kkt_residual=kkt,
+        newton_iterations=iters,
+    )
+
+
+def _assert_same_allocation(got: zf.PowerAllocation, want: zf.PowerAllocation) -> None:
+    assert np.array_equal(got.p_mw, want.p_mw)
+    assert np.array_equal(got.antenna_load_mw, want.antenna_load_mw)
+    assert got.sum_rate_mbps == want.sum_rate_mbps
+    assert got.converged is want.converged
+    assert got.kkt_residual == want.kkt_residual
+    assert got.newton_iterations == want.newton_iterations
+
+
+def _papc_batch(seed: int, per_regime: int = 3) -> list:
+    """Precoders of every size in PAPC_REGIMES' three regimes, regimes interleaved."""
+    rng = np.random.default_rng(seed)
+    return [
+        _geometric_beamformer(rng, n, g0)
+        for n in (1, 2, 5, 9, 25, 49)
+        for _ in range(per_regime)
+        for g0 in PAPC_REGIMES.values()
+    ]
+
+
+def test_allocate_powers_matches_solo_solves():
+    beamformers = _papc_batch(61)
+    # sizes shuffled within the one call: grouping by n must keep the order
+    order = np.random.default_rng(0).permutation(len(beamformers))
+    got = zf.allocate_powers([beamformers[i] for i in order], SIGMA2, PT, W_MHZ, ETA)
+    assert len(got) == len(beamformers)
+    iterations: dict = {}
+    for i, alloc in zip(order, got):
+        want = _solo_allocation(beamformers[i])
+        _assert_same_allocation(alloc, want)
+        assert want.converged
+        iterations.setdefault(beamformers[i].w.shape[0], set()).add(want.newton_iterations)
+    # instances of one size leave the stack at different iterations
+    assert all(len(counts) > 1 for n, counts in iterations.items() if n > 1), iterations
+
+
+def test_allocate_powers_batch_of_one():
+    assert zf.allocate_powers([], SIGMA2, PT, W_MHZ, ETA) == []
+    for bf in _papc_batch(63, per_regime=1):
+        (alloc,) = zf.allocate_powers([bf], SIGMA2, PT, W_MHZ, ETA)
+        _assert_same_allocation(alloc, _solo_allocation(bf))
+
+
+def test_allocate_powers_at_iteration_cap(monkeypatch):
+    monkeypatch.setattr(zf, "_MAX_ITERATIONS", 1)
+    beamformers = _papc_batch(64, per_regime=1)
+    for bf, alloc in zip(beamformers, zf.allocate_powers(beamformers, SIGMA2, PT, W_MHZ, ETA)):
+        want = _solo_allocation(bf)
+        _assert_same_allocation(alloc, want)
+        assert want.converged is False and want.newton_iterations == 1
+
+
+def test_singular_newton_step_fails_only_its_instance(monkeypatch):
+    rng = np.random.default_rng(65)
+    beamformers = [
+        _geometric_beamformer(rng, 9, g0) for g0 in PAPC_REGIMES.values() for _ in (0, 1)
+    ]
+    want = [_solo_allocation(bf) for bf in beamformers]
+    # Every instance takes at least 7 iterations, so all 6 are still stacked
+    # at iteration 3: its predictor solve is the 7th stacked call. The
+    # instance-by-instance redo then solves twice per instance before it
+    # reaches the target's predictor.
+    target, failing_iteration = 4, 3
+    with monkeypatch.context() as cap:
+        cap.setattr(zf, "_MAX_ITERATIONS", failing_iteration)
+        want[target] = _solo_allocation(beamformers[target])
+    assert all(w.newton_iterations > failing_iteration for i, w in enumerate(want) if i != target)
+    solve = np.linalg.solve
+    calls = {"stacked": 0, "single": 0}
+
+    def flaky_solve(a, b):
+        if a.shape[0] > 1:
+            calls["stacked"] += 1
+            if calls["stacked"] == 2 * failing_iteration + 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+        elif calls["stacked"] == 2 * failing_iteration + 1:
+            calls["single"] += 1
+            if calls["single"] == 2 * target + 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(zf.np.linalg, "solve", flaky_solve)
+    got = zf.allocate_powers(beamformers, SIGMA2, PT, W_MHZ, ETA)
+    assert calls["single"] == 2 * len(beamformers) - 1  # every other instance stepped alone
+    assert calls["stacked"] > 2 * failing_iteration + 1  # and the stack went on without it
+    for alloc, expected in zip(got, want):
+        _assert_same_allocation(alloc, expected)
+    assert got[target].converged is False
+    assert got[target].newton_iterations == failing_iteration
+    assert (got[target].antenna_load_mw <= PT).all() and (got[target].p_mw > 0).all()
 
 
 def test_zf_rates_ideal_zero_power():
@@ -323,7 +511,7 @@ def test_zf_rates_erroneous_reduces_to_ideal_when_exact():
     rng = np.random.default_rng(55)
     h = random_h(rng, 4)
     bf = zf.build_beamformer(h)
-    alloc = zf.allocate_power(bf, SIGMA2, PT, W_MHZ, ETA)
+    alloc = zf.allocate_powers([bf], SIGMA2, PT, W_MHZ, ETA)[0]
     rates_i, snr_i = zf.zf_rates_ideal(alloc, W_MHZ, SIGMA2, ETA)
     rates_e, sinr_e = zf.zf_rates_erroneous(h, bf, alloc, W_MHZ, SIGMA2, ETA)
     assert np.allclose(rates_e, rates_i, rtol=1e-9)
@@ -354,7 +542,7 @@ def test_zf_erroneous_median_sinr_collapse_at_full_outdating():
         h_hat = sqrt_l * z_prev
         h_true = sqrt_l * z_now
         bf = zf.build_beamformer(h_hat)
-        alloc = zf.allocate_power(bf, SIGMA2, PT, W_MHZ, ETA)
+        alloc = zf.allocate_powers([bf], SIGMA2, PT, W_MHZ, ETA)[0]
         _, snr_i = zf.zf_rates_ideal(alloc, W_MHZ, SIGMA2, ETA)
         _, sinr_e = zf.zf_rates_erroneous(h_true, bf, alloc, W_MHZ, SIGMA2, ETA)
         drops.append(10 * np.log10(np.median(snr_i) / np.median(sinr_e)))
@@ -375,7 +563,7 @@ def test_outage_non_decreasing_in_delta_matched_seeds():
             z_now, _ = ch.delayed_csit(z_prev, delta=delta, rho=0.9, rng=rng)
             h_hat = sqrt_l * z_prev
             bf = zf.build_beamformer(h_hat)
-            alloc = zf.allocate_power(bf, SIGMA2, PT, W_MHZ, ETA)
+            alloc = zf.allocate_powers([bf], SIGMA2, PT, W_MHZ, ETA)[0]
             _, sinr = zf.zf_rates_erroneous(sqrt_l * z_now, bf, alloc, W_MHZ, SIGMA2, ETA)
             hits += int((sinr < gamma).sum())
             total += sinr.size
