@@ -321,9 +321,13 @@ def _solo_solve(
         return b.T @ v[:n] - v[n : 2 * n] + v[2 * n :]
 
     f_scale = max(1.0, n * np.log1p(q_cap))
+    # A gap of 1e-8 * f_scale left the objective up to 1e-6 relative below
+    # the optimum on weak channels, where the objective is far below f_scale.
     gap_tol = 1e-10 * f_scale
     grad_tol = 1e-8  # relative stationarity, well under the 1e-6 contract
     mu_floor = 0.1 * gap_tol / m
+    # Centered multipliers, then the bound multipliers raised until the
+    # start is exactly stationary; without the shift, weak channels crawl.
     y = min(1.0, f_scale / m) / s
     r0 = g_t(y) - 1.0 / (1.0 + q)
     y[n : 2 * n] += np.maximum(r0, 0.0)
