@@ -37,7 +37,12 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, metavar="PATH", help="output CSV path")
     p.add_argument("--seed", type=int, default=None, help="override scenario seed")
     p.add_argument("--snapshots", type=int, default=None, help="override snapshots per evaluation")
-    p.add_argument("--threads", default="1", help="worker threads per evaluation, or 'auto'")
+    p.add_argument(
+        "--threads",
+        default="1",
+        help="worker threads per evaluation, or 'auto'; recorded in the manifest, "
+        "snapshots run in one thread",
+    )
     p.add_argument(
         "--full-ladder",
         action="store_true",

@@ -3,15 +3,14 @@ estimates with confidence intervals, demand conversion, and the AP-count search.
 
 Determinism contract: every snapshot derives its own generator from
 (master_seed, deployment_id, snapshot_index), so results are bit-identical
-for any thread count and evaluation order. One snapshot pass per rung serves
-every system: the shared prefix is drawn once and each system continues on
-its own copy of the generator, so its results do not depend on which other
-systems run beside it.
+for any evaluation order and any ``threads`` value. One snapshot pass per
+rung serves every system: the shared prefix is drawn once and each system
+continues on its own copy of the generator, so its results do not depend on
+which other systems run beside it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -448,10 +447,12 @@ def run_snapshots(
     SnapshotResult. Entry [e][v] of the return value aggregates output v of
     evaluator e over all snapshots.
 
-    Snapshots may execute on a thread pool; results are aggregated in
-    snapshot order, so the output is identical for any thread count. An
+    Snapshots run one after another in the calling thread, whatever
+    ``threads`` asks for: their work holds the GIL for most of its time, so
+    threads cannot share it out, and a pool of two runs slower than one
+    thread at a speed that follows the load on the other cores. An
     evaluator may return a ``ZfPrecoded`` in place of a result: all of them
-    are finished after the pool by one ``finish_zf`` call, in snapshot order.
+    are finished after the pass by one ``finish_zf`` call, in snapshot order.
     """
     if n_snapshots < 1:
         raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots}")
@@ -462,13 +463,9 @@ def run_snapshots(
         state = rng.bit_generator.state
         return [evaluate(snap, _generator_at(state)) for evaluate in evaluators]
 
-    if threads <= 1:
-        results = [one(s) for s in range(n_snapshots)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n_snapshots)))
+    results = [one(s) for s in range(n_snapshots)]
 
-    # After the pool, every ZF output of the pass is finished in one stacked power solve.
+    # Then every ZF output of the pass is finished in one stacked power solve.
     outputs = [r for per_snap in results for out in per_snap for r in out]
     finished = iter(finish_zf(ctx, [r for r in outputs if isinstance(r, ZfPrecoded)]))
     results = [
