@@ -117,11 +117,20 @@ def draw_fading(rng: np.random.Generator, shape, sigma_z2: float = 1.0) -> np.nd
     return scale * (re + 1j * im)
 
 
+# n -> the indices above the diagonal of an n x n matrix, built once per n
+_UPPER_INDICES: dict = {}
+
+
 def draw_symmetric_fading(rng: np.random.Generator, n: int, sigma_z2: float = 1.0) -> np.ndarray:
     """Reciprocal fading matrix for AP-to-AP links: z[i, x] == z[x, i], zero diagonal."""
     z = np.zeros((n, n), dtype=complex)
     if n > 1:
-        iu = np.triu_indices(n, k=1)
+        iu = _UPPER_INDICES.get(n)
+        if iu is None:
+            iu = np.triu_indices(n, k=1)
+            for index in iu:
+                index.flags.writeable = False  # every later call reads them
+            _UPPER_INDICES[n] = iu
         z[iu] = draw_fading(rng, iu[0].shape, sigma_z2)
         z = z + z.T
     return z

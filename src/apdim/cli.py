@@ -58,9 +58,12 @@ def _parse_threads(text: str) -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
     if n < 1:
-        raise ValueError("--threads must be >= 1 or 'auto'")
+        raise ValueError(f"--threads must be a positive integer or 'auto', got {text!r}")
     return n
 
 

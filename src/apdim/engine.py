@@ -4,9 +4,10 @@ estimates with confidence intervals, demand conversion, and the AP-count search.
 Determinism contract: every snapshot derives its own generator from
 (master_seed, deployment_id, snapshot_index), so results are bit-identical
 for any evaluation order and any ``threads`` value. One snapshot pass per
-rung serves every system: the shared prefix is drawn once and each system
-continues on its own copy of the generator, so its results do not depend on
-which other systems run beside it.
+rung serves every system: the shared prefix and every later draw that
+several systems make (the faded gains, the AP-to-AP fading) are drawn once,
+and each system continues on its own generator where its draws part from the
+others', so its results do not depend on which other systems run beside it.
 """
 
 from __future__ import annotations
@@ -261,23 +262,82 @@ def _scored(ctx: DeploymentContext, rates, sinr, **diagnostics) -> SnapshotResul
     )
 
 
-def _faded_gains(ctx: DeploymentContext, snap: Snapshot, rng: np.random.Generator) -> np.ndarray:
-    """AP-to-user power gains, one column per scheduled user."""
-    z = ch.draw_fading(rng, snap.served_gains.shape, ctx.sigma_z2)
-    return snap.served_gains * np.abs(z) ** 2
+# Seeds the bit generators that _generator_at overwrites at once.
+_ANY_SEED = np.random.SeedSequence(0)
+
+
+def _generator_at(state: dict) -> np.random.Generator:
+    """A new generator whose bit generator starts at ``state``.
+
+    Three times cheaper than ``copy.deepcopy`` of a generator, which pickles
+    it. The seed is overwritten at once; a fixed, prebuilt one skips the OS
+    entropy read and the seed sequence's set-up.
+    """
+    bit_generator = np.random.PCG64(_ANY_SEED)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+class SnapshotDraws:
+    """One snapshot's random draws past the shared prefix, each made at most once.
+
+    The generator tree below the prefix, whose final state is S0:
+
+    - each ZF system continues on its own generator at S0 (``generator``);
+    - the faded AP-to-user gains are drawn from S0, leaving S1
+      (``faded_gains``; static and both Wi-Fi systems read them);
+    - the AP-to-AP gains are drawn from S1, leaving S2 (``ap_gains``), and
+      each Wi-Fi system continues on its own generator at S2.
+
+    Every system thus consumes random numbers exactly as if it ran alone, so
+    its results do not depend on which other systems share the snapshot. A
+    draw is made on first use and kept only as long as this object, which
+    lives for one snapshot; the shared arrays are read-only.
+    """
+
+    def __init__(self, ctx: DeploymentContext, snap: Snapshot, rng: np.random.Generator):
+        """``rng`` stands at S0; the shared draws are made from it, so it is taken over."""
+        self.ctx = ctx
+        self.snap = snap
+        self._rng = rng
+        self._s0 = rng.bit_generator.state
+        self._gains: Optional[np.ndarray] = None
+        self._g_ap_ap: Optional[np.ndarray] = None
+
+    def generator(self) -> np.random.Generator:
+        """A new generator at S0."""
+        return _generator_at(self._s0)
+
+    def faded_gains(self) -> np.ndarray:
+        """AP-to-user power gains, one column per scheduled user, drawn from S0."""
+        if self._gains is None:
+            z = ch.draw_fading(self._rng, self.snap.served_gains.shape, self.ctx.sigma_z2)
+            self._gains = _read_only(self.snap.served_gains * np.abs(z) ** 2)
+        return self._gains
+
+    def ap_gains(self) -> tuple[np.ndarray, np.random.Generator]:
+        """AP-to-AP power gains drawn from S1, and a new generator at S2."""
+        if self._g_ap_ap is None:
+            self.faded_gains()
+            z_ap = ch.draw_symmetric_fading(self._rng, self.ctx.n_aps, self.ctx.sigma_z2)
+            self._g_ap_ap = _read_only(self.ctx.l_ap_ap * np.abs(z_ap) ** 2)
+        return self._g_ap_ap, _generator_at(self._rng.bit_generator.state)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def wifi_snapshot(
-    ctx: DeploymentContext,
-    snap: Snapshot,
-    rng: np.random.Generator,
+    draws: SnapshotDraws,
     params: wifi.WifiParams,
     assignment: planning.ChannelAssignment,
 ) -> SnapshotResult:
     """One Wi-Fi transmission epoch: contention graph, SSI draw, rate equation."""
-    gains = _faded_gains(ctx, snap, rng)
-    z_ap = ch.draw_symmetric_fading(rng, ctx.n_aps, ctx.sigma_z2)
-    g_ap_ap = ctx.l_ap_ap * np.abs(z_ap) ** 2
+    ctx, snap = draws.ctx, draws.snap
+    gains = draws.faded_gains()
+    g_ap_ap, rng = draws.ap_gains()
     graph = wifi.build_contention_graph(assignment, g_ap_ap, params, participating=snap.serving)
     active = wifi.sample_ssi(graph, rng)
     _, rates, sinr = wifi.wifi_rates(
@@ -287,9 +347,7 @@ def wifi_snapshot(
 
 
 def static_snapshot(
-    ctx: DeploymentContext,
-    snap: Snapshot,
-    rng: np.random.Generator,
+    draws: SnapshotDraws,
     params: static_cellular.StaticParams,
     assignments: Sequence[planning.ChannelAssignment],
 ) -> list[SnapshotResult]:
@@ -297,9 +355,10 @@ def static_snapshot(
 
     Every plan is scored on the same fading draw.
     """
-    gains = _faded_gains(ctx, snap, rng)
+    ctx = draws.ctx
     scores = static_cellular.static_rates(
-        assignments, snap.serving, gains, params, ctx.w_total_mhz, ctx.sigma2_mw
+        assignments, draws.snap.serving, draws.faded_gains(), params, ctx.w_total_mhz,
+        ctx.sigma2_mw,
     )
     return [_scored(ctx, rates, sinr) for rates, sinr in scores]
 
@@ -314,13 +373,7 @@ class ZfPrecoded:
     redraws: int
 
 
-def zf_snapshot(
-    ctx: DeploymentContext,
-    snap: Snapshot,
-    rng: np.random.Generator,
-    params: zf.ZfParams,
-    erroneous: bool,
-) -> ZfPrecoded:
+def zf_snapshot(draws: SnapshotDraws, params: zf.ZfParams, erroneous: bool) -> ZfPrecoded:
     """Multi-cell ZF snapshot, first phase: fading, CSIT and the inversion precoder.
 
     With ``erroneous`` set, the precoder comes from CSIT that is per-link
@@ -330,6 +383,7 @@ def zf_snapshot(
     random number of the snapshot; ``finish_zf`` optimizes the PAPC powers
     and scores the result.
     """
+    ctx, snap, rng = draws.ctx, draws.snap, draws.generator()
     sqrt_l = np.sqrt(snap.served_gains[snap.serving].T)  # (user j, antenna i)
     redraws = 0
     while True:
@@ -415,18 +469,7 @@ def _aggregate(results: Sequence[SnapshotResult]) -> RunResult:
     )
 
 
-Evaluator = Callable[[Snapshot, np.random.Generator], list]
-
-
-def _generator_at(state: dict) -> np.random.Generator:
-    """A new generator whose bit generator starts at ``state``.
-
-    Three times cheaper than ``copy.deepcopy`` of a generator, which pickles
-    it. The seed is overwritten at once; a fixed one skips the OS entropy read.
-    """
-    bit_generator = np.random.PCG64(0)
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
+Evaluator = Callable[[SnapshotDraws], list]
 
 
 def run_snapshots(
@@ -440,11 +483,12 @@ def run_snapshots(
     """Run independent snapshots and aggregate estimates per evaluator output.
 
     Each snapshot draws the shared prefix (``draw_snapshot``) once from its
-    generator, derived from (master_seed, deployment_id, snapshot index). Every
-    evaluator then gets its own copy of that generator as it stands after the
-    prefix (a new generator set to the prefix's bit-generator state), so each
-    consumes random numbers exactly as if it ran alone, and returns a list of
-    SnapshotResult. Entry [e][v] of the return value aggregates output v of
+    generator, derived from (master_seed, deployment_id, snapshot index).
+    Every evaluator then reads one ``SnapshotDraws`` of that snapshot, which
+    makes each later draw once for all systems and gives each system its own
+    generator where its draws part from the others', so each consumes random
+    numbers exactly as if it ran alone. An evaluator returns a list of
+    SnapshotResult; entry [e][v] of the return value aggregates output v of
     evaluator e over all snapshots.
 
     Snapshots run one after another in the calling thread, whatever
@@ -459,9 +503,8 @@ def run_snapshots(
 
     def one(s: int) -> list[list]:
         rng = substream(master_seed, deployment_id, _SALT_SNAPSHOT, s)
-        snap = draw_snapshot(ctx, rng)
-        state = rng.bit_generator.state
-        return [evaluate(snap, _generator_at(state)) for evaluate in evaluators]
+        draws = SnapshotDraws(ctx, draw_snapshot(ctx, rng), rng)
+        return [evaluate(draws) for evaluate in evaluators]
 
     results = [one(s) for s in range(n_snapshots)]
 
@@ -525,14 +568,12 @@ def _evaluator(scn, ctx: DeploymentContext, system: str, plan) -> tuple[list, Ev
     if system in ("wifi-baseline", "wifi-aggressive"):
         params = _wifi_params_for(scn, system)
         assignment = plan(params.k_wifi)
-        return [params.k_wifi], lambda snap, rng: [
-            wifi_snapshot(ctx, snap, rng, params, assignment)
-        ]
+        return [params.k_wifi], lambda draws: [wifi_snapshot(draws, params, assignment)]
     if system == "static":
         sparams = static_cellular.StaticParams(eta_sta=scn.static.eta_sta, pt_mw=scn.radio.pt_mw)
         ks = list(range(1, min(scn.static.k_max, ctx.n_aps) + 1))
         assignments = [plan(k) for k in ks]
-        return ks, lambda snap, rng: static_snapshot(ctx, snap, rng, sparams, assignments)
+        return ks, lambda draws: static_snapshot(draws, sparams, assignments)
     erroneous = system == "zf-erroneous"
     zparams = zf.ZfParams(
         eta_zf=scn.zf.eta_zf,
@@ -540,7 +581,7 @@ def _evaluator(scn, ctx: DeploymentContext, system: str, plan) -> tuple[list, Ev
         delta=scn.zf.delta if erroneous else 0.0,
         rho=scn.zf.rho,
     )
-    return [None], lambda snap, rng: [zf_snapshot(ctx, snap, rng, zparams, erroneous)]
+    return [None], lambda draws: [zf_snapshot(draws, zparams, erroneous)]
 
 
 def run_rung(

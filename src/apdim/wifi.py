@@ -76,12 +76,12 @@ def build_contention_graph(
     if participating is None:
         participating = np.arange(n)
     participating = np.asarray(participating, dtype=np.int64)
-    rx_power = g_ap_ap * params.pt_mw
+    channel_of = assignment.channel_of[participating]
     members = []
     adjacency = []
     for ch in range(assignment.k):
-        aps = participating[assignment.channel_of[participating] == ch]
-        adj = rx_power[np.ix_(aps, aps)] > params.cs_thr_mw
+        aps = participating[channel_of == ch]
+        adj = g_ap_ap[aps[:, None], aps] * params.pt_mw > params.cs_thr_mw
         np.fill_diagonal(adj, False)
         members.append(aps)
         adjacency.append(adj)
@@ -152,7 +152,7 @@ def wifi_rates(
     act = np.concatenate([np.empty(0, dtype=np.int64), *per_channel])
     channel = np.repeat(np.arange(len(per_channel)), [a.shape[0] for a in per_channel])
     positions = np.searchsorted(serving_aps, act)
-    rx = gains[np.ix_(act, positions)] * params.pt_mw  # (active, their users)
+    rx = gains[act[:, None], positions] * params.pt_mw  # (active, their users)
     signal = np.diag(rx)
     interference = (rx * (channel[:, None] == channel)).sum(axis=0) - signal
     sinr = signal / (interference + noise)

@@ -1,6 +1,10 @@
 """Engine: drops, association, estimators, demand conversion, snapshot runs,
 and the dimensioning walk."""
 
+import dataclasses
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -314,8 +318,8 @@ def _wifi_setup(scn, layout, system="wifi-baseline"):
 def _wifi_run(scn, layout, n_snapshots, master_seed, deployment_id, threads=1):
     ctx, params, assignment = _wifi_setup(scn, layout)
 
-    def evaluate(snap, rng):
-        return [engine.wifi_snapshot(ctx, snap, rng, params, assignment)]
+    def evaluate(draws):
+        return [engine.wifi_snapshot(draws, params, assignment)]
 
     ((run,),) = engine.run_snapshots(
         ctx, [evaluate], n_snapshots, master_seed, deployment_id, threads
@@ -347,7 +351,7 @@ def test_snapshot_rate_sum_conservation():
     for s in range(10):
         rng = engine.substream(5, 0, engine._SALT_SNAPSHOT, s)
         snap = engine.draw_snapshot(ctx, rng)
-        result = engine.wifi_snapshot(ctx, snap, rng, params, assignment)
+        result = engine.wifi_snapshot(engine.SnapshotDraws(ctx, snap, rng), params, assignment)
         assert result.lambda_s_sample * scn.area.area_km2 == pytest.approx(
             result.rates_mbps.sum(), rel=1e-9
         )
@@ -576,11 +580,10 @@ def test_zf_rung_with_mixed_sizes_matches_solo_solves():
     precoded = []
     for s in range(n_snapshots):
         rng = engine.substream(scn.engine.seed, deployment_id, engine._SALT_SNAPSHOT, s)
-        snap = engine.draw_snapshot(ctx, rng)
-        state = rng.bit_generator.state
+        draws = engine.SnapshotDraws(ctx, engine.draw_snapshot(ctx, rng), rng)
         for system in systems:
             _, evaluate = engine._evaluator(scn, ctx, system, plan=None)
-            precoded.extend(evaluate(snap, engine._generator_at(state)))
+            precoded.extend(evaluate(draws))
     assert {pre.beamformer.w.shape[0] for pre in precoded} == {1, 2, 3}
     for got, pre in zip(engine.finish_zf(ctx, precoded), precoded):
         (want,) = engine.finish_zf(ctx, [pre])
@@ -623,3 +626,94 @@ def test_dimension_computes_average_gains_once_per_snapshot(monkeypatch):
     assert rungs == 4
     assert all(len(dims.records) == rungs for dims in res.per_system.values())
     assert len(calls) == rungs * (3 + 1)  # AP-to-AP once, AP-to-user once per snapshot
+
+
+def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
+    # Static and both Wi-Fi systems read one AP-to-user draw per snapshot, and
+    # the Wi-Fi systems one AP-to-AP draw; ZF draws its own fading as before.
+    scn = _tiny_scenario([1.0], ladder_cap=6, snapshots=3)
+    fading_by_caller, symmetric_sizes = Counter(), []
+    draw_fading, draw_symmetric_fading = ch.draw_fading, ch.draw_symmetric_fading
+
+    def counted_fading(*args, **kwargs):
+        fading_by_caller[sys._getframe(1).f_code.co_name] += 1
+        return draw_fading(*args, **kwargs)
+
+    def counted_symmetric(rng, n, *args, **kwargs):
+        symmetric_sizes.append(n)
+        return draw_symmetric_fading(rng, n, *args, **kwargs)
+
+    monkeypatch.setattr(ch, "draw_fading", counted_fading)
+    monkeypatch.setattr(ch, "draw_symmetric_fading", counted_symmetric)
+    res = engine.dimension(scn, engine.SYSTEMS, stop_when_satisfied=False)
+    rungs = len(res.ladder)
+    assert rungs == 4
+    per_snapshot = [n_aps for nx, ny in res.ladder for n_aps in [nx * ny] * 3]
+    assert sorted(symmetric_sizes) == sorted(per_snapshot)
+    zf_draws = {
+        system: sum(rec.n_snapshots + rec.zf_redraws for rec in res.per_system[system].records)
+        for system in ("zf-ideal", "zf-erroneous")
+    }
+    assert dict(fading_by_caller) == {
+        "faded_gains": rungs * 3,
+        "draw_symmetric_fading": sum(n > 1 for n in per_snapshot),
+        "zf_snapshot": zf_draws["zf-ideal"] + zf_draws["zf-erroneous"],
+        "delayed_csit": zf_draws["zf-erroneous"],
+    }
+
+
+def test_shared_draws_are_read_only_and_made_once():
+    scn = scenario.preset("table1-obstructed")
+    ctx = engine.make_context(scn, geometry.place_aps(scn.area, 3, 3))
+    rng = engine.substream(5, 0, engine._SALT_SNAPSHOT, 0)
+    draws = engine.SnapshotDraws(ctx, engine.draw_snapshot(ctx, rng), rng)
+    zf_a, zf_b = draws.generator(), draws.generator()
+    gains = draws.faded_gains()
+    (g_ap_ap, wifi_a), (again, wifi_b) = draws.ap_gains(), draws.ap_gains()
+    assert draws.faded_gains() is gains and again is g_ap_ap
+    for a, b in ((zf_a, zf_b), (wifi_a, wifi_b)):
+        assert a is not b and a.bit_generator.state == b.bit_generator.state
+    wifi_a.random(3)  # one Wi-Fi system's SSI draws leave the other's generator at S2
+    assert draws.ap_gains()[1].bit_generator.state == wifi_b.bit_generator.state
+    for shared in (gains, g_ap_ap):
+        with pytest.raises(ValueError):
+            shared[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            shared *= 2.0
+
+
+@pytest.fixture(scope="module")
+def full_pass():
+    # Open area: both Wi-Fi systems contend, so each one's SSI draw matters.
+    raw = scenario.preset_raw("table1-open")
+    raw["engine"].update(seed=20240601)
+    scn = scenario.from_dict(raw)
+    layout = geometry.place_aps(scn.area, 3, 3)
+    return scn, layout, engine.run_rung(scn, layout, engine.SYSTEMS, 2, 12)
+
+
+@pytest.mark.parametrize(
+    "systems",
+    [
+        ["wifi-aggressive"],
+        ["static"],
+        ["wifi-aggressive", "static", "wifi-baseline"],
+        list(reversed(engine.SYSTEMS)),
+    ],
+)
+def test_subsets_and_orders_of_systems_match_the_full_pass(full_pass, systems):
+    # A system's results must not depend on which systems share its snapshots,
+    # nor on their order: no system may read another's draws or SSI generator.
+    scn, layout, full = full_pass
+    runs = engine.run_rung(scn, layout, systems, 2, 12)
+    assert list(runs) == systems
+    for system in systems:
+        assert list(runs[system]) == list(full[system]), system
+        for k, run in runs[system].items():
+            want = full[system][k]
+            for field in dataclasses.fields(engine.RunResult):
+                got, expected = getattr(run, field.name), getattr(want, field.name)
+                if isinstance(got, np.ndarray):
+                    assert np.array_equal(got, expected), (system, k, field.name)
+                else:
+                    assert got == expected, (system, k, field.name)

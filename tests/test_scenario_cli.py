@@ -170,7 +170,7 @@ def test_sigma2_and_threshold_derivations():
 
 # --- CLI ------------------------------------------------------------------------
 
-def _run_cli(args, env_extra=None):
+def _run_cli(args, env_extra=None, module="apdim.cli"):
     import os
 
     env = dict(os.environ)
@@ -178,7 +178,7 @@ def _run_cli(args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "apdim.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -221,6 +221,34 @@ def test_cli_unknown_system(tmp_path):
     )
     assert proc.returncode == 2
     assert "wimax" in proc.stderr
+
+
+def test_python_m_apdim_runs_the_cli(tmp_path):
+    csvs = []
+    for module in ("apdim", "apdim.cli"):
+        out = tmp_path / f"{module}.csv"
+        proc = _run_cli(
+            ["run", "--preset", "table1-open", "--systems", "static", "--out", str(out),
+             "--snapshots", "5", "--quiet"],
+            env_extra={"APDIM_ENGINE__LADDER_MAX_APS": "4"},
+            module=module,
+        )
+        assert proc.returncode == 0, proc.stderr
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
+def test_cli_bad_threads_usage_error(tmp_path, threads):
+    proc = _run_cli(
+        ["run", "--preset", "table1-open", "--systems", "static",
+         "--out", str(tmp_path / "o.csv"), "--threads", threads],
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: --threads must be a positive integer or 'auto', got {threads!r}\n"
+    )
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_run_writes_csv_and_manifest(tmp_path):
