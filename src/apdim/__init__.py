@@ -8,7 +8,6 @@ from .engine import (  # noqa: F401
     DimensioningResult,
     Estimate,
     dimension,
-    run_snapshots,
     throughput_to_demand,
 )
 from .geometry import Layout, ServiceArea, grid_ladder, place_aps  # noqa: F401

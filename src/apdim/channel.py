@@ -142,7 +142,7 @@ def delayed_csit(
     rho: float,
     rng: np.random.Generator,
     sigma_z2: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Evolve fading past a feedback delay; the CSIT keeps the pre-delay state.
 
     Each link is independently outdated with probability ``delta``. On an
@@ -150,8 +150,8 @@ def delayed_csit(
     z_now = rho * z_prev + sqrt(1 - rho^2) * q with q ~ CN(0, sigma_z2);
     elsewhere z_now == z_prev, so the CSIT (always z_prev) is exact there.
 
-    Returns (z_now, outdated_mask). The caller builds h_hat = sqrt(L) * z_prev
-    and the true channel from z_now; average gains are shared.
+    Returns z_now. The caller builds h_hat = sqrt(L) * z_prev and the true
+    channel from z_now; average gains are shared.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
@@ -161,5 +161,4 @@ def delayed_csit(
     outdated = rng.random(z_prev.shape) < delta
     q = draw_fading(rng, z_prev.shape, sigma_z2)
     evolved = rho * z_prev + np.sqrt(1.0 - rho**2) * q
-    z_now = np.where(outdated, evolved, z_prev)
-    return z_now, outdated
+    return np.where(outdated, evolved, z_prev)

@@ -40,8 +40,7 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
         default="1",
-        help="worker threads per evaluation, or 'auto'; recorded in the manifest, "
-        "snapshots run in one thread",
+        help="thread count, or 'auto'; recorded in the manifest; snapshots run in one thread",
     )
     p.add_argument(
         "--full-ladder",
@@ -109,7 +108,6 @@ def _run_dimensioning(args, sweep: bool) -> int:
         result = engine.dimension(
             scn,
             systems,
-            threads=threads,
             stop_when_satisfied=not args.full_ladder,
             progress=progress,
         )

@@ -3,11 +3,13 @@ estimates with confidence intervals, demand conversion, and the AP-count search.
 
 Determinism contract: every snapshot derives its own generator from
 (master_seed, deployment_id, snapshot_index), so results are bit-identical
-for any evaluation order and any ``threads`` value. One snapshot pass per
-rung serves every system: the shared prefix and every later draw that
-several systems make (the faded gains, the AP-to-AP fading) are drawn once,
-and each system continues on its own generator where its draws part from the
+for any evaluation order. One serial snapshot pass per rung (``run_rung``)
+serves every system: the shared prefix and every later draw that several
+systems make (the faded gains, the AP-to-AP fading) are drawn once, and each
+system continues on its own generator where its draws part from the
 others', so its results do not depend on which other systems run beside it.
+The ZF snapshots of both ZF systems are finished once per rung, in one
+stacked power solve.
 """
 
 from __future__ import annotations
@@ -184,14 +186,15 @@ def select_served(
 
 
 @dataclass(frozen=True, eq=False)
-class SnapshotResult:
-    """Per-served-user outcomes of one snapshot."""
+class Scored:
+    """One system's raw outcome of one snapshot: rate (Mbps) and SINR per served user.
+
+    The arrays are (n_served,), or (n_plans, n_served) with one row per reuse
+    plan for static, which scores every plan on one draw.
+    """
 
     rates_mbps: np.ndarray
     sinr: np.ndarray
-    outage: np.ndarray  # sinr < gamma_t, per served user
-    lambda_s_sample: float  # Mbps/km2
-    served: int
     redraws: int = 0
     solver_fallbacks: int = 0
 
@@ -249,17 +252,6 @@ def draw_snapshot(ctx: DeploymentContext, rng: np.random.Generator) -> Snapshot:
     serving, cols = select_served(assoc, ctx.n_aps, rng)
     served_gains = ch.average_gains(ctx.area, ctx.prop, ap_xy, users[cols])
     return Snapshot(served_gains=served_gains, serving=serving)
-
-
-def _scored(ctx: DeploymentContext, rates, sinr, **diagnostics) -> SnapshotResult:
-    return SnapshotResult(
-        rates_mbps=rates,
-        sinr=sinr,
-        outage=sinr < ctx.gamma_t_linear,
-        lambda_s_sample=float(rates.sum()) / ctx.area.area_km2,
-        served=int(rates.shape[0]),
-        **diagnostics,
-    )
 
 
 # Seeds the bit generators that _generator_at overwrites at once.
@@ -333,7 +325,7 @@ def wifi_snapshot(
     draws: SnapshotDraws,
     params: wifi.WifiParams,
     assignment: planning.ChannelAssignment,
-) -> SnapshotResult:
+) -> Scored:
     """One Wi-Fi transmission epoch: contention graph, SSI draw, rate equation."""
     ctx, snap = draws.ctx, draws.snap
     gains = draws.faded_gains()
@@ -343,24 +335,24 @@ def wifi_snapshot(
     _, rates, sinr = wifi.wifi_rates(
         active, snap.serving, gains, params, ctx.w_total_mhz, ctx.sigma2_mw
     )
-    return _scored(ctx, rates, sinr)
+    return Scored(rates, sinr)
 
 
 def static_snapshot(
     draws: SnapshotDraws,
     params: static_cellular.StaticParams,
     assignments: Sequence[planning.ChannelAssignment],
-) -> list[SnapshotResult]:
-    """Full-buffer frequency-planned cellular snapshot, one result per reuse plan.
+) -> Scored:
+    """Full-buffer frequency-planned cellular snapshot, one row per reuse plan.
 
     Every plan is scored on the same fading draw.
     """
     ctx = draws.ctx
-    scores = static_cellular.static_rates(
+    rates, sinr = static_cellular.static_rates(
         assignments, draws.snap.serving, draws.faded_gains(), params, ctx.w_total_mhz,
         ctx.sigma2_mw,
     )
-    return [_scored(ctx, rates, sinr) for rates, sinr in scores]
+    return Scored(rates, sinr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,7 +381,7 @@ def zf_snapshot(draws: SnapshotDraws, params: zf.ZfParams, erroneous: bool) -> Z
     while True:
         z_base = ch.draw_fading(rng, sqrt_l.shape, ctx.sigma_z2)
         if erroneous:
-            z_now, _ = ch.delayed_csit(z_base, params.delta, params.rho, rng, ctx.sigma_z2)
+            z_now = ch.delayed_csit(z_base, params.delta, params.rho, rng, ctx.sigma_z2)
             h_hat = sqrt_l * z_base
             h_true = sqrt_l * z_now
         else:
@@ -407,7 +399,7 @@ def zf_snapshot(draws: SnapshotDraws, params: zf.ZfParams, erroneous: bool) -> Z
     return ZfPrecoded(beamformer=bf, h_true=h_true, params=params, redraws=redraws)
 
 
-def finish_zf(ctx: DeploymentContext, precoded: Sequence[ZfPrecoded]) -> list[SnapshotResult]:
+def finish_zf(ctx: DeploymentContext, precoded: Sequence[ZfPrecoded]) -> list[Scored]:
     """Optimize the PAPC powers of all ``precoded`` snapshots at once, then score each.
 
     One ``zf.allocate_powers`` call per power budget and rate cap stacks
@@ -432,11 +424,8 @@ def finish_zf(ctx: DeploymentContext, precoded: Sequence[ZfPrecoded]) -> list[Sn
             rates, sinr = zf.zf_rates_erroneous(
                 pre.h_true, pre.beamformer, alloc, ctx.w_total_mhz, ctx.sigma2_mw, eta_zf
             )
-        results.append(
-            _scored(
-                ctx, rates, sinr, redraws=pre.redraws, solver_fallbacks=0 if alloc.converged else 1
-            )
-        )
+        fallbacks = 0 if alloc.converged else 1
+        results.append(Scored(rates, sinr, redraws=pre.redraws, solver_fallbacks=fallbacks))
     return results
 
 
@@ -455,72 +444,27 @@ class RunResult:
     lambda_samples: np.ndarray
 
 
-def _aggregate(results: Sequence[SnapshotResult]) -> RunResult:
-    lambda_samples = np.array([r.lambda_s_sample for r in results])
-    outage_hits = sum(int(r.outage.sum()) for r in results)
-    served_total = sum(r.served for r in results)
-    return RunResult(
-        lambda_s=normal_estimate(lambda_samples),
-        outage=wilson_estimate(outage_hits, served_total),
-        served_total=served_total,
-        redraws=sum(r.redraws for r in results),
-        solver_fallbacks=sum(r.solver_fallbacks for r in results),
-        lambda_samples=lambda_samples,
-    )
-
-
-Evaluator = Callable[[SnapshotDraws], list]
-
-
-def run_snapshots(
-    ctx: DeploymentContext,
-    evaluators: Sequence[Evaluator],
-    n_snapshots: int,
-    master_seed: int,
-    deployment_id: int = 0,
-    threads: int = 1,
-) -> list[list[RunResult]]:
-    """Run independent snapshots and aggregate estimates per evaluator output.
-
-    Each snapshot draws the shared prefix (``draw_snapshot``) once from its
-    generator, derived from (master_seed, deployment_id, snapshot index).
-    Every evaluator then reads one ``SnapshotDraws`` of that snapshot, which
-    makes each later draw once for all systems and gives each system its own
-    generator where its draws part from the others', so each consumes random
-    numbers exactly as if it ran alone. An evaluator returns a list of
-    SnapshotResult; entry [e][v] of the return value aggregates output v of
-    evaluator e over all snapshots.
-
-    Snapshots run one after another in the calling thread, whatever
-    ``threads`` asks for: their work holds the GIL for most of its time, so
-    threads cannot share it out, and a pool of two runs slower than one
-    thread at a speed that follows the load on the other cores. An
-    evaluator may return a ``ZfPrecoded`` in place of a result: all of them
-    are finished after the pass by one ``finish_zf`` call, in snapshot order.
-    """
-    if n_snapshots < 1:
-        raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots}")
-
-    def one(s: int) -> list[list]:
-        rng = substream(master_seed, deployment_id, _SALT_SNAPSHOT, s)
-        draws = SnapshotDraws(ctx, draw_snapshot(ctx, rng), rng)
-        return [evaluate(draws) for evaluate in evaluators]
-
-    results = [one(s) for s in range(n_snapshots)]
-
-    # Then every ZF output of the pass is finished in one stacked power solve.
-    outputs = [r for per_snap in results for out in per_snap for r in out]
-    finished = iter(finish_zf(ctx, [r for r in outputs if isinstance(r, ZfPrecoded)]))
-    results = [
-        [[next(finished) if isinstance(r, ZfPrecoded) else r for r in out] for out in per_snap]
-        for per_snap in results
-    ]
-
-    # results[s][e][v] -> per evaluator e, per output v, the samples over s
-    return [
-        [_aggregate(samples) for samples in zip(*per_snapshot)]
-        for per_snapshot in zip(*results)
-    ]
+def _aggregate(ctx: DeploymentContext, scored: Sequence[Scored]) -> list[RunResult]:
+    """One RunResult per row of a system's per-snapshot scores (one per reuse plan)."""
+    rate_sums = np.array([np.atleast_2d(sc.rates_mbps).sum(axis=1) for sc in scored])
+    hits = np.array([(np.atleast_2d(sc.sinr) < ctx.gamma_t_linear).sum(axis=1) for sc in scored])
+    served_total = sum(sc.rates_mbps.shape[-1] for sc in scored)
+    redraws = sum(sc.redraws for sc in scored)
+    solver_fallbacks = sum(sc.solver_fallbacks for sc in scored)
+    runs = []
+    for plan_sums, plan_hits in zip(rate_sums.T, hits.T):  # over snapshots, per plan
+        lambda_samples = plan_sums / ctx.area.area_km2
+        runs.append(
+            RunResult(
+                lambda_s=normal_estimate(lambda_samples),
+                outage=wilson_estimate(int(plan_hits.sum()), served_total),
+                served_total=served_total,
+                redraws=redraws,
+                solver_fallbacks=solver_fallbacks,
+                lambda_samples=lambda_samples,
+            )
+        )
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +504,17 @@ def _wifi_params_for(scn, system: str) -> wifi.WifiParams:
     )
 
 
-def _evaluator(scn, ctx: DeploymentContext, system: str, plan) -> tuple[list, Evaluator]:
+def _evaluator(scn, ctx: DeploymentContext, system: str, plan) -> tuple[list, Callable]:
     """The channel counts a system reports on and its per-snapshot evaluator.
 
-    ``plan(k)`` returns the rung's channel assignment for k channels.
+    ``plan(k)`` returns the rung's channel assignment for k channels. The
+    evaluator maps a snapshot's ``SnapshotDraws`` to a ``Scored``, whose rows
+    follow the channel counts, or for ZF to a ``ZfPrecoded``.
     """
     if system in ("wifi-baseline", "wifi-aggressive"):
         params = _wifi_params_for(scn, system)
         assignment = plan(params.k_wifi)
-        return [params.k_wifi], lambda draws: [wifi_snapshot(draws, params, assignment)]
+        return [params.k_wifi], lambda draws: wifi_snapshot(draws, params, assignment)
     if system == "static":
         sparams = static_cellular.StaticParams(eta_sta=scn.static.eta_sta, pt_mw=scn.radio.pt_mw)
         ks = list(range(1, min(scn.static.k_max, ctx.n_aps) + 1))
@@ -581,7 +527,7 @@ def _evaluator(scn, ctx: DeploymentContext, system: str, plan) -> tuple[list, Ev
         delta=scn.zf.delta if erroneous else 0.0,
         rho=scn.zf.rho,
     )
-    return [None], lambda draws: [zf_snapshot(draws, zparams, erroneous)]
+    return [None], lambda draws: zf_snapshot(draws, zparams, erroneous)
 
 
 def run_rung(
@@ -590,13 +536,19 @@ def run_rung(
     systems: Sequence[str],
     deployment_id: int,
     n_snapshots: Optional[int] = None,
-    threads: int = 1,
 ) -> dict:
-    """Run every system on one AP layout in one snapshot pass.
+    """Run every system on one AP layout in one serial snapshot pass.
 
     Returns {system: {k: RunResult}}: K^wifi for Wi-Fi, every reuse number
     K = 1..min(k_max, n_aps) for static, and None for ZF. The AP-to-AP gains
     and each K's channel assignment are built once and shared by the systems.
+
+    Each snapshot draws the shared prefix (``draw_snapshot``) once from its
+    generator, derived from (seed, deployment_id, snapshot index), and every
+    system reads one ``SnapshotDraws`` of it. The snapshots run one after
+    another in the calling thread: their work holds the GIL for most of its
+    time, which no thread pool can share out. After the pass, the ZF
+    snapshots of both ZF systems are finished by one ``finish_zf`` call.
 
     ``scn`` is a Scenario (see apdim.scenario); only its documented attributes
     are touched, keeping this module independent of the config layer.
@@ -605,6 +557,8 @@ def run_rung(
         if system not in SYSTEMS:
             raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
     n_snapshots = scn.engine.n_snapshots if n_snapshots is None else n_snapshots
+    if n_snapshots < 1:
+        raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots}")
     seed = scn.engine.seed
     ctx = make_context(scn, layout)
     plans: dict = {}
@@ -617,8 +571,21 @@ def run_rung(
         return plans[k]
 
     specs = [_evaluator(scn, ctx, system, plan) for system in systems]
-    runs = run_snapshots(ctx, [ev for _, ev in specs], n_snapshots, seed, deployment_id, threads)
-    return {system: dict(zip(ks, per_k)) for system, (ks, _), per_k in zip(systems, specs, runs)}
+    scored: list[list] = [[] for _ in systems]  # per system, per snapshot
+    for s in range(n_snapshots):
+        rng = substream(seed, deployment_id, _SALT_SNAPSHOT, s)
+        draws = SnapshotDraws(ctx, draw_snapshot(ctx, rng), rng)
+        for per_snapshot, (_, evaluate) in zip(scored, specs):
+            per_snapshot.append(evaluate(draws))
+
+    zf_ids = [i for i, system in enumerate(systems) if system.startswith("zf-")]
+    finished = iter(finish_zf(ctx, [pre for i in zf_ids for pre in scored[i]]))
+    for i in zf_ids:
+        scored[i] = [next(finished) for _ in scored[i]]
+    return {
+        system: dict(zip(ks, _aggregate(ctx, per_snapshot)))
+        for system, (ks, _), per_snapshot in zip(systems, specs, scored)
+    }
 
 
 def outage_feasible(outage: Estimate, beta: float) -> bool:
@@ -637,13 +604,12 @@ def evaluate_rung(
     systems: Sequence[str],
     deployment_id: int,
     n_snapshots: Optional[int] = None,
-    threads: int = 1,
 ) -> list[DeploymentRecord]:
     """Evaluate each system on one AP layout; one record per system, in order."""
     n_snapshots = scn.engine.n_snapshots if n_snapshots is None else n_snapshots
     beta = scn.radio.beta
     records = []
-    for system, runs in run_rung(scn, layout, systems, deployment_id, n_snapshots, threads).items():
+    for system, runs in run_rung(scn, layout, systems, deployment_id, n_snapshots).items():
         if system == "static":
             k_channels = k_star({k: run.outage for k, run in runs.items()}, beta)
             if k_channels is None:
@@ -696,7 +662,6 @@ def dimension(
     scn,
     systems: Sequence[str],
     n_snapshots: Optional[int] = None,
-    threads: int = 1,
     stop_when_satisfied: bool = True,
     progress: Optional[Callable[[str], None]] = None,
 ) -> DimensioningResult:
@@ -724,7 +689,7 @@ def dimension(
         if not walking:
             break
         layout = place_aps(scn.area, nx, ny)
-        for rec in evaluate_rung(scn, layout, walking, rung_id, n_snapshots, threads):
+        for rec in evaluate_rung(scn, layout, walking, rung_id, n_snapshots):
             records[rec.system].append(rec)
             if progress is not None:
                 progress(

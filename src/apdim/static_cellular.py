@@ -29,13 +29,13 @@ def static_rates(
     params: StaticParams,
     w_total_mhz: float,
     sigma2_mw: float,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-user rate (Mbps) and SINR under static reuse-K planning, per plan.
 
-    Returns one (rates, sinr) pair per assignment, all scored on the same
-    gains. Every AP with traffic transmits in every snapshot (full buffer), so
-    the interference at a served user sums over all co-channel transmitters
-    except the serving AP. Each link uses w = W / K and sees noise
+    Returns (rates, sinr), each (n_plans, n_served) with one row per
+    assignment, all scored on the same gains. Every AP with traffic transmits
+    in every snapshot (full buffer), so the interference at a served user sums
+    over all co-channel transmitters except the serving AP. Each link uses w = W / K and sees noise
     sigma2 / K; the rate clamps at R_max = w * eta_sta.
 
     ``gains`` holds AP-to-user power gains with one column per served user,
@@ -53,4 +53,4 @@ def static_rates(
     w = w_total_mhz / k
     sinr = signal / (interference + sigma2_mw / k)
     rates = np.minimum(w * np.log2(1.0 + sinr), w * params.eta_sta)
-    return list(zip(rates, sinr))
+    return rates, sinr

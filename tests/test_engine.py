@@ -315,32 +315,21 @@ def _wifi_setup(scn, layout, system="wifi-baseline"):
     return ctx, params, assignment
 
 
-def _wifi_run(scn, layout, n_snapshots, master_seed, deployment_id, threads=1):
-    ctx, params, assignment = _wifi_setup(scn, layout)
-
-    def evaluate(draws):
-        return [engine.wifi_snapshot(draws, params, assignment)]
-
-    ((run,),) = engine.run_snapshots(
-        ctx, [evaluate], n_snapshots, master_seed, deployment_id, threads
+def _wifi_run(scn, layout, n_snapshots, master_seed, deployment_id):
+    raw = scn.to_dict()
+    raw["engine"]["seed"] = master_seed
+    runs = engine.run_rung(
+        scenario.from_dict(raw), layout, ["wifi-baseline"], deployment_id, n_snapshots
     )
+    (run,) = runs["wifi-baseline"].values()
     return run
 
 
-def test_run_snapshots_deterministic():
+def test_run_rung_deterministic():
     scn = scenario.preset("table1-open")
     layout = geometry.place_aps(scn.area, 2, 2)
     a = _wifi_run(scn, layout, 25, master_seed=9, deployment_id=3)
     b = _wifi_run(scn, layout, 25, master_seed=9, deployment_id=3)
-    assert a.lambda_s == b.lambda_s and a.outage == b.outage
-    assert (a.lambda_samples == b.lambda_samples).all()
-
-
-def test_run_snapshots_thread_invariant():
-    scn = scenario.preset("table1-open")
-    layout = geometry.place_aps(scn.area, 3, 3)
-    a = _wifi_run(scn, layout, 24, master_seed=9, deployment_id=0, threads=1)
-    b = _wifi_run(scn, layout, 24, master_seed=9, deployment_id=0, threads=4)
     assert a.lambda_s == b.lambda_s and a.outage == b.outage
     assert (a.lambda_samples == b.lambda_samples).all()
 
@@ -351,11 +340,58 @@ def test_snapshot_rate_sum_conservation():
     for s in range(10):
         rng = engine.substream(5, 0, engine._SALT_SNAPSHOT, s)
         snap = engine.draw_snapshot(ctx, rng)
-        result = engine.wifi_snapshot(engine.SnapshotDraws(ctx, snap, rng), params, assignment)
-        assert result.lambda_s_sample * scn.area.area_km2 == pytest.approx(
-            result.rates_mbps.sum(), rel=1e-9
+        scored = engine.wifi_snapshot(engine.SnapshotDraws(ctx, snap, rng), params, assignment)
+        (run,) = engine._aggregate(ctx, [scored])
+        assert run.lambda_samples[0] * scn.area.area_km2 == pytest.approx(
+            scored.rates_mbps.sum(), rel=1e-9
         )
-        assert ((result.sinr < scn.gamma_t_linear) == result.outage).all()
+        hits = int((scored.sinr < scn.gamma_t_linear).sum())
+        assert run.outage == engine.wilson_estimate(hits, scored.rates_mbps.size)
+
+
+def _compare_runs(got, want, where):
+    for field in dataclasses.fields(engine.RunResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), (where, field.name)
+        else:
+            assert a == b, (where, field.name)
+
+
+def test_stacked_static_score_aggregates_like_one_row_scores():
+    # Static scores all K plans of a snapshot in one (K, n_served) array; its
+    # row sums must equal the per-plan sums a one-row score gives, bit for bit,
+    # or the CSV changes silently.
+    scn = scenario.preset("table1-open")
+    ctx = engine.make_context(scn, geometry.place_aps(scn.area, 1, 1))
+    gamma, area_km2 = scn.gamma_t_linear, scn.area.area_km2
+    rng = np.random.default_rng(62)
+    for k in range(1, 13):
+        for trial in range(8):
+            sizes = rng.integers(1, 201, size=rng.integers(1, 9))
+            sizes[0] = (1, 200, sizes[0])[min(trial, 2)]  # pin both extreme sizes once
+            scored = [
+                engine.Scored(
+                    rng.exponential(50.0, (k, n)) * rng.integers(0, 2, (k, n)),
+                    gamma * 10.0 ** rng.uniform(-1.0, 1.0, (k, n)),
+                )
+                for n in sizes
+            ]
+            stacked = engine._aggregate(ctx, scored)
+            assert len(stacked) == k
+            for row, got in enumerate(stacked):
+                rows = [engine.Scored(sc.rates_mbps[row], sc.sinr[row]) for sc in scored]
+                (want,) = engine._aggregate(ctx, rows)
+                _compare_runs(got, want, (k, trial, row))
+                # the per-snapshot sample as it was computed before stacking
+                reference = [float(sc.rates_mbps.sum()) / area_km2 for sc in rows]
+                assert np.array_equal(want.lambda_samples, reference), (k, trial, row)
+
+
+def test_run_rung_rejects_zero_snapshots():
+    scn = _tiny_scenario([1.0])
+    with pytest.raises(ValueError, match="n_snapshots must be >= 1"):
+        engine.run_rung(scn, geometry.place_aps(scn.area, 1, 1), ["static"], 0, n_snapshots=0)
 
 
 def test_open_env_wifi_saturation_small():
@@ -497,7 +533,10 @@ def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_a
         z = ch.draw_fading(rng, (layout.n_aps, cols.shape[0]))
         gains = avg[:, cols] * np.abs(z) ** 2
         params = static_cellular.StaticParams(eta_sta=scn.static.eta_sta, pt_mw=pt)
-        return static_cellular.static_rates([assignment], serving, gains, params, w, sigma2)[0]
+        (rates,), (sinr,) = static_cellular.static_rates(
+            [assignment], serving, gains, params, w, sigma2
+        )
+        return rates, sinr
     if system.startswith("wifi"):
         baseline = system == "wifi-baseline"
         cs = scn.wifi.cs_thr_baseline_dbm if baseline else scn.wifi.cs_thr_aggressive_dbm
@@ -515,7 +554,7 @@ def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_a
     sqrt_l = np.sqrt(avg[np.ix_(serving, cols)].T)
     while True:
         z = ch.draw_fading(rng, sqrt_l.shape)
-        z_now = ch.delayed_csit(z, delta, scn.zf.rho, rng)[0] if system == "zf-erroneous" else z
+        z_now = ch.delayed_csit(z, delta, scn.zf.rho, rng) if system == "zf-erroneous" else z
         try:
             bf = zf.build_beamformer(sqrt_l * z)
             break
@@ -583,32 +622,23 @@ def test_zf_rung_with_mixed_sizes_matches_solo_solves():
         draws = engine.SnapshotDraws(ctx, engine.draw_snapshot(ctx, rng), rng)
         for system in systems:
             _, evaluate = engine._evaluator(scn, ctx, system, plan=None)
-            precoded.extend(evaluate(draws))
+            precoded.append(evaluate(draws))
     assert {pre.beamformer.w.shape[0] for pre in precoded} == {1, 2, 3}
     for got, pre in zip(engine.finish_zf(ctx, precoded), precoded):
         (want,) = engine.finish_zf(ctx, [pre])
         assert np.array_equal(got.rates_mbps, want.rates_mbps)
         assert np.array_equal(got.sinr, want.sinr)
-        assert np.array_equal(got.outage, want.outage)
-        assert (got.lambda_s_sample, got.served) == (want.lambda_s_sample, want.served)
         assert (got.redraws, got.solver_fallbacks) == (want.redraws, want.solver_fallbacks)
 
-    by_threads = [
-        engine.run_rung(scn, layout, systems, deployment_id, n_snapshots, threads)
-        for threads in (1, 2)
-    ]
+    runs = engine.run_rung(scn, layout, systems, deployment_id, n_snapshots)
     for system in systems:
         lambdas, hits, served = _reference_run(
             scn, layout, system, None, deployment_id, n_snapshots
         )
-        for runs in by_threads:
-            run = runs[system][None]
-            assert np.array_equal(run.lambda_samples, lambdas), system
-            assert run.served_total == served, system
-            assert run.outage == engine.wilson_estimate(hits, served), system
-        one, two = (runs[system][None] for runs in by_threads)
-        assert (one.lambda_s, one.outage) == (two.lambda_s, two.outage)
-        assert (one.redraws, one.solver_fallbacks) == (two.redraws, two.solver_fallbacks)
+        run = runs[system][None]
+        assert np.array_equal(run.lambda_samples, lambdas), system
+        assert run.served_total == served, system
+        assert run.outage == engine.wilson_estimate(hits, served), system
 
 
 def test_dimension_computes_average_gains_once_per_snapshot(monkeypatch):
@@ -710,10 +740,4 @@ def test_subsets_and_orders_of_systems_match_the_full_pass(full_pass, systems):
     for system in systems:
         assert list(runs[system]) == list(full[system]), system
         for k, run in runs[system].items():
-            want = full[system][k]
-            for field in dataclasses.fields(engine.RunResult):
-                got, expected = getattr(run, field.name), getattr(want, field.name)
-                if isinstance(got, np.ndarray):
-                    assert np.array_equal(got, expected), (system, k, field.name)
-                else:
-                    assert got == expected, (system, k, field.name)
+            _compare_runs(run, full[system][k], (system, k))

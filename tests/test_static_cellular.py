@@ -20,18 +20,18 @@ def test_single_ap_link_budget_caps():
     # so the rate clamps at R_max = 60 MHz * 3.75 = 225 Mbps
     g = 10 ** (-57.0 / 10.0)
     assignment = ChannelAssignment(k=1, channel_of=np.array([0]))
-    rates, sinr = sc.static_rates(
+    (rates,), (sinr,) = sc.static_rates(
         [assignment], np.array([0]), np.array([[g]]), params(), W_MHZ, SIGMA2
-    )[0]
+    )
     assert 10 * np.log10(sinr[0]) == pytest.approx(59.0, abs=0.1)
     assert rates[0] == pytest.approx(225.0)
 
 
 def test_vanishing_gain_vanishing_rate():
     assignment = ChannelAssignment(k=1, channel_of=np.array([0]))
-    rates, sinr = sc.static_rates(
+    (rates,), (sinr,) = sc.static_rates(
         [assignment], np.array([0]), np.array([[1e-30]]), params(), W_MHZ, SIGMA2
-    )[0]
+    )
     assert sinr[0] < 1e-15
     assert rates[0] < 1e-9
 
@@ -42,9 +42,9 @@ def test_symmetric_midpoint_user_in_outage():
     g = 1e-7
     gains = np.array([[g, g], [g, g]])
     assignment = ChannelAssignment(k=1, channel_of=np.array([0, 0]))
-    rates, sinr = sc.static_rates(
+    (rates,), (sinr,) = sc.static_rates(
         [assignment], np.array([0, 1]), gains, params(), W_MHZ, SIGMA2
-    )[0]
+    )
     assert (sinr <= 1.0).all()
     assert (sinr < 10 ** 0.3).all()
 
@@ -54,9 +54,9 @@ def test_rate_cap_invariant():
     n = 6
     gains = 10 ** rng.uniform(-12, -4, size=(n, n))
     assignment = ChannelAssignment(k=3, channel_of=rng.integers(0, 3, n))
-    rates, _ = sc.static_rates(
+    (rates,), _ = sc.static_rates(
         [assignment], np.arange(n), gains, params(), W_MHZ, SIGMA2
-    )[0]
+    )
     assert (rates <= (W_MHZ / 3) * 3.75 + 1e-9).all()
 
 
@@ -71,7 +71,7 @@ def test_interference_includes_all_cochannel_aps():
         ]
     )
     assignment = ChannelAssignment(k=1, channel_of=np.zeros(3, dtype=np.int64))
-    _, sinr = sc.static_rates([assignment], np.arange(3), gains, params(), W_MHZ, SIGMA2)[0]
+    _, (sinr,) = sc.static_rates([assignment], np.arange(3), gains, params(), W_MHZ, SIGMA2)
     expected_mid = gains[1, 1] * PT / ((gains[0, 1] + gains[2, 1]) * PT + SIGMA2)
     assert sinr[1] == pytest.approx(expected_mid, rel=1e-12)
 
@@ -84,8 +84,8 @@ def test_nested_assignment_k_monotonicity():
     gains = 10 ** rng.uniform(-10, -5, size=(n, n))
     coarse = ChannelAssignment(k=2, channel_of=np.array([0, 0, 0, 0, 1, 1, 1, 1]))
     fine = ChannelAssignment(k=4, channel_of=np.array([0, 0, 2, 2, 1, 1, 3, 3]))
-    _, sinr2 = sc.static_rates([coarse], np.arange(n), gains, params(), W_MHZ, SIGMA2)[0]
-    _, sinr4 = sc.static_rates([fine], np.arange(n), gains, params(), W_MHZ, SIGMA2)[0]
+    _, (sinr2,) = sc.static_rates([coarse], np.arange(n), gains, params(), W_MHZ, SIGMA2)
+    _, (sinr4,) = sc.static_rates([fine], np.arange(n), gains, params(), W_MHZ, SIGMA2)
     assert (sinr4 >= sinr2 - 1e-15).all()
 
 
@@ -99,9 +99,9 @@ def test_static_sinr_dominated_by_wifi_active_subset():
     n = 6
     gains = 10 ** rng.uniform(-9, -5, size=(n, n))
     assignment = ChannelAssignment(k=1, channel_of=np.zeros(n, dtype=np.int64))
-    _, static_sinr = sc.static_rates(
+    _, (static_sinr,) = sc.static_rates(
         [assignment], np.arange(n), gains, sc.StaticParams(eta_sta=3.75, pt_mw=PT), W_MHZ, SIGMA2
-    )[0]
+    )
     wp = wifi.WifiParams(cs_thr_dbm=-85.0, k_wifi=1, eta_wifi=3.75, pt_mw=PT)
     graph = wifi.build_contention_graph(assignment, gains, wp)
     act = wifi.sample_ssi(graph, rng)
@@ -136,8 +136,8 @@ def test_all_plans_equal_per_channel_reference():
         l_ap_ap = 10 ** rng.uniform(-12, -5, (n_aps, n_aps))
         plans = [planning.assign_channels(l_ap_ap, k, rng) for k in range(1, 13)]
         plans.append(ChannelAssignment(k=4, channel_of=rng.integers(0, 4, n_aps)))
-        for plan, (rates, sinr) in zip(
-            plans, sc.static_rates(plans, serving, gains, params(), W_MHZ, SIGMA2)
+        for plan, rates, sinr in zip(
+            plans, *sc.static_rates(plans, serving, gains, params(), W_MHZ, SIGMA2)
         ):
             ref_rates, ref_sinr = _per_channel_rates(plan, serving, gains, params(), W_MHZ, SIGMA2)
             assert np.array_equal(sinr, ref_sinr)
