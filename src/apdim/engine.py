@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import channel as ch
-from . import planning, static_cellular, wifi, zf
+from . import planning, wifi, zf
 from .geometry import Layout, ServiceArea, grid_ladder, place_aps
 
 Z95 = 1.959963984540054
@@ -232,28 +232,6 @@ def make_context(scn, layout: Layout) -> DeploymentContext:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Snapshot:
-    """The part of a snapshot every system shares: user drop, association, selection."""
-
-    served_gains: np.ndarray  # average gains to the scheduled users, (n_aps, n_served)
-    serving: np.ndarray  # APs with a scheduled user, ascending; column i is serving[i]'s user
-
-
-def draw_snapshot(ctx: DeploymentContext, rng: np.random.Generator) -> Snapshot:
-    """Drop users, associate them, schedule one per AP; exact gains for the scheduled only.
-
-    ``ch.average_gains`` is elementwise, so its columns for the scheduled
-    users equal those of the full AP-to-user matrix bit for bit.
-    """
-    users = drop_users(ctx.area, ctx.n_users, rng)
-    ap_xy = ctx.layout.ap_xy
-    assoc = associate_users(ctx.area, ctx.prop, ap_xy, users)
-    serving, cols = select_served(assoc, ctx.n_aps, rng)
-    served_gains = ch.average_gains(ctx.area, ctx.prop, ap_xy, users[cols])
-    return Snapshot(served_gains=served_gains, serving=serving)
-
-
 # Seeds the bit generators that _generator_at overwrites at once.
 _ANY_SEED = np.random.SeedSequence(0)
 
@@ -270,10 +248,11 @@ def _generator_at(state: dict) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-class SnapshotDraws:
-    """One snapshot's random draws past the shared prefix, each made at most once.
+class Snapshot:
+    """One snapshot: the shared prefix, and its later random draws, each made at most once.
 
-    The generator tree below the prefix, whose final state is S0:
+    The prefix (user drop, association, selection) leaves the snapshot's
+    generator at S0. The generator tree below it:
 
     - each ZF system continues on its own generator at S0 (``generator``);
     - the faded AP-to-user gains are drawn from S0, leaving S1
@@ -287,10 +266,19 @@ class SnapshotDraws:
     lives for one snapshot; the shared arrays are read-only.
     """
 
-    def __init__(self, ctx: DeploymentContext, snap: Snapshot, rng: np.random.Generator):
+    def __init__(
+        self,
+        ctx: DeploymentContext,
+        served_gains: np.ndarray,
+        serving: np.ndarray,
+        rng: np.random.Generator,
+    ):
         """``rng`` stands at S0; the shared draws are made from it, so it is taken over."""
         self.ctx = ctx
-        self.snap = snap
+        # Average gains to the scheduled users, (n_aps, n_served); column i
+        # belongs to the user of serving[i], the APs with a user in ascending order.
+        self.served_gains = served_gains
+        self.serving = serving
         self._rng = rng
         self._s0 = rng.bit_generator.state
         self._gains: Optional[np.ndarray] = None
@@ -303,8 +291,8 @@ class SnapshotDraws:
     def faded_gains(self) -> np.ndarray:
         """AP-to-user power gains, one column per scheduled user, drawn from S0."""
         if self._gains is None:
-            z = ch.draw_fading(self._rng, self.snap.served_gains.shape, self.ctx.sigma_z2)
-            self._gains = _read_only(self.snap.served_gains * np.abs(z) ** 2)
+            z = ch.draw_fading(self._rng, self.served_gains.shape, self.ctx.sigma_z2)
+            self._gains = _read_only(self.served_gains * np.abs(z) ** 2)
         return self._gains
 
     def ap_gains(self) -> tuple[np.ndarray, np.random.Generator]:
@@ -321,15 +309,30 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def draw_snapshot(ctx: DeploymentContext, rng: np.random.Generator) -> Snapshot:
+    """Drop users, associate them, schedule one per AP; exact gains for the scheduled only.
+
+    ``ch.average_gains`` is elementwise, so its columns for the scheduled
+    users equal those of the full AP-to-user matrix bit for bit. The
+    returned snapshot takes ``rng`` over for its later draws.
+    """
+    users = drop_users(ctx.area, ctx.n_users, rng)
+    ap_xy = ctx.layout.ap_xy
+    assoc = associate_users(ctx.area, ctx.prop, ap_xy, users)
+    serving, cols = select_served(assoc, ctx.n_aps, rng)
+    served_gains = ch.average_gains(ctx.area, ctx.prop, ap_xy, users[cols])
+    return Snapshot(ctx, served_gains, serving, rng)
+
+
 def wifi_snapshot(
-    draws: SnapshotDraws,
+    snap: Snapshot,
     params: wifi.WifiParams,
     assignment: planning.ChannelAssignment,
 ) -> Scored:
     """One Wi-Fi transmission epoch: contention graph, SSI draw, rate equation."""
-    ctx, snap = draws.ctx, draws.snap
-    gains = draws.faded_gains()
-    g_ap_ap, rng = draws.ap_gains()
+    ctx = snap.ctx
+    gains = snap.faded_gains()
+    g_ap_ap, rng = snap.ap_gains()
     graph = wifi.build_contention_graph(assignment, g_ap_ap, params, participating=snap.serving)
     active = wifi.sample_ssi(graph, rng)
     _, rates, sinr = wifi.wifi_rates(
@@ -339,19 +342,22 @@ def wifi_snapshot(
 
 
 def static_snapshot(
-    draws: SnapshotDraws,
-    params: static_cellular.StaticParams,
+    snap: Snapshot,
+    eta_sta: float,
+    pt_mw: float,
     assignments: Sequence[planning.ChannelAssignment],
 ) -> Scored:
     """Full-buffer frequency-planned cellular snapshot, one row per reuse plan.
 
+    Every AP with traffic transmits in every snapshot, so each served user's
+    interference sums over all co-channel serving APs (``planning.reuse_rates``).
     Every plan is scored on the same fading draw.
     """
-    ctx = draws.ctx
-    rates, sinr = static_cellular.static_rates(
-        assignments, draws.snap.serving, draws.faded_gains(), params, ctx.w_total_mhz,
-        ctx.sigma2_mw,
-    )
+    ctx, serving = snap.ctx, snap.serving
+    rx = snap.faded_gains()[serving] * pt_mw  # rx[j, i]: power from serving AP j at user i
+    channels = np.array([a.channel_of[serving] for a in assignments])
+    k = np.array([[a.k] for a in assignments], dtype=float)
+    rates, sinr = planning.reuse_rates(rx, channels, k, eta_sta, ctx.w_total_mhz, ctx.sigma2_mw)
     return Scored(rates, sinr)
 
 
@@ -361,21 +367,20 @@ class ZfPrecoded:
 
     beamformer: zf.Beamformer
     h_true: Optional[np.ndarray]  # true channel with erroneous CSIT; None with ideal CSIT
-    params: zf.ZfParams
     redraws: int
 
 
-def zf_snapshot(draws: SnapshotDraws, params: zf.ZfParams, erroneous: bool) -> ZfPrecoded:
+def zf_snapshot(snap: Snapshot, params: zf.ZfParams, erroneous: bool) -> ZfPrecoded:
     """Multi-cell ZF snapshot, first phase: fading, CSIT and the inversion precoder.
 
     With ``erroneous`` set, the precoder comes from CSIT that is per-link
     outdated with probability delta while rates will be evaluated on the
-    true (AR(1)-evolved) channel. Near-singular CSIT draws are replaced by a
-    fresh fading draw, up to MAX_REDRAWS_PER_SNAPSHOT. This phase draws every
-    random number of the snapshot; ``finish_zf`` optimizes the PAPC powers
-    and scores the result.
+    true (AR(1)-evolved) channel; ideal CSIT never reads delta. Near-singular
+    CSIT draws are replaced by a fresh fading draw, up to
+    MAX_REDRAWS_PER_SNAPSHOT. This phase draws every random number of the
+    snapshot; ``finish_zf`` optimizes the PAPC powers and scores the result.
     """
-    ctx, snap, rng = draws.ctx, draws.snap, draws.generator()
+    ctx, rng = snap.ctx, snap.generator()
     sqrt_l = np.sqrt(snap.served_gains[snap.serving].T)  # (user j, antenna i)
     redraws = 0
     while True:
@@ -396,33 +401,28 @@ def zf_snapshot(draws: SnapshotDraws, params: zf.ZfParams, erroneous: bool) -> Z
                 raise RuntimeError(
                     f"snapshot exceeded {MAX_REDRAWS_PER_SNAPSHOT} singular-channel redraws"
                 )
-    return ZfPrecoded(beamformer=bf, h_true=h_true, params=params, redraws=redraws)
+    return ZfPrecoded(beamformer=bf, h_true=h_true, redraws=redraws)
 
 
-def finish_zf(ctx: DeploymentContext, precoded: Sequence[ZfPrecoded]) -> list[Scored]:
+def finish_zf(
+    ctx: DeploymentContext, precoded: Sequence[ZfPrecoded], params: zf.ZfParams
+) -> list[Scored]:
     """Optimize the PAPC powers of all ``precoded`` snapshots at once, then score each.
 
-    One ``zf.allocate_powers`` call per power budget and rate cap stacks
-    every instance; each result equals that of a solve on its own, so the
-    scores do not depend on which snapshots are finished together.
+    One ``zf.allocate_powers`` call stacks every instance; each result equals
+    that of a solve on its own, so the scores do not depend on which
+    snapshots are finished together.
     """
-    groups: dict = {}
-    for i, pre in enumerate(precoded):
-        groups.setdefault((pre.params.pt_mw, pre.params.eta_zf), []).append(i)
-    allocs: list = [None] * len(precoded)
-    for (pt_mw, eta_zf), members in groups.items():
-        beamformers = [precoded[i].beamformer for i in members]
-        solved = zf.allocate_powers(beamformers, ctx.sigma2_mw, pt_mw, ctx.w_total_mhz, eta_zf)
-        for i, alloc in zip(members, solved):
-            allocs[i] = alloc
+    w, sigma2, eta_zf = ctx.w_total_mhz, ctx.sigma2_mw, params.eta_zf
+    beamformers = [pre.beamformer for pre in precoded]
+    allocs = zf.allocate_powers(beamformers, sigma2, params.pt_mw, w, eta_zf)
     results = []
     for pre, alloc in zip(precoded, allocs):
-        eta_zf = pre.params.eta_zf
         if pre.h_true is None:
-            rates, sinr = zf.zf_rates_ideal(alloc, ctx.w_total_mhz, ctx.sigma2_mw, eta_zf)
+            rates, sinr = zf.zf_rates_ideal(alloc, w, sigma2, eta_zf)
         else:
             rates, sinr = zf.zf_rates_erroneous(
-                pre.h_true, pre.beamformer, alloc, ctx.w_total_mhz, ctx.sigma2_mw, eta_zf
+                pre.h_true, pre.beamformer, alloc, w, sigma2, eta_zf
             )
         fallbacks = 0 if alloc.converged else 1
         results.append(Scored(rates, sinr, redraws=pre.redraws, solver_fallbacks=fallbacks))
@@ -504,51 +504,43 @@ def _wifi_params_for(scn, system: str) -> wifi.WifiParams:
     )
 
 
-def _evaluator(scn, ctx: DeploymentContext, system: str, plan) -> tuple[list, Callable]:
+def _evaluator(
+    scn, ctx: DeploymentContext, system: str, plan, zparams: zf.ZfParams
+) -> tuple[list, Callable]:
     """The channel counts a system reports on and its per-snapshot evaluator.
 
-    ``plan(k)`` returns the rung's channel assignment for k channels. The
-    evaluator maps a snapshot's ``SnapshotDraws`` to a ``Scored``, whose rows
-    follow the channel counts, or for ZF to a ``ZfPrecoded``.
+    ``plan(k)`` returns the rung's channel assignment for k channels, and
+    ``zparams`` the ZF parameters both ZF systems share. The evaluator maps a
+    ``Snapshot`` to a ``Scored``, whose rows follow the channel counts, or for
+    ZF to a ``ZfPrecoded``.
     """
     if system in ("wifi-baseline", "wifi-aggressive"):
         params = _wifi_params_for(scn, system)
         assignment = plan(params.k_wifi)
-        return [params.k_wifi], lambda draws: wifi_snapshot(draws, params, assignment)
+        return [params.k_wifi], lambda snap: wifi_snapshot(snap, params, assignment)
     if system == "static":
-        sparams = static_cellular.StaticParams(eta_sta=scn.static.eta_sta, pt_mw=scn.radio.pt_mw)
+        eta_sta, pt_mw = scn.static.eta_sta, scn.radio.pt_mw
         ks = list(range(1, min(scn.static.k_max, ctx.n_aps) + 1))
         assignments = [plan(k) for k in ks]
-        return ks, lambda draws: static_snapshot(draws, sparams, assignments)
+        return ks, lambda snap: static_snapshot(snap, eta_sta, pt_mw, assignments)
     erroneous = system == "zf-erroneous"
-    zparams = zf.ZfParams(
-        eta_zf=scn.zf.eta_zf,
-        pt_mw=scn.radio.pt_mw,
-        delta=scn.zf.delta if erroneous else 0.0,
-        rho=scn.zf.rho,
-    )
-    return [None], lambda draws: zf_snapshot(draws, zparams, erroneous)
+    return [None], lambda snap: zf_snapshot(snap, zparams, erroneous)
 
 
-def run_rung(
-    scn,
-    layout: Layout,
-    systems: Sequence[str],
-    deployment_id: int,
-    n_snapshots: Optional[int] = None,
-) -> dict:
+def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) -> dict:
     """Run every system on one AP layout in one serial snapshot pass.
 
     Returns {system: {k: RunResult}}: K^wifi for Wi-Fi, every reuse number
     K = 1..min(k_max, n_aps) for static, and None for ZF. The AP-to-AP gains
     and each K's channel assignment are built once and shared by the systems.
 
-    Each snapshot draws the shared prefix (``draw_snapshot``) once from its
-    generator, derived from (seed, deployment_id, snapshot index), and every
-    system reads one ``SnapshotDraws`` of it. The snapshots run one after
-    another in the calling thread: their work holds the GIL for most of its
-    time, which no thread pool can share out. After the pass, the ZF
-    snapshots of both ZF systems are finished by one ``finish_zf`` call.
+    The scenario's ``engine.n_snapshots`` snapshots each draw the shared
+    prefix (``draw_snapshot``) once from their generator, derived from (seed,
+    deployment_id, snapshot index), and every system reads that one
+    ``Snapshot``. The snapshots run one after another in the calling thread:
+    their work holds the GIL for most of its time, which no thread pool can
+    share out. After the pass, the ZF snapshots of both ZF systems are
+    finished by one ``finish_zf`` call with the one ``zf.ZfParams`` they share.
 
     ``scn`` is a Scenario (see apdim.scenario); only its documented attributes
     are touched, keeping this module independent of the config layer.
@@ -556,7 +548,7 @@ def run_rung(
     for system in systems:
         if system not in SYSTEMS:
             raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
-    n_snapshots = scn.engine.n_snapshots if n_snapshots is None else n_snapshots
+    n_snapshots = scn.engine.n_snapshots
     if n_snapshots < 1:
         raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots}")
     seed = scn.engine.seed
@@ -570,18 +562,21 @@ def run_rung(
             )
         return plans[k]
 
-    specs = [_evaluator(scn, ctx, system, plan) for system in systems]
+    zparams = zf.ZfParams(
+        eta_zf=scn.zf.eta_zf, pt_mw=scn.radio.pt_mw, delta=scn.zf.delta, rho=scn.zf.rho
+    )
+    specs = [_evaluator(scn, ctx, system, plan, zparams) for system in systems]
     scored: list[list] = [[] for _ in systems]  # per system, per snapshot
     for s in range(n_snapshots):
-        rng = substream(seed, deployment_id, _SALT_SNAPSHOT, s)
-        draws = SnapshotDraws(ctx, draw_snapshot(ctx, rng), rng)
+        snap = draw_snapshot(ctx, substream(seed, deployment_id, _SALT_SNAPSHOT, s))
         for per_snapshot, (_, evaluate) in zip(scored, specs):
-            per_snapshot.append(evaluate(draws))
+            per_snapshot.append(evaluate(snap))
 
     zf_ids = [i for i, system in enumerate(systems) if system.startswith("zf-")]
-    finished = iter(finish_zf(ctx, [pre for i in zf_ids for pre in scored[i]]))
-    for i in zf_ids:
-        scored[i] = [next(finished) for _ in scored[i]]
+    if zf_ids:
+        finished = iter(finish_zf(ctx, [pre for i in zf_ids for pre in scored[i]], zparams))
+        for i in zf_ids:
+            scored[i] = [next(finished) for _ in scored[i]]
     return {
         system: dict(zip(ks, _aggregate(ctx, per_snapshot)))
         for system, (ks, _), per_snapshot in zip(systems, specs, scored)
@@ -599,17 +594,12 @@ def k_star(outages: dict, beta: float) -> Optional[int]:
 
 
 def evaluate_rung(
-    scn,
-    layout: Layout,
-    systems: Sequence[str],
-    deployment_id: int,
-    n_snapshots: Optional[int] = None,
+    scn, layout: Layout, systems: Sequence[str], deployment_id: int
 ) -> list[DeploymentRecord]:
     """Evaluate each system on one AP layout; one record per system, in order."""
-    n_snapshots = scn.engine.n_snapshots if n_snapshots is None else n_snapshots
     beta = scn.radio.beta
     records = []
-    for system, runs in run_rung(scn, layout, systems, deployment_id, n_snapshots).items():
+    for system, runs in run_rung(scn, layout, systems, deployment_id).items():
         if system == "static":
             k_channels = k_star({k: run.outage for k, run in runs.items()}, beta)
             if k_channels is None:
@@ -633,7 +623,7 @@ def evaluate_rung(
                 outage=run.outage,
                 mu_mbps_per_user=mu,
                 demand_gb_month=throughput_to_demand(max(mu, 0.0), scn.traffic),
-                n_snapshots=n_snapshots,
+                n_snapshots=scn.engine.n_snapshots,
                 served_samples=run.served_total,
                 zf_redraws=run.redraws,
                 solver_fallbacks=run.solver_fallbacks,
@@ -661,7 +651,6 @@ class DimensioningResult:
 def dimension(
     scn,
     systems: Sequence[str],
-    n_snapshots: Optional[int] = None,
     stop_when_satisfied: bool = True,
     progress: Optional[Callable[[str], None]] = None,
 ) -> DimensioningResult:
@@ -670,8 +659,9 @@ def dimension(
     A deployment is feasible for demand D when the upper 95% bound of its
     outage estimate is below beta and its mean area throughput covers
     mu(D) * E[lambda_u]. Each rung evaluates every system still walking in
-    one snapshot pass. A system stops early once every demand point has
-    found its minimum, unless ``stop_when_satisfied`` is off.
+    one pass of the scenario's ``engine.n_snapshots`` snapshots. A system
+    stops early once every demand point has found its minimum, unless
+    ``stop_when_satisfied`` is off.
     """
     demand_grid = tuple(scn.demand_gb_month)
     if any(b < a for a, b in zip(demand_grid, demand_grid[1:])):
@@ -689,7 +679,7 @@ def dimension(
         if not walking:
             break
         layout = place_aps(scn.area, nx, ny)
-        for rec in evaluate_rung(scn, layout, walking, rung_id, n_snapshots):
+        for rec in evaluate_rung(scn, layout, walking, rung_id):
             records[rec.system].append(rec)
             if progress is not None:
                 progress(

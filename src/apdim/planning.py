@@ -1,8 +1,11 @@
-"""Frequency planning: greedy min-interference channel assignment.
+"""Frequency planning: greedy min-interference channel assignment, and the
+co-channel rate rule on a plan.
 
 The same assignment heuristic serves both the Wi-Fi channelization and the
 static-cellular reuse plan; planning is done once per deployment on average
-path gains, never per fading snapshot.
+path gains, never per fading snapshot. Both systems also share one rate rule
+(``reuse_rates``); they differ only in which APs transmit: the SSI active set
+for Wi-Fi, every AP with traffic for static.
 """
 
 from __future__ import annotations
@@ -46,3 +49,33 @@ def assign_channels(l_ap_ap: np.ndarray, k: int, rng: np.random.Generator) -> Ch
         # never read again: each AP is visited once.
         aggregate[:, c] += l_ap_ap[i]
     return ChannelAssignment(k=k, channel_of=channel_of)
+
+
+def reuse_rates(
+    rx: np.ndarray,
+    channels: np.ndarray,
+    k: float | np.ndarray,
+    eta: float,
+    w_total_mhz: float,
+    sigma2_mw: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-link rate (Mbps) and SINR when the transmitters of ``rx`` all send at once.
+
+    ``rx[j, i]`` is the power of transmitter j at transmitter i's user and
+    ``channels[..., j]`` is transmitter j's channel on a plan of ``k``
+    channels. A leading plan axis of ``channels`` is broadcast, with ``k`` of
+    shape (n_plans, 1); one plan takes 1-D channels and a scalar k. The other
+    co-channel transmitters interfere with each user; each link uses
+    w = W / K, sees noise sigma2 / K, and its rate clamps at w * eta.
+
+    The interference is summed over transmitters in ascending order; the exact
+    zeros of other channels leave each co-channel sum bit-identical to a
+    per-channel sum, and every plan's row to a one-plan call.
+    """
+    signal = np.diag(rx)
+    co_channel = channels[..., :, None] == channels[..., None, :]
+    interference = (rx * co_channel).sum(axis=-2) - signal
+    w = w_total_mhz / k
+    sinr = signal / (interference + sigma2_mw / k)
+    rates = np.minimum(w * np.log2(1.0 + sinr), w * eta)
+    return rates, sinr

@@ -8,52 +8,56 @@ from __future__ import annotations
 
 import json
 import platform
-from typing import Optional
+from operator import attrgetter
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .engine import DeploymentRecord, DimensioningResult
+from .engine import DimensioningResult
 
-# Column order is normative; tests and downstream tooling rely on it.
-RESULT_COLUMNS = (
-    "scenario_id",
-    "system",
-    "nx",
-    "ny",
-    "ap_count",
-    "ap_density_per_km2",
-    "k_channels",
-    "outage_feasible",
-    "lambda_s_mbps_per_km2",
-    "lambda_s_ci_low",
-    "lambda_s_ci_high",
-    "outage",
-    "outage_ci_low",
-    "outage_ci_high",
-    "mu_mbps_per_user",
-    "demand_gb_month",
-    "snapshots",
-    "served_samples",
-    "zf_redraws",
-    "solver_fallbacks",
-)
+# Column -> DeploymentRecord attribute, in the normative column order that
+# tests and downstream tooling rely on. A run row leads with the scenario id;
+# a sweep row leads with the scenario id, system, demand and feasibility, and
+# leaves the record's columns empty when no rung is feasible.
+_RESULT_FIELDS = {
+    "system": "system",
+    "nx": "nx",
+    "ny": "ny",
+    "ap_count": "ap_count",
+    "ap_density_per_km2": "ap_density_per_km2",
+    "k_channels": "k_channels",
+    "outage_feasible": "outage_feasible",
+    "lambda_s_mbps_per_km2": "lambda_s.mean",
+    "lambda_s_ci_low": "lambda_s.ci_low",
+    "lambda_s_ci_high": "lambda_s.ci_high",
+    "outage": "outage.mean",
+    "outage_ci_low": "outage.ci_low",
+    "outage_ci_high": "outage.ci_high",
+    "mu_mbps_per_user": "mu_mbps_per_user",
+    "demand_gb_month": "demand_gb_month",
+    "snapshots": "n_snapshots",
+    "served_samples": "served_samples",
+    "zf_redraws": "zf_redraws",
+    "solver_fallbacks": "solver_fallbacks",
+}
 
-SWEEP_COLUMNS = (
-    "scenario_id",
-    "system",
-    "demand_gb_month",
-    "feasible",
-    "min_ap_count",
-    "min_ap_density_per_km2",
-    "nx",
-    "ny",
-    "k_channels",
-    "lambda_s_mbps_per_km2",
-    "outage",
-)
+_SWEEP_FIELDS = {
+    "min_ap_count": "ap_count",
+    "min_ap_density_per_km2": "ap_density_per_km2",
+    "nx": "nx",
+    "ny": "ny",
+    "k_channels": "k_channels",
+    "lambda_s_mbps_per_km2": "lambda_s.mean",
+    "outage": "outage.mean",
+}
+
+RESULT_COLUMNS = ("scenario_id", *_RESULT_FIELDS)
+SWEEP_COLUMNS = ("scenario_id", "system", "demand_gb_month", "feasible", *_SWEEP_FIELDS)
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -63,68 +67,39 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
+def _write_csv(path: str, columns: tuple, rows: Iterable[list]) -> int:
+    """Write the header and one line per row of cells; returns the row count."""
+    count = 0
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for cells in rows:
+            fh.write(",".join(map(_fmt, cells)) + "\n")
+            count += 1
+    return count
+
+
 def write_result_csv(path: str, scenario_id: str, result: DimensioningResult) -> int:
     """Write one row per evaluated (deployment, system); returns the row count."""
-    rows = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for system in result.per_system:
-            for r in result.per_system[system].records:
-                cells = [
-                    scenario_id,
-                    r.system,
-                    r.nx,
-                    r.ny,
-                    r.ap_count,
-                    r.ap_density_per_km2,
-                    r.k_channels,
-                    r.outage_feasible,
-                    r.lambda_s.mean,
-                    r.lambda_s.ci_low,
-                    r.lambda_s.ci_high,
-                    r.outage.mean,
-                    r.outage.ci_low,
-                    r.outage.ci_high,
-                    r.mu_mbps_per_user,
-                    r.demand_gb_month,
-                    r.n_snapshots,
-                    r.served_samples,
-                    r.zf_redraws,
-                    r.solver_fallbacks,
-                ]
-                fh.write(",".join(_fmt(c) if not isinstance(c, str) else c for c in cells) + "\n")
-                rows += 1
-    return rows
+    get = attrgetter(*_RESULT_FIELDS.values())
+    rows = (
+        [scenario_id, *get(rec)] for dims in result.per_system.values() for rec in dims.records
+    )
+    return _write_csv(path, RESULT_COLUMNS, rows)
 
 
 def write_sweep_csv(path: str, scenario_id: str, result: DimensioningResult) -> int:
     """Write one row per (demand point, system) with the minimum feasible deployment."""
-    rows = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for system in result.per_system:
-            dims = result.per_system[system]
+    get = attrgetter(*_SWEEP_FIELDS.values())
+    infeasible = (None,) * len(_SWEEP_FIELDS)
+
+    def rows():
+        for system, dims in result.per_system.items():
             for demand in result.demand_grid:
-                rec: Optional[DeploymentRecord] = dims.minimums[demand]
-                if rec is None:
-                    cells = [scenario_id, system, demand, False, None, None, None, None, None, None, None]
-                else:
-                    cells = [
-                        scenario_id,
-                        system,
-                        demand,
-                        True,
-                        rec.ap_count,
-                        rec.ap_density_per_km2,
-                        rec.nx,
-                        rec.ny,
-                        rec.k_channels,
-                        rec.lambda_s.mean,
-                        rec.outage.mean,
-                    ]
-                fh.write(",".join(_fmt(c) if not isinstance(c, str) else c for c in cells) + "\n")
-                rows += 1
-    return rows
+                rec = dims.minimums[demand]
+                found = infeasible if rec is None else get(rec)
+                yield [scenario_id, system, demand, rec is not None, *found]
+
+    return _write_csv(path, SWEEP_COLUMNS, rows())
 
 
 def demand_summary(result: DimensioningResult) -> dict:

@@ -244,14 +244,14 @@ def apply_env_overrides(raw: dict, environ=None) -> dict:
     return raw
 
 
-def load_scenario(path: str, use_env: bool = True) -> Scenario:
+def load_scenario(path: str) -> Scenario:
     """Load, override from the environment, and validate a scenario file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    return from_dict(apply_env_overrides(raw) if use_env else raw)
+    return from_dict(apply_env_overrides(raw))
 
 
 # --- presets -----------------------------------------------------------------
@@ -303,6 +303,6 @@ def preset_raw(name: str) -> dict:
     return raws[name]
 
 
-def preset(name: str, use_env: bool = True) -> Scenario:
-    raw = preset_raw(name)
-    return from_dict(apply_env_overrides(raw) if use_env else raw)
+def preset(name: str) -> Scenario:
+    """A named preset with the environment's overrides applied."""
+    return from_dict(apply_env_overrides(preset_raw(name)))

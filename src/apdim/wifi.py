@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planning import ChannelAssignment
+from .planning import ChannelAssignment, reuse_rates
 
 
 @dataclass(frozen=True)
@@ -141,20 +141,13 @@ def wifi_rates(
     channel and the noise in that channel is sigma2 / K^wifi.
 
     Returns (served_positions, rates_mbps, sinr), channel by channel, where
-    served_positions indexes into serving_aps. The interference sum runs down
-    the rows of all active APs in that order; other channels' rows add exact
-    zeros, so each user's sum is the one over its own channel's rows alone.
+    served_positions indexes into serving_aps; the rates and SINR follow
+    ``planning.reuse_rates`` over the active APs.
     """
-    w = w_total_mhz / params.k_wifi
-    r_max = w * params.eta_wifi
-    noise = sigma2_mw / params.k_wifi
     per_channel = active.per_channel
     act = np.concatenate([np.empty(0, dtype=np.int64), *per_channel])
     channel = np.repeat(np.arange(len(per_channel)), [a.shape[0] for a in per_channel])
     positions = np.searchsorted(serving_aps, act)
     rx = gains[act[:, None], positions] * params.pt_mw  # (active, their users)
-    signal = np.diag(rx)
-    interference = (rx * (channel[:, None] == channel)).sum(axis=0) - signal
-    sinr = signal / (interference + noise)
-    rates = np.minimum(w * np.log2(1.0 + sinr), r_max)
+    rates, sinr = reuse_rates(rx, channel, params.k_wifi, params.eta_wifi, w_total_mhz, sigma2_mw)
     return positions, rates, sinr

@@ -27,8 +27,8 @@ class SingularChannelError(RuntimeError):
 class ZfParams:
     eta_zf: float  # max link spectral efficiency, bps/Hz
     pt_mw: float  # per-antenna power budget
-    delta: float = 0.0  # probability a link's CSIT is outdated
-    rho: float = 0.9  # fading correlation across the feedback delay
+    delta: float  # probability a link's CSIT is outdated (read with erroneous CSIT only)
+    rho: float  # fading correlation across the feedback delay
 
     def __post_init__(self):
         if self.eta_zf <= 0:
@@ -53,13 +53,13 @@ COND_LIMIT = 1e12
 _INVERSION_TOL = 1e-8
 
 
-def build_beamformer(h_hat: np.ndarray, cond_limit: float = COND_LIMIT) -> Beamformer:
+def build_beamformer(h_hat: np.ndarray) -> Beamformer:
     """Invert the CSIT matrix so that every user receives only its own symbol.
 
     For the square N = M case the precoder H^dagger (H H^dagger)^{-1} is the
     plain matrix inverse; one step of iterative refinement keeps the
     multiply-back residual ||H_hat w - I||_inf below 1e-8. Channels whose
-    H H^dagger condition number exceeds ``cond_limit`` are rejected so the
+    H H^dagger condition number exceeds COND_LIMIT are rejected so the
     caller can redraw the snapshot's fading.
     """
     h_hat = np.asarray(h_hat, dtype=complex)
@@ -68,8 +68,8 @@ def build_beamformer(h_hat: np.ndarray, cond_limit: float = COND_LIMIT) -> Beamf
     n = h_hat.shape[0]
     s = np.linalg.svd(h_hat, compute_uv=False)
     cond = np.inf if s[-1] == 0.0 else float((s[0] / s[-1]) ** 2)
-    if cond > cond_limit:
-        raise SingularChannelError(f"channel condition {cond:.3e} exceeds {cond_limit:.1e}")
+    if cond > COND_LIMIT:
+        raise SingularChannelError(f"channel condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
     eye = np.eye(n, dtype=complex)
     w = np.linalg.solve(h_hat, eye)
     residual = eye - h_hat @ w

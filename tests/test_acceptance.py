@@ -30,12 +30,35 @@ def _scn(preset: str, **engine_overrides):
     return scenario.from_dict(raw)
 
 
-def _ladder_records(scn, system: str, n_snapshots: int, max_aps=None):
-    records = []
-    for rung, (nx, ny) in enumerate(geometry.grid_ladder(max_aps or scn.engine.ladder_max_aps)):
+def _ladder_records(scn, systems, max_aps):
+    """Each system's records up the ladder to max_aps, every rung in one shared pass."""
+    records = {system: [] for system in systems}
+    for rung, (nx, ny) in enumerate(geometry.grid_ladder(max_aps)):
         layout = geometry.place_aps(scn.area, nx, ny)
-        records.extend(engine.evaluate_rung(scn, layout, [system], rung, n_snapshots))
+        for rec in engine.evaluate_rung(scn, layout, systems, rung):
+            records[rec.system].append(rec)
     return records
+
+
+def _timed_ladders(systems, max_aps):
+    """(scenario, records per system, seconds) of one shared open-env ladder at 500 snapshots."""
+    t0 = time.perf_counter()
+    scn = _scn("table1-open", seed=SEED, n_snapshots=500)
+    return scn, _ladder_records(scn, systems, max_aps), time.perf_counter() - t0
+
+
+# A system's records do not depend on which systems share its rung's pass
+# (tests/test_engine.py pins that), so criteria on the same ladder share one.
+@pytest.fixture(scope="module")
+def open_wifi_ladders():
+    """Criteria 04 and 05: both Wi-Fi systems on the open ladder to 100 APs."""
+    return _timed_ladders(["wifi-baseline", "wifi-aggressive"], max_aps=100)
+
+
+@pytest.fixture(scope="module")
+def open_zf_ladders():
+    """Criterion 06: both ZF systems on the open ladder to 64 APs."""
+    return _timed_ladders(["zf-erroneous", "zf-ideal"], max_aps=64)
 
 
 def test_criterion_01_zf_inversion():
@@ -115,10 +138,9 @@ def test_criterion_03_ssi_distribution():
     assert elapsed < 5.0
 
 
-def test_criterion_04_open_env_wifi_saturation():
-    t0 = time.perf_counter()
-    scn = _scn("table1-open", seed=SEED)
-    records = _ladder_records(scn, "wifi-baseline", n_snapshots=500, max_aps=100)
+def test_criterion_04_open_env_wifi_saturation(open_wifi_ladders):
+    scn, ladders, ladder_s = open_wifi_ladders
+    records = ladders["wifi-baseline"]
     ceiling = 16_200.0  # 3 active APs x 54 Mbps / 0.01 km2
     ceiling_demand = engine.throughput_to_demand(ceiling / scn.traffic.lambda_u_per_km2, scn.traffic)
     flat = [r for r in records if r.ap_count >= 3]
@@ -126,7 +148,6 @@ def test_criterion_04_open_env_wifi_saturation():
     worst_demand_dev = max(
         abs(r.demand_gb_month - ceiling_demand) / ceiling_demand for r in flat
     )
-    elapsed = time.perf_counter() - t0
     ok = worst_dev <= 0.02 and worst_demand_dev <= 0.02 and abs(ceiling_demand - 10.7) < 0.05
     _report(
         4,
@@ -134,21 +155,20 @@ def test_criterion_04_open_env_wifi_saturation():
         ok,
         f"worst deviation from 16200 Mbps/km2: {worst_dev * 100:.2f}%, "
         f"ceiling D = {ceiling_demand:.2f} GB/month/user (worst dev "
-        f"{worst_demand_dev * 100:.2f}%), {elapsed:.0f} s",
+        f"{worst_demand_dev * 100:.2f}%), {ladder_s:.0f} s ladder shared with 05",
     )
     assert worst_dev <= 0.02, [(r.ap_count, r.lambda_s.mean) for r in flat]
     assert ceiling_demand == pytest.approx(10.7, abs=0.05)
     assert worst_demand_dev <= 0.02
 
 
-def test_criterion_05_aggressive_wifi_outage_trend():
+def test_criterion_05_aggressive_wifi_outage_trend(open_wifi_ladders):
     # Collisions need a co-channel pair, so the trend window starts once the
     # ladder exceeds K^wifi APs; the collision peak must sit at moderate
     # density and the curve must not rise significantly beyond it (the W knob
     # shifts where contention sets in, so this is a shape test, not absolute).
-    t0 = time.perf_counter()
-    scn = _scn("table1-open", seed=SEED)
-    records = _ladder_records(scn, "wifi-aggressive", n_snapshots=500, max_aps=100)
+    scn, ladders, ladder_s = open_wifi_ladders
+    records = ladders["wifi-aggressive"]
     contended = [r for r in records if r.ap_count > scn.wifi.k_wifi]
     peak_idx = int(np.argmax([r.outage.mean for r in contended]))
     peak = contended[peak_idx]
@@ -167,18 +187,16 @@ def test_criterion_05_aggressive_wifi_outage_trend():
         f"peak nu {peak.outage.mean:.4f} at {peak.ap_count} APs, significant "
         f"decline to max density: {declined}, significant rises past peak: "
         f"{violations}, final nu {final.outage.mean:.4f} "
-        f"[hi {final.outage.ci_high:.4f}] < beta, {time.perf_counter() - t0:.0f} s",
+        f"[hi {final.outage.ci_high:.4f}] < beta, {ladder_s:.0f} s ladder shared with 04",
     )
     assert declined, (peak.outage, final.outage)
     assert not violations
     assert final.outage.ci_high < scn.radio.beta
 
 
-def test_criterion_06_erroneous_zf_outage_growth():
-    t0 = time.perf_counter()
-    scn = _scn("table1-open", seed=SEED)
-    err = _ladder_records(scn, "zf-erroneous", n_snapshots=500, max_aps=64)
-    ideal = _ladder_records(scn, "zf-ideal", n_snapshots=500, max_aps=64)
+def test_criterion_06_erroneous_zf_outage_growth(open_zf_ladders):
+    scn, ladders, ladder_s = open_zf_ladders
+    err, ideal = ladders["zf-erroneous"], ladders["zf-ideal"]
     beta = scn.radio.beta
     exceeds = [r for r in err if r.ap_count <= 25 and r.outage.ci_low > beta]
     drops = [
@@ -196,7 +214,7 @@ def test_criterion_06_erroneous_zf_outage_growth():
         f"{exceeds[0].ap_count if exceeds else 'none'} APs, "
         f"significant drops along ladder: {drops}, "
         f"max ideal-ZF nu {ideal_max:.5f}, nu at 64 APs {err[-1].outage.mean:.3f}, "
-        f"{time.perf_counter() - t0:.0f} s",
+        f"{ladder_s:.0f} s for both ZF ladders",
     )
     assert exceeds, [(r.ap_count, r.outage.mean) for r in err]
     assert not drops
@@ -284,8 +302,8 @@ def test_criterion_08_obstructed_wifi_knee():
     # significantly once rooms hold more than one AP and does not recover; a
     # power law D ~ n**a, i.e. a curve without a knee, keeps that gain constant.
     t0 = time.perf_counter()
-    scn = _scn("table1-obstructed", seed=SEED)
-    records = _ladder_records(scn, "wifi-baseline", n_snapshots=500, max_aps=100)
+    scn = _scn("table1-obstructed", seed=SEED, n_snapshots=500)
+    records = _ladder_records(scn, ["wifi-baseline"], max_aps=100)["wifi-baseline"]
     by_count = {r.ap_count: r.demand_gb_month for r in records}
     upto_25 = [by_count[c] for c in sorted(c for c in by_count if c <= 25)]
     grows_to_one_per_room = all(b > a for a, b in zip(upto_25, upto_25[1:]))

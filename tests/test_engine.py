@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from apdim import channel as ch
-from apdim import engine, geometry, planning, scenario, static_cellular, wifi, zf
+from apdim import engine, geometry, planning, scenario, wifi, zf
 
 OPEN_AREA = geometry.ServiceArea(lx=100, ly=100)
 
@@ -317,10 +317,8 @@ def _wifi_setup(scn, layout, system="wifi-baseline"):
 
 def _wifi_run(scn, layout, n_snapshots, master_seed, deployment_id):
     raw = scn.to_dict()
-    raw["engine"]["seed"] = master_seed
-    runs = engine.run_rung(
-        scenario.from_dict(raw), layout, ["wifi-baseline"], deployment_id, n_snapshots
-    )
+    raw["engine"].update(seed=master_seed, n_snapshots=n_snapshots)
+    runs = engine.run_rung(scenario.from_dict(raw), layout, ["wifi-baseline"], deployment_id)
     (run,) = runs["wifi-baseline"].values()
     return run
 
@@ -339,8 +337,7 @@ def test_snapshot_rate_sum_conservation():
     ctx, params, assignment = _wifi_setup(scn, geometry.place_aps(scn.area, 2, 3))
     for s in range(10):
         rng = engine.substream(5, 0, engine._SALT_SNAPSHOT, s)
-        snap = engine.draw_snapshot(ctx, rng)
-        scored = engine.wifi_snapshot(engine.SnapshotDraws(ctx, snap, rng), params, assignment)
+        scored = engine.wifi_snapshot(engine.draw_snapshot(ctx, rng), params, assignment)
         (run,) = engine._aggregate(ctx, [scored])
         assert run.lambda_samples[0] * scn.area.area_km2 == pytest.approx(
             scored.rates_mbps.sum(), rel=1e-9
@@ -390,8 +387,9 @@ def test_stacked_static_score_aggregates_like_one_row_scores():
 
 def test_run_rung_rejects_zero_snapshots():
     scn = _tiny_scenario([1.0])
+    scn = dataclasses.replace(scn, engine=dataclasses.replace(scn.engine, n_snapshots=0))
     with pytest.raises(ValueError, match="n_snapshots must be >= 1"):
-        engine.run_rung(scn, geometry.place_aps(scn.area, 1, 1), ["static"], 0, n_snapshots=0)
+        engine.run_rung(scn, geometry.place_aps(scn.area, 1, 1), ["static"], 0)
 
 
 def test_open_env_wifi_saturation_small():
@@ -402,9 +400,11 @@ def test_open_env_wifi_saturation_small():
 
 
 def test_zf_dominates_static_at_matched_seeds_open_env():
-    scn = scenario.preset("table1-open")
+    raw = scenario.preset("table1-open").to_dict()
+    raw["engine"]["n_snapshots"] = 60
+    scn = scenario.from_dict(raw)
     layout = geometry.place_aps(scn.area, 3, 3)
-    rec_zf, rec_st = engine.evaluate_rung(scn, layout, ["zf-ideal", "static"], 0, n_snapshots=60)
+    rec_zf, rec_st = engine.evaluate_rung(scn, layout, ["zf-ideal", "static"], 0)
     assert rec_zf.lambda_s.mean >= rec_st.lambda_s.mean
 
 
@@ -412,9 +412,10 @@ def test_zf_erroneous_matches_ideal_at_delta_zero():
     scn = scenario.preset("table1-open")
     raw = scn.to_dict()
     raw["zf"]["delta"] = 0.0
+    raw["engine"]["n_snapshots"] = 30
     scn0 = scenario.from_dict(raw)
     layout = geometry.place_aps(scn0.area, 2, 2)
-    a, b = engine.evaluate_rung(scn0, layout, ["zf-ideal", "zf-erroneous"], 0, n_snapshots=30)
+    a, b = engine.evaluate_rung(scn0, layout, ["zf-ideal", "zf-erroneous"], 0)
     assert a.lambda_s.mean == b.lambda_s.mean
     assert a.outage.mean == b.outage.mean
 
@@ -501,10 +502,10 @@ def test_k_star_uses_the_outage_upper_bound():
 
 
 def test_static_reuse_numbers_capped_at_n_aps():
-    scn = _tiny_scenario([1.0])
+    scn = _tiny_scenario([1.0], snapshots=2)
     for (nx, ny), ks in (((1, 3), [1, 2, 3]), ((4, 4), list(range(1, 13)))):
         layout = geometry.place_aps(scn.area, nx, ny)
-        runs = engine.run_rung(scn, layout, ["static"], 0, n_snapshots=2)
+        runs = engine.run_rung(scn, layout, ["static"], 0)
         assert list(runs["static"]) == ks  # K = 1..min(k_max = 12, n_aps)
 
 
@@ -532,11 +533,8 @@ def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_a
     if system == "static":
         z = ch.draw_fading(rng, (layout.n_aps, cols.shape[0]))
         gains = avg[:, cols] * np.abs(z) ** 2
-        params = static_cellular.StaticParams(eta_sta=scn.static.eta_sta, pt_mw=pt)
-        (rates,), (sinr,) = static_cellular.static_rates(
-            [assignment], serving, gains, params, w, sigma2
-        )
-        return rates, sinr
+        rx, channels = gains[serving] * pt, assignment.channel_of[serving]
+        return planning.reuse_rates(rx, channels, assignment.k, scn.static.eta_sta, w, sigma2)
     if system.startswith("wifi"):
         baseline = system == "wifi-baseline"
         cs = scn.wifi.cs_thr_baseline_dbm if baseline else scn.wifi.cs_thr_aggressive_dbm
@@ -589,11 +587,11 @@ def _reference_run(scn, layout, system, k, deployment_id, n_snapshots):
 @pytest.mark.parametrize("preset,nx,ny", [("table1-open", 3, 3), ("table1-obstructed", 2, 2)])
 def test_shared_pass_matches_independent_runs(preset, nx, ny):
     raw = scenario.preset_raw(preset)
-    raw["engine"].update(seed=20240601)
+    n_snapshots, deployment_id = 20, 4
+    raw["engine"].update(seed=20240601, n_snapshots=n_snapshots)
     scn = scenario.from_dict(raw)
     layout = geometry.place_aps(scn.area, nx, ny)
-    n_snapshots, deployment_id = 20, 4
-    runs = engine.run_rung(scn, layout, engine.SYSTEMS, deployment_id, n_snapshots)
+    runs = engine.run_rung(scn, layout, engine.SYSTEMS, deployment_id)
     assert list(runs) == list(engine.SYSTEMS)
     assert list(runs["static"]) == list(range(1, min(scn.static.k_max, layout.n_aps) + 1))
     for system, per_k in runs.items():
@@ -611,26 +609,30 @@ def test_zf_rung_with_mixed_sizes_matches_solo_solves():
     # PAPC instances of several sizes.
     raw = scenario.preset_raw("table1-open")
     raw["traffic"].update(lambda_u_per_km2=3.0 / scenario.preset("table1-open").area.area_km2)
+    systems, n_snapshots, deployment_id = ("zf-ideal", "zf-erroneous"), 30, 3
+    raw["engine"]["n_snapshots"] = n_snapshots
     scn = scenario.from_dict(raw)
     assert scn.n_users == 3
     layout = geometry.place_aps(scn.area, 2, 2)
     ctx = engine.make_context(scn, layout)
-    systems, n_snapshots, deployment_id = ("zf-ideal", "zf-erroneous"), 30, 3
+    params = zf.ZfParams(
+        eta_zf=scn.zf.eta_zf, pt_mw=scn.radio.pt_mw, delta=scn.zf.delta, rho=scn.zf.rho
+    )
     precoded = []
     for s in range(n_snapshots):
         rng = engine.substream(scn.engine.seed, deployment_id, engine._SALT_SNAPSHOT, s)
-        draws = engine.SnapshotDraws(ctx, engine.draw_snapshot(ctx, rng), rng)
+        snap = engine.draw_snapshot(ctx, rng)
         for system in systems:
-            _, evaluate = engine._evaluator(scn, ctx, system, plan=None)
-            precoded.append(evaluate(draws))
+            _, evaluate = engine._evaluator(scn, ctx, system, None, params)
+            precoded.append(evaluate(snap))
     assert {pre.beamformer.w.shape[0] for pre in precoded} == {1, 2, 3}
-    for got, pre in zip(engine.finish_zf(ctx, precoded), precoded):
-        (want,) = engine.finish_zf(ctx, [pre])
+    for got, pre in zip(engine.finish_zf(ctx, precoded, params), precoded):
+        (want,) = engine.finish_zf(ctx, [pre], params)
         assert np.array_equal(got.rates_mbps, want.rates_mbps)
         assert np.array_equal(got.sinr, want.sinr)
         assert (got.redraws, got.solver_fallbacks) == (want.redraws, want.solver_fallbacks)
 
-    runs = engine.run_rung(scn, layout, systems, deployment_id, n_snapshots)
+    runs = engine.run_rung(scn, layout, systems, deployment_id)
     for system in systems:
         lambdas, hits, served = _reference_run(
             scn, layout, system, None, deployment_id, n_snapshots
@@ -696,7 +698,7 @@ def test_shared_draws_are_read_only_and_made_once():
     scn = scenario.preset("table1-obstructed")
     ctx = engine.make_context(scn, geometry.place_aps(scn.area, 3, 3))
     rng = engine.substream(5, 0, engine._SALT_SNAPSHOT, 0)
-    draws = engine.SnapshotDraws(ctx, engine.draw_snapshot(ctx, rng), rng)
+    draws = engine.draw_snapshot(ctx, rng)
     zf_a, zf_b = draws.generator(), draws.generator()
     gains = draws.faded_gains()
     (g_ap_ap, wifi_a), (again, wifi_b) = draws.ap_gains(), draws.ap_gains()
@@ -716,10 +718,10 @@ def test_shared_draws_are_read_only_and_made_once():
 def full_pass():
     # Open area: both Wi-Fi systems contend, so each one's SSI draw matters.
     raw = scenario.preset_raw("table1-open")
-    raw["engine"].update(seed=20240601)
+    raw["engine"].update(seed=20240601, n_snapshots=12)
     scn = scenario.from_dict(raw)
     layout = geometry.place_aps(scn.area, 3, 3)
-    return scn, layout, engine.run_rung(scn, layout, engine.SYSTEMS, 2, 12)
+    return scn, layout, engine.run_rung(scn, layout, engine.SYSTEMS, 2)
 
 
 @pytest.mark.parametrize(
@@ -735,7 +737,7 @@ def test_subsets_and_orders_of_systems_match_the_full_pass(full_pass, systems):
     # A system's results must not depend on which systems share its snapshots,
     # nor on their order: no system may read another's draws or SSI generator.
     scn, layout, full = full_pass
-    runs = engine.run_rung(scn, layout, systems, 2, 12)
+    runs = engine.run_rung(scn, layout, systems, 2)
     assert list(runs) == systems
     for system in systems:
         assert list(runs[system]) == list(full[system]), system

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from apdim import cli, scenario
 
 
 def test_preset_open_values():
-    scn = scenario.preset("table1-open", use_env=False)
+    scn = scenario.from_dict(scenario.preset_raw("table1-open"))
     assert scn.area.lx == 100.0 and scn.area.ly == 100.0
     assert scn.area.wx == 0 and scn.area.wy == 0
     assert scn.propagation.alpha == 2.0 and scn.propagation.lw_db == 0.0
@@ -29,7 +30,7 @@ def test_preset_open_values():
 
 
 def test_preset_obstructed_values():
-    scn = scenario.preset("table1-obstructed", use_env=False)
+    scn = scenario.from_dict(scenario.preset_raw("table1-obstructed"))
     assert scn.propagation.alpha == 4.0 and scn.propagation.lw_db == 10.0
     assert scn.area.wx == 4 and scn.area.wy == 4  # 25 rooms
 
@@ -39,11 +40,14 @@ def test_preset_unknown():
         scenario.preset("table2")
 
 
-def test_round_trip_structural_identity(tmp_path):
-    scn = scenario.preset("table1-obstructed", use_env=False)
+def test_round_trip_structural_identity(tmp_path, monkeypatch):
+    scn = scenario.from_dict(scenario.preset_raw("table1-obstructed"))
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scn.to_dict()))
-    again = scenario.load_scenario(str(path), use_env=False)
+    for name in os.environ:
+        if name.startswith(scenario.ENV_PREFIX):
+            monkeypatch.delenv(name)
+    again = scenario.load_scenario(str(path))
     assert again == scn
 
 
@@ -140,7 +144,7 @@ def _readme_scenario_keys():
 
 
 def test_readme_scenario_table_matches_schema():
-    raw = scenario.preset("table1-open", use_env=False).to_dict()
+    raw = scenario.from_dict(scenario.preset_raw("table1-open")).to_dict()
     schema = [(key, list(v) if isinstance(v, dict) else None) for key, v in raw.items()]
     assert len(schema) == 10
     assert _readme_scenario_keys() == schema
@@ -163,7 +167,7 @@ def test_env_override_rejects_unknown_path():
 
 
 def test_sigma2_and_threshold_derivations():
-    scn = scenario.preset("table1-open", use_env=False)
+    scn = scenario.from_dict(scenario.preset_raw("table1-open"))
     assert scn.sigma2_mw == pytest.approx(2.484e-10, rel=1e-9)
     assert scn.gamma_t_linear == pytest.approx(10 ** 0.3)
 
@@ -171,8 +175,6 @@ def test_sigma2_and_threshold_derivations():
 # --- CLI ------------------------------------------------------------------------
 
 def _run_cli(args, env_extra=None, module="apdim.cli"):
-    import os
-
     env = dict(os.environ)
     env.pop("APDIM_TEST", None)
     if env_extra:

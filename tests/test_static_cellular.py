@@ -1,18 +1,27 @@
-"""Static frequency-planned cellular: the reuse-K rate equation."""
+"""Static frequency-planned cellular: the reuse-K rate equation (``planning.reuse_rates``)."""
 
 import numpy as np
 import pytest
 
-from apdim import static_cellular as sc
+from apdim import planning
 from apdim.planning import ChannelAssignment
 
 W_MHZ = 60.0
 SIGMA2 = 2.484e-10
 PT = 100.0
+ETA = 3.75
 
 
-def params():
-    return sc.StaticParams(eta_sta=3.75, pt_mw=PT)
+def static_rates(assignments, serving_aps, gains):
+    """Full buffer: every serving AP transmits; (rates, sinr) with one row per plan.
+
+    ``gains`` holds AP-to-user power gains with one column per served user,
+    aligned with ``serving_aps``.
+    """
+    rx = gains[serving_aps] * PT  # rx[j, i]: power from serving AP j at user i
+    channels = np.array([a.channel_of[serving_aps] for a in assignments])
+    k = np.array([[a.k] for a in assignments], dtype=float)
+    return planning.reuse_rates(rx, channels, k, ETA, W_MHZ, SIGMA2)
 
 
 def test_single_ap_link_budget_caps():
@@ -20,18 +29,14 @@ def test_single_ap_link_budget_caps():
     # so the rate clamps at R_max = 60 MHz * 3.75 = 225 Mbps
     g = 10 ** (-57.0 / 10.0)
     assignment = ChannelAssignment(k=1, channel_of=np.array([0]))
-    (rates,), (sinr,) = sc.static_rates(
-        [assignment], np.array([0]), np.array([[g]]), params(), W_MHZ, SIGMA2
-    )
+    (rates,), (sinr,) = static_rates([assignment], np.array([0]), np.array([[g]]))
     assert 10 * np.log10(sinr[0]) == pytest.approx(59.0, abs=0.1)
     assert rates[0] == pytest.approx(225.0)
 
 
 def test_vanishing_gain_vanishing_rate():
     assignment = ChannelAssignment(k=1, channel_of=np.array([0]))
-    (rates,), (sinr,) = sc.static_rates(
-        [assignment], np.array([0]), np.array([[1e-30]]), params(), W_MHZ, SIGMA2
-    )
+    (rates,), (sinr,) = static_rates([assignment], np.array([0]), np.array([[1e-30]]))
     assert sinr[0] < 1e-15
     assert rates[0] < 1e-9
 
@@ -42,9 +47,7 @@ def test_symmetric_midpoint_user_in_outage():
     g = 1e-7
     gains = np.array([[g, g], [g, g]])
     assignment = ChannelAssignment(k=1, channel_of=np.array([0, 0]))
-    (rates,), (sinr,) = sc.static_rates(
-        [assignment], np.array([0, 1]), gains, params(), W_MHZ, SIGMA2
-    )
+    (rates,), (sinr,) = static_rates([assignment], np.array([0, 1]), gains)
     assert (sinr <= 1.0).all()
     assert (sinr < 10 ** 0.3).all()
 
@@ -54,9 +57,7 @@ def test_rate_cap_invariant():
     n = 6
     gains = 10 ** rng.uniform(-12, -4, size=(n, n))
     assignment = ChannelAssignment(k=3, channel_of=rng.integers(0, 3, n))
-    (rates,), _ = sc.static_rates(
-        [assignment], np.arange(n), gains, params(), W_MHZ, SIGMA2
-    )
+    (rates,), _ = static_rates([assignment], np.arange(n), gains)
     assert (rates <= (W_MHZ / 3) * 3.75 + 1e-9).all()
 
 
@@ -71,7 +72,7 @@ def test_interference_includes_all_cochannel_aps():
         ]
     )
     assignment = ChannelAssignment(k=1, channel_of=np.zeros(3, dtype=np.int64))
-    _, (sinr,) = sc.static_rates([assignment], np.arange(3), gains, params(), W_MHZ, SIGMA2)
+    _, (sinr,) = static_rates([assignment], np.arange(3), gains)
     expected_mid = gains[1, 1] * PT / ((gains[0, 1] + gains[2, 1]) * PT + SIGMA2)
     assert sinr[1] == pytest.approx(expected_mid, rel=1e-12)
 
@@ -84,8 +85,8 @@ def test_nested_assignment_k_monotonicity():
     gains = 10 ** rng.uniform(-10, -5, size=(n, n))
     coarse = ChannelAssignment(k=2, channel_of=np.array([0, 0, 0, 0, 1, 1, 1, 1]))
     fine = ChannelAssignment(k=4, channel_of=np.array([0, 0, 2, 2, 1, 1, 3, 3]))
-    _, (sinr2,) = sc.static_rates([coarse], np.arange(n), gains, params(), W_MHZ, SIGMA2)
-    _, (sinr4,) = sc.static_rates([fine], np.arange(n), gains, params(), W_MHZ, SIGMA2)
+    _, (sinr2,) = static_rates([coarse], np.arange(n), gains)
+    _, (sinr4,) = static_rates([fine], np.arange(n), gains)
     assert (sinr4 >= sinr2 - 1e-15).all()
 
 
@@ -99,9 +100,7 @@ def test_static_sinr_dominated_by_wifi_active_subset():
     n = 6
     gains = 10 ** rng.uniform(-9, -5, size=(n, n))
     assignment = ChannelAssignment(k=1, channel_of=np.zeros(n, dtype=np.int64))
-    _, (static_sinr,) = sc.static_rates(
-        [assignment], np.arange(n), gains, sc.StaticParams(eta_sta=3.75, pt_mw=PT), W_MHZ, SIGMA2
-    )
+    _, (static_sinr,) = static_rates([assignment], np.arange(n), gains)
     wp = wifi.WifiParams(cs_thr_dbm=-85.0, k_wifi=1, eta_wifi=3.75, pt_mw=PT)
     graph = wifi.build_contention_graph(assignment, gains, wp)
     act = wifi.sample_ssi(graph, rng)
@@ -110,7 +109,7 @@ def test_static_sinr_dominated_by_wifi_active_subset():
         assert static_sinr[p] <= s + 1e-12
 
 
-def _per_channel_rates(assignment, serving_aps, gains, p, w_total_mhz, sigma2_mw):
+def _per_channel_rates(assignment, serving_aps, gains, w_total_mhz, sigma2_mw):
     """Reference: one sum per channel over its co-channel transmitters."""
     k = assignment.k
     w = w_total_mhz / k
@@ -118,17 +117,15 @@ def _per_channel_rates(assignment, serving_aps, gains, p, w_total_mhz, sigma2_mw
     channels = assignment.channel_of[serving_aps]
     for c in np.unique(channels):
         sel = np.flatnonzero(channels == c)
-        rx = gains[np.ix_(serving_aps[sel], sel)] * p.pt_mw
+        rx = gains[np.ix_(serving_aps[sel], sel)] * PT
         signal = np.diag(rx)
         sinr[sel] = signal / (rx.sum(axis=0) - signal + sigma2_mw / k)
-    return np.minimum(w * np.log2(1.0 + sinr), w * p.eta_sta), sinr
+    return np.minimum(w * np.log2(1.0 + sinr), w * ETA), sinr
 
 
 def test_all_plans_equal_per_channel_reference():
     # K = 1..12 over 7 and 30 served users: K > n_served, single-member and
     # empty channels, and APs without a served user
-    from apdim import planning
-
     rng = np.random.default_rng(43)
     for n_aps, n_served in ((9, 7), (40, 30)):
         serving = np.sort(rng.choice(n_aps, n_served, replace=False))
@@ -136,9 +133,25 @@ def test_all_plans_equal_per_channel_reference():
         l_ap_ap = 10 ** rng.uniform(-12, -5, (n_aps, n_aps))
         plans = [planning.assign_channels(l_ap_ap, k, rng) for k in range(1, 13)]
         plans.append(ChannelAssignment(k=4, channel_of=rng.integers(0, 4, n_aps)))
-        for plan, rates, sinr in zip(
-            plans, *sc.static_rates(plans, serving, gains, params(), W_MHZ, SIGMA2)
-        ):
-            ref_rates, ref_sinr = _per_channel_rates(plan, serving, gains, params(), W_MHZ, SIGMA2)
+        for plan, rates, sinr in zip(plans, *static_rates(plans, serving, gains)):
+            ref_rates, ref_sinr = _per_channel_rates(plan, serving, gains, W_MHZ, SIGMA2)
             assert np.array_equal(sinr, ref_sinr)
             assert np.array_equal(rates, ref_rates)
+
+
+def test_stacked_plans_equal_one_plan_calls():
+    # The engine scores every static plan in one (n_plans, n) call and Wi-Fi
+    # its one plan with 1-D channels and a scalar K; each plan's row of the
+    # stacked call must equal its one-plan call bit for bit.
+    rng = np.random.default_rng(44)
+    ks = np.arange(1, 13)
+    for n in range(1, 41):
+        rx = 10 ** rng.uniform(-12, -5, (n, n)) * rng.exponential(size=(n, n))
+        channels = np.array([rng.integers(0, k, n) for k in ks])
+        rates, sinr = planning.reuse_rates(
+            rx, channels, ks[:, None].astype(float), ETA, W_MHZ, SIGMA2
+        )
+        for k, plan, plan_rates, plan_sinr in zip(ks.tolist(), channels, rates, sinr):
+            one_rates, one_sinr = planning.reuse_rates(rx, plan, k, ETA, W_MHZ, SIGMA2)
+            assert np.array_equal(plan_sinr, one_sinr), (n, k)
+            assert np.array_equal(plan_rates, one_rates), (n, k)

@@ -290,9 +290,11 @@ def test_iteration_cap_reports_not_converged(monkeypatch):
     scn = scenario.preset("table1-open")
     ctx = engine.make_context(scn, geometry.place_aps(scn.area, 2, 2))
     snap_rng = engine.substream(5, 0, engine._SALT_SNAPSHOT, 0)
-    draws = engine.SnapshotDraws(ctx, engine.draw_snapshot(ctx, snap_rng), snap_rng)
-    params = zf.ZfParams(eta_zf=scn.zf.eta_zf, pt_mw=scn.radio.pt_mw)
-    (result,) = engine.finish_zf(ctx, [engine.zf_snapshot(draws, params, erroneous=False)])
+    snap = engine.draw_snapshot(ctx, snap_rng)
+    params = zf.ZfParams(
+        eta_zf=scn.zf.eta_zf, pt_mw=scn.radio.pt_mw, delta=scn.zf.delta, rho=scn.zf.rho
+    )
+    (result,) = engine.finish_zf(ctx, [engine.zf_snapshot(snap, params, erroneous=False)], params)
     assert result.solver_fallbacks == 1
 
 
