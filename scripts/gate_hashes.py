@@ -1,4 +1,4 @@
-"""Run the four gate invocations and check each run CSV against its pinned sha256.
+"""Run the five gate invocations and check each run CSV against its pinned sha256.
 
     python3 scripts/gate_hashes.py [--threads N]
 
@@ -40,6 +40,10 @@ GATES = {
     "obstructed-threads": (
         "table1-obstructed", 1, 10, 2, True, 49,
         "255a611d484ecd332d7ec62f89845bbd37a67848b3154a0dcbb99788037db45b",
+    ),
+    "open-full-ladder": (
+        "table1-open", 5, 10, 1, True, None,
+        "da536f1cdd6ed01a0a62fe3b584dd2311c3dc4942cd98eab8ccc8c9530d222dc",
     ),
 }
 

@@ -98,6 +98,9 @@ def _run_dimensioning(args, sweep: bool) -> int:
         scn = _load(args)
         systems = _parse_systems(args.systems)
         threads = _parse_threads(args.threads)
+        out_dir = os.path.dirname(args.out) or "."
+        if not os.path.isdir(out_dir):
+            raise ValueError(f"--out directory {out_dir!r} does not exist")
     except (scn_mod.ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

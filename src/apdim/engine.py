@@ -8,8 +8,8 @@ serves every system: the shared prefix and every later draw that several
 systems make (the faded gains, the AP-to-AP fading) are drawn once, and each
 system continues on its own generator where its draws part from the
 others', so its results do not depend on which other systems run beside it.
-The ZF snapshots of both ZF systems are finished once per rung, in one
-stacked power solve.
+Both ZF systems share one ZF pass per snapshot and one stacked power solve
+per rung; they differ only in the channel their rates are scored on.
 """
 
 from __future__ import annotations
@@ -254,7 +254,9 @@ class Snapshot:
     The prefix (user drop, association, selection) leaves the snapshot's
     generator at S0. The generator tree below it:
 
-    - each ZF system continues on its own generator at S0 (``generator``);
+    - the one ZF pass, shared by both CSIT models, continues on its own
+      generator at S0 (``generator``): the CSIT fading until the precoder
+      is accepted, then the delayed CSIT if erroneous CSIT is scored;
     - the faded AP-to-user gains are drawn from S0, leaving S1
       (``faded_gains``; static and both Wi-Fi systems read them);
     - the AP-to-AP gains are drawn from S1, leaving S2 (``ap_gains``), and
@@ -366,34 +368,28 @@ class ZfPrecoded:
     """A ZF snapshot up to its power allocation, which ``finish_zf`` takes for many at once."""
 
     beamformer: zf.Beamformer
-    h_true: Optional[np.ndarray]  # true channel with erroneous CSIT; None with ideal CSIT
+    h_true: Optional[np.ndarray]  # true channel after the feedback delay, if drawn
     redraws: int
 
 
 def zf_snapshot(snap: Snapshot, params: zf.ZfParams, erroneous: bool) -> ZfPrecoded:
-    """Multi-cell ZF snapshot, first phase: fading, CSIT and the inversion precoder.
+    """Multi-cell ZF snapshot, first phase: fading, the inversion precoder and the true channel.
 
-    With ``erroneous`` set, the precoder comes from CSIT that is per-link
-    outdated with probability delta while rates will be evaluated on the
-    true (AR(1)-evolved) channel; ideal CSIT never reads delta. Near-singular
-    CSIT draws are replaced by a fresh fading draw, up to
-    MAX_REDRAWS_PER_SNAPSHOT. This phase draws every random number of the
+    One pass serves both CSIT models. The CSIT is a fading draw from S0;
+    near-singular draws are replaced by a fresh one, up to
+    MAX_REDRAWS_PER_SNAPSHOT. With ``erroneous`` set, the accepted CSIT is
+    then evolved past the feedback delay (``ch.delayed_csit``, per-link
+    outdated with probability delta) into the true channel on which
+    erroneous CSIT is scored. This phase draws every random number of the
     snapshot; ``finish_zf`` optimizes the PAPC powers and scores the result.
     """
     ctx, rng = snap.ctx, snap.generator()
     sqrt_l = np.sqrt(snap.served_gains[snap.serving].T)  # (user j, antenna i)
     redraws = 0
     while True:
-        z_base = ch.draw_fading(rng, sqrt_l.shape, ctx.sigma_z2)
-        if erroneous:
-            z_now = ch.delayed_csit(z_base, params.delta, params.rho, rng, ctx.sigma_z2)
-            h_hat = sqrt_l * z_base
-            h_true = sqrt_l * z_now
-        else:
-            h_hat = sqrt_l * z_base
-            h_true = None
+        z = ch.draw_fading(rng, sqrt_l.shape, ctx.sigma_z2)
         try:
-            bf = zf.build_beamformer(h_hat)
+            bf = zf.build_beamformer(sqrt_l * z)
             break
         except zf.SingularChannelError:
             redraws += 1
@@ -401,32 +397,35 @@ def zf_snapshot(snap: Snapshot, params: zf.ZfParams, erroneous: bool) -> ZfPreco
                 raise RuntimeError(
                     f"snapshot exceeded {MAX_REDRAWS_PER_SNAPSHOT} singular-channel redraws"
                 )
+    h_true = None
+    if erroneous:
+        h_true = sqrt_l * ch.delayed_csit(z, params.delta, params.rho, rng, ctx.sigma_z2)
     return ZfPrecoded(beamformer=bf, h_true=h_true, redraws=redraws)
 
 
 def finish_zf(
     ctx: DeploymentContext, precoded: Sequence[ZfPrecoded], params: zf.ZfParams
-) -> list[Scored]:
+) -> dict[str, list[Scored]]:
     """Optimize the PAPC powers of all ``precoded`` snapshots at once, then score each.
 
-    One ``zf.allocate_powers`` call stacks every instance; each result equals
-    that of a solve on its own, so the scores do not depend on which
-    snapshots are finished together.
+    One ``zf.allocate_powers`` call stacks one instance per snapshot; each
+    result equals that of a solve on its own, so the scores do not depend on
+    which snapshots are finished together. Both CSIT models read the one
+    allocation: returns {"zf-ideal": scores, "zf-erroneous": scores}, the
+    latter for the snapshots that carry ``h_true``. Both rows of a snapshot
+    report its redraws and solver fallbacks.
     """
     w, sigma2, eta_zf = ctx.w_total_mhz, ctx.sigma2_mw, params.eta_zf
     beamformers = [pre.beamformer for pre in precoded]
     allocs = zf.allocate_powers(beamformers, sigma2, params.pt_mw, w, eta_zf)
-    results = []
+    scored: dict = {"zf-ideal": [], "zf-erroneous": []}
     for pre, alloc in zip(precoded, allocs):
-        if pre.h_true is None:
-            rates, sinr = zf.zf_rates_ideal(alloc, w, sigma2, eta_zf)
-        else:
-            rates, sinr = zf.zf_rates_erroneous(
-                pre.h_true, pre.beamformer, alloc, w, sigma2, eta_zf
-            )
-        fallbacks = 0 if alloc.converged else 1
-        results.append(Scored(rates, sinr, redraws=pre.redraws, solver_fallbacks=fallbacks))
-    return results
+        counts = {"redraws": pre.redraws, "solver_fallbacks": 0 if alloc.converged else 1}
+        scored["zf-ideal"].append(Scored(*zf.zf_rates_ideal(alloc, w, sigma2, eta_zf), **counts))
+        if pre.h_true is not None:
+            rates = zf.zf_rates_erroneous(pre.h_true, pre.beamformer, alloc, w, sigma2, eta_zf)
+            scored["zf-erroneous"].append(Scored(*rates, **counts))
+    return scored
 
 
 # ---------------------------------------------------------------------------
@@ -504,27 +503,21 @@ def _wifi_params_for(scn, system: str) -> wifi.WifiParams:
     )
 
 
-def _evaluator(
-    scn, ctx: DeploymentContext, system: str, plan, zparams: zf.ZfParams
-) -> tuple[list, Callable]:
-    """The channel counts a system reports on and its per-snapshot evaluator.
+def _evaluator(scn, ctx: DeploymentContext, system: str, plan) -> tuple[list, Callable]:
+    """The channel counts a Wi-Fi or static system reports on and its per-snapshot evaluator.
 
-    ``plan(k)`` returns the rung's channel assignment for k channels, and
-    ``zparams`` the ZF parameters both ZF systems share. The evaluator maps a
-    ``Snapshot`` to a ``Scored``, whose rows follow the channel counts, or for
-    ZF to a ``ZfPrecoded``.
+    ``plan(k)`` returns the rung's channel assignment for k channels. The
+    evaluator maps a ``Snapshot`` to a ``Scored``, whose rows follow the
+    channel counts.
     """
     if system in ("wifi-baseline", "wifi-aggressive"):
         params = _wifi_params_for(scn, system)
         assignment = plan(params.k_wifi)
         return [params.k_wifi], lambda snap: wifi_snapshot(snap, params, assignment)
-    if system == "static":
-        eta_sta, pt_mw = scn.static.eta_sta, scn.radio.pt_mw
-        ks = list(range(1, min(scn.static.k_max, ctx.n_aps) + 1))
-        assignments = [plan(k) for k in ks]
-        return ks, lambda snap: static_snapshot(snap, eta_sta, pt_mw, assignments)
-    erroneous = system == "zf-erroneous"
-    return [None], lambda snap: zf_snapshot(snap, zparams, erroneous)
+    eta_sta, pt_mw = scn.static.eta_sta, scn.radio.pt_mw
+    ks = list(range(1, min(scn.static.k_max, ctx.n_aps) + 1))
+    assignments = [plan(k) for k in ks]
+    return ks, lambda snap: static_snapshot(snap, eta_sta, pt_mw, assignments)
 
 
 def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) -> dict:
@@ -539,8 +532,10 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
     deployment_id, snapshot index), and every system reads that one
     ``Snapshot``. The snapshots run one after another in the calling thread:
     their work holds the GIL for most of its time, which no thread pool can
-    share out. After the pass, the ZF snapshots of both ZF systems are
-    finished by one ``finish_zf`` call with the one ``zf.ZfParams`` they share.
+    share out. When a ZF system runs, each snapshot makes one ZF pass
+    (``zf_snapshot``) for both CSIT models, drawing the true channel only if
+    zf-erroneous runs; after the pass, one ``finish_zf`` call solves and
+    scores them all.
 
     ``scn`` is a Scenario (see apdim.scenario); only its documented attributes
     are touched, keeping this module independent of the config layer.
@@ -562,25 +557,27 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
             )
         return plans[k]
 
+    ks = dict.fromkeys(systems, [None])  # ZF reports on no channel count
+    evaluators = {}
+    for system in ks:
+        if not system.startswith("zf-"):
+            ks[system], evaluators[system] = _evaluator(scn, ctx, system, plan)
+    erroneous = "zf-erroneous" in ks
+    run_zf = erroneous or "zf-ideal" in ks
     zparams = zf.ZfParams(
         eta_zf=scn.zf.eta_zf, pt_mw=scn.radio.pt_mw, delta=scn.zf.delta, rho=scn.zf.rho
     )
-    specs = [_evaluator(scn, ctx, system, plan, zparams) for system in systems]
-    scored: list[list] = [[] for _ in systems]  # per system, per snapshot
+    scored: dict = {system: [] for system in evaluators}  # per system, per snapshot
+    precoded = []
     for s in range(n_snapshots):
         snap = draw_snapshot(ctx, substream(seed, deployment_id, _SALT_SNAPSHOT, s))
-        for per_snapshot, (_, evaluate) in zip(scored, specs):
-            per_snapshot.append(evaluate(snap))
-
-    zf_ids = [i for i, system in enumerate(systems) if system.startswith("zf-")]
-    if zf_ids:
-        finished = iter(finish_zf(ctx, [pre for i in zf_ids for pre in scored[i]], zparams))
-        for i in zf_ids:
-            scored[i] = [next(finished) for _ in scored[i]]
-    return {
-        system: dict(zip(ks, _aggregate(ctx, per_snapshot)))
-        for system, (ks, _), per_snapshot in zip(systems, specs, scored)
-    }
+        for system, evaluate in evaluators.items():
+            scored[system].append(evaluate(snap))
+        if run_zf:
+            precoded.append(zf_snapshot(snap, zparams, erroneous))
+    if run_zf:
+        scored.update(finish_zf(ctx, precoded, zparams))
+    return {system: dict(zip(ks[system], _aggregate(ctx, scored[system]))) for system in ks}
 
 
 def outage_feasible(outage: Estimate, beta: float) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import platform
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -131,7 +131,7 @@ def write_manifest(
     threads: int,
     wall_clock_s: float,
     rows_written: int,
-    result: Optional[DimensioningResult] = None,
+    result: DimensioningResult,
 ) -> None:
     from . import __version__
 
@@ -147,9 +147,8 @@ def write_manifest(
         "threads": threads,
         "wall_clock_s": round(wall_clock_s, 3),
         "rows_written": rows_written,
+        "dimensioning": demand_summary(result),
     }
-    if result is not None:
-        manifest["dimensioning"] = demand_summary(result)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=False)
         fh.write("\n")

@@ -548,11 +548,9 @@ def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_a
         active = wifi.sample_ssi(graph, rng)
         _, rates, sinr = wifi.wifi_rates(active, serving, gains, params, w, sigma2)
         return rates, sinr
-    delta = scn.zf.delta if system == "zf-erroneous" else 0.0
     sqrt_l = np.sqrt(avg[np.ix_(serving, cols)].T)
     while True:
         z = ch.draw_fading(rng, sqrt_l.shape)
-        z_now = ch.delayed_csit(z, delta, scn.zf.rho, rng) if system == "zf-erroneous" else z
         try:
             bf = zf.build_beamformer(sqrt_l * z)
             break
@@ -560,6 +558,7 @@ def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_a
             pass
     alloc = zf.allocate_powers([bf], sigma2, pt, w, scn.zf.eta_zf)[0]
     if system == "zf-erroneous":
+        z_now = ch.delayed_csit(z, scn.zf.delta, scn.zf.rho, rng)
         return zf.zf_rates_erroneous(sqrt_l * z_now, bf, alloc, w, sigma2, scn.zf.eta_zf)
     return zf.zf_rates_ideal(alloc, w, sigma2, scn.zf.eta_zf)
 
@@ -622,15 +621,16 @@ def test_zf_rung_with_mixed_sizes_matches_solo_solves():
     for s in range(n_snapshots):
         rng = engine.substream(scn.engine.seed, deployment_id, engine._SALT_SNAPSHOT, s)
         snap = engine.draw_snapshot(ctx, rng)
-        for system in systems:
-            _, evaluate = engine._evaluator(scn, ctx, system, None, params)
-            precoded.append(evaluate(snap))
+        precoded.append(engine.zf_snapshot(snap, params, erroneous=True))
     assert {pre.beamformer.w.shape[0] for pre in precoded} == {1, 2, 3}
-    for got, pre in zip(engine.finish_zf(ctx, precoded, params), precoded):
-        (want,) = engine.finish_zf(ctx, [pre], params)
-        assert np.array_equal(got.rates_mbps, want.rates_mbps)
-        assert np.array_equal(got.sinr, want.sinr)
-        assert (got.redraws, got.solver_fallbacks) == (want.redraws, want.solver_fallbacks)
+    finished = engine.finish_zf(ctx, precoded, params)
+    for i, pre in enumerate(precoded):
+        solo = engine.finish_zf(ctx, [pre], params)
+        for system in systems:
+            got, (want,) = finished[system][i], solo[system]
+            assert np.array_equal(got.rates_mbps, want.rates_mbps)
+            assert np.array_equal(got.sinr, want.sinr)
+            assert (got.redraws, got.solver_fallbacks) == (want.redraws, want.solver_fallbacks)
 
     runs = engine.run_rung(scn, layout, systems, deployment_id)
     for system in systems:
@@ -662,10 +662,12 @@ def test_dimension_computes_average_gains_once_per_snapshot(monkeypatch):
 
 def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
     # Static and both Wi-Fi systems read one AP-to-user draw per snapshot, and
-    # the Wi-Fi systems one AP-to-AP draw; ZF draws its own fading as before.
+    # the Wi-Fi systems one AP-to-AP draw; both ZF systems share one ZF pass.
     scn = _tiny_scenario([1.0], ladder_cap=6, snapshots=3)
     fading_by_caller, symmetric_sizes = Counter(), []
+    zf_calls = Counter()
     draw_fading, draw_symmetric_fading = ch.draw_fading, ch.draw_symmetric_fading
+    build_beamformer, allocate_powers = zf.build_beamformer, zf.allocate_powers
 
     def counted_fading(*args, **kwargs):
         fading_by_caller[sys._getframe(1).f_code.co_name] += 1
@@ -675,23 +677,76 @@ def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
         symmetric_sizes.append(n)
         return draw_symmetric_fading(rng, n, *args, **kwargs)
 
+    def counted_build(h_hat):
+        zf_calls["build_beamformer"] += 1
+        return build_beamformer(h_hat)
+
+    def counted_allocate(beamformers, *args):
+        zf_calls["allocate_powers"] += 1
+        zf_calls["instances"] += len(beamformers)
+        return allocate_powers(beamformers, *args)
+
     monkeypatch.setattr(ch, "draw_fading", counted_fading)
     monkeypatch.setattr(ch, "draw_symmetric_fading", counted_symmetric)
+    monkeypatch.setattr(zf, "build_beamformer", counted_build)
+    monkeypatch.setattr(zf, "allocate_powers", counted_allocate)
     res = engine.dimension(scn, engine.SYSTEMS, stop_when_satisfied=False)
     rungs = len(res.ladder)
     assert rungs == 4
+    snapshots = rungs * 3
     per_snapshot = [n_aps for nx, ny in res.ladder for n_aps in [nx * ny] * 3]
     assert sorted(symmetric_sizes) == sorted(per_snapshot)
-    zf_draws = {
-        system: sum(rec.n_snapshots + rec.zf_redraws for rec in res.per_system[system].records)
-        for system in ("zf-ideal", "zf-erroneous")
-    }
+    redraws = [rec.zf_redraws for rec in res.per_system["zf-ideal"].records]
+    assert redraws == [rec.zf_redraws for rec in res.per_system["zf-erroneous"].records]
     assert dict(fading_by_caller) == {
-        "faded_gains": rungs * 3,
+        "faded_gains": snapshots,
         "draw_symmetric_fading": sum(n > 1 for n in per_snapshot),
-        "zf_snapshot": zf_draws["zf-ideal"] + zf_draws["zf-erroneous"],
-        "delayed_csit": zf_draws["zf-erroneous"],
+        "zf_snapshot": snapshots + sum(redraws),
+        "delayed_csit": snapshots,
     }
+    assert dict(zf_calls) == {
+        "build_beamformer": snapshots + sum(redraws),
+        "allocate_powers": rungs,
+        "instances": snapshots,
+    }
+
+
+def test_forced_redraws_keep_both_zf_systems_on_one_pass(monkeypatch):
+    # Rejecting by content, not by call order, makes the engine and the
+    # reference redraw the same snapshots. The true channel is drawn once,
+    # after the accepted CSIT, so both ZF rows report the same redraws.
+    build_beamformer, delayed_csit = zf.build_beamformer, ch.delayed_csit
+    delayed_calls = []
+
+    def rejecting(h_hat):
+        if h_hat[0, 0].real > 0:
+            raise zf.SingularChannelError("forced redraw")
+        return build_beamformer(h_hat)
+
+    def counted_delayed(*args, **kwargs):
+        delayed_calls.append(1)
+        return delayed_csit(*args, **kwargs)
+
+    monkeypatch.setattr(zf, "build_beamformer", rejecting)
+    monkeypatch.setattr(ch, "delayed_csit", counted_delayed)
+    raw = scenario.preset_raw("table1-obstructed")
+    n_snapshots, deployment_id = 16, 5
+    raw["engine"].update(seed=20240601, n_snapshots=n_snapshots)
+    scn = scenario.from_dict(raw)
+    layout = geometry.place_aps(scn.area, 2, 2)
+    systems = ["zf-ideal", "zf-erroneous"]
+    runs = engine.run_rung(scn, layout, systems, deployment_id)
+    assert len(delayed_calls) == n_snapshots
+    ideal, erroneous = runs["zf-ideal"][None], runs["zf-erroneous"][None]
+    assert ideal.redraws == erroneous.redraws > 0
+    for system in systems:
+        lambdas, hits, served = _reference_run(
+            scn, layout, system, None, deployment_id, n_snapshots
+        )
+        run = runs[system][None]
+        assert np.array_equal(run.lambda_samples, lambdas), system
+        assert run.served_total == served, system
+        assert run.outage == engine.wilson_estimate(hits, served), system
 
 
 def test_shared_draws_are_read_only_and_made_once():

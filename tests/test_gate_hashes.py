@@ -1,4 +1,4 @@
-"""The four fixed-seed gate invocations reproduce their pinned CSVs byte for byte."""
+"""The five fixed-seed gate invocations reproduce their pinned CSVs byte for byte."""
 
 import subprocess
 import sys

@@ -253,6 +253,20 @@ def test_cli_bad_threads_usage_error(tmp_path, threads):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_cli_missing_out_directory_is_a_usage_error(tmp_path, monkeypatch, capsys, verb):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ladder must not run")
+
+    monkeypatch.setattr(cli.engine, "dimension", no_run)
+    out = tmp_path / "missing_dir" / "run.csv"
+    code = cli.main([verb, "--preset", "table1-open", "--systems", "static", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out directory {str(out.parent)!r} does not exist\n"
+    assert not out.parent.exists()
+
+
 def test_cli_run_writes_csv_and_manifest(tmp_path):
     out = tmp_path / "run.csv"
     proc = _run_cli(

@@ -294,7 +294,8 @@ def test_iteration_cap_reports_not_converged(monkeypatch):
     params = zf.ZfParams(
         eta_zf=scn.zf.eta_zf, pt_mw=scn.radio.pt_mw, delta=scn.zf.delta, rho=scn.zf.rho
     )
-    (result,) = engine.finish_zf(ctx, [engine.zf_snapshot(snap, params, erroneous=False)], params)
+    precoded = [engine.zf_snapshot(snap, params, erroneous=False)]
+    (result,) = engine.finish_zf(ctx, precoded, params)["zf-ideal"]
     assert result.solver_fallbacks == 1
 
 
