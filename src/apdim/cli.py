@@ -101,6 +101,9 @@ def _run_dimensioning(args, sweep: bool) -> int:
         out_dir = os.path.dirname(args.out) or "."
         if not os.path.isdir(out_dir):
             raise ValueError(f"--out directory {out_dir!r} does not exist")
+        for path in (args.out, args.out + ".manifest.json"):
+            if os.path.isdir(path):
+                raise ValueError(f"--out {path!r} is a directory")
     except (scn_mod.ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -331,14 +331,23 @@ def wifi_snapshot(
     params: wifi.WifiParams,
     assignment: planning.ChannelAssignment,
 ) -> Scored:
-    """One Wi-Fi transmission epoch: contention graph, SSI draw, rate equation."""
-    ctx = snap.ctx
+    """One Wi-Fi transmission epoch, scored as static's reuse rule over the SSI active set.
+
+    The serving APs contend (``wifi.contention_graph`` over the AP-to-AP
+    fading) and one SSI draw picks the active set; its positions into
+    ``serving`` come channel by channel. The active APs then transmit as
+    every serving AP does under static reuse (``planning.reuse_rates`` on
+    K^wifi channels), so only the other active co-channel APs interfere.
+    """
+    ctx, serving = snap.ctx, snap.serving
     gains = snap.faded_gains()
     g_ap_ap, rng = snap.ap_gains()
-    graph = wifi.build_contention_graph(assignment, g_ap_ap, params, participating=snap.serving)
-    active = wifi.sample_ssi(graph, rng)
-    _, rates, sinr = wifi.wifi_rates(
-        active, snap.serving, gains, params, ctx.w_total_mhz, ctx.sigma2_mw
+    channels = assignment.channel_of[serving]
+    adjacency = wifi.contention_graph(channels, g_ap_ap[serving[:, None], serving], params)
+    act = wifi.sample_ssi(adjacency, channels, params.k_wifi, rng)
+    rx = gains[serving[act]][:, act] * params.pt_mw  # rx[j, i]: active AP j at active user i
+    rates, sinr = planning.reuse_rates(
+        rx, channels[act], params.k_wifi, params.eta_wifi, ctx.w_total_mhz, ctx.sigma2_mw
     )
     return Scored(rates, sinr)
 

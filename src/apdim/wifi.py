@@ -1,7 +1,10 @@
-"""CSMA/CA model: per-channel contention graphs, SSI active-set sampling, Wi-Fi rates.
+"""CSMA/CA model: the contention matrix and SSI active-set sampling.
 
-Only APs that currently have an associated user take part in contention; an AP
-with nothing to send neither transmits nor defers anyone.
+Wi-Fi and static reuse-K differ only in which APs transmit: every AP with a
+user for static, the SSI active set for Wi-Fi, which both then score with
+``planning.reuse_rates``. Only APs that currently have an associated user
+take part in contention; an AP with nothing to send neither transmits nor
+defers anyone.
 """
 
 from __future__ import annotations
@@ -9,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .planning import ChannelAssignment, reuse_rates
 
 
 @dataclass(frozen=True)
@@ -33,121 +34,50 @@ class WifiParams:
         return 10.0 ** (self.cs_thr_dbm / 10.0)
 
 
-@dataclass(frozen=True, eq=False)
-class ContentionGraph:
-    """Per-channel adjacency over participating APs.
+def contention_graph(channels: np.ndarray, g_ap_ap: np.ndarray, params: WifiParams) -> np.ndarray:
+    """Contention adjacency over the contending APs: entry (i, x) iff they contend.
 
-    ``members[k]`` holds global AP indices on channel k (ascending) and
-    ``adjacency[k]`` the symmetric boolean matrix over them (no self-edges).
-    APs on different channels are never adjacent.
+    APs i, x contend iff they share a channel and g_ix * Pt > CS_thr.
+    ``channels`` and the square ``g_ap_ap`` (instantaneous power gains,
+    assumed reciprocal so the relation is symmetric) cover the same APs in
+    the same order. No AP contends with itself.
     """
-
-    k: int
-    members: tuple[np.ndarray, ...]
-    adjacency: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class ActiveSet:
-    """One SSI draw: the simultaneously transmitting APs, per channel."""
-
-    per_channel: tuple[np.ndarray, ...]
-
-    @property
-    def all_active(self) -> np.ndarray:
-        if not self.per_channel:
-            return np.array([], dtype=np.int64)
-        return np.sort(np.concatenate(self.per_channel))
+    adjacency = channels[:, None] == channels[None, :]
+    adjacency &= g_ap_ap * params.pt_mw > params.cs_thr_mw
+    np.fill_diagonal(adjacency, False)
+    return adjacency
 
 
-def build_contention_graph(
-    assignment: ChannelAssignment,
-    g_ap_ap: np.ndarray,
-    params: WifiParams,
-    participating=None,
-) -> ContentionGraph:
-    """Contention adjacency: APs i, x on one channel contend iff g_ix * Pt > CS_thr.
+def sample_ssi(
+    adjacency: np.ndarray, channels: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw one active set by sequential packing; returns admitted positions.
 
-    ``g_ap_ap`` are instantaneous AP-to-AP power gains (assumed reciprocal so
-    the relation is symmetric). ``participating`` optionally restricts to the
-    APs that have traffic (ascending); others are left out entirely.
+    Per channel 0..k-1: visit the channel's APs in a uniformly random order
+    (one ``rng.permutation`` per channel) and admit each AP iff it is not in
+    the contention domain of any AP admitted so far. ``blocked`` is the
+    running union of the admitted APs' adjacency columns, so AP i is blocked
+    iff adjacency[i, j] holds for some admitted j; ``adjacency`` must have no
+    edges between channels. The result is an independent and maximal set,
+    channel by channel and ascending within a channel.
     """
-    n = assignment.channel_of.shape[0]
-    if participating is None:
-        participating = np.arange(n)
-    participating = np.asarray(participating, dtype=np.int64)
-    channel_of = assignment.channel_of[participating]
-    members = []
-    adjacency = []
-    for ch in range(assignment.k):
-        aps = participating[channel_of == ch]
-        adj = g_ap_ap[aps[:, None], aps] * params.pt_mw > params.cs_thr_mw
-        np.fill_diagonal(adj, False)
-        members.append(aps)
-        adjacency.append(adj)
-    return ContentionGraph(k=assignment.k, members=tuple(members), adjacency=tuple(adjacency))
-
-
-def sample_ssi(graph: ContentionGraph, rng: np.random.Generator) -> ActiveSet:
-    """Draw one active set by sequential packing.
-
-    Per channel: visit the channel's APs in a uniformly random order and admit
-    each AP iff it is not in the contention domain of any AP admitted so far.
-    The result is an independent and maximal set of the channel's graph.
-    ``blocked`` is the running union of the admitted APs' adjacency columns,
-    so AP i is blocked iff adj[i, j] holds for some admitted j.
-    """
-    active = []
-    for aps, adj in zip(graph.members, graph.adjacency):
-        m = aps.shape[0]
-        blocked = np.zeros(m, dtype=bool)
-        admitted = np.zeros(m, dtype=bool)
-        for i in rng.permutation(m).tolist():
+    n = channels.shape[0]
+    blocked = np.zeros(n, dtype=bool)
+    admitted = np.zeros(n, dtype=bool)
+    for ch in range(k):
+        members = np.flatnonzero(channels == ch)
+        for i in members[rng.permutation(members.shape[0])].tolist():
             if not blocked[i]:
                 admitted[i] = True
-                blocked |= adj[:, i]
-        active.append(aps[admitted])  # members are ascending
-    return ActiveSet(per_channel=tuple(active))
+                blocked |= adjacency[:, i]
+    by_channel = np.argsort(channels, kind="stable")
+    return by_channel[admitted[by_channel]]
 
 
-def validate_active_set(graph: ContentionGraph, active: ActiveSet) -> None:
+def validate_active_set(adjacency: np.ndarray, active: np.ndarray) -> None:
     """Assert independence and maximality of an active set; raises AssertionError."""
-    for aps, adj, act in zip(graph.members, graph.adjacency, active.per_channel):
-        pos = {int(a): i for i, a in enumerate(aps)}
-        idx = [pos[int(a)] for a in act]
-        sub = adj[np.ix_(idx, idx)]
-        assert not sub.any(), "active set contains adjacent APs"
-        blocked = np.zeros(aps.shape[0], dtype=bool)
-        blocked[idx] = True
-        for i in range(aps.shape[0]):
-            if not blocked[i]:
-                assert adj[i, idx].any(), "inactive AP not blocked by any active AP"
-
-
-def wifi_rates(
-    active: ActiveSet,
-    serving_aps: np.ndarray,
-    gains: np.ndarray,
-    params: WifiParams,
-    w_total_mhz: float,
-    sigma2_mw: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-user Wi-Fi rate and SINR for the users served by active APs.
-
-    ``gains`` holds AP-to-user power gains with one column per served user,
-    aligned with ``serving_aps`` (ascending; column i belongs to the user
-    selected by serving_aps[i]). Each active AP transmits to its user over
-    w = W / K^wifi; interference comes from the other active APs on the same
-    channel and the noise in that channel is sigma2 / K^wifi.
-
-    Returns (served_positions, rates_mbps, sinr), channel by channel, where
-    served_positions indexes into serving_aps; the rates and SINR follow
-    ``planning.reuse_rates`` over the active APs.
-    """
-    per_channel = active.per_channel
-    act = np.concatenate([np.empty(0, dtype=np.int64), *per_channel])
-    channel = np.repeat(np.arange(len(per_channel)), [a.shape[0] for a in per_channel])
-    positions = np.searchsorted(serving_aps, act)
-    rx = gains[act[:, None], positions] * params.pt_mw  # (active, their users)
-    rates, sinr = reuse_rates(rx, channel, params.k_wifi, params.eta_wifi, w_total_mhz, sigma2_mw)
-    return positions, rates, sinr
+    assert not adjacency[active[:, None], active].any(), "active set contains adjacent APs"
+    inactive = np.ones(adjacency.shape[0], dtype=bool)
+    inactive[active] = False
+    blocked_by = adjacency[inactive][:, active]
+    assert blocked_by.any(axis=1).all(), "inactive AP not blocked by any active AP"

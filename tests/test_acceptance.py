@@ -105,24 +105,23 @@ def test_criterion_03_ssi_distribution():
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED + 2)
 
-    clique_adj = np.ones((3, 3), dtype=bool)
-    np.fill_diagonal(clique_adj, False)
-    clique = wifi.ContentionGraph(k=1, members=(np.arange(3),), adjacency=(clique_adj,))
+    one_channel = np.zeros(3, dtype=np.int64)
+    clique = np.ones((3, 3), dtype=bool)
+    np.fill_diagonal(clique, False)
     wins = np.zeros(3)
     for _ in range(10_000):
-        act = wifi.sample_ssi(clique, rng)
+        act = wifi.sample_ssi(clique, one_channel, 1, rng)
         wifi.validate_active_set(clique, act)
-        wins[act.all_active[0]] += 1
+        wins[act[0]] += 1
     clique_err = float(np.abs(wins / 10_000 - 1 / 3).max())
 
-    path_adj = np.zeros((3, 3), dtype=bool)
-    path_adj[0, 1] = path_adj[1, 0] = path_adj[1, 2] = path_adj[2, 1] = True
-    path = wifi.ContentionGraph(k=1, members=(np.arange(3),), adjacency=(path_adj,))
+    path = np.zeros((3, 3), dtype=bool)
+    path[0, 1] = path[1, 0] = path[1, 2] = path[2, 1] = True
     ends = 0
     for _ in range(10_000):
-        act = wifi.sample_ssi(path, rng)
+        act = wifi.sample_ssi(path, one_channel, 1, rng)
         wifi.validate_active_set(path, act)
-        ends += act.all_active.size == 2
+        ends += act.size == 2
     path_err = abs(ends / 10_000 - 2 / 3)
 
     elapsed = time.perf_counter() - t0

@@ -544,10 +544,11 @@ def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_a
         z = ch.draw_fading(rng, (layout.n_aps, cols.shape[0]))
         gains = avg[:, cols] * np.abs(z) ** 2
         g_ap_ap = l_ap_ap * np.abs(ch.draw_symmetric_fading(rng, layout.n_aps)) ** 2
-        graph = wifi.build_contention_graph(assignment, g_ap_ap, params, participating=serving)
-        active = wifi.sample_ssi(graph, rng)
-        _, rates, sinr = wifi.wifi_rates(active, serving, gains, params, w, sigma2)
-        return rates, sinr
+        channels = assignment.channel_of[serving]
+        adj = wifi.contention_graph(channels, g_ap_ap[np.ix_(serving, serving)], params)
+        act = wifi.sample_ssi(adj, channels, assignment.k, rng)
+        rx = gains[np.ix_(serving[act], act)] * pt
+        return planning.reuse_rates(rx, channels[act], assignment.k, params.eta_wifi, w, sigma2)
     sqrt_l = np.sqrt(avg[np.ix_(serving, cols)].T)
     while True:
         z = ch.draw_fading(rng, sqrt_l.shape)

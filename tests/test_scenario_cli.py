@@ -267,6 +267,22 @@ def test_cli_missing_out_directory_is_a_usage_error(tmp_path, monkeypatch, capsy
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+@pytest.mark.parametrize("suffix", ["", ".manifest.json"])
+def test_cli_out_that_is_a_directory_is_a_usage_error(tmp_path, monkeypatch, capsys, verb, suffix):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ladder must not run")
+
+    monkeypatch.setattr(cli.engine, "dimension", no_run)
+    out = tmp_path / "run.csv"
+    taken = tmp_path / ("run.csv" + suffix)
+    taken.mkdir()
+    code = cli.main([verb, "--preset", "table1-open", "--systems", "static", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --out {str(taken)!r} is a directory\n"
+    assert taken.is_dir() and not any(taken.iterdir())
+
+
 def test_cli_run_writes_csv_and_manifest(tmp_path):
     out = tmp_path / "run.csv"
     proc = _run_cli(

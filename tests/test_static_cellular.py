@@ -99,13 +99,16 @@ def test_static_sinr_dominated_by_wifi_active_subset():
     rng = np.random.default_rng(42)
     n = 6
     gains = 10 ** rng.uniform(-9, -5, size=(n, n))
-    assignment = ChannelAssignment(k=1, channel_of=np.zeros(n, dtype=np.int64))
+    channels = np.zeros(n, dtype=np.int64)
+    assignment = ChannelAssignment(k=1, channel_of=channels)
     _, (static_sinr,) = static_rates([assignment], np.arange(n), gains)
     wp = wifi.WifiParams(cs_thr_dbm=-85.0, k_wifi=1, eta_wifi=3.75, pt_mw=PT)
-    graph = wifi.build_contention_graph(assignment, gains, wp)
-    act = wifi.sample_ssi(graph, rng)
-    pos, _, wifi_sinr = wifi.wifi_rates(act, np.arange(n), gains, wp, W_MHZ, SIGMA2)
-    for p, s in zip(pos, wifi_sinr):
+    act = wifi.sample_ssi(wifi.contention_graph(channels, gains, wp), channels, 1, rng)
+    _, wifi_sinr = planning.reuse_rates(
+        gains[np.ix_(act, act)] * PT, channels[act], 1, wp.eta_wifi, W_MHZ, SIGMA2
+    )
+    assert act.size >= 1
+    for p, s in zip(act, wifi_sinr):
         assert static_sinr[p] <= s + 1e-12
 
 
