@@ -75,33 +75,29 @@ def average_gains(area: ServiceArea, params: PropagationParams, tx_xy, rx_xy) ->
     return np.power(10.0, out, out=out)
 
 
-def association_costs(area: ServiceArea, params: PropagationParams, tx_xy, rx_xy) -> np.ndarray:
-    """Linear pathloss without L0 between all tx/rx pairs, (n_tx, n_rx).
+def wall_factors(area: ServiceArea, params: PropagationParams) -> np.ndarray:
+    """Linear wall loss 10^(phi*Lw/10) for phi = 0 .. every wall of the area."""
+    n_walls = sum(walls.size for walls in wall_positions(area))
+    return 10.0 ** (np.arange(n_walls + 1) * (params.lw_db / 10.0))
 
-    max(d^2, 1)^(alpha/2) * 10^(phi*Lw/10), from squared distances: no hypot,
-    no power for alpha = 2, one square for alpha = 4, and the wall factor
-    from a table indexed by the crossing count. ``average_gains`` equals
+
+def association_cost(params: PropagationParams, d2: np.ndarray, wall_factor) -> np.ndarray:
+    """Linear pathloss without L0, max(d^2, 1)^(alpha/2) * wall_factor, in place in ``d2``.
+
+    ``d2`` holds squared distances dx*dx + dy*dy and ``wall_factor`` the
+    ``wall_factors`` entry of each pair's crossing count. No hypot, no power
+    for alpha = 2, one square for alpha = 4. ``average_gains`` equals
     10^(-L0/10) / cost in exact arithmetic, so the costs rank transmitters
-    as those gains do, up to rounding.
+    as those gains do, up to rounding. Every step rounds monotonically, so
+    the cost at a larger squared distance or wall factor is never smaller.
     """
-    tx_xy = np.atleast_2d(np.asarray(tx_xy, dtype=float))
-    rx_xy = np.atleast_2d(np.asarray(rx_xy, dtype=float))
-    out = np.subtract.outer(tx_xy[:, 0], rx_xy[:, 0])
-    scratch = np.subtract.outer(tx_xy[:, 1], rx_xy[:, 1])
-    np.multiply(out, out, out=out)
-    np.multiply(scratch, scratch, out=scratch)
-    np.add(out, scratch, out=out)
-    np.maximum(out, MIN_DISTANCE_M**2, out=out)
+    np.maximum(d2, MIN_DISTANCE_M**2, out=d2)
     with np.errstate(over="ignore"):  # an overflowed cost ranks as inf
         if params.alpha == 4.0:
-            np.multiply(out, out, out=out)
+            np.multiply(d2, d2, out=d2)
         elif params.alpha != 2.0:
-            np.power(out, params.alpha / 2.0, out=out)
-        n_walls = sum(walls.size for walls in wall_positions(area))
-        if params.lw_db != 0.0 and n_walls:
-            wall_factor = 10.0 ** (np.arange(n_walls + 1) * (params.lw_db / 10.0))
-            np.multiply(out, wall_factor[crossing_counts(area, tx_xy, rx_xy)], out=out)
-    return out
+            np.power(d2, params.alpha / 2.0, out=d2)
+        return np.multiply(d2, wall_factor, out=d2)
 
 
 def noise_power_mw(boltzmann_j_per_k: float, temperature_k: float, bandwidth_hz: float) -> float:
@@ -111,10 +107,11 @@ def noise_power_mw(boltzmann_j_per_k: float, temperature_k: float, bandwidth_hz:
 
 def draw_fading(rng: np.random.Generator, shape, sigma_z2: float = 1.0) -> np.ndarray:
     """Circularly-symmetric complex Gaussian draws with E[|z|^2] = sigma_z2."""
-    scale = np.sqrt(sigma_z2 / 2.0)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return scale * (re + 1j * im)
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z *= np.sqrt(sigma_z2 / 2.0)
+    return z
 
 
 # n -> the indices above the diagonal of an n x n matrix, built once per n

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import channel as ch
 from . import planning, wifi, zf
-from .geometry import Layout, ServiceArea, grid_ladder, place_aps
+from .geometry import Layout, ServiceArea, grid_ladder, place_aps, wall_positions
 
 Z95 = 1.959963984540054
 
@@ -34,7 +34,7 @@ _SALT_PLANNING = 2
 
 MAX_REDRAWS_PER_SNAPSHOT = 100
 
-# Association by ranking costs (associate_users): the relative gap between a
+# Association by ranking costs (associate_candidates): the relative gap between a
 # user's two best costs below which the exact gains decide, and the largest
 # loss at which exact gains keep the precision that gap assumes.
 RANK_RTOL = 1e-12
@@ -147,26 +147,157 @@ def associate(avg_gains: np.ndarray) -> np.ndarray:
     return np.argmax(avg_gains, axis=0)
 
 
-def associate_users(area: ServiceArea, prop: ch.PropagationParams, ap_xy, users) -> np.ndarray:
-    """``associate(ch.average_gains(area, prop, ap_xy, users))``, mostly from cheap costs.
+# An AP is a candidate for a raster cell when its smallest cost over the cell
+# is at most (1 + CANDIDATE_MARGIN) times the smallest of every AP's largest
+# cost over it. The margin lies far above RANK_RTOL and the rounding of costs.
+CANDIDATE_MARGIN = 1e-9
+# Cell-AP pairs bounded at once, which keeps each temporary of the table's
+# build to 32 KB at any AP count.
+_BOUND_BLOCK_PAIRS = 4096
 
-    Each user is ranked by ``ch.association_costs``, which order APs as the
-    exact gains do up to rounding of about 1e-14 relative. A user whose two
-    best costs lie within RANK_RTOL of each other is re-ranked with the exact
-    gains, and so is one whose best loss is beyond RANKED_LOSS_DB_MAX (where
-    exact gains lose that precision, or round to 0 or inf and tie).
+
+@dataclass(frozen=True, eq=False)
+class CandidateTable:
+    """The APs that can be a user's best in each cell of a raster over one layout.
+
+    Per axis, the raster lines (``lines``) are the area's edges, the unique
+    AP coordinates, the midpoints between neighbouring ones and the wall
+    lines. No wall lies inside a cell, so every user strictly inside a cell
+    crosses the same walls to a given AP. Cells are numbered row-major, y
+    outer. Column c of ``aps`` lists cell c's candidates in ascending index,
+    padded to a common height; ``x`` and ``y`` are their coordinates and
+    ``factor`` their wall factors from inside the cell, inf on padding.
+    """
+
+    area: ServiceArea
+    prop: ch.PropagationParams
+    ap_xy: np.ndarray
+    lines: tuple[np.ndarray, np.ndarray]
+    aps: np.ndarray  # (height, n_cells), as are x, y and factor
+    x: np.ndarray
+    y: np.ndarray
+    factor: np.ndarray
+
+    def locate(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each user's cell, and whether it lies on a raster line or off the raster."""
+        cell, off = 0, False
+        for axis in (1, 0):  # y outer
+            lines, u = self.lines[axis], users[:, axis]
+            i = np.searchsorted(lines[1:-1], u, side="right")  # lines[i] <= u < lines[i + 1]
+            off = off | (lines[i] >= u) | (u >= lines[-1])
+            cell = cell * (lines.size - 1) + i
+        return cell, off
+
+
+def candidate_table(area: ServiceArea, prop: ch.PropagationParams, ap_xy) -> CandidateTable:
+    """Bound every AP's cost over every raster cell and keep each cell's candidates.
+
+    The lower bound is the cost at the cell's nearest point to the AP, the
+    upper bound that at its farthest corner, both with the walls crossed
+    from the cell's inside. Both are ``ch.association_cost`` of a point of
+    the closed cell, whose every step rounds monotonically, so they bound
+    the cost of every user strictly inside the cell. Every non-candidate of
+    such a user's cell then costs more than (1 + CANDIDATE_MARGIN) times the
+    user's best cost. Bounds are taken for a block of cells at a time.
+    """
+    ap_xy = np.atleast_2d(np.asarray(ap_xy, dtype=float))
+    axes = [_raster_axis(extent, walls, c) for extent, walls, c in
+            zip((area.lx, area.ly), wall_positions(area), ap_xy.T)]
+    (lines_x, near2_x, far2_x, cross_x), (lines_y, near2_y, far2_y, cross_y) = axes
+    # (y interval, x interval, AP) for a block of y intervals at a time
+    wall_factor = ch.wall_factors(area, prop)
+    n_aps = ap_xy.shape[0]
+    step = max(1, _BOUND_BLOCK_PAIRS // far2_x.size)
+    blocks, kept_factors = [], []
+    for start in range(0, lines_y.size - 1, step):
+        rows = slice(start, start + step)
+        factor = wall_factor[cross_y[rows, None] + cross_x]
+        bound = ch.association_cost(prop, far2_y[rows, None] + far2_x, factor)
+        threshold = bound.min(axis=2, keepdims=True) * (1.0 + CANDIDATE_MARGIN)
+        np.add(near2_y[rows, None], near2_x, out=bound)
+        block = ch.association_cost(prop, bound, factor) <= threshold
+        blocks.append(block.reshape(-1, n_aps))
+        kept_factors.append(factor[block])
+    is_candidate = np.concatenate(blocks)
+    counts = is_candidate.sum(axis=1)
+    cells, aps = np.nonzero(is_candidate)  # by cell, then ascending AP
+    slots = np.arange(cells.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    table = np.zeros((counts.max(), counts.size), dtype=np.intp)
+    table[slots, cells] = aps
+    table_factor = np.full(table.shape, np.inf)
+    table_factor[slots, cells] = np.concatenate(kept_factors)
+    return CandidateTable(
+        area=area,
+        prop=prop,
+        ap_xy=ap_xy,
+        lines=(lines_x, lines_y),
+        aps=table,
+        x=ap_xy[table, 0],
+        y=ap_xy[table, 1],
+        factor=table_factor,
+    )
+
+
+def _raster_axis(extent: float, walls: np.ndarray, c: np.ndarray) -> tuple:
+    """One axis of ``candidate_table``'s raster, for AP coordinates ``c``.
+
+    Returns the raster lines and, per (interval, AP), the squared distances
+    to the interval's nearest and farthest point and the walls crossed from
+    its inside. Those walls follow ``geometry.crossing_counts``' rule, with
+    the inside ranked as a point just above the interval's lower line.
+    """
+    # a few hundred values at most; np.unique would import numpy.ma (0.6 MB)
+    u = sorted(set(c.tolist()))
+    mid = [0.5 * (a + b) for a, b in zip(u, u[1:])]
+    lines = np.array(sorted({0.0, extent, *u, *mid, *walls.tolist()}))
+    lo, hi = lines[:-1, None], lines[1:, None]
+    near = c - np.minimum(np.maximum(c, lo), hi)
+    to_lo, to_hi = c - lo, c - hi
+    far = np.where(np.abs(to_lo) >= np.abs(to_hi), to_lo, to_hi)
+    rank = np.searchsorted(walls, lo, side="right")
+    cross = np.maximum(rank, np.searchsorted(walls, c, side="left"))
+    cross -= np.minimum(rank, np.searchsorted(walls, c, side="right"))
+    return lines, near * near, far * far, cross
+
+
+def associate_candidates(table: CandidateTable, users: np.ndarray) -> np.ndarray:
+    """``associate(ch.average_gains(...))`` of ``users`` on the table's layout.
+
+    Each user is ranked by ``ch.association_cost`` over its cell's
+    candidates only; the APs left out all cost more than (1 +
+    CANDIDATE_MARGIN) times its best, so the best and any near tie are among
+    them. The costs order APs as the exact gains do up to rounding of about
+    1e-14 relative. A user with a second cost within RANK_RTOL of its best
+    is re-ranked with the exact gains over every AP, and so is one whose
+    best loss is beyond RANKED_LOSS_DB_MAX (where exact gains lose that
+    precision, or round to 0 or inf and tie) and one that ``locate`` finds
+    on a raster line or off the raster.
     """
     users = np.asarray(users, dtype=float)
-    cost = ch.association_costs(area, prop, ap_xy, users)
-    best = np.argmin(cost, axis=0)
-    users_idx = np.arange(cost.shape[1])
-    c1 = cost[best, users_idx]
-    cost[best, users_idx] = np.inf
-    exact = cost.min(axis=0) <= c1 * (1.0 + RANK_RTOL)
-    exact |= ~(np.abs(prop.l0_db + 10.0 * np.log10(c1)) <= RANKED_LOSS_DB_MAX)
+    cell, exact = table.locate(users)
+    dx = np.take(table.x, cell, axis=1)
+    dx -= users[:, 0]
+    dy = np.take(table.y, cell, axis=1)
+    dy -= users[:, 1]
+    cost = np.multiply(dx, dx, out=dx)
+    cost += np.multiply(dy, dy, out=dy)
+    ch.association_cost(table.prop, cost, np.take(table.factor, cell, axis=1))
+    best_cost = cost.min(axis=0)
+    is_best = cost <= best_cost * (1.0 + RANK_RTOL)
+    exact |= is_best.sum(axis=0) > 1
+    exact |= ~(np.abs(table.prop.l0_db + 10.0 * np.log10(best_cost)) <= RANKED_LOSS_DB_MAX)
+    # the one AP within RANK_RTOL of the best cost, where no other is
+    best = (np.take(table.aps, cell, axis=1) * is_best).sum(axis=0)
     if exact.any():
-        best[exact] = associate(ch.average_gains(area, prop, ap_xy, users[exact]))
+        best[exact] = associate(
+            ch.average_gains(table.area, table.prop, table.ap_xy, users[exact])
+        )
     return best
+
+
+def associate_users(area: ServiceArea, prop: ch.PropagationParams, ap_xy, users) -> np.ndarray:
+    """``associate(ch.average_gains(area, prop, ap_xy, users))`` through a candidate table."""
+    return associate_candidates(candidate_table(area, prop, ap_xy), users)
 
 
 def select_served(
@@ -177,7 +308,8 @@ def select_served(
     Returns (serving_aps, user_cols): parallel arrays of AP indices and the
     column (user index) each one serves this snapshot.
     """
-    order = np.argsort(assoc, kind="stable")
+    # the same permutation; numpy radix-sorts keys of 8 and 16 bits
+    order = np.argsort(assoc.astype(np.min_scalar_type(n_aps - 1)), kind="stable")
     counts = np.bincount(assoc, minlength=n_aps)
     serving = np.flatnonzero(counts)
     starts = np.cumsum(counts)[serving] - counts[serving]
@@ -212,6 +344,7 @@ class DeploymentContext:
     w_total_mhz: float
     sigma2_mw: float
     gamma_t_linear: float
+    candidates: CandidateTable  # the layout's association candidates
 
     @property
     def n_aps(self) -> int:
@@ -229,6 +362,7 @@ def make_context(scn, layout: Layout) -> DeploymentContext:
         w_total_mhz=scn.radio.bandwidth_mhz,
         sigma2_mw=scn.sigma2_mw,
         gamma_t_linear=scn.gamma_t_linear,
+        candidates=candidate_table(scn.area, scn.propagation, layout.ap_xy),
     )
 
 
@@ -319,10 +453,9 @@ def draw_snapshot(ctx: DeploymentContext, rng: np.random.Generator) -> Snapshot:
     returned snapshot takes ``rng`` over for its later draws.
     """
     users = drop_users(ctx.area, ctx.n_users, rng)
-    ap_xy = ctx.layout.ap_xy
-    assoc = associate_users(ctx.area, ctx.prop, ap_xy, users)
+    assoc = associate_candidates(ctx.candidates, users)
     serving, cols = select_served(assoc, ctx.n_aps, rng)
-    served_gains = ch.average_gains(ctx.area, ctx.prop, ap_xy, users[cols])
+    served_gains = ch.average_gains(ctx.area, ctx.prop, ctx.layout.ap_xy, users[cols])
     return Snapshot(ctx, served_gains, serving, rng)
 
 

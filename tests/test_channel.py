@@ -76,6 +76,25 @@ def test_fading_scales_with_variance():
     assert np.mean(np.abs(z) ** 2) == pytest.approx(2.5, rel=0.02)
 
 
+def _draw_fading_three_temporaries(rng, shape, sigma_z2):
+    # the formula draw_fading replaced: scale * (re + 1j * im)
+    scale = np.sqrt(sigma_z2 / 2.0)
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return scale * (re + 1j * im)
+
+
+@pytest.mark.parametrize("shape", [7, (9, 9), (49, 49), (100, 100), (3, 4, 5), (0, 3)])
+@pytest.mark.parametrize("sigma_z2", [1.0, 2.5, 0.3, 1e-300])
+def test_fading_bits_equal_the_three_temporary_formula(shape, sigma_z2):
+    rng, reference_rng = np.random.default_rng(24), np.random.default_rng(24)
+    z = ch.draw_fading(rng, shape, sigma_z2)
+    want = _draw_fading_three_temporaries(reference_rng, shape, sigma_z2)
+    assert z.dtype == want.dtype and z.shape == want.shape
+    assert z.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 def test_symmetric_fading_reciprocal():
     rng = np.random.default_rng(13)
     z = ch.draw_symmetric_fading(rng, 40)

@@ -228,6 +228,98 @@ def test_associate_users_at_extreme_parameters(prop):
     assert np.array_equal(engine.associate_users(WALLED_AREA, prop, ap_xy, users), exact)
 
 
+# --- the candidate table -------------------------------------------------------
+# engine.associate_candidates ranks each user over its raster cell's candidates
+# only; an AP a cell leaves out must cost more than (1 + margin) times the best.
+
+# APs of a 2 x 2 grid sit on wall lines: (2i + 1)(wx + 1) = 2j * nx at x = 25, 75
+WALL_AP_AREA = geometry.ServiceArea(lx=100, ly=100, wx=3, wy=3)
+
+
+def _raster_users(table, rng):
+    """Users on every raster line (at random along it) and at every cell
+    corner, and those users moved one float step down and one up."""
+    lines_x, lines_y = table.lines
+    along_x = rng.uniform(lines_x[0], lines_x[-1], (lines_y.size, 10))
+    along_y = rng.uniform(lines_y[0], lines_y[-1], (lines_x.size, 10))
+    corner_x, corner_y = np.meshgrid(lines_x, lines_y)
+    on = np.concatenate([
+        np.column_stack([np.repeat(lines_x, 10), along_y.ravel()]),
+        np.column_stack([along_x.ravel(), np.repeat(lines_y, 10)]),
+        np.column_stack([corner_x.ravel(), corner_y.ravel()]),
+    ])
+    return on, np.concatenate([np.nextafter(on, -np.inf), np.nextafter(on, np.inf)])
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.5, 4.0])
+@pytest.mark.parametrize("lw_db", [0.0, 10.0])
+def test_candidates_equal_exact_argmax_on_raster_lines_and_corners(alpha, lw_db):
+    prop = ch.PropagationParams(l0_db=37.0, alpha=alpha, lw_db=lw_db)
+    rng = np.random.default_rng(int(10 * alpha + lw_db) + 1)
+    wall_aps = geometry.place_aps(WALL_AP_AREA, 2, 2).ap_xy
+    assert np.isin(wall_aps, geometry.wall_positions(WALL_AP_AREA)[0]).all()
+    cases = [(area, ap_xy) for area in (OPEN_AREA, WALLED_AREA) for ap_xy in _probe_layouts(area)]
+    for area, ap_xy in cases + [(WALL_AP_AREA, wall_aps)]:
+        table = engine.candidate_table(area, prop, ap_xy)
+        on_lines, next_to_lines = _raster_users(table, rng)
+        assert table.locate(on_lines)[1].all()  # left to the exact gains
+        users = np.concatenate([on_lines, next_to_lines, _probe_users(area, ap_xy, rng)])
+        users = users[(users >= 0.0).all(axis=1) & (users <= [area.lx, area.ly]).all(axis=1)]
+        exact = engine.associate(ch.average_gains(area, prop, ap_xy, users))
+        ranked = engine.associate_candidates(table, users)
+        assert np.array_equal(ranked, exact), (alpha, lw_db, area, ap_xy.shape[0])
+
+
+@pytest.mark.parametrize("preset", ["table1-open", "table1-obstructed"])
+def test_candidates_leave_out_only_aps_beyond_the_margin(preset):
+    scn = scenario.from_dict(scenario.preset_raw(preset))
+    area, prop = scn.area, scn.propagation
+    wall_factor = ch.wall_factors(area, prop)
+    rng = np.random.default_rng(14)
+    for nx, ny in geometry.grid_ladder(100):
+        ap_xy = geometry.place_aps(area, nx, ny).ap_xy
+        table = engine.candidate_table(area, prop, ap_xy)
+        users = engine.drop_users(area, 1000, rng)
+        cell, off = table.locate(users)
+        assert not off.any()
+        dx = ap_xy[:, 0, None] - users[:, 0]
+        dy = ap_xy[:, 1, None] - users[:, 1]
+        factor = wall_factor[geometry.crossing_counts(area, ap_xy, users)]
+        cost = ch.association_cost(prop, dx * dx + dy * dy, factor)
+        kept = np.isfinite(table.factor[:, cell])
+        aps, cols = table.aps[:, cell][kept], np.nonzero(kept)[1]
+        assert np.array_equal(table.factor[:, cell][kept], factor[aps, cols])
+        assert np.array_equal(table.x[:, cell][kept], ap_xy[aps, 0])
+        left_out = np.ones(cost.shape, dtype=bool)
+        left_out[aps, cols] = False
+        beyond = cost > cost.min(axis=0) * (1.0 + engine.CANDIDATE_MARGIN)
+        assert np.all(beyond | ~left_out), (preset, nx, ny)
+
+
+# The largest number of candidates in any cell of either preset's ladder to
+# 100 APs, and the largest area-weighted mean, as measured. A looser bound
+# would let association drift back toward ranking every AP.
+CANDIDATES_MAX = 4
+CANDIDATES_MEAN_MAX = {"table1-open": 3.7, "table1-obstructed": 2.5}
+
+
+@pytest.mark.parametrize("preset", ["table1-open", "table1-obstructed"])
+def test_candidate_counts_per_rung(preset):
+    scn = scenario.from_dict(scenario.preset_raw(preset))
+    rows = []
+    for nx, ny in geometry.grid_ladder(100):
+        ap_xy = geometry.place_aps(scn.area, nx, ny).ap_xy
+        table = engine.candidate_table(scn.area, scn.propagation, ap_xy)
+        counts = np.isfinite(table.factor).sum(axis=0)
+        lines_x, lines_y = table.lines
+        cell_area = np.outer(np.diff(lines_y), np.diff(lines_x)).ravel()
+        rows.append((nx * ny, counts @ cell_area / cell_area.sum(), counts.max()))
+    report = "\n".join(f"{preset} {n:3d} APs: mean {m:.2f}, largest {k}" for n, m, k in rows)
+    print(report)
+    assert max(k for _, _, k in rows) <= CANDIDATES_MAX, report
+    assert max(m for _, m, _ in rows) <= CANDIDATES_MEAN_MAX[preset], report
+
+
 @pytest.mark.parametrize("preset", ["table1-open", "table1-obstructed"])
 @pytest.mark.parametrize("nx,ny", [(1, 1), (3, 3), (10, 10)])
 def test_snapshot_served_gains_are_the_exact_matrix_columns(preset, nx, ny):
@@ -302,6 +394,31 @@ def test_select_served_matches_per_ap_draws(n_aps, assoc):
     assert serving.tolist() == want_serving.tolist()
     assert cols.tolist() == want_cols.tolist()
     assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def _select_served_int64_sort(assoc, n_aps, rng):
+    # select_served with its stable sort on the int64 keys
+    order = np.argsort(assoc.astype(np.int64), kind="stable")
+    counts = np.bincount(assoc, minlength=n_aps)
+    serving = np.flatnonzero(counts)
+    starts = np.cumsum(counts)[serving] - counts[serving]
+    return serving, order[starts + rng.integers(counts[serving])]
+
+
+@pytest.mark.parametrize("n_aps", [1, 2, 100, 256, 257, 65536, 65537])
+def test_select_served_small_key_sort_matches_int64_sort(n_aps):
+    assoc = np.random.default_rng(n_aps).integers(n_aps, size=1000)
+    assoc[::97] = n_aps - 1  # the largest key
+    small = assoc.astype(np.min_scalar_type(n_aps - 1))
+    assert np.array_equal(
+        np.argsort(small, kind="stable"), np.argsort(assoc, kind="stable")
+    )
+    rng, reference_rng = np.random.default_rng(31), np.random.default_rng(31)
+    serving, cols = engine.select_served(assoc, n_aps, rng)
+    want_serving, want_cols = _select_served_int64_sort(assoc, n_aps, reference_rng)
+    assert np.array_equal(serving, want_serving)
+    assert np.array_equal(cols, want_cols)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 # --- snapshot runs ---------------------------------------------------------------
