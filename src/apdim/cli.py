@@ -128,8 +128,6 @@ def _run_dimensioning(args, sweep: bool) -> int:
         args.out + ".manifest.json",
         scenario_dict=scn.to_dict(),
         systems=systems,
-        seed=scn.engine.seed,
-        n_snapshots=scn.engine.n_snapshots,
         threads=threads,
         wall_clock_s=elapsed,
         rows_written=rows,

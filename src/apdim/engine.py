@@ -295,11 +295,6 @@ def associate_candidates(table: CandidateTable, users: np.ndarray) -> np.ndarray
     return best
 
 
-def associate_users(area: ServiceArea, prop: ch.PropagationParams, ap_xy, users) -> np.ndarray:
-    """``associate(ch.average_gains(area, prop, ap_xy, users))`` through a candidate table."""
-    return associate_candidates(candidate_table(area, prop, ap_xy), users)
-
-
 def select_served(
     assoc: np.ndarray, n_aps: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -333,17 +328,16 @@ class Scored:
 
 @dataclass(frozen=True, eq=False)
 class DeploymentContext:
-    """Deployment-static data shared by every system evaluated on one layout."""
+    """One layout and what is built from it once, shared by every system evaluated on it.
 
-    area: ServiceArea
-    prop: ch.PropagationParams
+    ``scn`` is the validated Scenario (see apdim.scenario), the one holder of
+    the run's parameters; every system reads them from it. The other fields
+    come from the layout.
+    """
+
+    scn: object
     layout: Layout
     l_ap_ap: np.ndarray  # average AP-to-AP gains (diagonal unused)
-    n_users: int
-    sigma_z2: float
-    w_total_mhz: float
-    sigma2_mw: float
-    gamma_t_linear: float
     candidates: CandidateTable  # the layout's association candidates
 
     @property
@@ -353,15 +347,9 @@ class DeploymentContext:
 
 def make_context(scn, layout: Layout) -> DeploymentContext:
     return DeploymentContext(
-        area=scn.area,
-        prop=scn.propagation,
+        scn=scn,
         layout=layout,
         l_ap_ap=ch.average_gains(scn.area, scn.propagation, layout.ap_xy, layout.ap_xy),
-        n_users=scn.n_users,
-        sigma_z2=scn.radio.sigma_z2,
-        w_total_mhz=scn.radio.bandwidth_mhz,
-        sigma2_mw=scn.sigma2_mw,
-        gamma_t_linear=scn.gamma_t_linear,
         candidates=candidate_table(scn.area, scn.propagation, layout.ap_xy),
     )
 
@@ -427,7 +415,7 @@ class Snapshot:
     def faded_gains(self) -> np.ndarray:
         """AP-to-user power gains, one column per scheduled user, drawn from S0."""
         if self._gains is None:
-            z = ch.draw_fading(self._rng, self.served_gains.shape, self.ctx.sigma_z2)
+            z = ch.draw_fading(self._rng, self.served_gains.shape, self.ctx.scn.radio.sigma_z2)
             self._gains = _read_only(self.served_gains * np.abs(z) ** 2)
         return self._gains
 
@@ -435,7 +423,7 @@ class Snapshot:
         """AP-to-AP power gains drawn from S1, and a new generator at S2."""
         if self._g_ap_ap is None:
             self.faded_gains()
-            z_ap = ch.draw_symmetric_fading(self._rng, self.ctx.n_aps, self.ctx.sigma_z2)
+            z_ap = ch.draw_symmetric_fading(self._rng, self.ctx.n_aps, self.ctx.scn.radio.sigma_z2)
             self._g_ap_ap = _read_only(self.ctx.l_ap_ap * np.abs(z_ap) ** 2)
         return self._g_ap_ap, _generator_at(self._rng.bit_generator.state)
 
@@ -452,56 +440,55 @@ def draw_snapshot(ctx: DeploymentContext, rng: np.random.Generator) -> Snapshot:
     users equal those of the full AP-to-user matrix bit for bit. The
     returned snapshot takes ``rng`` over for its later draws.
     """
-    users = drop_users(ctx.area, ctx.n_users, rng)
+    scn = ctx.scn
+    users = drop_users(scn.area, scn.n_users, rng)
     assoc = associate_candidates(ctx.candidates, users)
     serving, cols = select_served(assoc, ctx.n_aps, rng)
-    served_gains = ch.average_gains(ctx.area, ctx.prop, ctx.layout.ap_xy, users[cols])
+    served_gains = ch.average_gains(scn.area, scn.propagation, ctx.layout.ap_xy, users[cols])
     return Snapshot(ctx, served_gains, serving, rng)
 
 
 def wifi_snapshot(
-    snap: Snapshot,
-    params: wifi.WifiParams,
-    assignment: planning.ChannelAssignment,
+    snap: Snapshot, cs_thr_dbm: float, assignment: planning.ChannelAssignment
 ) -> Scored:
     """One Wi-Fi transmission epoch, scored as static's reuse rule over the SSI active set.
 
-    The serving APs contend (``wifi.contention_graph`` over the AP-to-AP
-    fading) and one SSI draw picks the active set; its positions into
+    The serving APs contend (``wifi.contention_graph`` at carrier-sense
+    threshold ``cs_thr_dbm`` over the AP-to-AP fading) and one SSI draw on
+    the assignment's K^wifi channels picks the active set; its positions into
     ``serving`` come channel by channel. The active APs then transmit as
-    every serving AP does under static reuse (``planning.reuse_rates`` on
-    K^wifi channels), so only the other active co-channel APs interfere.
+    every serving AP does under static reuse (``planning.reuse_rates``), so
+    only the other active co-channel APs interfere.
     """
-    ctx, serving = snap.ctx, snap.serving
+    scn, serving, k = snap.ctx.scn, snap.serving, assignment.k
     gains = snap.faded_gains()
     g_ap_ap, rng = snap.ap_gains()
     channels = assignment.channel_of[serving]
-    adjacency = wifi.contention_graph(channels, g_ap_ap[serving[:, None], serving], params)
-    act = wifi.sample_ssi(adjacency, channels, params.k_wifi, rng)
-    rx = gains[serving[act]][:, act] * params.pt_mw  # rx[j, i]: active AP j at active user i
+    adjacency = wifi.contention_graph(
+        channels, g_ap_ap[serving[:, None], serving], scn.radio.pt_mw, cs_thr_dbm
+    )
+    act = wifi.sample_ssi(adjacency, channels, k, rng)
+    rx = gains[serving[act]][:, act] * scn.radio.pt_mw  # rx[j, i]: active AP j at active user i
     rates, sinr = planning.reuse_rates(
-        rx, channels[act], params.k_wifi, params.eta_wifi, ctx.w_total_mhz, ctx.sigma2_mw
+        rx, channels[act], k, scn.wifi.eta_wifi, scn.radio.bandwidth_mhz, scn.sigma2_mw
     )
     return Scored(rates, sinr)
 
 
-def static_snapshot(
-    snap: Snapshot,
-    eta_sta: float,
-    pt_mw: float,
-    assignments: Sequence[planning.ChannelAssignment],
-) -> Scored:
+def static_snapshot(snap: Snapshot, assignments: Sequence[planning.ChannelAssignment]) -> Scored:
     """Full-buffer frequency-planned cellular snapshot, one row per reuse plan.
 
     Every AP with traffic transmits in every snapshot, so each served user's
     interference sums over all co-channel serving APs (``planning.reuse_rates``).
     Every plan is scored on the same fading draw.
     """
-    ctx, serving = snap.ctx, snap.serving
-    rx = snap.faded_gains()[serving] * pt_mw  # rx[j, i]: power from serving AP j at user i
+    scn, serving = snap.ctx.scn, snap.serving
+    rx = snap.faded_gains()[serving] * scn.radio.pt_mw  # rx[j, i]: serving AP j at user i
     channels = np.array([a.channel_of[serving] for a in assignments])
     k = np.array([[a.k] for a in assignments], dtype=float)
-    rates, sinr = planning.reuse_rates(rx, channels, k, eta_sta, ctx.w_total_mhz, ctx.sigma2_mw)
+    rates, sinr = planning.reuse_rates(
+        rx, channels, k, scn.static.eta_sta, scn.radio.bandwidth_mhz, scn.sigma2_mw
+    )
     return Scored(rates, sinr)
 
 
@@ -514,22 +501,23 @@ class ZfPrecoded:
     redraws: int
 
 
-def zf_snapshot(snap: Snapshot, params: zf.ZfParams, erroneous: bool) -> ZfPrecoded:
+def zf_snapshot(snap: Snapshot, erroneous: bool) -> ZfPrecoded:
     """Multi-cell ZF snapshot, first phase: fading, the inversion precoder and the true channel.
 
     One pass serves both CSIT models. The CSIT is a fading draw from S0;
     near-singular draws are replaced by a fresh one, up to
     MAX_REDRAWS_PER_SNAPSHOT. With ``erroneous`` set, the accepted CSIT is
     then evolved past the feedback delay (``ch.delayed_csit``, per-link
-    outdated with probability delta) into the true channel on which
-    erroneous CSIT is scored. This phase draws every random number of the
-    snapshot; ``finish_zf`` optimizes the PAPC powers and scores the result.
+    outdated with the scenario's probability ``zf.delta`` and correlation
+    ``zf.rho``) into the true channel on which erroneous CSIT is scored.
+    This phase draws every random number of the snapshot; ``finish_zf``
+    optimizes the PAPC powers and scores the result.
     """
-    ctx, rng = snap.ctx, snap.generator()
+    scn, rng = snap.ctx.scn, snap.generator()
     sqrt_l = np.sqrt(snap.served_gains[snap.serving].T)  # (user j, antenna i)
     redraws = 0
     while True:
-        z = ch.draw_fading(rng, sqrt_l.shape, ctx.sigma_z2)
+        z = ch.draw_fading(rng, sqrt_l.shape, scn.radio.sigma_z2)
         try:
             bf = zf.build_beamformer(sqrt_l * z)
             break
@@ -541,13 +529,11 @@ def zf_snapshot(snap: Snapshot, params: zf.ZfParams, erroneous: bool) -> ZfPreco
                 )
     h_true = None
     if erroneous:
-        h_true = sqrt_l * ch.delayed_csit(z, params.delta, params.rho, rng, ctx.sigma_z2)
+        h_true = sqrt_l * ch.delayed_csit(z, scn.zf.delta, scn.zf.rho, rng, scn.radio.sigma_z2)
     return ZfPrecoded(beamformer=bf, h_true=h_true, redraws=redraws)
 
 
-def finish_zf(
-    ctx: DeploymentContext, precoded: Sequence[ZfPrecoded], params: zf.ZfParams
-) -> dict[str, list[Scored]]:
+def finish_zf(ctx: DeploymentContext, precoded: Sequence[ZfPrecoded]) -> dict[str, list[Scored]]:
     """Optimize the PAPC powers of all ``precoded`` snapshots at once, then score each.
 
     One ``zf.allocate_powers`` call stacks one instance per snapshot; each
@@ -557,9 +543,10 @@ def finish_zf(
     latter for the snapshots that carry ``h_true``. Both rows of a snapshot
     report its redraws and solver fallbacks.
     """
-    w, sigma2, eta_zf = ctx.w_total_mhz, ctx.sigma2_mw, params.eta_zf
+    scn = ctx.scn
+    w, sigma2, eta_zf = scn.radio.bandwidth_mhz, scn.sigma2_mw, scn.zf.eta_zf
     beamformers = [pre.beamformer for pre in precoded]
-    allocs = zf.allocate_powers(beamformers, sigma2, params.pt_mw, w, eta_zf)
+    allocs = zf.allocate_powers(beamformers, sigma2, scn.radio.pt_mw, w, eta_zf)
     scored: dict = {"zf-ideal": [], "zf-erroneous": []}
     for pre, alloc in zip(precoded, allocs):
         counts = {"redraws": pre.redraws, "solver_fallbacks": 0 if alloc.converged else 1}
@@ -587,14 +574,15 @@ class RunResult:
 
 def _aggregate(ctx: DeploymentContext, scored: Sequence[Scored]) -> list[RunResult]:
     """One RunResult per row of a system's per-snapshot scores (one per reuse plan)."""
+    gamma_t = ctx.scn.gamma_t_linear
     rate_sums = np.array([np.atleast_2d(sc.rates_mbps).sum(axis=1) for sc in scored])
-    hits = np.array([(np.atleast_2d(sc.sinr) < ctx.gamma_t_linear).sum(axis=1) for sc in scored])
+    hits = np.array([(np.atleast_2d(sc.sinr) < gamma_t).sum(axis=1) for sc in scored])
     served_total = sum(sc.rates_mbps.shape[-1] for sc in scored)
     redraws = sum(sc.redraws for sc in scored)
     solver_fallbacks = sum(sc.solver_fallbacks for sc in scored)
     runs = []
     for plan_sums, plan_hits in zip(rate_sums.T, hits.T):  # over snapshots, per plan
-        lambda_samples = plan_sums / ctx.area.area_km2
+        lambda_samples = plan_sums / ctx.scn.area.area_km2
         runs.append(
             RunResult(
                 lambda_s=normal_estimate(lambda_samples),
@@ -634,32 +622,22 @@ class DeploymentRecord:
     solver_fallbacks: int
 
 
-def _wifi_params_for(scn, system: str) -> wifi.WifiParams:
-    cs = (
-        scn.wifi.cs_thr_baseline_dbm
-        if system == "wifi-baseline"
-        else scn.wifi.cs_thr_aggressive_dbm
-    )
-    return wifi.WifiParams(
-        cs_thr_dbm=cs, k_wifi=scn.wifi.k_wifi, eta_wifi=scn.wifi.eta_wifi, pt_mw=scn.radio.pt_mw
-    )
-
-
-def _evaluator(scn, ctx: DeploymentContext, system: str, plan) -> tuple[list, Callable]:
+def _evaluator(ctx: DeploymentContext, system: str, plan) -> tuple[list, Callable]:
     """The channel counts a Wi-Fi or static system reports on and its per-snapshot evaluator.
 
     ``plan(k)`` returns the rung's channel assignment for k channels. The
     evaluator maps a ``Snapshot`` to a ``Scored``, whose rows follow the
     channel counts.
     """
+    scn = ctx.scn
     if system in ("wifi-baseline", "wifi-aggressive"):
-        params = _wifi_params_for(scn, system)
-        assignment = plan(params.k_wifi)
-        return [params.k_wifi], lambda snap: wifi_snapshot(snap, params, assignment)
-    eta_sta, pt_mw = scn.static.eta_sta, scn.radio.pt_mw
+        baseline = system == "wifi-baseline"
+        cs_thr_dbm = scn.wifi.cs_thr_baseline_dbm if baseline else scn.wifi.cs_thr_aggressive_dbm
+        assignment = plan(scn.wifi.k_wifi)
+        return [assignment.k], lambda snap: wifi_snapshot(snap, cs_thr_dbm, assignment)
     ks = list(range(1, min(scn.static.k_max, ctx.n_aps) + 1))
     assignments = [plan(k) for k in ks]
-    return ks, lambda snap: static_snapshot(snap, eta_sta, pt_mw, assignments)
+    return ks, lambda snap: static_snapshot(snap, assignments)
 
 
 def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) -> dict:
@@ -679,8 +657,10 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
     zf-erroneous runs; after the pass, one ``finish_zf`` call solves and
     scores them all.
 
-    ``scn`` is a Scenario (see apdim.scenario); only its documented attributes
-    are touched, keeping this module independent of the config layer.
+    ``scn`` is the validated Scenario (see apdim.scenario). The rung's
+    ``DeploymentContext`` holds it, and every system reads its parameters
+    from there; only its documented attributes are touched, keeping this
+    module independent of the config layer.
     """
     for system in systems:
         if system not in SYSTEMS:
@@ -703,12 +683,9 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
     evaluators = {}
     for system in ks:
         if not system.startswith("zf-"):
-            ks[system], evaluators[system] = _evaluator(scn, ctx, system, plan)
+            ks[system], evaluators[system] = _evaluator(ctx, system, plan)
     erroneous = "zf-erroneous" in ks
     run_zf = erroneous or "zf-ideal" in ks
-    zparams = zf.ZfParams(
-        eta_zf=scn.zf.eta_zf, pt_mw=scn.radio.pt_mw, delta=scn.zf.delta, rho=scn.zf.rho
-    )
     scored: dict = {system: [] for system in evaluators}  # per system, per snapshot
     precoded = []
     for s in range(n_snapshots):
@@ -716,9 +693,9 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
         for system, evaluate in evaluators.items():
             scored[system].append(evaluate(snap))
         if run_zf:
-            precoded.append(zf_snapshot(snap, zparams, erroneous))
+            precoded.append(zf_snapshot(snap, erroneous))
     if run_zf:
-        scored.update(finish_zf(ctx, precoded, zparams))
+        scored.update(finish_zf(ctx, precoded))
     return {system: dict(zip(ks[system], _aggregate(ctx, scored[system]))) for system in ks}
 
 

@@ -126,8 +126,6 @@ def write_manifest(
     path: str,
     scenario_dict: dict,
     systems: list,
-    seed: int,
-    n_snapshots: int,
     threads: int,
     wall_clock_s: float,
     rows_written: int,
@@ -142,8 +140,8 @@ def write_manifest(
         "numpy": np.__version__,
         "scenario": scenario_dict,
         "systems": list(systems),
-        "seed": seed,
-        "n_snapshots": n_snapshots,
+        "seed": scenario_dict["engine"]["seed"],
+        "n_snapshots": scenario_dict["engine"]["n_snapshots"],
         "threads": threads,
         "wall_clock_s": round(wall_clock_s, 3),
         "rows_written": rows_written,

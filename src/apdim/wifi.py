@@ -9,41 +9,22 @@ defers anyone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class WifiParams:
-    cs_thr_dbm: float  # carrier-sense threshold; +inf disables sensing entirely
-    k_wifi: int  # number of non-overlapping channels
-    eta_wifi: float  # max link spectral efficiency, bps/Hz
-    pt_mw: float
-
-    def __post_init__(self):
-        if self.k_wifi < 1:
-            raise ValueError(f"k_wifi must be >= 1, got {self.k_wifi}")
-        if self.eta_wifi <= 0:
-            raise ValueError(f"eta_wifi must be > 0, got {self.eta_wifi}")
-        if self.pt_mw <= 0:
-            raise ValueError(f"pt_mw must be > 0, got {self.pt_mw}")
-
-    @property
-    def cs_thr_mw(self) -> float:
-        return 10.0 ** (self.cs_thr_dbm / 10.0)
-
-
-def contention_graph(channels: np.ndarray, g_ap_ap: np.ndarray, params: WifiParams) -> np.ndarray:
+def contention_graph(
+    channels: np.ndarray, g_ap_ap: np.ndarray, pt_mw: float, cs_thr_dbm: float
+) -> np.ndarray:
     """Contention adjacency over the contending APs: entry (i, x) iff they contend.
 
-    APs i, x contend iff they share a channel and g_ix * Pt > CS_thr.
+    APs i, x contend iff they share a channel and g_ix * pt_mw exceeds the
+    carrier-sense threshold ``cs_thr_dbm`` in mW (+inf disables sensing).
     ``channels`` and the square ``g_ap_ap`` (instantaneous power gains,
     assumed reciprocal so the relation is symmetric) cover the same APs in
     the same order. No AP contends with itself.
     """
     adjacency = channels[:, None] == channels[None, :]
-    adjacency &= g_ap_ap * params.pt_mw > params.cs_thr_mw
+    adjacency &= g_ap_ap * pt_mw > 10.0 ** (cs_thr_dbm / 10.0)
     np.fill_diagonal(adjacency, False)
     return adjacency
 

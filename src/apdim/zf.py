@@ -23,24 +23,6 @@ class SingularChannelError(RuntimeError):
     """Raised when the CSIT matrix is too ill-conditioned to invert reliably."""
 
 
-@dataclass(frozen=True)
-class ZfParams:
-    eta_zf: float  # max link spectral efficiency, bps/Hz
-    pt_mw: float  # per-antenna power budget
-    delta: float  # probability a link's CSIT is outdated (read with erroneous CSIT only)
-    rho: float  # fading correlation across the feedback delay
-
-    def __post_init__(self):
-        if self.eta_zf <= 0:
-            raise ValueError(f"eta_zf must be > 0, got {self.eta_zf}")
-        if self.pt_mw <= 0:
-            raise ValueError(f"pt_mw must be > 0, got {self.pt_mw}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must be in [0, 1], got {self.delta}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must be in [0, 1], got {self.rho}")
-
-
 @dataclass(frozen=True, eq=False)
 class Beamformer:
     """Channel-inverting beamforming matrix with its conditioning diagnostic."""

@@ -151,8 +151,8 @@ def test_associate_wall_shadowed_ap_loses():
 
 
 # --- association by ranking costs ----------------------------------------------
-# engine.associate_users must equal the exact argmax, associate(average_gains),
-# for every user, ties included.
+# engine.associate_candidates over a layout's candidate_table must equal the
+# exact argmax, associate(average_gains), for every user, ties included.
 
 WALLED_AREA = geometry.ServiceArea(lx=100, ly=100, wx=4, wy=4)
 
@@ -208,7 +208,8 @@ def test_associate_users_equals_exact_argmax(alpha, lw_db):
         for ap_xy in _probe_layouts(area):
             users = _probe_users(area, ap_xy, rng)
             exact = engine.associate(ch.average_gains(area, prop, ap_xy, users))
-            ranked = engine.associate_users(area, prop, ap_xy, users)
+            table = engine.candidate_table(area, prop, ap_xy)
+            ranked = engine.associate_candidates(table, users)
             assert np.array_equal(ranked, exact), (alpha, lw_db, area, ap_xy.shape[0])
 
 
@@ -225,7 +226,8 @@ def test_associate_users_at_extreme_parameters(prop):
     ap_xy = geometry.place_aps(WALLED_AREA, 3, 3).ap_xy
     users = _probe_users(WALLED_AREA, ap_xy, rng)
     exact = engine.associate(ch.average_gains(WALLED_AREA, prop, ap_xy, users))
-    assert np.array_equal(engine.associate_users(WALLED_AREA, prop, ap_xy, users), exact)
+    table = engine.candidate_table(WALLED_AREA, prop, ap_xy)
+    assert np.array_equal(engine.associate_candidates(table, users), exact)
 
 
 # --- the candidate table -------------------------------------------------------
@@ -423,13 +425,13 @@ def test_select_served_small_key_sort_matches_int64_sort(n_aps):
 
 # --- snapshot runs ---------------------------------------------------------------
 
-def _wifi_setup(scn, layout, system="wifi-baseline"):
+def _wifi_setup(scn, layout):
+    """wifi-baseline's context, carrier-sense threshold and channel assignment."""
     ctx = engine.make_context(scn, layout)
-    params = engine._wifi_params_for(scn, system)
-    assignment = planning.assign_channels(
-        ctx.l_ap_ap, params.k_wifi, engine.substream(scn.engine.seed, 0, 2, params.k_wifi)
-    )
-    return ctx, params, assignment
+    k = scn.wifi.k_wifi
+    plan_rng = engine.substream(scn.engine.seed, 0, 2, k)
+    assignment = planning.assign_channels(ctx.l_ap_ap, k, plan_rng)
+    return ctx, scn.wifi.cs_thr_baseline_dbm, assignment
 
 
 def _wifi_run(scn, layout, n_snapshots, master_seed, deployment_id):
@@ -451,10 +453,10 @@ def test_run_rung_deterministic():
 
 def test_snapshot_rate_sum_conservation():
     scn = scenario.preset("table1-open")
-    ctx, params, assignment = _wifi_setup(scn, geometry.place_aps(scn.area, 2, 3))
+    ctx, cs_thr_dbm, assignment = _wifi_setup(scn, geometry.place_aps(scn.area, 2, 3))
     for s in range(10):
         rng = engine.substream(5, 0, engine._SALT_SNAPSHOT, s)
-        scored = engine.wifi_snapshot(engine.draw_snapshot(ctx, rng), params, assignment)
+        scored = engine.wifi_snapshot(engine.draw_snapshot(ctx, rng), cs_thr_dbm, assignment)
         (run,) = engine._aggregate(ctx, [scored])
         assert run.lambda_samples[0] * scn.area.area_km2 == pytest.approx(
             scored.rates_mbps.sum(), rel=1e-9
@@ -655,17 +657,14 @@ def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_a
     if system.startswith("wifi"):
         baseline = system == "wifi-baseline"
         cs = scn.wifi.cs_thr_baseline_dbm if baseline else scn.wifi.cs_thr_aggressive_dbm
-        params = wifi.WifiParams(
-            cs_thr_dbm=cs, k_wifi=scn.wifi.k_wifi, eta_wifi=scn.wifi.eta_wifi, pt_mw=pt
-        )
         z = ch.draw_fading(rng, (layout.n_aps, cols.shape[0]))
         gains = avg[:, cols] * np.abs(z) ** 2
         g_ap_ap = l_ap_ap * np.abs(ch.draw_symmetric_fading(rng, layout.n_aps)) ** 2
         channels = assignment.channel_of[serving]
-        adj = wifi.contention_graph(channels, g_ap_ap[np.ix_(serving, serving)], params)
+        adj = wifi.contention_graph(channels, g_ap_ap[np.ix_(serving, serving)], pt, cs)
         act = wifi.sample_ssi(adj, channels, assignment.k, rng)
         rx = gains[np.ix_(serving[act], act)] * pt
-        return planning.reuse_rates(rx, channels[act], assignment.k, params.eta_wifi, w, sigma2)
+        return planning.reuse_rates(rx, channels[act], assignment.k, scn.wifi.eta_wifi, w, sigma2)
     sqrt_l = np.sqrt(avg[np.ix_(serving, cols)].T)
     while True:
         z = ch.draw_fading(rng, sqrt_l.shape)
@@ -732,18 +731,15 @@ def test_zf_rung_with_mixed_sizes_matches_solo_solves():
     assert scn.n_users == 3
     layout = geometry.place_aps(scn.area, 2, 2)
     ctx = engine.make_context(scn, layout)
-    params = zf.ZfParams(
-        eta_zf=scn.zf.eta_zf, pt_mw=scn.radio.pt_mw, delta=scn.zf.delta, rho=scn.zf.rho
-    )
     precoded = []
     for s in range(n_snapshots):
         rng = engine.substream(scn.engine.seed, deployment_id, engine._SALT_SNAPSHOT, s)
         snap = engine.draw_snapshot(ctx, rng)
-        precoded.append(engine.zf_snapshot(snap, params, erroneous=True))
+        precoded.append(engine.zf_snapshot(snap, erroneous=True))
     assert {pre.beamformer.w.shape[0] for pre in precoded} == {1, 2, 3}
-    finished = engine.finish_zf(ctx, precoded, params)
+    finished = engine.finish_zf(ctx, precoded)
     for i, pre in enumerate(precoded):
-        solo = engine.finish_zf(ctx, [pre], params)
+        solo = engine.finish_zf(ctx, [pre])
         for system in systems:
             got, (want,) = finished[system][i], solo[system]
             assert np.array_equal(got.rates_mbps, want.rates_mbps)

@@ -123,6 +123,13 @@ def _drop(section, key):
             "propagation.l0_db: expected finite number, got nan",
         ),
         (lambda raw: [raw], "scenario: expected a JSON object, got 'list'"),
+        # the ranges the engine's Wi-Fi and ZF parameters are read with
+        (_set("wifi", "k_wifi", 0), "wifi.k_wifi: expected integer >= 1, got 0"),
+        (_set("wifi", "eta_wifi", -1), "wifi.eta_wifi: expected positive number, got -1"),
+        (_set("zf", "eta_zf", 0), "zf.eta_zf: expected positive number, got 0"),
+        (_set("zf", "delta", 1.5), "zf.delta: expected number in [0, 1], got 1.5"),
+        (_set("zf", "rho", -0.1), "zf.rho: expected number in [0, 1], got -0.1"),
+        (_set("radio", "pt_mw", 0), "radio.pt_mw: expected positive number, got 0"),
     ],
 )
 def test_schema_error_messages_exact(edit, message):
@@ -208,6 +215,20 @@ def test_cli_validate_bad_file(tmp_path):
     proc = _run_cli(["validate", "--scenario", str(path)])
     assert proc.returncode == 2
     assert "beta" in proc.stderr
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_cli_undecodable_scenario_is_a_usage_error(tmp_path, verb):
+    path = tmp_path / "f.json"
+    path.write_bytes(b"\xff\xfe{}")
+    args = [verb, "--scenario", str(path)]
+    if verb == "run":
+        args += ["--systems", "static", "--out", str(tmp_path / "o.csv")]
+    proc = _run_cli(args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {path}: not valid JSON (")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_empty_systems_usage_error(tmp_path):
@@ -307,7 +328,13 @@ def test_cli_run_writes_csv_and_manifest(tmp_path):
     assert lines[0] == ",".join(RESULT_COLUMNS)
     assert len(lines) >= 2
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert list(manifest) == [
+        "tool", "version", "python", "numpy", "scenario", "systems", "seed", "n_snapshots",
+        "threads", "wall_clock_s", "rows_written", "dimensioning",
+    ]
     assert manifest["tool"] == "apdim"
+    assert manifest["seed"] == scenario.preset("table1-open").engine.seed
+    assert manifest["n_snapshots"] == 80
     assert manifest["dimensioning"]["zf-ideal"][0]["feasible"] is True
 
 

@@ -102,10 +102,9 @@ def test_static_sinr_dominated_by_wifi_active_subset():
     channels = np.zeros(n, dtype=np.int64)
     assignment = ChannelAssignment(k=1, channel_of=channels)
     _, (static_sinr,) = static_rates([assignment], np.arange(n), gains)
-    wp = wifi.WifiParams(cs_thr_dbm=-85.0, k_wifi=1, eta_wifi=3.75, pt_mw=PT)
-    act = wifi.sample_ssi(wifi.contention_graph(channels, gains, wp), channels, 1, rng)
+    act = wifi.sample_ssi(wifi.contention_graph(channels, gains, PT, -85.0), channels, 1, rng)
     _, wifi_sinr = planning.reuse_rates(
-        gains[np.ix_(act, act)] * PT, channels[act], 1, wp.eta_wifi, W_MHZ, SIGMA2
+        gains[np.ix_(act, act)] * PT, channels[act], 1, 3.75, W_MHZ, SIGMA2
     )
     assert act.size >= 1
     for p, s in zip(act, wifi_sinr):

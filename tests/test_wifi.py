@@ -15,15 +15,21 @@ W_MHZ = 60.0
 SIGMA2 = 2.484e-10
 
 
+ETA_WIFI = 2.7
+
+
 def params(cs=-85.0, k=3):
-    return wifi.WifiParams(cs_thr_dbm=cs, k_wifi=k, eta_wifi=2.7, pt_mw=PT_MW)
+    """A carrier-sense threshold (dBm) and a channel count."""
+    return SimpleNamespace(cs_thr_dbm=cs, k_wifi=k)
 
 
 class _FixedSnapshot:
     """What ``engine.wifi_snapshot`` reads of an ``engine.Snapshot``, with given gains."""
 
     def __init__(self, serving, gains, g_ap_ap, rng):
-        self.ctx = SimpleNamespace(w_total_mhz=W_MHZ, sigma2_mw=SIGMA2)
+        radio = SimpleNamespace(pt_mw=PT_MW, bandwidth_mhz=W_MHZ)
+        wifi_config = SimpleNamespace(eta_wifi=ETA_WIFI)
+        self.ctx = SimpleNamespace(scn=SimpleNamespace(radio=radio, wifi=wifi_config, sigma2_mw=SIGMA2))
         self.serving = np.asarray(serving, dtype=np.int64)
         self._gains, self._g_ap_ap, self._rng = gains, g_ap_ap, rng
 
@@ -37,15 +43,9 @@ class _FixedSnapshot:
 def wifi_scores(p, channel_of, serving, gains, g_ap_ap, rng):
     """engine.wifi_snapshot on fixed gains: (rates, sinr) of the active users."""
     assignment = ChannelAssignment(k=p.k_wifi, channel_of=np.asarray(channel_of))
-    scored = engine.wifi_snapshot(_FixedSnapshot(serving, gains, g_ap_ap, rng), p, assignment)
+    snap = _FixedSnapshot(serving, gains, g_ap_ap, rng)
+    scored = engine.wifi_snapshot(snap, p.cs_thr_dbm, assignment)
     return scored.rates_mbps, scored.sinr
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        wifi.WifiParams(cs_thr_dbm=-85, k_wifi=0, eta_wifi=2.7, pt_mw=100)
-    with pytest.raises(ValueError):
-        wifi.WifiParams(cs_thr_dbm=-85, k_wifi=3, eta_wifi=-1, pt_mw=100)
 
 
 def test_contention_clique_at_worst_case_separation():
@@ -58,22 +58,22 @@ def test_contention_clique_at_worst_case_separation():
     gain = 10 ** (-(37 + 20 * math.log10(d)) / 10)
     g = np.full((4, 4), gain)
     np.fill_diagonal(g, 1.0)
-    adj = wifi.contention_graph(np.zeros(4, dtype=np.int64), g, params(k=1))
+    adj = wifi.contention_graph(np.zeros(4, dtype=np.int64), g, PT_MW, -85.0)
     assert adj.sum() == 4 * 3  # complete graph, no self-edges
     assert not np.diag(adj).any()
 
 
 def test_contention_disabled_sentinel():
     g = np.ones((5, 5))
-    adj = wifi.contention_graph(np.zeros(5, dtype=np.int64), g, params(cs=math.inf, k=1))
+    adj = wifi.contention_graph(np.zeros(5, dtype=np.int64), g, PT_MW, math.inf)
     assert not adj.any()
 
 
 def test_contention_different_channels_never_adjacent():
     g = np.ones((2, 2))
-    assert not wifi.contention_graph(np.array([0, 1]), g, params(k=2)).any()
+    assert not wifi.contention_graph(np.array([0, 1]), g, PT_MW, -85.0).any()
     # the same gains on one channel do contend
-    assert wifi.contention_graph(np.array([1, 1]), g, params(k=2)).tolist() == [
+    assert wifi.contention_graph(np.array([1, 1]), g, PT_MW, -85.0).tolist() == [
         [False, True],
         [True, False],
     ]
@@ -185,7 +185,7 @@ def test_raising_threshold_never_shrinks_active_sets():
         channels = np.zeros(n, dtype=np.int64)
         sizes = []
         for cs in (-85.0, -75.0, -65.0):
-            adj = wifi.contention_graph(channels, g, params(cs=cs, k=1))
+            adj = wifi.contention_graph(channels, g, PT_MW, cs)
             draw_rng = np.random.default_rng(777)  # matched admission orders
             total = 0
             for _ in range(40):
@@ -206,11 +206,11 @@ def test_wifi_rate_cap_boundary():
     # SINR chosen so spectral efficiency is exactly eta: the min clamps at R_max
     p = params()
     w = W_MHZ / p.k_wifi
-    sinr_cap = 2**p.eta_wifi - 1
+    sinr_cap = 2**ETA_WIFI - 1
     g = sinr_cap * (SIGMA2 / p.k_wifi) / PT_MW
     rng = np.random.default_rng(36)
     rates, sinr = wifi_scores(p, [0], [0], np.array([[g]]), np.ones((1, 1)), rng)
-    assert rates[0] == pytest.approx(w * p.eta_wifi, rel=1e-9)
+    assert rates[0] == pytest.approx(w * ETA_WIFI, rel=1e-9)
     assert sinr[0] == pytest.approx(sinr_cap, rel=1e-9)
 
 
@@ -279,7 +279,7 @@ def _loop_contention_graph(channels, g_ap_ap, p):
     for i in range(n):
         for x in range(n):
             if i != x and channels[i] == channels[x]:
-                adj[i, x] = g_ap_ap[i, x] * p.pt_mw > p.cs_thr_mw
+                adj[i, x] = g_ap_ap[i, x] * PT_MW > 10.0 ** (p.cs_thr_dbm / 10.0)
     return adj
 
 
@@ -292,12 +292,12 @@ def _loop_wifi_rates(active, channels, serving_aps, gains, p, w_total_mhz, sigma
         cols = [int(a) for a in active if channels[a] == c]
         if not cols:
             continue
-        rx = gains[np.ix_(serving_aps[cols], cols)] * p.pt_mw
+        rx = gains[np.ix_(serving_aps[cols], cols)] * PT_MW
         signal = np.diag(rx)
         sinr = signal / (rx.sum(axis=0) - signal + noise)
         sinrs.extend(float(s) for s in sinr)
     sinr_arr = np.array(sinrs, dtype=float)
-    rates = np.minimum(w * np.log2(1.0 + sinr_arr), w * p.eta_wifi)
+    rates = np.minimum(w * np.log2(1.0 + sinr_arr), w * ETA_WIFI)
     return rates, sinr_arr
 
 
@@ -365,7 +365,7 @@ def test_wifi_rates_match_per_channel_loop(seed):
         got = wifi_scores(p, channel_of, serving, gains, g_ap_ap, draw_rng)
         channels, g_served = channel_of[serving], g_ap_ap[np.ix_(serving, serving)]
         adj = _loop_contention_graph(channels, g_served, p)
-        assert np.array_equal(wifi.contention_graph(channels, g_served, p), adj)
+        assert np.array_equal(wifi.contention_graph(channels, g_served, PT_MW, p.cs_thr_dbm), adj)
         active = _loop_sample_ssi(adj, channels, p.k_wifi, ref_rng)
         want = _loop_wifi_rates(active, channels, serving, gains, p, W_MHZ, SIGMA2)
         for g, w in zip(got, want):

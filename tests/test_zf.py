@@ -291,11 +291,8 @@ def test_iteration_cap_reports_not_converged(monkeypatch):
     ctx = engine.make_context(scn, geometry.place_aps(scn.area, 2, 2))
     snap_rng = engine.substream(5, 0, engine._SALT_SNAPSHOT, 0)
     snap = engine.draw_snapshot(ctx, snap_rng)
-    params = zf.ZfParams(
-        eta_zf=scn.zf.eta_zf, pt_mw=scn.radio.pt_mw, delta=scn.zf.delta, rho=scn.zf.rho
-    )
-    precoded = [engine.zf_snapshot(snap, params, erroneous=False)]
-    (result,) = engine.finish_zf(ctx, precoded, params)["zf-ideal"]
+    precoded = [engine.zf_snapshot(snap, erroneous=False)]
+    (result,) = engine.finish_zf(ctx, precoded)["zf-ideal"]
     assert result.solver_fallbacks == 1
 
 
