@@ -142,6 +142,7 @@ def delayed_csit(
 ) -> np.ndarray:
     """Evolve fading past a feedback delay; the CSIT keeps the pre-delay state.
 
+    ``delta`` and ``rho`` lie in [0, 1]; the scenario schema checks both.
     Each link is independently outdated with probability ``delta``. On an
     outdated link the current fading is the AR(1) step
     z_now = rho * z_prev + sqrt(1 - rho^2) * q with q ~ CN(0, sigma_z2);
@@ -150,10 +151,6 @@ def delayed_csit(
     Returns z_now. The caller builds h_hat = sqrt(L) * z_prev and the true
     channel from z_now; average gains are shared.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must be in [0, 1], got {delta}")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
     z_prev = np.asarray(z_prev)
     outdated = rng.random(z_prev.shape) < delta
     q = draw_fading(rng, z_prev.shape, sigma_z2)

@@ -127,7 +127,6 @@ def _run_dimensioning(args, sweep: bool) -> int:
     results.write_manifest(
         args.out + ".manifest.json",
         scenario_dict=scn.to_dict(),
-        systems=systems,
         threads=threads,
         wall_clock_s=elapsed,
         rows_written=rows,

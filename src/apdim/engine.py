@@ -49,33 +49,22 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Traffic and demand conversion
+# Demand conversion
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrafficParams:
-    omega: float  # busy-hour fraction of the day
-    lambda_u_per_km2: float  # mean user density
+def throughput_to_demand(mu_mbps_per_user: float, traffic) -> float:
+    """Busy-hour per-user throughput (Mbps) -> monthly demand (GB/month/user).
 
-    def __post_init__(self):
-        if not 0.0 < self.omega <= 1.0:
-            raise ValueError(f"omega must be in (0, 1], got {self.omega}")
-        if self.lambda_u_per_km2 <= 0:
-            raise ValueError(f"lambda_u must be > 0, got {self.lambda_u_per_km2}")
-
-
-def throughput_to_demand(mu_mbps_per_user: float, traffic: TrafficParams) -> float:
-    """Busy-hour per-user throughput (Mbps) -> monthly demand (GB/month/user)."""
+    ``traffic`` is a scenario's ``traffic`` section; its ``omega`` is read.
+    """
     if mu_mbps_per_user < 0:
         raise ValueError(f"mu must be >= 0, got {mu_mbps_per_user}")
     return C0_GB_MONTH_PER_MBPS / traffic.omega * mu_mbps_per_user
 
 
-def demand_to_throughput(demand_gb_month: float, traffic: TrafficParams) -> float:
+def demand_to_throughput(demand_gb_month: float, traffic) -> float:
     """Inverse of throughput_to_demand."""
-    if demand_gb_month < 0:
-        raise ValueError(f"demand must be >= 0, got {demand_gb_month}")
     return demand_gb_month * traffic.omega / C0_GB_MONTH_PER_MBPS
 
 
@@ -137,8 +126,6 @@ def wilson_estimate(successes: int, trials: int) -> Estimate:
 
 def drop_users(area: ServiceArea, count: int, rng: np.random.Generator) -> np.ndarray:
     """count i.i.d. uniform user positions in the area, (count, 2)."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
     return rng.random((count, 2)) * np.array([area.lx, area.ly])
 
 
@@ -665,9 +652,6 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
     for system in systems:
         if system not in SYSTEMS:
             raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
-    n_snapshots = scn.engine.n_snapshots
-    if n_snapshots < 1:
-        raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots}")
     seed = scn.engine.seed
     ctx = make_context(scn, layout)
     plans: dict = {}
@@ -688,7 +672,7 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
     run_zf = erroneous or "zf-ideal" in ks
     scored: dict = {system: [] for system in evaluators}  # per system, per snapshot
     precoded = []
-    for s in range(n_snapshots):
+    for s in range(scn.engine.n_snapshots):
         snap = draw_snapshot(ctx, substream(seed, deployment_id, _SALT_SNAPSHOT, s))
         for system, evaluate in evaluators.items():
             scored[system].append(evaluate(snap))
@@ -750,11 +734,9 @@ def evaluate_rung(
 
 @dataclass(frozen=True, eq=False)
 class SystemDimensioning:
-    system: str
     records: tuple[DeploymentRecord, ...]
     # demand (GB/month/user) -> minimal feasible record, or None if infeasible up to cap
     minimums: dict
-    ladder_cap: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -780,8 +762,6 @@ def dimension(
     ``stop_when_satisfied`` is off.
     """
     demand_grid = tuple(scn.demand_gb_month)
-    if any(b < a for a, b in zip(demand_grid, demand_grid[1:])):
-        raise ValueError("demand grid must be sorted ascending")
     ladder = tuple(grid_ladder(scn.engine.ladder_max_aps))
     targets = {
         d: demand_to_throughput(d, scn.traffic) * scn.traffic.lambda_u_per_km2
@@ -809,12 +789,7 @@ def dimension(
         if stop_when_satisfied:
             walking = [s for s in walking if any(v is None for v in minimums[s].values())]
     per_system = {
-        system: SystemDimensioning(
-            system=system,
-            records=tuple(records[system]),
-            minimums=minimums[system],
-            ladder_cap=scn.engine.ladder_max_aps,
-        )
+        system: SystemDimensioning(records=tuple(records[system]), minimums=minimums[system])
         for system in systems
     }
     return DimensioningResult(demand_grid=demand_grid, ladder=ladder, per_system=per_system)

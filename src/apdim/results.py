@@ -102,9 +102,18 @@ def write_sweep_csv(path: str, scenario_id: str, result: DimensioningResult) -> 
     return _write_csv(path, SWEEP_COLUMNS, rows())
 
 
-def demand_summary(result: DimensioningResult) -> dict:
-    """Demand -> minimum AP count per system, JSON-ready."""
-    out = {}
+def write_manifest(
+    path: str,
+    scenario_dict: dict,
+    threads: int,
+    wall_clock_s: float,
+    rows_written: int,
+    result: DimensioningResult,
+) -> None:
+    from . import __version__
+
+    # Demand -> minimum AP count per system, or infeasible up to the ladder cap.
+    dimensioning = {}
     for system, dims in result.per_system.items():
         entries = []
         for demand in result.demand_grid:
@@ -115,37 +124,23 @@ def demand_summary(result: DimensioningResult) -> dict:
                     "feasible": rec is not None,
                     "min_ap_count": None if rec is None else rec.ap_count,
                     "min_ap_density_per_km2": None if rec is None else rec.ap_density_per_km2,
-                    "ladder_cap_aps": dims.ladder_cap,
+                    "ladder_cap_aps": scenario_dict["engine"]["ladder_max_aps"],
                 }
             )
-        out[system] = entries
-    return out
-
-
-def write_manifest(
-    path: str,
-    scenario_dict: dict,
-    systems: list,
-    threads: int,
-    wall_clock_s: float,
-    rows_written: int,
-    result: DimensioningResult,
-) -> None:
-    from . import __version__
-
+        dimensioning[system] = entries
     manifest = {
         "tool": "apdim",
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scenario": scenario_dict,
-        "systems": list(systems),
+        "systems": list(result.per_system),
         "seed": scenario_dict["engine"]["seed"],
         "n_snapshots": scenario_dict["engine"]["n_snapshots"],
         "threads": threads,
         "wall_clock_s": round(wall_clock_s, 3),
         "rows_written": rows_written,
-        "dimensioning": demand_summary(result),
+        "dimensioning": dimensioning,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=False)

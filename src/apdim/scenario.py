@@ -1,6 +1,9 @@
 """Scenario configuration: JSON schema, strict validation, and named presets.
 
-A scenario file must be complete; nothing is defaulted silently. The named
+A scenario file must be complete; nothing is defaulted silently, and a key
+repeated within one object is an error rather than a silent last-wins. The
+schema is the one validator of every scenario value: the engine reads the
+validated ``Scenario`` and does not check its ranges again. The named
 presets carry the standard indoor parameter set (100 m x 100 m area, omega 0.2,
 1e5 users/km2, 100 mW APs, 3 dB SINR threshold, 5% outage budget, 3 Wi-Fi
 channels) in its open and obstructed propagation variants. The total system
@@ -14,7 +17,6 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .channel import PropagationParams, noise_power_mw
-from .engine import TrafficParams
 from .geometry import ServiceArea
 
 ENV_PREFIX = "APDIM_"
@@ -27,7 +29,12 @@ class ScenarioError(ValueError):
 # --- schema -----------------------------------------------------------------
 
 def _num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _int(v) -> bool:
@@ -66,8 +73,13 @@ _FOREIGN = {
     "area": (("lx_m", "positive", "lx"), ("ly_m", "positive", "ly"),
              ("wx", "nonneg_int"), ("wy", "nonneg_int")),
     "propagation": (("l0_db", "number"), ("alpha", "nonneg"), ("lw_db", "nonneg")),
-    "traffic": (("omega", "fraction01r"), ("lambda_u_per_km2", "positive")),
 }
+
+
+@dataclass(frozen=True)
+class TrafficConfig:
+    omega: float = _key("fraction01r")  # busy-hour fraction of the day
+    lambda_u_per_km2: float = _key("positive")  # mean user density
 
 
 @dataclass(frozen=True)
@@ -120,7 +132,7 @@ class Scenario:
     scenario_id: str = _key("string")
     area: ServiceArea
     propagation: PropagationParams
-    traffic: TrafficParams
+    traffic: TrafficConfig
     radio: RadioConfig
     wifi: WifiConfig
     static: StaticConfig
@@ -246,9 +258,18 @@ def apply_env_overrides(raw: dict, environ=None) -> dict:
 
 def load_scenario(path: str) -> Scenario:
     """Load, override from the environment, and validate a scenario file."""
+
+    def unique_keys(pairs: list) -> dict:
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise ScenarioError(f"{path}: repeated key {key!r}")
+            out[key] = value
+        return out
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     return from_dict(apply_env_overrides(raw))

@@ -148,15 +148,6 @@ def test_snapshots_are_independent_block_fading():
     assert abs(lag1) < 0.02
 
 
-def test_delayed_csit_validation():
-    rng = np.random.default_rng(15)
-    z = ch.draw_fading(rng, (3, 3))
-    with pytest.raises(ValueError):
-        ch.delayed_csit(z, delta=1.5, rho=0.9, rng=rng)
-    with pytest.raises(ValueError):
-        ch.delayed_csit(z, delta=0.5, rho=-0.1, rng=rng)
-
-
 def test_delayed_csit_delta_zero_is_exact():
     rng = np.random.default_rng(16)
     z = ch.draw_fading(rng, (4, 4))

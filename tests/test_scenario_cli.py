@@ -130,6 +130,18 @@ def _drop(section, key):
         (_set("zf", "delta", 1.5), "zf.delta: expected number in [0, 1], got 1.5"),
         (_set("zf", "rho", -0.1), "zf.rho: expected number in [0, 1], got -0.1"),
         (_set("radio", "pt_mw", 0), "radio.pt_mw: expected positive number, got 0"),
+        pytest.param(
+            _set("radio", "pt_mw", 10**400),
+            f"radio.pt_mw: expected positive number, got {10**400}",
+            id="radio.pt_mw-int-beyond-float-range",
+        ),
+        # the ranges the engine reads traffic, snapshot counts and demands with
+        (_set("traffic", "omega", 0.0), "traffic.omega: expected number in (0, 1], got 0.0"),
+        (
+            _set("traffic", "lambda_u_per_km2", 0.0),
+            "traffic.lambda_u_per_km2: expected positive number, got 0.0",
+        ),
+        (_set("engine", "n_snapshots", 0), "engine.n_snapshots: expected integer >= 1, got 0"),
     ],
 )
 def test_schema_error_messages_exact(edit, message):
@@ -229,6 +241,27 @@ def test_cli_undecodable_scenario_is_a_usage_error(tmp_path, verb):
     assert proc.stderr.startswith(f"error: {path}: not valid JSON (")
     assert proc.stderr.count("\n") == 1
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('"omega": 0.2', '"omega": 0.2, "omega": 0.35', "repeated key 'omega'"),
+        ('"scenario_id"', '"scenario_id": "a", "scenario_id"', "repeated key 'scenario_id'"),
+        ('"pt_mw": 100.0', f'"pt_mw": {10**400}', "radio.pt_mw: expected positive number"),
+    ],
+    ids=["nested-repeated-key", "top-level-repeated-key", "int-beyond-float-range"],
+)
+def test_cli_validate_rejects_repeated_keys_and_huge_ints(tmp_path, old, new, message):
+    path = tmp_path / "scn.json"
+    text = json.dumps(scenario.preset_raw("table1-open"))
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    proc = _run_cli(["validate", "--scenario", str(path), "--dump"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
 
 
 def test_cli_empty_systems_usage_error(tmp_path):
@@ -336,6 +369,23 @@ def test_cli_run_writes_csv_and_manifest(tmp_path):
     assert manifest["seed"] == scenario.preset("table1-open").engine.seed
     assert manifest["n_snapshots"] == 80
     assert manifest["dimensioning"]["zf-ideal"][0]["feasible"] is True
+
+
+def test_cli_manifest_lists_each_system_once(tmp_path, monkeypatch):
+    monkeypatch.setenv("APDIM_ENGINE__LADDER_MAX_APS", "4")
+    out = tmp_path / "run.csv"
+    argv = ["run", "--preset", "table1-open", "--systems", "static,zf-ideal,static",
+            "--out", str(out), "--snapshots", "5", "--quiet"]
+    assert cli.main(argv) == 0
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert manifest["systems"] == ["static", "zf-ideal"]
+    assert list(manifest["dimensioning"]) == ["static", "zf-ideal"]
+    entries = [e for rows in manifest["dimensioning"].values() for e in rows]
+    assert {e["ladder_cap_aps"] for e in entries} == {4}
+    with open(out, newline="") as fh:
+        rows = [(row["system"], row["nx"], row["ny"]) for row in csv.DictReader(fh)]
+    assert len(set(rows)) == len(rows)  # one row per system and rung
+    assert list(dict.fromkeys(system for system, _, _ in rows)) == manifest["systems"]
 
 
 def _readme_run_columns():
