@@ -8,8 +8,11 @@ serves every system: the shared prefix and every later draw that several
 systems make (the faded gains, the AP-to-AP fading) are drawn once, and each
 system continues on its own generator where its draws part from the
 others', so its results do not depend on which other systems run beside it.
-Both ZF systems share one ZF pass per snapshot and one stacked power solve
-per rung; they differ only in the channel their rates are scored on.
+The pass walks the snapshots in blocks of consecutive indices, evaluated
+together by stacked array calls that act on each snapshot as a block of one
+would, so the results do not depend on the block size either. Both ZF
+systems share one ZF pass per snapshot and one stacked power solve per rung;
+they differ only in the channel their rates are scored on.
 """
 
 from __future__ import annotations
@@ -268,13 +271,18 @@ def associate_candidates(table: CandidateTable, users: np.ndarray) -> np.ndarray
     dy -= users[:, 1]
     cost = np.multiply(dx, dx, out=dx)
     cost += np.multiply(dy, dy, out=dy)
-    ch.association_cost(table.prop, cost, np.take(table.factor, cell, axis=1))
+    # The wall factors reuse dy's buffer, which keeps the (height, n_users)
+    # temporaries to three as a block of snapshots associates many users.
+    factor = np.take(table.factor, cell, axis=1, out=dy, mode="clip")  # cells are in range
+    ch.association_cost(table.prop, cost, factor)
     best_cost = cost.min(axis=0)
     is_best = cost <= best_cost * (1.0 + RANK_RTOL)
+    del dx, dy, cost, factor
     exact |= is_best.sum(axis=0) > 1
     exact |= ~(np.abs(table.prop.l0_db + 10.0 * np.log10(best_cost)) <= RANKED_LOSS_DB_MAX)
     # the one AP within RANK_RTOL of the best cost, where no other is
-    best = (np.take(table.aps, cell, axis=1) * is_best).sum(axis=0)
+    best = np.take(table.aps, cell, axis=1)
+    best = np.multiply(best, is_best, out=best).sum(axis=0)
     if exact.any():
         best[exact] = associate(
             ch.average_gains(table.area, table.prop, table.ap_xy, users[exact])
@@ -283,20 +291,28 @@ def associate_candidates(table: CandidateTable, users: np.ndarray) -> np.ndarray
 
 
 def select_served(
-    assoc: np.ndarray, n_aps: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One uniformly chosen user per AP that has any; APs visited in index order.
+    assoc: np.ndarray, n_aps: int, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One uniformly chosen user per AP that has any, for each snapshot of a block.
 
-    Returns (serving_aps, user_cols): parallel arrays of AP indices and the
-    column (user index) each one serves this snapshot.
+    Row b of ``assoc`` (n_snapshots, n_users) is snapshot b's association,
+    and ``rngs[b]`` makes its draw. Returns (serving, cols, starts): the APs
+    with a user and the flat index (b * n_users + user) of the user each one
+    serves, snapshot by snapshot and in AP order within one; snapshot b's
+    entries are [starts[b], starts[b + 1]).
     """
+    n_snapshots = assoc.shape[0]
+    keys = (assoc + n_aps * np.arange(n_snapshots)[:, None]).ravel()  # (snapshot, AP)
     # the same permutation; numpy radix-sorts keys of 8 and 16 bits
-    order = np.argsort(assoc.astype(np.min_scalar_type(n_aps - 1)), kind="stable")
-    counts = np.bincount(assoc, minlength=n_aps)
-    serving = np.flatnonzero(counts)
-    starts = np.cumsum(counts)[serving] - counts[serving]
+    order = np.argsort(keys.astype(np.min_scalar_type(n_snapshots * n_aps - 1)), kind="stable")
+    counts = np.bincount(keys, minlength=n_snapshots * n_aps)
+    slots = np.flatnonzero(counts)
+    firsts = (np.cumsum(counts) - counts)[slots]
+    counts = counts[slots]
+    starts = np.searchsorted(slots, n_aps * np.arange(n_snapshots + 1))
     # one draw over an array of bounds equals one rng.integers(m) per AP in order
-    return serving, order[starts + rng.integers(counts[serving])]
+    picks = [rng.integers(counts[lo:hi]) for rng, lo, hi in zip(rngs, starts, starts[1:])]
+    return slots % n_aps, order[firsts + np.concatenate(picks)], starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,78 +357,119 @@ def make_context(scn, layout: Layout) -> DeploymentContext:
     )
 
 
-# Seeds the bit generators that _generator_at overwrites at once.
-_ANY_SEED = np.random.SeedSequence(0)
+class Block:
+    """Consecutive snapshots' shared prefix, and their later shared draws, each made at most once.
 
+    Snapshot b draws only from its own generator. Its prefix (user drop,
+    association, selection) leaves that generator at S0. The draws below S0:
 
-def _generator_at(state: dict) -> np.random.Generator:
-    """A new generator whose bit generator starts at ``state``.
-
-    Three times cheaper than ``copy.deepcopy`` of a generator, which pickles
-    it. The seed is overwritten at once; a fixed, prebuilt one skips the OS
-    entropy read and the seed sequence's set-up.
-    """
-    bit_generator = np.random.PCG64(_ANY_SEED)
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
-
-
-class Snapshot:
-    """One snapshot: the shared prefix, and its later random draws, each made at most once.
-
-    The prefix (user drop, association, selection) leaves the snapshot's
-    generator at S0. The generator tree below it:
-
-    - the one ZF pass, shared by both CSIT models, continues on its own
-      generator at S0 (``generator``): the CSIT fading until the precoder
-      is accepted, then the delayed CSIT if erroneous CSIT is scored;
+    - the one ZF pass, shared by both CSIT models, starts at S0
+      (``generator(b)``): the CSIT fading until the precoder is accepted,
+      then the delayed CSIT if erroneous CSIT is scored;
     - the faded AP-to-user gains are drawn from S0, leaving S1
-      (``faded_gains``; static and both Wi-Fi systems read them);
+      (``faded_gains``; static and both Wi-Fi systems read them, stacked in
+      ``received_powers``);
     - the AP-to-AP gains are drawn from S1, leaving S2 (``ap_gains``), and
-      each Wi-Fi system continues on its own generator at S2.
+      each Wi-Fi system's SSI draw starts at S2 (``ssi_generator(b)``).
 
-    Every system thus consumes random numbers exactly as if it ran alone, so
-    its results do not depend on which other systems share the snapshot. A
-    draw is made on first use and kept only as long as this object, which
-    lives for one snapshot; the shared arrays are read-only.
+    Every draw first sets the snapshot's generator to the state it starts
+    from. Every system thus consumes random numbers exactly as if it ran
+    alone, whatever ran before it, and every snapshot as if it were a block
+    of its own, so results depend neither on which other systems share the
+    snapshot nor on the block. A shared draw is made on first use and kept
+    only as long as this object, which lives for one block; the shared
+    arrays are read-only.
     """
 
     def __init__(
         self,
         ctx: DeploymentContext,
-        served_gains: np.ndarray,
         serving: np.ndarray,
-        rng: np.random.Generator,
+        starts: np.ndarray,
+        served_gains: np.ndarray,
+        rngs: Sequence[np.random.Generator],
     ):
-        """``rng`` stands at S0; the shared draws are made from it, so it is taken over."""
+        """``rngs`` stand at S0; the later draws are made from them, so they are taken over."""
         self.ctx = ctx
-        # Average gains to the scheduled users, (n_aps, n_served); column i
-        # belongs to the user of serving[i], the APs with a user in ascending order.
-        self.served_gains = served_gains
+        # The APs with a user, snapshot by snapshot and ascending within one;
+        # snapshot b's are serving[starts[b]:starts[b + 1]].
         self.serving = serving
-        self._rng = rng
-        self._s0 = rng.bit_generator.state
+        self.starts = starts
+        # Average gains to the scheduled users, (n_aps, n_served); column c
+        # belongs to the user of serving[c].
+        self.served_gains = served_gains
+        # snapshot[c]: the snapshot of column c; has_user[b, j]: AP j serves in snapshot b
+        self.snapshot = np.repeat(np.arange(len(rngs)), np.diff(starts))
+        self.has_user = np.zeros((len(rngs), ctx.n_aps), dtype=bool)
+        self.has_user[self.snapshot, serving] = True
+        self._rngs = rngs
+        self._s0 = [rng.bit_generator.state for rng in rngs]
+        self._s1: Optional[list] = None
+        self._s2: Optional[list] = None
         self._gains: Optional[np.ndarray] = None
+        self._rx: Optional[np.ndarray] = None
         self._g_ap_ap: Optional[np.ndarray] = None
 
-    def generator(self) -> np.random.Generator:
-        """A new generator at S0."""
-        return _generator_at(self._s0)
+    @property
+    def size(self) -> int:
+        return len(self._rngs)
+
+    def columns(self, b: int) -> slice:
+        """Snapshot b's positions in ``serving`` and its columns of the gains."""
+        return slice(self.starts[b], self.starts[b + 1])
+
+    def _at(self, b: int, state: dict) -> np.random.Generator:
+        # Setting a state is cheaper than building a generator on it.
+        rng = self._rngs[b]
+        rng.bit_generator.state = state
+        return rng
+
+    def generator(self, b: int) -> np.random.Generator:
+        """Snapshot b's generator at S0; it serves until the block's next draw."""
+        return self._at(b, self._s0[b])
+
+    def ssi_generator(self, b: int) -> np.random.Generator:
+        """Snapshot b's generator at S2; it serves until the block's next draw."""
+        self.ap_gains()
+        return self._at(b, self._s2[b])
 
     def faded_gains(self) -> np.ndarray:
-        """AP-to-user power gains, one column per scheduled user, drawn from S0."""
+        """AP-to-user power gains, one column per scheduled user, drawn from each S0."""
         if self._gains is None:
-            z = ch.draw_fading(self._rng, self.served_gains.shape, self.ctx.scn.radio.sigma_z2)
-            self._gains = _read_only(self.served_gains * np.abs(z) ** 2)
+            n_aps, sigma_z2 = self.ctx.n_aps, self.ctx.scn.radio.sigma_z2
+            z = []
+            for b, state in enumerate(self._s0):
+                shape = (n_aps, self.starts[b + 1] - self.starts[b])
+                z.append(ch.draw_fading(self._at(b, state), shape, sigma_z2))
+            self._s1 = [rng.bit_generator.state for rng in self._rngs]
+            self._gains = _read_only(self.served_gains * np.abs(np.concatenate(z, axis=1)) ** 2)
         return self._gains
 
-    def ap_gains(self) -> tuple[np.ndarray, np.random.Generator]:
-        """AP-to-AP power gains drawn from S1, and a new generator at S2."""
+    def received_powers(self) -> np.ndarray:
+        """Received powers, (size, n_aps, n_aps), from the faded gains.
+
+        Entry [b, j, i] is AP j's power at the user that AP i serves in
+        snapshot b. Rows and columns of the APs without a user in snapshot b
+        are zero.
+        """
+        if self._rx is None:
+            n_aps = self.ctx.n_aps
+            rx = np.zeros((self.size, n_aps, n_aps))
+            rx[self.snapshot, :, self.serving] = (self.faded_gains() * self.ctx.scn.radio.pt_mw).T
+            rx[~self.has_user] = 0.0
+            self._rx = _read_only(rx)
+        return self._rx
+
+    def ap_gains(self) -> np.ndarray:
+        """(size, n_aps, n_aps) AP-to-AP power gains, drawn from each S1."""
         if self._g_ap_ap is None:
             self.faded_gains()
-            z_ap = ch.draw_symmetric_fading(self._rng, self.ctx.n_aps, self.ctx.scn.radio.sigma_z2)
-            self._g_ap_ap = _read_only(self.ctx.l_ap_ap * np.abs(z_ap) ** 2)
-        return self._g_ap_ap, _generator_at(self._rng.bit_generator.state)
+            n_aps, sigma_z2 = self.ctx.n_aps, self.ctx.scn.radio.sigma_z2
+            z = [ch.draw_symmetric_fading(self._at(b, state), n_aps, sigma_z2)
+                 for b, state in enumerate(self._s1)]
+            self._s2 = [rng.bit_generator.state for rng in self._rngs]
+            self._g_ap_ap = _read_only(self.ctx.l_ap_ap * np.abs(np.stack(z)) ** 2)
+        return self._g_ap_ap
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -420,63 +477,90 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def draw_snapshot(ctx: DeploymentContext, rng: np.random.Generator) -> Snapshot:
-    """Drop users, associate them, schedule one per AP; exact gains for the scheduled only.
+def draw_block(ctx: DeploymentContext, rngs: Sequence[np.random.Generator]) -> Block:
+    """Drop, associate and schedule each snapshot's users; exact gains for the scheduled only.
 
-    ``ch.average_gains`` is elementwise, so its columns for the scheduled
-    users equal those of the full AP-to-user matrix bit for bit. The
-    returned snapshot takes ``rng`` over for its later draws.
+    Snapshot b draws its users and its selection from ``rngs[b]``. The
+    block's users are associated in one ``associate_candidates`` call and
+    their gains taken in one ``ch.average_gains`` call; both are elementwise
+    over users, so every snapshot's association and gains equal those of a
+    block of its own bit for bit. The returned block takes ``rngs`` over for
+    its later draws.
     """
     scn = ctx.scn
-    users = drop_users(scn.area, scn.n_users, rng)
-    assoc = associate_candidates(ctx.candidates, users)
-    serving, cols = select_served(assoc, ctx.n_aps, rng)
+    users = np.concatenate([drop_users(scn.area, scn.n_users, rng) for rng in rngs])
+    assoc = associate_candidates(ctx.candidates, users).reshape(len(rngs), scn.n_users)
+    serving, cols, starts = select_served(assoc, ctx.n_aps, rngs)
     served_gains = ch.average_gains(scn.area, scn.propagation, ctx.layout.ap_xy, users[cols])
-    return Snapshot(ctx, served_gains, serving, rng)
+    return Block(ctx, serving, starts, served_gains, rngs)
 
 
-def wifi_snapshot(
-    snap: Snapshot, cs_thr_dbm: float, assignment: planning.ChannelAssignment
-) -> Scored:
-    """One Wi-Fi transmission epoch, scored as static's reuse rule over the SSI active set.
+def wifi_block(
+    block: Block, thresholds: Sequence[float], assignment: planning.ChannelAssignment
+) -> list[list[Scored]]:
+    """Wi-Fi epochs, one per snapshot and carrier-sense threshold, scored by static's reuse rule.
 
-    The serving APs contend (``wifi.contention_graph`` at carrier-sense
-    threshold ``cs_thr_dbm`` over the AP-to-AP fading) and one SSI draw on
-    the assignment's K^wifi channels picks the active set; its positions into
-    ``serving`` come channel by channel. The active APs then transmit as
-    every serving AP does under static reuse (``planning.reuse_rates``), so
-    only the other active co-channel APs interfere.
+    At each threshold (dBm) the serving APs contend (``wifi.contention_graph``
+    over the AP-to-AP fading) and one SSI draw from S2 on the assignment's
+    K^wifi channels picks each snapshot's active set, channel by channel;
+    the APs without a user take no part. The active APs then transmit as
+    every serving AP does under static reuse: one ``planning.reuse_rates``
+    call scores every threshold and snapshot on ``received_powers``,
+    restricted to the APs active in any of them, with the rows of the APs
+    that do not transmit zeroed, so only the other active co-channel APs
+    interfere. Returns, per threshold, one ``Scored`` per snapshot in the
+    order of its active set.
     """
-    scn, serving, k = snap.ctx.scn, snap.serving, assignment.k
-    gains = snap.faded_gains()
-    g_ap_ap, rng = snap.ap_gains()
-    channels = assignment.channel_of[serving]
-    adjacency = wifi.contention_graph(
-        channels, g_ap_ap[serving[:, None], serving], scn.radio.pt_mw, cs_thr_dbm
-    )
-    act = wifi.sample_ssi(adjacency, channels, k, rng)
-    rx = gains[serving[act]][:, act] * scn.radio.pt_mw  # rx[j, i]: active AP j at active user i
+    scn, channel_of, k = block.ctx.scn, assignment.channel_of, assignment.k
+    g_ap_ap = block.ap_gains()
+    # channel -1 keeps the APs without a user out of the SSI draw
+    channels = np.where(block.has_user, channel_of, -1)
+    active = []  # per threshold, then per snapshot
+    for cs_thr_dbm in thresholds:
+        adjacency = wifi.contention_graph(channel_of, g_ap_ap, scn.radio.pt_mw, cs_thr_dbm)
+        for b in range(block.size):
+            active.append(wifi.sample_ssi(adjacency[b], channels[b], k, block.ssi_generator(b)))
+    sizes = [aps.size for aps in active]
+    row, aps = np.repeat(np.arange(len(active)), sizes), np.concatenate(active)
+    # The APs active in some snapshot at some threshold; the rows and columns
+    # of the others would only add exact zeros.
+    union = np.flatnonzero(np.bincount(aps, minlength=block.ctx.n_aps))
+    at = np.searchsorted(union, aps)
+    transmits = np.zeros((len(active), union.size), dtype=bool)
+    transmits[row, at] = True
+    rx = block.received_powers()[:, union[:, None], union]
     rates, sinr = planning.reuse_rates(
-        rx, channels[act], k, scn.wifi.eta_wifi, scn.radio.bandwidth_mhz, scn.sigma2_mw
+        rx * transmits.reshape(len(thresholds), block.size, union.size, 1), channel_of[union],
+        k, scn.wifi.eta_wifi, scn.radio.bandwidth_mhz, scn.sigma2_mw,
     )
-    return Scored(rates, sinr)
+    shape = (len(active), union.size)
+    rates, sinr = rates.reshape(shape)[row, at], sinr.reshape(shape)[row, at]
+    ends = np.cumsum(sizes)
+    scores = [Scored(rates[end - size:end], sinr[end - size:end]) for size, end in zip(sizes, ends)]
+    return [scores[i:i + block.size] for i in range(0, len(scores), block.size)]
 
 
-def static_snapshot(snap: Snapshot, assignments: Sequence[planning.ChannelAssignment]) -> Scored:
-    """Full-buffer frequency-planned cellular snapshot, one row per reuse plan.
+def static_block(block: Block, assignments: Sequence[planning.ChannelAssignment]) -> list[Scored]:
+    """Full-buffer frequency-planned cellular snapshots, one row per reuse plan.
 
     Every AP with traffic transmits in every snapshot, so each served user's
-    interference sums over all co-channel serving APs (``planning.reuse_rates``).
+    interference sums over all co-channel serving APs: one
+    ``planning.reuse_rates`` call scores every plan of every snapshot on
+    ``received_powers``, whose rows of the APs without a user are zero.
     Every plan is scored on the same fading draw.
     """
-    scn, serving = snap.ctx.scn, snap.serving
-    rx = snap.faded_gains()[serving] * scn.radio.pt_mw  # rx[j, i]: serving AP j at user i
-    channels = np.array([a.channel_of[serving] for a in assignments])
+    scn = block.ctx.scn
+    channels = np.array([a.channel_of for a in assignments])
     k = np.array([[a.k] for a in assignments], dtype=float)
     rates, sinr = planning.reuse_rates(
-        rx, channels, k, scn.static.eta_sta, scn.radio.bandwidth_mhz, scn.sigma2_mw
+        block.received_powers()[:, None], channels, k,
+        scn.static.eta_sta, scn.radio.bandwidth_mhz, scn.sigma2_mw,
     )
-    return Scored(rates, sinr)
+    # (n_plans, n_served) with contiguous rows, so _aggregate's sums are pairwise
+    rates = np.ascontiguousarray(rates[block.snapshot, :, block.serving].T)
+    sinr = np.ascontiguousarray(sinr[block.snapshot, :, block.serving].T)
+    columns = [block.columns(b) for b in range(block.size)]
+    return [Scored(rates[:, cols], sinr[:, cols]) for cols in columns]
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,8 +572,8 @@ class ZfPrecoded:
     redraws: int
 
 
-def zf_snapshot(snap: Snapshot, erroneous: bool) -> ZfPrecoded:
-    """Multi-cell ZF snapshot, first phase: fading, the inversion precoder and the true channel.
+def zf_snapshot(block: Block, b: int, erroneous: bool) -> ZfPrecoded:
+    """Multi-cell ZF on snapshot b of ``block``, first phase: fading, precoder and true channel.
 
     One pass serves both CSIT models. The CSIT is a fading draw from S0;
     near-singular draws are replaced by a fresh one, up to
@@ -500,8 +584,8 @@ def zf_snapshot(snap: Snapshot, erroneous: bool) -> ZfPrecoded:
     This phase draws every random number of the snapshot; ``finish_zf``
     optimizes the PAPC powers and scores the result.
     """
-    scn, rng = snap.ctx.scn, snap.generator()
-    sqrt_l = np.sqrt(snap.served_gains[snap.serving].T)  # (user j, antenna i)
+    scn, rng, cols = block.ctx.scn, block.generator(b), block.columns(b)
+    sqrt_l = np.sqrt(block.served_gains[block.serving[cols], cols].T)  # (user j, antenna i)
     redraws = 0
     while True:
         z = ch.draw_fading(rng, sqrt_l.shape, scn.radio.sigma_z2)
@@ -609,22 +693,18 @@ class DeploymentRecord:
     solver_fallbacks: int
 
 
-def _evaluator(ctx: DeploymentContext, system: str, plan) -> tuple[list, Callable]:
-    """The channel counts a Wi-Fi or static system reports on and its per-snapshot evaluator.
+# Snapshots evaluated together (run_rung): a block holds at most _BLOCK_USERS
+# users and _BLOCK_RATE_ENTRIES entries of static's (size, n_plans, n_aps,
+# n_aps) rate product (1 MB), and at least one snapshot. Its temporaries then
+# stay near those of one snapshot at 1,000 users and 100 APs.
+_BLOCK_USERS = 8192
+_BLOCK_RATE_ENTRIES = 1 << 17
 
-    ``plan(k)`` returns the rung's channel assignment for k channels. The
-    evaluator maps a ``Snapshot`` to a ``Scored``, whose rows follow the
-    channel counts.
-    """
-    scn = ctx.scn
-    if system in ("wifi-baseline", "wifi-aggressive"):
-        baseline = system == "wifi-baseline"
-        cs_thr_dbm = scn.wifi.cs_thr_baseline_dbm if baseline else scn.wifi.cs_thr_aggressive_dbm
-        assignment = plan(scn.wifi.k_wifi)
-        return [assignment.k], lambda snap: wifi_snapshot(snap, cs_thr_dbm, assignment)
-    ks = list(range(1, min(scn.static.k_max, ctx.n_aps) + 1))
-    assignments = [plan(k) for k in ks]
-    return ks, lambda snap: static_snapshot(snap, assignments)
+
+def _block_size(scn, n_aps: int) -> int:
+    n_plans = min(scn.static.k_max, n_aps)
+    by_rates = _BLOCK_RATE_ENTRIES // (n_plans * n_aps * n_aps)
+    return max(1, min(_BLOCK_USERS // scn.n_users, by_rates))
 
 
 def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) -> dict:
@@ -634,12 +714,18 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
     K = 1..min(k_max, n_aps) for static, and None for ZF. The AP-to-AP gains
     and each K's channel assignment are built once and shared by the systems.
 
-    The scenario's ``engine.n_snapshots`` snapshots each draw the shared
-    prefix (``draw_snapshot``) once from their generator, derived from (seed,
-    deployment_id, snapshot index), and every system reads that one
-    ``Snapshot``. The snapshots run one after another in the calling thread:
-    their work holds the GIL for most of its time, which no thread pool can
-    share out. When a ZF system runs, each snapshot makes one ZF pass
+    The scenario's ``engine.n_snapshots`` snapshots run in blocks of
+    consecutive indices (``_block_size``: at most _BLOCK_USERS users and
+    _BLOCK_RATE_ENTRIES entries of static's rate product, so one snapshot at
+    100 APs). Each snapshot draws from its own generator, derived from (seed,
+    deployment_id, snapshot index), in the order a block of one would; a
+    block makes one association and one gains call for all its snapshots
+    (``draw_block``), whose results are elementwise over users, and one rate
+    call for static and one for both Wi-Fi systems (``static_block``,
+    ``wifi_block``), whose sums gain only exact zeros, so no byte depends on
+    the block size. Every system reads the one ``Block``. The blocks run one after another in the calling thread: their
+    work holds the GIL for most of its time, which no thread pool can share
+    out. When a ZF system runs, each snapshot makes one ZF pass
     (``zf_snapshot``) for both CSIT models, drawing the true channel only if
     zf-erroneous runs; after the pass, one ``finish_zf`` call solves and
     scores them all.
@@ -664,20 +750,34 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
         return plans[k]
 
     ks = dict.fromkeys(systems, [None])  # ZF reports on no channel count
-    evaluators = {}
-    for system in ks:
-        if not system.startswith("zf-"):
-            ks[system], evaluators[system] = _evaluator(ctx, system, plan)
+    wifi_systems = [system for system in ks if system.startswith("wifi-")]
+    if wifi_systems:
+        assignment = plan(scn.wifi.k_wifi)
+        thresholds = [
+            scn.wifi.cs_thr_baseline_dbm if system == "wifi-baseline"
+            else scn.wifi.cs_thr_aggressive_dbm
+            for system in wifi_systems
+        ]
+        ks.update(dict.fromkeys(wifi_systems, [assignment.k]))
+    if "static" in ks:
+        ks["static"] = list(range(1, min(scn.static.k_max, ctx.n_aps) + 1))
+        assignments = [plan(k) for k in ks["static"]]
     erroneous = "zf-erroneous" in ks
     run_zf = erroneous or "zf-ideal" in ks
-    scored: dict = {system: [] for system in evaluators}  # per system, per snapshot
+    scored: dict = {system: [] for system in ks}  # per system, per snapshot
     precoded = []
-    for s in range(scn.engine.n_snapshots):
-        snap = draw_snapshot(ctx, substream(seed, deployment_id, _SALT_SNAPSHOT, s))
-        for system, evaluate in evaluators.items():
-            scored[system].append(evaluate(snap))
+    n_snapshots, size = scn.engine.n_snapshots, _block_size(scn, ctx.n_aps)
+    for first in range(0, n_snapshots, size):
+        indices = range(first, min(first + size, n_snapshots))
+        rngs = [substream(seed, deployment_id, _SALT_SNAPSHOT, s) for s in indices]
+        block = draw_block(ctx, rngs)
+        if wifi_systems:
+            for system, scores in zip(wifi_systems, wifi_block(block, thresholds, assignment)):
+                scored[system].extend(scores)
+        if "static" in ks:
+            scored["static"].extend(static_block(block, assignments))
         if run_zf:
-            precoded.append(zf_snapshot(snap, erroneous))
+            precoded.extend(zf_snapshot(block, b, erroneous) for b in range(block.size))
     if run_zf:
         scored.update(finish_zf(ctx, precoded))
     return {system: dict(zip(ks[system], _aggregate(ctx, scored[system]))) for system in ks}

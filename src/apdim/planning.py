@@ -61,18 +61,20 @@ def reuse_rates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-link rate (Mbps) and SINR when the transmitters of ``rx`` all send at once.
 
-    ``rx[j, i]`` is the power of transmitter j at transmitter i's user and
-    ``channels[..., j]`` is transmitter j's channel on a plan of ``k``
-    channels. A leading plan axis of ``channels`` is broadcast, with ``k`` of
-    shape (n_plans, 1); one plan takes 1-D channels and a scalar k. The other
-    co-channel transmitters interfere with each user; each link uses
-    w = W / K, sees noise sigma2 / K, and its rate clamps at w * eta.
+    ``rx[..., j, i]`` is the power of transmitter j at transmitter i's user
+    and ``channels[..., j]`` is transmitter j's channel on a plan of ``k``
+    channels. Leading axes broadcast: a plan axis of ``channels`` with ``k``
+    of shape (n_plans, 1), a stack of ``rx`` (one plan takes 1-D channels and
+    a scalar k). The other co-channel transmitters interfere with each user;
+    each link uses w = W / K, sees noise sigma2 / K, and its rate clamps at
+    w * eta.
 
     The interference is summed over transmitters in ascending order; the exact
-    zeros of other channels leave each co-channel sum bit-identical to a
-    per-channel sum, and every plan's row to a one-plan call.
+    zeros of other channels, and of rows of transmitters that stay silent,
+    leave each co-channel sum bit-identical to a per-channel sum over the
+    transmitting APs, and every row of a stack to a call on its own.
     """
-    signal = np.diag(rx)
+    signal = np.diagonal(rx, axis1=-2, axis2=-1)
     co_channel = channels[..., :, None] == channels[..., None, :]
     interference = (rx * co_channel).sum(axis=-2) - signal
     w = w_total_mhz / k

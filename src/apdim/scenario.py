@@ -270,7 +270,8 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=unique_keys)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's recursion limit
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     return from_dict(apply_env_overrides(raw))
 

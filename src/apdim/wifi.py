@@ -20,12 +20,14 @@ def contention_graph(
     APs i, x contend iff they share a channel and g_ix * pt_mw exceeds the
     carrier-sense threshold ``cs_thr_dbm`` in mW (+inf disables sensing).
     ``channels`` and the square ``g_ap_ap`` (instantaneous power gains,
-    assumed reciprocal so the relation is symmetric) cover the same APs in
-    the same order. No AP contends with itself.
+    assumed reciprocal so the relation is symmetric), or each matrix of a
+    stack of them, cover the same APs in the same order. No AP contends with
+    itself.
     """
-    adjacency = channels[:, None] == channels[None, :]
-    adjacency &= g_ap_ap * pt_mw > 10.0 ** (cs_thr_dbm / 10.0)
-    np.fill_diagonal(adjacency, False)
+    adjacency = g_ap_ap * pt_mw > 10.0 ** (cs_thr_dbm / 10.0)
+    adjacency &= channels[:, None] == channels[None, :]
+    diagonal = np.arange(channels.shape[0])
+    adjacency[..., diagonal, diagonal] = False
     return adjacency
 
 
@@ -39,20 +41,23 @@ def sample_ssi(
     the contention domain of any AP admitted so far. ``blocked`` is the
     running union of the admitted APs' adjacency columns, so AP i is blocked
     iff adjacency[i, j] holds for some admitted j; ``adjacency`` must have no
-    edges between channels. The result is an independent and maximal set,
-    channel by channel and ascending within a channel.
+    edges between APs of two channels in 0..k-1. An AP with any other
+    channel value is never visited, so it takes no part. The result is an
+    independent and maximal set, channel by channel and ascending within a
+    channel.
     """
-    n = channels.shape[0]
-    blocked = np.zeros(n, dtype=bool)
-    admitted = np.zeros(n, dtype=bool)
-    for ch in range(k):
-        members = np.flatnonzero(channels == ch)
-        for i in members[rng.permutation(members.shape[0])].tolist():
-            if not blocked[i]:
-                admitted[i] = True
-                blocked |= adjacency[:, i]
     by_channel = np.argsort(channels, kind="stable")
-    return by_channel[admitted[by_channel]]
+    bounds = np.searchsorted(channels[by_channel], np.arange(k + 1)).tolist()
+    blocked = np.zeros(channels.shape[0], dtype=bool)
+    admitted = []
+    for start, end in zip(bounds, bounds[1:]):  # channel by channel
+        members, chosen = by_channel[start:end], []
+        for i in members[rng.permutation(end - start)].tolist():
+            if not blocked[i]:
+                chosen.append(i)
+                blocked |= adjacency[:, i]
+        admitted += sorted(chosen)
+    return np.array(admitted, dtype=np.intp)
 
 
 def validate_active_set(adjacency: np.ndarray, active: np.ndarray) -> None:

@@ -14,6 +14,7 @@ SNR-scaled variables q = p / sigma2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,11 +29,28 @@ class Beamformer:
     """Channel-inverting beamforming matrix with its conditioning diagnostic."""
 
     w: np.ndarray  # (N, N) complex, H_hat @ w == I
-    cond: float  # condition number of H_hat @ H_hat^dagger
+
+    @cached_property
+    def cond(self) -> float:
+        """Condition number of H_hat @ H_hat^dagger, computed on first read.
+
+        The singular values of w are those of H_hat inverted, so their
+        ratio gives it without keeping H_hat.
+        """
+        return _svd_cond(self.w)
 
 
 COND_LIMIT = 1e12
 _INVERSION_TOL = 1e-8
+# Relative margin of the Frobenius bound's tests: far above the rounding of
+# both norms and of the singular values, so the bound decides only where the
+# singular values would decide the same.
+_BOUND_MARGIN = 1e-6
+
+
+def _svd_cond(h_hat: np.ndarray) -> float:
+    s = np.linalg.svd(h_hat, compute_uv=False)
+    return np.inf if s[-1] == 0.0 else float((s[0] / s[-1]) ** 2)
 
 
 def build_beamformer(h_hat: np.ndarray) -> Beamformer:
@@ -43,23 +61,36 @@ def build_beamformer(h_hat: np.ndarray) -> Beamformer:
     multiply-back residual ||H_hat w - I||_inf below 1e-8. Channels whose
     H H^dagger condition number exceeds COND_LIMIT are rejected so the
     caller can redraw the snapshot's fading.
+
+    The condition is tested on the inverse: kappa_F = ||H||_F ||W||_F
+    brackets the 2-norm condition, kappa_F / N <= kappa_2 <= kappa_F, so
+    the bound accepts or rejects unless COND_LIMIT lies within the bracket,
+    where the singular values decide. A matrix that ``solve`` finds exactly
+    singular is rejected.
     """
     h_hat = np.asarray(h_hat, dtype=complex)
     if h_hat.ndim != 2 or h_hat.shape[0] != h_hat.shape[1]:
         raise ValueError(f"expected a square channel matrix, got shape {h_hat.shape}")
     n = h_hat.shape[0]
-    s = np.linalg.svd(h_hat, compute_uv=False)
-    cond = np.inf if s[-1] == 0.0 else float((s[0] / s[-1]) ** 2)
-    if cond > COND_LIMIT:
-        raise SingularChannelError(f"channel condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
     eye = np.eye(n, dtype=complex)
-    w = np.linalg.solve(h_hat, eye)
+    try:
+        w = np.linalg.solve(h_hat, eye)
+    except np.linalg.LinAlgError:
+        raise SingularChannelError("channel matrix is singular") from None
+    kappa_f2 = float(np.vdot(h_hat, h_hat).real * np.vdot(w, w).real)  # kappa_F^2
+    if not kappa_f2 <= COND_LIMIT * (1.0 - _BOUND_MARGIN):  # the bound does not accept
+        if kappa_f2 > COND_LIMIT * (1.0 + _BOUND_MARGIN) * n * n:
+            cond = kappa_f2 / (n * n)  # a lower bound
+        else:
+            cond = _svd_cond(h_hat)
+        if cond > COND_LIMIT:
+            raise SingularChannelError(f"channel condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
     residual = eye - h_hat @ w
     if np.abs(residual).max() > _INVERSION_TOL:
         w = w + np.linalg.solve(h_hat, residual)
         if np.abs(h_hat @ w - eye).max() > _INVERSION_TOL:
             raise SingularChannelError("inversion residual did not reach tolerance")
-    return Beamformer(w=w, cond=cond)
+    return Beamformer(w=w)
 
 
 @dataclass(frozen=True, eq=False)

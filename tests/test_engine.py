@@ -315,27 +315,30 @@ def test_candidate_counts_per_rung(preset):
 @pytest.mark.parametrize("preset", ["table1-open", "table1-obstructed"])
 @pytest.mark.parametrize("nx,ny", [(1, 1), (3, 3), (10, 10)])
 def test_snapshot_served_gains_are_the_exact_matrix_columns(preset, nx, ny):
+    # five snapshots drawn as one block, each replayed on its own with the
+    # full gain matrix, the exact argmax and the per-AP selection loop
     scn = scenario.from_dict(scenario.preset_raw(preset))
     layout = geometry.place_aps(scn.area, nx, ny)
     ctx = engine.make_context(scn, layout)
-    for s in range(5):
-        rng = engine.substream(11, nx, s)
+    rngs = [engine.substream(11, nx, s) for s in range(5)]
+    block = engine.draw_block(ctx, rngs)
+    assert block.size == 5 and block.served_gains.shape == (layout.n_aps, block.serving.size)
+    for s, rng in enumerate(rngs):
         replay = engine.substream(11, nx, s)
-        snap = engine.draw_snapshot(ctx, rng)
         users = engine.drop_users(scn.area, scn.n_users, replay)
         avg = ch.average_gains(scn.area, scn.propagation, layout.ap_xy, users)
-        serving, cols = engine.select_served(engine.associate(avg), layout.n_aps, replay)
-        assert np.array_equal(snap.serving, serving)
-        assert snap.served_gains.shape == (layout.n_aps, cols.shape[0])
-        assert np.array_equal(snap.served_gains, avg[:, cols])
+        serving, cols = _select_served_per_ap(engine.associate(avg), layout.n_aps, replay)
+        assert np.array_equal(block.serving[block.columns(s)], serving)
+        assert np.array_equal(block.served_gains[:, block.columns(s)], avg[:, cols])
+        assert np.array_equal(np.flatnonzero(block.has_user[s]), serving)
         assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_select_served_one_user_per_nonempty_ap():
     rng = np.random.default_rng(63)
     assoc = np.array([0, 0, 2, 2, 2, 5])
-    serving, cols = engine.select_served(assoc, 6, rng)
-    assert serving.tolist() == [0, 2, 5]
+    serving, cols, starts = engine.select_served(assoc[None], 6, [rng])
+    assert serving.tolist() == [0, 2, 5] and starts.tolist() == [0, 3]
     assert assoc[cols].tolist() == [0, 2, 5]
 
 
@@ -344,7 +347,7 @@ def test_select_served_uniform_choice():
     counts = np.zeros(4)
     for s in range(4000):
         rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(s,)))
-        _, cols = engine.select_served(assoc, 1, rng)
+        _, cols, _ = engine.select_served(assoc[None], 1, [rng])
         counts[cols[0]] += 1
     assert np.allclose(counts / 4000, 0.25, atol=0.03)
 
@@ -379,13 +382,20 @@ def test_select_served_matches_per_ap_draws(n_aps, assoc):
     elif assoc == "piled":  # most users on a few APs, many APs empty
         assoc = layout_rng.choice([2, 17, 64, 119], size=1200, p=[0.7, 0.2, 0.09, 0.01])
     assoc = np.asarray(assoc, dtype=np.int64)
-    fast_rng, loop_rng = np.random.default_rng(2024), np.random.default_rng(2024)
-    serving, cols = engine.select_served(assoc, n_aps, fast_rng)
-    want_serving, want_cols = _select_served_per_ap(assoc, n_aps, loop_rng)
+    # a block of three snapshots: the case, the case reordered, and a random one
+    other = layout_rng.integers(n_aps, size=assoc.size)
+    rows = np.stack([assoc, layout_rng.permutation(assoc), other])
+    seeds = (2024, 2025, 2026)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    serving, cols, starts = engine.select_served(rows, n_aps, rngs)
     assert serving.dtype == cols.dtype == np.int64
-    assert serving.tolist() == want_serving.tolist()
-    assert cols.tolist() == want_cols.tolist()
-    assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+    for b, (row, rng, seed) in enumerate(zip(rows, rngs, seeds)):
+        loop_rng = np.random.default_rng(seed)
+        want_serving, want_cols = _select_served_per_ap(row, n_aps, loop_rng)
+        part = slice(starts[b], starts[b + 1])
+        assert serving[part].tolist() == want_serving.tolist()
+        assert (cols[part] - b * row.size).tolist() == want_cols.tolist()
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def _select_served_int64_sort(assoc, n_aps, rng):
@@ -405,12 +415,17 @@ def test_select_served_small_key_sort_matches_int64_sort(n_aps):
     assert np.array_equal(
         np.argsort(small, kind="stable"), np.argsort(assoc, kind="stable")
     )
-    rng, reference_rng = np.random.default_rng(31), np.random.default_rng(31)
-    serving, cols = engine.select_served(assoc, n_aps, rng)
-    want_serving, want_cols = _select_served_int64_sort(assoc, n_aps, reference_rng)
-    assert np.array_equal(serving, want_serving)
-    assert np.array_equal(cols, want_cols)
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    # blocks of one and of two snapshots, whose keys span twice the APs
+    for rows in (assoc[None], np.stack([assoc, assoc[::-1]])):
+        rngs = [np.random.default_rng(31 + b) for b in range(len(rows))]
+        serving, cols, starts = engine.select_served(rows, n_aps, rngs)
+        for b, row in enumerate(rows):
+            reference_rng = np.random.default_rng(31 + b)
+            want_serving, want_cols = _select_served_int64_sort(row, n_aps, reference_rng)
+            part = slice(starts[b], starts[b + 1])
+            assert np.array_equal(serving[part], want_serving)
+            assert np.array_equal(cols[part] - b * row.size, want_cols)
+            assert rngs[b].bit_generator.state == reference_rng.bit_generator.state
 
 
 # --- snapshot runs ---------------------------------------------------------------
@@ -444,9 +459,10 @@ def test_run_rung_deterministic():
 def test_snapshot_rate_sum_conservation():
     scn = scenario.preset("table1-open")
     ctx, cs_thr_dbm, assignment = _wifi_setup(scn, geometry.place_aps(scn.area, 2, 3))
-    for s in range(10):
-        rng = engine.substream(5, 0, engine._SALT_SNAPSHOT, s)
-        scored = engine.wifi_snapshot(engine.draw_snapshot(ctx, rng), cs_thr_dbm, assignment)
+    rngs = [engine.substream(5, 0, engine._SALT_SNAPSHOT, s) for s in range(10)]
+    (scores,) = engine.wifi_block(engine.draw_block(ctx, rngs), [cs_thr_dbm], assignment)
+    assert len(scores) == 10
+    for scored in scores:
         (run,) = engine._aggregate(ctx, [scored])
         assert run.lambda_samples[0] * scn.area.area_km2 == pytest.approx(
             scored.rates_mbps.sum(), rel=1e-9
@@ -618,7 +634,7 @@ def test_static_single_ap_k_star_is_one():
 def _reference_snapshot(scn, layout, rng):
     users = engine.drop_users(scn.area, scn.n_users, rng)
     avg = ch.average_gains(scn.area, scn.propagation, layout.ap_xy, users)
-    serving, cols = engine.select_served(engine.associate(avg), layout.n_aps, rng)
+    serving, cols = _select_served_per_ap(engine.associate(avg), layout.n_aps, rng)
     return avg, serving, cols
 
 
@@ -706,11 +722,12 @@ def test_zf_rung_with_mixed_sizes_matches_solo_solves():
     assert scn.n_users == 3
     layout = geometry.place_aps(scn.area, 2, 2)
     ctx = engine.make_context(scn, layout)
-    precoded = []
-    for s in range(n_snapshots):
-        rng = engine.substream(scn.engine.seed, deployment_id, engine._SALT_SNAPSHOT, s)
-        snap = engine.draw_snapshot(ctx, rng)
-        precoded.append(engine.zf_snapshot(snap, erroneous=True))
+    rngs = [
+        engine.substream(scn.engine.seed, deployment_id, engine._SALT_SNAPSHOT, s)
+        for s in range(n_snapshots)
+    ]
+    block = engine.draw_block(ctx, rngs)
+    precoded = [engine.zf_snapshot(block, b, erroneous=True) for b in range(block.size)]
     assert {pre.beamformer.w.shape[0] for pre in precoded} == {1, 2, 3}
     finished = engine.finish_zf(ctx, precoded)
     for i, pre in enumerate(precoded):
@@ -746,7 +763,8 @@ def test_dimension_computes_average_gains_once_per_snapshot(monkeypatch):
     rungs = len(res.ladder)
     assert rungs == 4
     assert all(len(dims.records) == rungs for dims in res.per_system.values())
-    assert len(calls) == rungs * (3 + 1)  # AP-to-AP once, AP-to-user once per snapshot
+    blocks = [-(-3 // engine._block_size(scn, nx * ny)) for nx, ny in res.ladder]
+    assert len(calls) == rungs + sum(blocks)  # AP-to-AP once, AP-to-user once per block
 
 
 def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
@@ -841,17 +859,27 @@ def test_forced_redraws_keep_both_zf_systems_on_one_pass(monkeypatch):
 def test_shared_draws_are_read_only_and_made_once():
     scn = scenario.preset("table1-obstructed")
     ctx = engine.make_context(scn, geometry.place_aps(scn.area, 3, 3))
-    rng = engine.substream(5, 0, engine._SALT_SNAPSHOT, 0)
-    draws = engine.draw_snapshot(ctx, rng)
-    zf_a, zf_b = draws.generator(), draws.generator()
-    gains = draws.faded_gains()
-    (g_ap_ap, wifi_a), (again, wifi_b) = draws.ap_gains(), draws.ap_gains()
-    assert draws.faded_gains() is gains and again is g_ap_ap
-    for a, b in ((zf_a, zf_b), (wifi_a, wifi_b)):
-        assert a is not b and a.bit_generator.state == b.bit_generator.state
-    wifi_a.random(3)  # one Wi-Fi system's SSI draws leave the other's generator at S2
-    assert draws.ap_gains()[1].bit_generator.state == wifi_b.bit_generator.state
-    for shared in (gains, g_ap_ap):
+
+    def block():
+        rngs = [engine.substream(5, 0, engine._SALT_SNAPSHOT, s) for s in range(3)]
+        return engine.draw_block(ctx, rngs)
+
+    draws = block()
+    zf_a = draws.generator(1).random(4)
+    assert np.array_equal(draws.generator(1).random(4), zf_a)  # each ZF pass starts at S0
+    gains, rx, g_ap_ap = draws.faded_gains(), draws.received_powers(), draws.ap_gains()
+    assert draws.faded_gains() is gains and draws.received_powers() is rx
+    assert draws.ap_gains() is g_ap_ap and g_ap_ap.shape == (3, 9, 9)
+    wifi_a = draws.ssi_generator(1).random(3)
+    draws.generator(1).random(5)  # a ZF pass between two SSI draws leaves S2 as it was
+    assert np.array_equal(draws.ssi_generator(1).random(3), wifi_a)
+    # the shared draws do not depend on what was drawn before them
+    fresh = block()
+    fresh.generator(0).random(7)
+    assert np.array_equal(fresh.ap_gains(), g_ap_ap) and np.array_equal(fresh.faded_gains(), gains)
+    assert np.array_equal(fresh.ssi_generator(1).random(3), wifi_a)
+    assert np.array_equal(fresh.generator(1).random(4), zf_a)
+    for shared in (gains, rx, g_ap_ap):
         with pytest.raises(ValueError):
             shared[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -887,3 +915,52 @@ def test_subsets_and_orders_of_systems_match_the_full_pass(full_pass, systems):
         assert list(runs[system]) == list(full[system]), system
         for k, run in runs[system].items():
             _compare_runs(run, full[system][k], (system, k))
+
+
+# --- blocks of snapshots ------------------------------------------------------------
+
+def _force_block_size(monkeypatch, scn, n_aps, size):
+    n_plans = min(scn.static.k_max, n_aps)
+    monkeypatch.setattr(engine, "_BLOCK_USERS", size * scn.n_users)
+    monkeypatch.setattr(engine, "_BLOCK_RATE_ENTRIES", size * n_plans * n_aps * n_aps)
+    assert engine._block_size(scn, n_aps) == size
+
+
+@pytest.mark.parametrize(
+    "preset, users, nx, ny, systems",
+    [
+        ("table1-open", None, 3, 3, engine.SYSTEMS),
+        ("table1-obstructed", None, 3, 4, engine.SYSTEMS),
+        ("table1-open", 3, 4, 4, engine.SYSTEMS),  # most APs serve no one
+        ("table1-open", None, 3, 3, ["wifi-aggressive"]),
+        ("table1-obstructed", 5, 2, 3, ["static"]),
+    ],
+)
+def test_results_do_not_depend_on_the_block_size(monkeypatch, preset, users, nx, ny, systems):
+    # Blocks of one snapshot, of a part of the rung and of the whole rung give
+    # the same bytes; a system run alone matches the full pass at every size.
+    raw = scenario.preset_raw(preset)
+    n_snapshots = 12
+    raw["engine"].update(seed=20240601, n_snapshots=n_snapshots)
+    if users is not None:
+        area_km2 = scenario.preset(preset).area.area_km2
+        raw["traffic"].update(lambda_u_per_km2=users / area_km2)
+    scn = scenario.from_dict(raw)
+    layout = geometry.place_aps(scn.area, nx, ny)
+    if users is not None:
+        assert scn.n_users == users < layout.n_aps
+    results = {}
+    for size in (1, 5, n_snapshots):
+        _force_block_size(monkeypatch, scn, layout.n_aps, size)
+        results[size] = engine.run_rung(scn, layout, systems, 6)
+        if list(systems) != list(engine.SYSTEMS):
+            full = engine.run_rung(scn, layout, engine.SYSTEMS, 6)
+            results[size, "full"] = {system: full[system] for system in systems}
+    reference = results[1]
+    assert list(reference) == list(systems)
+    for key, runs in results.items():
+        assert list(runs) == list(systems), key
+        for system in systems:
+            assert list(runs[system]) == list(reference[system]), (key, system)
+            for k, run in runs[system].items():
+                _compare_runs(run, reference[system][k], (key, system, k))

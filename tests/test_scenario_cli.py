@@ -249,8 +249,9 @@ def test_cli_undecodable_scenario_is_a_usage_error(tmp_path, verb):
         ('"omega": 0.2', '"omega": 0.2, "omega": 0.35', "repeated key 'omega'"),
         ('"scenario_id"', '"scenario_id": "a", "scenario_id"', "repeated key 'scenario_id'"),
         ('"pt_mw": 100.0', f'"pt_mw": {10**400}', "radio.pt_mw: expected positive number"),
+        ('"omega": 0.2', '"omega": ' + "[" * 100_000 + "]" * 100_000, "not valid JSON"),
     ],
-    ids=["nested-repeated-key", "top-level-repeated-key", "int-beyond-float-range"],
+    ids=["nested-repeated-key", "top-level-repeated-key", "int-beyond-float-range", "deeply-nested"],
 )
 def test_cli_validate_rejects_repeated_keys_and_huge_ints(tmp_path, old, new, message):
     path = tmp_path / "scn.json"

@@ -1,9 +1,11 @@
 """Static frequency-planned cellular: the reuse-K rate equation (``planning.reuse_rates``)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from apdim import planning
+from apdim import engine, planning
 from apdim.planning import ChannelAssignment
 
 W_MHZ = 60.0
@@ -12,16 +14,31 @@ PT = 100.0
 ETA = 3.75
 
 
+class _FixedBlock(engine.Block):
+    """A block with given faded gains, one column per served user snapshot by snapshot."""
+
+    def __init__(self, servings, gains):
+        radio = SimpleNamespace(pt_mw=PT, bandwidth_mhz=W_MHZ)
+        scn = SimpleNamespace(radio=radio, static=SimpleNamespace(eta_sta=ETA), sigma2_mw=SIGMA2)
+        ctx = SimpleNamespace(scn=scn, n_aps=gains.shape[0])
+        servings = [np.asarray(serving, dtype=np.int64) for serving in servings]
+        starts = np.cumsum([0] + [serving.size for serving in servings])
+        rngs = [np.random.default_rng(0) for _ in servings]  # the block draws nothing
+        super().__init__(ctx, np.concatenate(servings), starts, None, rngs)
+        self._fixed_gains = gains
+
+    def faded_gains(self):
+        return self._fixed_gains
+
+
 def static_rates(assignments, serving_aps, gains):
-    """Full buffer: every serving AP transmits; (rates, sinr) with one row per plan.
+    """engine.static_block: every serving AP transmits; (rates, sinr) with one row per plan.
 
     ``gains`` holds AP-to-user power gains with one column per served user,
     aligned with ``serving_aps``.
     """
-    rx = gains[serving_aps] * PT  # rx[j, i]: power from serving AP j at user i
-    channels = np.array([a.channel_of[serving_aps] for a in assignments])
-    k = np.array([[a.k] for a in assignments], dtype=float)
-    return planning.reuse_rates(rx, channels, k, ETA, W_MHZ, SIGMA2)
+    (scored,) = engine.static_block(_FixedBlock([serving_aps], gains), assignments)
+    return scored.rates_mbps, scored.sinr
 
 
 def test_single_ap_link_budget_caps():
@@ -127,18 +144,27 @@ def _per_channel_rates(assignment, serving_aps, gains, w_total_mhz, sigma2_mw):
 
 def test_all_plans_equal_per_channel_reference():
     # K = 1..12 over 7 and 30 served users: K > n_served, single-member and
-    # empty channels, and APs without a served user
+    # empty channels, and APs without a served user; then three snapshots
+    # with 1 to n_aps served users scored as one block
     rng = np.random.default_rng(43)
     for n_aps, n_served in ((9, 7), (40, 30)):
-        serving = np.sort(rng.choice(n_aps, n_served, replace=False))
-        gains = 10 ** rng.uniform(-12, -5, (n_aps, n_served)) * rng.exponential(size=(n_aps, n_served))
         l_ap_ap = 10 ** rng.uniform(-12, -5, (n_aps, n_aps))
         plans = [planning.assign_channels(l_ap_ap, k, rng) for k in range(1, 13)]
         plans.append(ChannelAssignment(k=4, channel_of=rng.integers(0, 4, n_aps)))
-        for plan, rates, sinr in zip(plans, *static_rates(plans, serving, gains)):
-            ref_rates, ref_sinr = _per_channel_rates(plan, serving, gains, W_MHZ, SIGMA2)
-            assert np.array_equal(sinr, ref_sinr)
-            assert np.array_equal(rates, ref_rates)
+        sizes = [[n_served], [1, n_aps, n_served]]
+        for block_sizes in sizes:
+            servings = [np.sort(rng.choice(n_aps, m, replace=False)) for m in block_sizes]
+            gains = [
+                10 ** rng.uniform(-12, -5, (n_aps, m)) * rng.exponential(size=(n_aps, m))
+                for m in block_sizes
+            ]
+            block = _FixedBlock(servings, np.concatenate(gains, axis=1))
+            scores = engine.static_block(block, plans)
+            for scored, serving, gain in zip(scores, servings, gains):
+                for plan, rates, sinr in zip(plans, scored.rates_mbps, scored.sinr):
+                    ref_rates, ref_sinr = _per_channel_rates(plan, serving, gain, W_MHZ, SIGMA2)
+                    assert np.array_equal(sinr, ref_sinr)
+                    assert np.array_equal(rates, ref_rates)
 
 
 def test_stacked_plans_equal_one_plan_calls():

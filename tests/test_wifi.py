@@ -23,28 +23,39 @@ def params(cs=-85.0, k=3):
     return SimpleNamespace(cs_thr_dbm=cs, k_wifi=k)
 
 
-class _FixedSnapshot:
-    """What ``engine.wifi_snapshot`` reads of an ``engine.Snapshot``, with given gains."""
+class _FixedBlock(engine.Block):
+    """A block with given draws: faded gains, one column per served user snapshot
+    by snapshot, and one AP-to-AP gain matrix per snapshot. Snapshot b's SSI
+    draws start where ``rngs[b]`` stands."""
 
-    def __init__(self, serving, gains, g_ap_ap, rng):
+    def __init__(self, servings, gains, g_ap_ap, rngs):
         radio = SimpleNamespace(pt_mw=PT_MW, bandwidth_mhz=W_MHZ)
         wifi_config = SimpleNamespace(eta_wifi=ETA_WIFI)
-        self.ctx = SimpleNamespace(scn=SimpleNamespace(radio=radio, wifi=wifi_config, sigma2_mw=SIGMA2))
-        self.serving = np.asarray(serving, dtype=np.int64)
-        self._gains, self._g_ap_ap, self._rng = gains, g_ap_ap, rng
+        scn = SimpleNamespace(radio=radio, wifi=wifi_config, sigma2_mw=SIGMA2)
+        ctx = SimpleNamespace(scn=scn, n_aps=gains.shape[0])
+        servings = [np.asarray(serving, dtype=np.int64) for serving in servings]
+        starts = np.cumsum([0] + [serving.size for serving in servings])
+        super().__init__(ctx, np.concatenate(servings), starts, None, rngs)
+        self._gains, self._g_ap_ap = gains, g_ap_ap
+        self._starts = [(rng, rng.bit_generator.state) for rng in rngs]
 
     def faded_gains(self):
         return self._gains
 
     def ap_gains(self):
-        return self._g_ap_ap, self._rng
+        return self._g_ap_ap
+
+    def ssi_generator(self, b):
+        rng, state = self._starts[b]
+        rng.bit_generator.state = state
+        return rng
 
 
 def wifi_scores(p, channel_of, serving, gains, g_ap_ap, rng):
-    """engine.wifi_snapshot on fixed gains: (rates, sinr) of the active users."""
+    """engine.wifi_block on one snapshot's fixed gains: (rates, sinr) of the active users."""
     assignment = ChannelAssignment(k=p.k_wifi, channel_of=np.asarray(channel_of))
-    snap = _FixedSnapshot(serving, gains, g_ap_ap, rng)
-    scored = engine.wifi_snapshot(snap, p.cs_thr_dbm, assignment)
+    block = _FixedBlock([serving], gains, g_ap_ap[None], [rng])
+    ((scored,),) = engine.wifi_block(block, [p.cs_thr_dbm], assignment)
     return scored.rates_mbps, scored.sinr
 
 
@@ -348,26 +359,36 @@ def test_sample_ssi_matches_admission_loop(case):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_wifi_rates_match_per_channel_loop(seed):
-    # engine.wifi_snapshot (contention matrix, SSI draw, reuse rate rule) against
-    # the loops, bit for bit: 1-4 channels, some empty; carrier sense from
-    # always to never; APs without a user among those with one
+    # engine.wifi_block (contention matrix, SSI draw, reuse rate rule) on a
+    # block of three snapshots at three thresholds against the loops, bit for
+    # bit: 1-4 channels, some empty; carrier sense from always to never; APs
+    # without a user among those with one
     rng = np.random.default_rng(100 + seed)
-    n_aps = 60
-    for cs in (-85.0, -65.0, math.inf):
-        p = params(cs=cs, k=int(rng.integers(1, 5)))
-        channel_of = rng.integers(0, p.k_wifi, n_aps)
+    n_aps, k = 60, int(rng.integers(1, 5))
+    channel_of = rng.integers(0, k, n_aps)
+    thresholds = (-85.0, -65.0, math.inf)
+    servings, gains, g_ap_ap, draw_seeds = [], [], [], []
+    for _ in range(3):
         serving = np.sort(rng.choice(n_aps, int(rng.integers(1, 46)), replace=False))
-        gains = 10.0 ** rng.uniform(-12, -5, (n_aps, serving.shape[0]))
-        g_ap_ap = 10.0 ** rng.uniform(-15, -8, (n_aps, n_aps))
-        g_ap_ap = (g_ap_ap + g_ap_ap.T) / 2
-        draw_seed = int(rng.integers(2**31))
-        draw_rng, ref_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
-        got = wifi_scores(p, channel_of, serving, gains, g_ap_ap, draw_rng)
-        channels, g_served = channel_of[serving], g_ap_ap[np.ix_(serving, serving)]
-        adj = _loop_contention_graph(channels, g_served, p)
-        assert np.array_equal(wifi.contention_graph(channels, g_served, PT_MW, p.cs_thr_dbm), adj)
-        active = _loop_sample_ssi(adj, channels, p.k_wifi, ref_rng)
-        want = _loop_wifi_rates(active, channels, serving, gains, p, W_MHZ, SIGMA2)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert draw_rng.bit_generator.state == ref_rng.bit_generator.state
+        servings.append(serving)
+        gains.append(10.0 ** rng.uniform(-12, -5, (n_aps, serving.shape[0])))
+        g = 10.0 ** rng.uniform(-15, -8, (n_aps, n_aps))
+        g_ap_ap.append((g + g.T) / 2)
+        draw_seeds.append(int(rng.integers(2**31)))
+    draw_rngs = [np.random.default_rng(draw_seed) for draw_seed in draw_seeds]
+    block = _FixedBlock(servings, np.concatenate(gains, axis=1), np.stack(g_ap_ap), draw_rngs)
+    got = engine.wifi_block(block, thresholds, ChannelAssignment(k=k, channel_of=channel_of))
+    assert [len(scores) for scores in got] == [3, 3, 3]
+    for scores, cs in zip(got, thresholds):
+        p = params(cs=cs, k=k)
+        for b, (scored, serving) in enumerate(zip(scores, servings)):
+            ref_rng = np.random.default_rng(draw_seeds[b])
+            channels, g_served = channel_of[serving], g_ap_ap[b][np.ix_(serving, serving)]
+            adj = _loop_contention_graph(channels, g_served, p)
+            assert np.array_equal(wifi.contention_graph(channels, g_served, PT_MW, cs), adj)
+            active = _loop_sample_ssi(adj, channels, k, ref_rng)
+            want = _loop_wifi_rates(active, channels, serving, gains[b], p, W_MHZ, SIGMA2)
+            for g, w in zip((scored.rates_mbps, scored.sinr), want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            if cs == thresholds[-1]:  # each threshold's draw started at the same state
+                assert draw_rngs[b].bit_generator.state == ref_rng.bit_generator.state

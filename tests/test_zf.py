@@ -60,6 +60,60 @@ def test_beamformer_cond_limit_boundary():
         zf.build_beamformer(np.diag(np.array([1.0, 1e-7], dtype=complex)))  # cond^2 = 1e14
 
 
+def _svd_first_beamformer(h_hat):
+    """build_beamformer as it was before the Frobenius bound: the singular values
+    decide first, then the same solve and refinement."""
+    s = np.linalg.svd(h_hat, compute_uv=False)
+    cond = np.inf if s[-1] == 0.0 else float((s[0] / s[-1]) ** 2)
+    if cond > zf.COND_LIMIT:
+        return None, cond
+    eye = np.eye(h_hat.shape[0], dtype=complex)
+    w = np.linalg.solve(h_hat, eye)
+    residual = eye - h_hat @ w
+    if np.abs(residual).max() > 1e-8:
+        w = w + np.linalg.solve(h_hat, residual)
+        if np.abs(h_hat @ w - eye).max() > 1e-8:
+            return None, cond
+    return w, cond
+
+
+def _conditioned(rng, n, cond2):
+    """A random complex n x n matrix whose H H^dagger has condition cond2."""
+    def unitary():
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return q
+    s = np.geomspace(1.0, cond2 ** -0.5, n) * 10.0 ** rng.uniform(-5, -2)
+    return (unitary() * s) @ unitary()
+
+
+def test_frobenius_bound_decides_as_the_singular_values(monkeypatch):
+    # Random channels, matrices conditioned at and around COND_LIMIT, and
+    # singular ones: the same accept or reject and the same w as deciding by
+    # the singular values first; the SVD runs only where the bound cannot decide.
+    rng = np.random.default_rng(64)
+    svd_calls = []
+    svd_cond = zf._svd_cond
+    monkeypatch.setattr(zf, "_svd_cond", lambda h: svd_calls.append(1) or svd_cond(h))
+    cases = [random_h(rng, n) for n in (1, 2, 4, 9, 25, 49) for _ in range(5)]
+    plain = len(cases)
+    for n in (2, 3, 6, 12):
+        for factor in (1e-3, 0.5, 0.999, 1.0, 1.001, 2.0, 1e3):
+            cases.append(_conditioned(rng, n, zf.COND_LIMIT * factor))
+    cases += [np.ones((3, 3), dtype=complex), np.zeros((2, 2), dtype=complex)]
+    for i, h in enumerate(cases):
+        want_w, want_cond = _svd_first_beamformer(h)
+        calls = len(svd_calls)
+        try:
+            bf = zf.build_beamformer(h)
+        except zf.SingularChannelError:
+            assert want_w is None, (i, want_cond)
+        else:
+            assert want_w is not None and np.array_equal(bf.w, want_w), (i, want_cond)
+        if i < plain:
+            assert len(svd_calls) == calls, i  # no SVD for a well-conditioned channel
+    assert 0 < len(svd_calls) < len(cases) - plain
+
+
 def test_allocate_power_scalar_closed_form():
     # N=1: either the antenna budget binds (p = Pt*g) or the cap binds
     for g in (1e-9, 1e-6):
@@ -289,9 +343,8 @@ def test_iteration_cap_reports_not_converged(monkeypatch):
 
     scn = scenario.preset("table1-open")
     ctx = engine.make_context(scn, geometry.place_aps(scn.area, 2, 2))
-    snap_rng = engine.substream(5, 0, engine._SALT_SNAPSHOT, 0)
-    snap = engine.draw_snapshot(ctx, snap_rng)
-    precoded = [engine.zf_snapshot(snap, erroneous=False)]
+    block = engine.draw_block(ctx, [engine.substream(5, 0, engine._SALT_SNAPSHOT, 0)])
+    precoded = [engine.zf_snapshot(block, 0, erroneous=False)]
     (result,) = engine.finish_zf(ctx, precoded)["zf-ideal"]
     assert result.solver_fallbacks == 1
 
