@@ -8,9 +8,11 @@ in a fresh ``perfbench/child.py`` process of that checkout with its own
 thread). The checkout that runs first alternates from pair to pair. Prints
 each side's median and quartiles of the wall time that ``child.py`` reports,
 the ratio of the medians (new / old), the pairs the new checkout won (ties
-count for neither) and whether both sides wrote the same CSV bytes. The
-workloads are read from this checkout's ``perfbench/run.py``, which is only
-imported. Exits 1 if an invocation fails.
+count for neither) and whether both sides wrote the same CSV bytes, then the
+verdict on a claimed gain: it holds when the new checkout wins at least nine
+tenths of the pairs and its median is below the old one's by more than the
+old side's interquartile range. The workloads are read from this checkout's
+``perfbench/run.py``, which is only imported. Exits 1 if an invocation fails.
 """
 
 from __future__ import annotations
@@ -56,6 +58,19 @@ def summary(values: list[float]) -> str:
     return f"median {median:.3f} s, quartiles {q1:.3f} / {q3:.3f} s (IQR {q3 - q1:.3f} s)"
 
 
+def verdict(old: list[float], new: list[float]) -> str:
+    """Whether the pairs show a gain: the new side wins at least nine tenths of
+    them (ties count for neither) and the medians differ by more than the
+    old side's interquartile range."""
+    wins = sum(n < o for o, n in zip(old, new))
+    q1, median, q3 = statistics.quantiles(old, n=4, method="inclusive")
+    gap = median - statistics.median(new)
+    holds = 10 * wins >= 9 * len(old) and gap > q3 - q1
+    return (f"verdict: gain {'holds' if holds else 'not shown'} (new faster in {wins} of "
+            f"{len(old)} pairs, nine tenths needed; median gap {gap:.3f} s against the old "
+            f"side's IQR {q3 - q1:.3f} s)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="checkout of the parent commit")
@@ -94,6 +109,7 @@ def main(argv=None) -> int:
     print(f"new: {summary(walls['new'])}")
     print(f"median ratio new/old {ratio:.3f}; new faster in {wins} of {args.pairs} pairs; "
           f"CSV bytes {'identical' if same_bytes else 'DIFFER'}")
+    print(verdict(walls["old"], walls["new"]))
     return 0
 
 

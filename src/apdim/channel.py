@@ -57,7 +57,8 @@ def average_gains(area: ServiceArea, params: PropagationParams, tx_xy, rx_xy) ->
     Euclidean distance (clamped at 1 m) plus the strict wall-crossing count.
     Evaluates ``linear_gain(path_loss_db(d, phi))`` with the same operations
     in the same order, in place in one (n_tx, n_rx) buffer, so every value
-    is bit-identical to the two-step formula.
+    is bit-identical to the two-step formula; at ``lw_db == 0`` the wall
+    term, exact zeros, is not added.
     """
     tx_xy = np.atleast_2d(np.asarray(tx_xy, dtype=float))
     rx_xy = np.atleast_2d(np.asarray(rx_xy, dtype=float))
@@ -68,8 +69,9 @@ def average_gains(area: ServiceArea, params: PropagationParams, tx_xy, rx_xy) ->
     np.log10(out, out=out)
     np.multiply(10.0 * params.alpha, out, out=out)
     np.add(params.l0_db, out, out=out)
-    np.multiply(crossing_counts(area, tx_xy, rx_xy), params.lw_db, out=scratch)
-    np.add(out, scratch, out=out)
+    if params.lw_db != 0.0:  # else the wall term adds exact zeros
+        np.multiply(crossing_counts(area, tx_xy, rx_xy), params.lw_db, out=scratch)
+        np.add(out, scratch, out=out)
     np.negative(out, out=out)
     np.divide(out, 10.0, out=out)
     return np.power(10.0, out, out=out)
@@ -111,25 +113,6 @@ def draw_fading(rng: np.random.Generator, shape, sigma_z2: float = 1.0) -> np.nd
     z.real = rng.standard_normal(shape)
     z.imag = rng.standard_normal(shape)
     z *= np.sqrt(sigma_z2 / 2.0)
-    return z
-
-
-# n -> the indices above the diagonal of an n x n matrix, built once per n
-_UPPER_INDICES: dict = {}
-
-
-def draw_symmetric_fading(rng: np.random.Generator, n: int, sigma_z2: float = 1.0) -> np.ndarray:
-    """Reciprocal fading matrix for AP-to-AP links: z[i, x] == z[x, i], zero diagonal."""
-    z = np.zeros((n, n), dtype=complex)
-    if n > 1:
-        iu = _UPPER_INDICES.get(n)
-        if iu is None:
-            iu = np.triu_indices(n, k=1)
-            for index in iu:
-                index.flags.writeable = False  # every later call reads them
-            _UPPER_INDICES[n] = iu
-        z[iu] = draw_fading(rng, iu[0].shape, sigma_z2)
-        z = z + z.T
     return z
 
 

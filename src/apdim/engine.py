@@ -5,9 +5,10 @@ Determinism contract: every snapshot derives its own generator from
 (master_seed, deployment_id, snapshot_index), so results are bit-identical
 for any evaluation order. One serial snapshot pass per rung (``run_rung``)
 serves every system: the shared prefix and every later draw that several
-systems make (the faded gains, the AP-to-AP fading) are drawn once, and each
-system continues on its own generator where its draws part from the
-others', so its results do not depend on which other systems run beside it.
+systems make (the faded gains, the AP-to-AP fading, the SSI visiting order)
+are drawn once, and each system continues on its own generator where its
+draws part from the others', so its results do not depend on which other
+systems run beside it.
 The pass walks the snapshots in blocks of consecutive indices, evaluated
 together by stacked array calls that act on each snapshot as a block of one
 would, so the results do not depend on the block size either. Both ZF
@@ -167,13 +168,29 @@ class CandidateTable:
     x: np.ndarray
     y: np.ndarray
     factor: np.ndarray
+    buckets: tuple[tuple, tuple]  # per axis, from _raster_buckets
+    # the best costs that associate_candidates ranks: strictly inside the
+    # RANKED_LOSS_DB_MAX band, so a cost out of it is re-ranked exactly
+    ranked_costs: tuple[float, float]
 
     def locate(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each user's cell, and whether it lies on a raster line or off the raster."""
+        """Each user's cell, and whether it lies on a raster line or off the raster.
+
+        Per axis, the user's uniform bucket gives a lower bound on its
+        interval i, which at most ``steps`` steps past each interval's end
+        raise to the one with lines[i] <= u < lines[i + 1] (the last interval
+        for u at or beyond the far edge, the first below the near one).
+        """
         cell, off = 0, False
         for axis in (1, 0):  # y outer
             lines, u = self.lines[axis], users[:, axis]
-            i = np.searchsorted(lines[1:-1], u, side="right")  # lines[i] <= u < lines[i + 1]
+            scale, first, ends, steps = self.buckets[axis]
+            bucket = np.subtract(u, lines[0])
+            bucket *= scale
+            np.clip(bucket, 0, first.size - 1, out=bucket)
+            i = first[bucket.astype(np.intp)]
+            for _ in range(steps):
+                i += u >= ends[i]
             off = off | (lines[i] >= u) | (u >= lines[-1])
             cell = cell * (lines.size - 1) + i
         return cell, off
@@ -216,6 +233,12 @@ def candidate_table(area: ServiceArea, prop: ch.PropagationParams, ap_xy) -> Can
     table[slots, cells] = aps
     table_factor = np.full(table.shape, np.inf)
     table_factor[slots, cells] = np.concatenate(kept_factors)
+    # The costs whose loss L0 + 10 log10(cost) lies within RANKED_LOSS_DB_MAX,
+    # narrowed by far more than that sum's rounding and kept to normal floats.
+    with np.errstate(over="ignore", under="ignore"):
+        lo, hi = 10.0 ** ((np.array([-RANKED_LOSS_DB_MAX, RANKED_LOSS_DB_MAX]) - prop.l0_db) / 10.0)
+    finite = np.finfo(float)
+    ranked_costs = (max(lo * (1.0 + 1e-9), finite.tiny), min(hi * (1.0 - 1e-9), finite.max))
     return CandidateTable(
         area=area,
         prop=prop,
@@ -225,6 +248,8 @@ def candidate_table(area: ServiceArea, prop: ch.PropagationParams, ap_xy) -> Can
         x=ap_xy[table, 0],
         y=ap_xy[table, 1],
         factor=table_factor,
+        buckets=(_raster_buckets(lines_x), _raster_buckets(lines_y)),
+        ranked_costs=ranked_costs,
     )
 
 
@@ -250,6 +275,33 @@ def _raster_axis(extent: float, walls: np.ndarray, c: np.ndarray) -> tuple:
     return lines, near * near, far * far, cross
 
 
+# Uniform buckets per raster interval in CandidateTable.locate: enough that no
+# bucket on either preset's ladder to 100 APs holds more than one raster line,
+# so one step finds each user's interval.
+_BUCKETS_PER_INTERVAL = 8
+
+
+def _raster_buckets(lines: np.ndarray) -> tuple:
+    """``CandidateTable.locate``'s uniform buckets over one axis's raster ``lines``.
+
+    Returns (scale, first, ends, steps). A coordinate u falls in bucket
+    floor((u - lines[0]) * scale), clipped to the buckets; first[j] counts
+    the interior lines at or below every u of bucket j, and at most
+    ``steps`` more lie at or below any of them. ends[i] = lines[i + 1] ends
+    interval i, except the last, which never ends: no u compares >= NaN.
+    Each bucket's range is widened by a millionth of a bucket, far above the
+    rounding of u's bucket.
+    """
+    interior, n = lines[1:-1], _BUCKETS_PER_INTERVAL * (lines.size - 1)
+    width = (lines[-1] - lines[0]) / n
+    edges = lines[0] + width * np.arange(n + 1)
+    first = np.searchsorted(interior, edges[:-1] - 1e-6 * width, side="right")
+    last = np.searchsorted(interior, edges[1:] + 1e-6 * width, side="right")
+    last[-1] = interior.size  # the last bucket also takes every u beyond it
+    ends = np.append(interior, np.nan)
+    return 1.0 / width, first, ends, int((last - first).max())
+
+
 def associate_candidates(table: CandidateTable, users: np.ndarray) -> np.ndarray:
     """``associate(ch.average_gains(...))`` of ``users`` on the table's layout.
 
@@ -259,9 +311,10 @@ def associate_candidates(table: CandidateTable, users: np.ndarray) -> np.ndarray
     them. The costs order APs as the exact gains do up to rounding of about
     1e-14 relative. A user with a second cost within RANK_RTOL of its best
     is re-ranked with the exact gains over every AP, and so is one whose
-    best loss is beyond RANKED_LOSS_DB_MAX (where exact gains lose that
-    precision, or round to 0 or inf and tie) and one that ``locate`` finds
-    on a raster line or off the raster.
+    best cost lies outside ``table.ranked_costs``, whose loss may be beyond
+    RANKED_LOSS_DB_MAX (where exact gains lose that precision, or round to 0
+    or inf and tie), and one that ``locate`` finds on a raster line or off
+    the raster.
     """
     users = np.asarray(users, dtype=float)
     cell, exact = table.locate(users)
@@ -279,7 +332,8 @@ def associate_candidates(table: CandidateTable, users: np.ndarray) -> np.ndarray
     is_best = cost <= best_cost * (1.0 + RANK_RTOL)
     del dx, dy, cost, factor
     exact |= is_best.sum(axis=0) > 1
-    exact |= ~(np.abs(table.prop.l0_db + 10.0 * np.log10(best_cost)) <= RANKED_LOSS_DB_MAX)
+    lo, hi = table.ranked_costs
+    exact |= (best_cost < lo) | ~(best_cost <= hi)  # NaN is re-ranked too
     # the one AP within RANK_RTOL of the best cost, where no other is
     best = np.take(table.aps, cell, axis=1)
     best = np.multiply(best, is_best, out=best).sum(axis=0)
@@ -370,7 +424,8 @@ class Block:
       (``faded_gains``; static and both Wi-Fi systems read them, stacked in
       ``received_powers``);
     - the AP-to-AP gains are drawn from S1, leaving S2 (``ap_gains``), and
-      each Wi-Fi system's SSI draw starts at S2 (``ssi_generator(b)``).
+      one SSI visiting order, which both Wi-Fi systems pack at their own
+      thresholds, is drawn from S2 (``ssi_generator(b)``).
 
     Every draw first sets the snapshot's generator to the state it starts
     from. Every system thus consumes random numbers exactly as if it ran
@@ -461,14 +516,28 @@ class Block:
         return self._rx
 
     def ap_gains(self) -> np.ndarray:
-        """(size, n_aps, n_aps) AP-to-AP power gains, drawn from each S1."""
+        """(size, n_aps, n_aps) AP-to-AP power gains, drawn from each S1.
+
+        The links are reciprocal: snapshot b draws one complex fade per AP
+        pair above the diagonal, in row-major order, and both directions of
+        a pair read its power |z|^2; the diagonal is zero. The average gains
+        ``l_ap_ap`` are symmetric bit for bit, so the gains are too.
+        """
         if self._g_ap_ap is None:
             self.faded_gains()
             n_aps, sigma_z2 = self.ctx.n_aps, self.ctx.scn.radio.sigma_z2
-            z = [ch.draw_symmetric_fading(self._at(b, state), n_aps, sigma_z2)
-                 for b, state in enumerate(self._s1)]
+            upper = ~np.tri(n_aps, dtype=bool)
+            n_pairs = n_aps * (n_aps - 1) // 2
+            g = np.zeros((self.size, n_aps, n_aps))
+            for b, state in enumerate(self._s1):
+                rng = self._at(b, state)
+                if n_pairs:  # a lone AP has no link to draw
+                    power = np.abs(ch.draw_fading(rng, n_pairs, sigma_z2))
+                    g[b][upper] = np.multiply(power, power, out=power)
             self._s2 = [rng.bit_generator.state for rng in self._rngs]
-            self._g_ap_ap = _read_only(self.ctx.l_ap_ap * np.abs(np.stack(z)) ** 2)
+            g += g.transpose(0, 2, 1)  # the lower triangle adds to zeros
+            g *= self.ctx.l_ap_ap
+            self._g_ap_ap = _read_only(g)
         return self._g_ap_ap
 
 
@@ -501,25 +570,28 @@ def wifi_block(
     """Wi-Fi epochs, one per snapshot and carrier-sense threshold, scored by static's reuse rule.
 
     At each threshold (dBm) the serving APs contend (``wifi.contention_graph``
-    over the AP-to-AP fading) and one SSI draw from S2 on the assignment's
-    K^wifi channels picks each snapshot's active set, channel by channel;
-    the APs without a user take no part. The active APs then transmit as
-    every serving AP does under static reuse: one ``planning.reuse_rates``
-    call scores every threshold and snapshot on ``received_powers``,
-    restricted to the APs active in any of them, with the rows of the APs
-    that do not transmit zeroed, so only the other active co-channel APs
-    interfere. Returns, per threshold, one ``Scored`` per snapshot in the
-    order of its active set.
+    over the AP-to-AP fading). One SSI visiting order per snapshot, drawn
+    from S2 on the assignment's K^wifi channels, is packed on every
+    threshold's graph (``wifi.sample_ssi``) into that snapshot's active sets,
+    channel by channel; the APs without a user take no part. The active APs
+    then transmit as every serving AP does under static reuse: one
+    ``planning.reuse_rates`` call scores every threshold and snapshot on
+    ``received_powers``, restricted to the APs active in any of them, with
+    the rows of the APs that do not transmit zeroed, so only the other
+    active co-channel APs interfere. Returns, per threshold, one ``Scored``
+    per snapshot in the order of its active set.
     """
     scn, channel_of, k = block.ctx.scn, assignment.channel_of, assignment.k
     g_ap_ap = block.ap_gains()
     # channel -1 keeps the APs without a user out of the SSI draw
     channels = np.where(block.has_user, channel_of, -1)
-    active = []  # per threshold, then per snapshot
-    for cs_thr_dbm in thresholds:
-        adjacency = wifi.contention_graph(channel_of, g_ap_ap, scn.radio.pt_mw, cs_thr_dbm)
-        for b in range(block.size):
-            active.append(wifi.sample_ssi(adjacency[b], channels[b], k, block.ssi_generator(b)))
+    graphs = [wifi.contention_graph(channel_of, g_ap_ap, scn.radio.pt_mw, cs_thr_dbm)
+              for cs_thr_dbm in thresholds]
+    drawn = [  # per snapshot, then per threshold
+        wifi.sample_ssi([graph[b] for graph in graphs], channels[b], k, block.ssi_generator(b))
+        for b in range(block.size)
+    ]
+    active = [aps for per_snapshot in zip(*drawn) for aps in per_snapshot]  # threshold outer
     sizes = [aps.size for aps in active]
     row, aps = np.repeat(np.arange(len(active)), sizes), np.concatenate(active)
     # The APs active in some snapshot at some threshold; the rows and columns
@@ -645,19 +717,21 @@ class RunResult:
 
 def _aggregate(ctx: DeploymentContext, scored: Sequence[Scored]) -> list[RunResult]:
     """One RunResult per row of a system's per-snapshot scores (one per reuse plan)."""
-    gamma_t = ctx.scn.gamma_t_linear
-    rate_sums = np.array([np.atleast_2d(sc.rates_mbps).sum(axis=1) for sc in scored])
-    hits = np.array([(np.atleast_2d(sc.sinr) < gamma_t).sum(axis=1) for sc in scored])
-    served_total = sum(sc.rates_mbps.shape[-1] for sc in scored)
+    # Each snapshot's rate sum runs over its own contiguous row: pairwise
+    # summation depends on where a row starts and ends.
+    rate_sums = np.array([sc.rates_mbps.sum(axis=-1) for sc in scored])  # (snapshot[, plan])
+    sinr = np.concatenate([np.atleast_2d(sc.sinr) for sc in scored], axis=1)
+    hits = (sinr < ctx.scn.gamma_t_linear).sum(axis=1)  # per plan, over snapshots
+    served_total = sinr.shape[1]
     redraws = sum(sc.redraws for sc in scored)
     solver_fallbacks = sum(sc.solver_fallbacks for sc in scored)
     runs = []
-    for plan_sums, plan_hits in zip(rate_sums.T, hits.T):  # over snapshots, per plan
+    for plan_sums, plan_hits in zip(np.atleast_2d(rate_sums.T), hits):
         lambda_samples = plan_sums / ctx.scn.area.area_km2
         runs.append(
             RunResult(
                 lambda_s=normal_estimate(lambda_samples),
-                outage=wilson_estimate(int(plan_hits.sum()), served_total),
+                outage=wilson_estimate(int(plan_hits), served_total),
                 served_total=served_total,
                 redraws=redraws,
                 solver_fallbacks=solver_fallbacks,
@@ -712,7 +786,9 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
 
     Returns {system: {k: RunResult}}: K^wifi for Wi-Fi, every reuse number
     K = 1..min(k_max, n_aps) for static, and None for ZF. The AP-to-AP gains
-    and each K's channel assignment are built once and shared by the systems.
+    are built once, and every K's channel assignment in one lockstep
+    ``planning.assign_channels`` call, each plan from its own substream;
+    the systems share them.
 
     The scenario's ``engine.n_snapshots`` snapshots run in blocks of
     consecutive indices (``_block_size``: at most _BLOCK_USERS users and
@@ -740,28 +816,22 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
             raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
     seed = scn.engine.seed
     ctx = make_context(scn, layout)
-    plans: dict = {}
-
-    def plan(k: int) -> planning.ChannelAssignment:
-        if k not in plans:
-            plans[k] = planning.assign_channels(
-                ctx.l_ap_ap, k, substream(seed, deployment_id, _SALT_PLANNING, k)
-            )
-        return plans[k]
-
     ks = dict.fromkeys(systems, [None])  # ZF reports on no channel count
     wifi_systems = [system for system in ks if system.startswith("wifi-")]
     if wifi_systems:
-        assignment = plan(scn.wifi.k_wifi)
         thresholds = [
             scn.wifi.cs_thr_baseline_dbm if system == "wifi-baseline"
             else scn.wifi.cs_thr_aggressive_dbm
             for system in wifi_systems
         ]
-        ks.update(dict.fromkeys(wifi_systems, [assignment.k]))
+        ks.update(dict.fromkeys(wifi_systems, [scn.wifi.k_wifi]))
     if "static" in ks:
         ks["static"] = list(range(1, min(scn.static.k_max, ctx.n_aps) + 1))
-        assignments = [plan(k) for k in ks["static"]]
+    reuse = sorted({k for system in ks for k in ks[system] if k is not None})
+    plans = {}
+    if reuse:  # every reuse number's plan, each drawn from its own substream
+        plan_rngs = [substream(seed, deployment_id, _SALT_PLANNING, k) for k in reuse]
+        plans = dict(zip(reuse, planning.assign_channels(ctx.l_ap_ap, reuse, plan_rngs)))
     erroneous = "zf-erroneous" in ks
     run_zf = erroneous or "zf-ideal" in ks
     scored: dict = {system: [] for system in ks}  # per system, per snapshot
@@ -772,10 +842,11 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
         rngs = [substream(seed, deployment_id, _SALT_SNAPSHOT, s) for s in indices]
         block = draw_block(ctx, rngs)
         if wifi_systems:
-            for system, scores in zip(wifi_systems, wifi_block(block, thresholds, assignment)):
+            scores_by_threshold = wifi_block(block, thresholds, plans[scn.wifi.k_wifi])
+            for system, scores in zip(wifi_systems, scores_by_threshold):
                 scored[system].extend(scores)
         if "static" in ks:
-            scored["static"].extend(static_block(block, assignments))
+            scored["static"].extend(static_block(block, [plans[k] for k in ks["static"]]))
         if run_zf:
             precoded.extend(zf_snapshot(block, b, erroneous) for b in range(block.size))
     if run_zf:

@@ -11,6 +11,7 @@ for Wi-Fi, every AP with traffic for static.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,26 +30,39 @@ class ChannelAssignment:
             raise ValueError("channel indices must lie in [0, k)")
 
 
-def assign_channels(l_ap_ap: np.ndarray, k: int, rng: np.random.Generator) -> ChannelAssignment:
-    """Greedy assignment: visit APs in random order, pick the least-interfered channel.
+def assign_channels(
+    l_ap_ap: np.ndarray, ks: Sequence[int], rngs: Sequence[np.random.Generator]
+) -> list[ChannelAssignment]:
+    """Greedy assignments, one per reuse number ``ks[p]`` drawn from ``rngs[p]``.
 
-    Each visited AP gets the channel minimizing the aggregate average
+    Each plan visits the APs in its own random order (one ``rng.permutation``)
+    and gives each visited AP the channel minimizing the aggregate average
     interference sum(L_ij) over already-assigned co-channel APs j (the common
     transmit power scales all candidates equally and is omitted). Ties break
     toward the lowest channel index, so empty channels fill first.
+
+    The plans run in lockstep, one visit position at a time, on one
+    aggregate stack whose channels at or above a plan's k stay at +inf and
+    are never picked; every plan's aggregate takes the same additions in the
+    same order as a plan made on its own, so each assignment is that plan's.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if any(k < 1 for k in ks):
+        raise ValueError(f"every k must be >= 1, got {list(ks)}")
     n = l_ap_ap.shape[0]
-    channel_of = np.full(n, -1, dtype=np.int64)
-    aggregate = np.zeros((n, k))  # aggregate[i, c]: avg interference at AP i from channel c
-    for i in rng.permutation(n):
-        c = int(np.argmin(aggregate[i]))
-        channel_of[i] = c
-        # Also adds AP i's own (unused) diagonal entry to row i, which is
-        # never read again: each AP is visited once.
-        aggregate[:, c] += l_ap_ap[i]
-    return ChannelAssignment(k=k, channel_of=channel_of)
+    plans = np.arange(len(ks))
+    orders = np.array([rng.permutation(n) for rng in rngs])  # (n_plans, n)
+    # aggregate[p, c, i]: plan p's average interference at AP i from channel c
+    aggregate = np.zeros((plans.size, max(ks), n))
+    for p, k in enumerate(ks):
+        aggregate[p, k:] = np.inf
+    channel_of = np.empty((plans.size, n), dtype=np.int64)
+    for visited in orders.T:  # the AP each plan visits at this position
+        c = aggregate[plans, :, visited].argmin(axis=1)
+        channel_of[plans, visited] = c
+        # Also adds each visited AP's own (unused) diagonal entry to its
+        # aggregate, which is never read again: each AP is visited once.
+        aggregate[plans, c] += l_ap_ap[visited]
+    return [ChannelAssignment(k=k, channel_of=row) for k, row in zip(ks, channel_of)]
 
 
 def reuse_rates(

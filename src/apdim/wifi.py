@@ -9,6 +9,8 @@ defers anyone.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 
@@ -32,32 +34,42 @@ def contention_graph(
 
 
 def sample_ssi(
-    adjacency: np.ndarray, channels: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw one active set by sequential packing; returns admitted positions.
+    graphs: Sequence[np.ndarray], channels: np.ndarray, k: int, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """Draw one visiting order and pack an active set on each of ``graphs``.
 
-    Per channel 0..k-1: visit the channel's APs in a uniformly random order
-    (one ``rng.permutation`` per channel) and admit each AP iff it is not in
-    the contention domain of any AP admitted so far. ``blocked`` is the
-    running union of the admitted APs' adjacency columns, so AP i is blocked
-    iff adjacency[i, j] holds for some admitted j; ``adjacency`` must have no
-    edges between APs of two channels in 0..k-1. An AP with any other
-    channel value is never visited, so it takes no part. The result is an
+    ``graphs`` is a sequence (or stack) of (n, n) contention adjacencies over
+    the same APs, such as one per carrier-sense threshold. The order visits
+    channels 0..k-1 in turn and each channel's APs in a uniformly random
+    order (one ``rng.permutation`` per channel, drawn once for every graph).
+    On each adjacency, an AP is admitted iff it is not in the contention
+    domain of any AP admitted so far: ``blocked`` is the running union of the
+    admitted APs' adjacency columns, so AP i is blocked iff adjacency[i, j]
+    holds for some admitted j. An adjacency must have no edges between APs of
+    two channels in 0..k-1. An AP with any other channel value is never
+    visited, so it takes no part. Returns, per adjacency, the admitted positions: an
     independent and maximal set, channel by channel and ascending within a
-    channel.
+    channel; each equals a draw on that adjacency alone from the same state.
     """
     by_channel = np.argsort(channels, kind="stable")
     bounds = np.searchsorted(channels[by_channel], np.arange(k + 1)).tolist()
-    blocked = np.zeros(channels.shape[0], dtype=bool)
-    admitted = []
-    for start, end in zip(bounds, bounds[1:]):  # channel by channel
-        members, chosen = by_channel[start:end], []
-        for i in members[rng.permutation(end - start)].tolist():
-            if not blocked[i]:
-                chosen.append(i)
-                blocked |= adjacency[:, i]
-        admitted += sorted(chosen)
-    return np.array(admitted, dtype=np.intp)
+    visits = [  # channel by channel
+        by_channel[start:end][rng.permutation(end - start)].tolist()
+        for start, end in zip(bounds, bounds[1:])
+    ]
+    active = []
+    for adjacency in graphs:
+        blocked = np.zeros(channels.shape[0], dtype=bool)
+        admitted = []
+        for members in visits:
+            chosen = []
+            for i in members:
+                if not blocked[i]:
+                    chosen.append(i)
+                    blocked |= adjacency[:, i]
+            admitted += sorted(chosen)
+        active.append(np.array(admitted, dtype=np.intp))
+    return active
 
 
 def validate_active_set(adjacency: np.ndarray, active: np.ndarray) -> None:

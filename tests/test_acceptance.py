@@ -110,7 +110,7 @@ def test_criterion_03_ssi_distribution():
     np.fill_diagonal(clique, False)
     wins = np.zeros(3)
     for _ in range(10_000):
-        act = wifi.sample_ssi(clique, one_channel, 1, rng)
+        (act,) = wifi.sample_ssi([clique], one_channel, 1, rng)
         wifi.validate_active_set(clique, act)
         wins[act[0]] += 1
     clique_err = float(np.abs(wins / 10_000 - 1 / 3).max())
@@ -119,7 +119,7 @@ def test_criterion_03_ssi_distribution():
     path[0, 1] = path[1, 0] = path[1, 2] = path[2, 1] = True
     ends = 0
     for _ in range(10_000):
-        act = wifi.sample_ssi(path, one_channel, 1, rng)
+        (act,) = wifi.sample_ssi([path], one_channel, 1, rng)
         wifi.validate_active_set(path, act)
         ends += act.size == 2
     path_err = abs(ends / 10_000 - 2 / 3)

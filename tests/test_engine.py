@@ -288,6 +288,57 @@ def test_candidates_leave_out_only_aps_beyond_the_margin(preset):
         assert np.all(beyond | ~left_out), (preset, nx, ny)
 
 
+def _searchsorted_locate(table, users):
+    """CandidateTable.locate as it was before its bucket index: two binary
+    searches over the interior raster lines."""
+    cell, off = 0, False
+    for axis in (1, 0):
+        lines, u = table.lines[axis], users[:, axis]
+        i = np.searchsorted(lines[1:-1], u, side="right")
+        off = off | (lines[i] >= u) | (u >= lines[-1])
+        cell = cell * (lines.size - 1) + i
+    return cell, off
+
+
+@pytest.mark.parametrize("preset", ["table1-open", "table1-obstructed"])
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 3), (5, 5), (10, 10)])
+def test_locate_matches_binary_search(preset, nx, ny):
+    # every pair of per-axis coordinates from: 0, the far edge and every
+    # other raster line, each one float step below and above, and points
+    # outside the area; then random users inside it
+    scn = scenario.preset(preset)
+    table = engine.candidate_table(
+        scn.area, scn.propagation, geometry.place_aps(scn.area, nx, ny).ap_xy
+    )
+    coords = []
+    for lines in table.lines:
+        extent = lines[-1]
+        outside = [-np.inf, -extent, -1.0, -1e-300, extent + 1e-9, 2 * extent, 1e300, np.inf]
+        coords.append(np.concatenate([
+            lines, np.nextafter(lines, -np.inf), np.nextafter(lines, np.inf), outside
+        ]))
+    grid_x, grid_y = np.meshgrid(*coords)
+    users = np.concatenate([
+        np.column_stack([grid_x.ravel(), grid_y.ravel()]),
+        engine.drop_users(scn.area, 5000, np.random.default_rng(nx)),
+    ])
+    cell, off = table.locate(users)
+    want_cell, want_off = _searchsorted_locate(table, users)
+    assert np.array_equal(cell, want_cell)
+    assert np.array_equal(off, want_off)
+
+
+@pytest.mark.parametrize("l0_db", [-5000.0, -2100.0, -37.0, 0.0, 37.0, 1000.0, 2300.0, 3300.0])
+def test_ranked_costs_lie_inside_the_loss_band(l0_db):
+    # a best cost that the table's bounds rank has a loss within
+    # RANKED_LOSS_DB_MAX, so no user is ranked that the loss test re-ranks
+    prop = ch.PropagationParams(l0_db=l0_db, alpha=2.0)
+    table = engine.candidate_table(OPEN_AREA, prop, geometry.place_aps(OPEN_AREA, 2, 2).ap_xy)
+    lo, hi = table.ranked_costs
+    for cost in (lo, np.sqrt(lo) * np.sqrt(hi), hi) if lo <= hi else ():  # else none ranks
+        assert abs(l0_db + 10.0 * np.log10(cost)) <= engine.RANKED_LOSS_DB_MAX, cost
+
+
 # The largest number of candidates in any cell of either preset's ladder to
 # 100 APs, and the largest area-weighted mean, as measured. A looser bound
 # would let association drift back toward ranking every AP.
@@ -435,7 +486,7 @@ def _wifi_setup(scn, layout):
     ctx = engine.make_context(scn, layout)
     k = scn.wifi.k_wifi
     plan_rng = engine.substream(scn.engine.seed, 0, 2, k)
-    assignment = planning.assign_channels(ctx.l_ap_ap, k, plan_rng)
+    (assignment,) = planning.assign_channels(ctx.l_ap_ap, [k], [plan_rng])
     return ctx, scn.wifi.cs_thr_baseline_dbm, assignment
 
 
@@ -638,6 +689,17 @@ def _reference_snapshot(scn, layout, rng):
     return avg, serving, cols
 
 
+def _reference_symmetric_fading(rng, n):
+    """Reciprocal AP-to-AP fading: one draw per pair above the diagonal, in
+    row-major order, mirrored below it; zero diagonal."""
+    z = np.zeros((n, n), dtype=complex)
+    if n > 1:
+        upper = np.triu_indices(n, k=1)
+        z[upper] = ch.draw_fading(rng, upper[0].shape)
+        z = z + z.T
+    return z
+
+
 def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_ap, rng):
     w, sigma2, pt = scn.radio.bandwidth_mhz, scn.sigma2_mw, scn.radio.pt_mw
     if system == "static":
@@ -650,10 +712,10 @@ def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_a
         cs = scn.wifi.cs_thr_baseline_dbm if baseline else scn.wifi.cs_thr_aggressive_dbm
         z = ch.draw_fading(rng, (layout.n_aps, cols.shape[0]))
         gains = avg[:, cols] * np.abs(z) ** 2
-        g_ap_ap = l_ap_ap * np.abs(ch.draw_symmetric_fading(rng, layout.n_aps)) ** 2
+        g_ap_ap = l_ap_ap * np.abs(_reference_symmetric_fading(rng, layout.n_aps)) ** 2
         channels = assignment.channel_of[serving]
         adj = wifi.contention_graph(channels, g_ap_ap[np.ix_(serving, serving)], pt, cs)
-        act = wifi.sample_ssi(adj, channels, assignment.k, rng)
+        (act,) = wifi.sample_ssi([adj], channels, assignment.k, rng)
         rx = gains[np.ix_(serving[act], act)] * pt
         return planning.reuse_rates(rx, channels[act], assignment.k, scn.wifi.eta_wifi, w, sigma2)
     sqrt_l = np.sqrt(avg[np.ix_(serving, cols)].T)
@@ -677,7 +739,7 @@ def _reference_run(scn, layout, system, k, deployment_id, n_snapshots):
     assignment = None
     if k is not None:
         plan_rng = engine.substream(seed, deployment_id, 2, k)
-        assignment = planning.assign_channels(l_ap_ap, k, plan_rng)
+        (assignment,) = planning.assign_channels(l_ap_ap, [k], [plan_rng])
     lambdas, hits, served = [], 0, 0
     for s in range(n_snapshots):
         rng = engine.substream(seed, deployment_id, 1, s)
@@ -769,20 +831,33 @@ def test_dimension_computes_average_gains_once_per_snapshot(monkeypatch):
 
 def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
     # Static and both Wi-Fi systems read one AP-to-user draw per snapshot, and
-    # the Wi-Fi systems one AP-to-AP draw; both ZF systems share one ZF pass.
+    # the Wi-Fi systems one AP-to-AP draw and one SSI visiting order (one
+    # permutation per channel) for both thresholds; both ZF systems share one
+    # ZF pass.
     scn = _tiny_scenario([1.0], ladder_cap=6, snapshots=3)
-    fading_by_caller, symmetric_sizes = Counter(), []
+    fading_by_caller, pair_counts = Counter(), []
     zf_calls = Counter()
-    draw_fading, draw_symmetric_fading = ch.draw_fading, ch.draw_symmetric_fading
+    ssi_permutations = []
+    draw_fading, sample_ssi = ch.draw_fading, wifi.sample_ssi
     build_beamformer, allocate_powers = zf.build_beamformer, zf.allocate_powers
 
-    def counted_fading(*args, **kwargs):
-        fading_by_caller[sys._getframe(1).f_code.co_name] += 1
-        return draw_fading(*args, **kwargs)
+    def counted_fading(rng, shape, *args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        fading_by_caller[caller] += 1
+        if caller == "ap_gains":
+            pair_counts.append(shape)
+        return draw_fading(rng, shape, *args, **kwargs)
 
-    def counted_symmetric(rng, n, *args, **kwargs):
-        symmetric_sizes.append(n)
-        return draw_symmetric_fading(rng, n, *args, **kwargs)
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def permutation(self, n):
+            ssi_permutations.append(n)
+            return self.rng.permutation(n)
+
+    def counted_ssi(graphs, channels, k, rng):
+        return sample_ssi(graphs, channels, k, CountingGenerator(rng))
 
     def counted_build(h_hat):
         zf_calls["build_beamformer"] += 1
@@ -794,7 +869,7 @@ def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
         return allocate_powers(beamformers, *args)
 
     monkeypatch.setattr(ch, "draw_fading", counted_fading)
-    monkeypatch.setattr(ch, "draw_symmetric_fading", counted_symmetric)
+    monkeypatch.setattr(wifi, "sample_ssi", counted_ssi)
     monkeypatch.setattr(zf, "build_beamformer", counted_build)
     monkeypatch.setattr(zf, "allocate_powers", counted_allocate)
     res = engine.dimension(scn, engine.SYSTEMS, stop_when_satisfied=False)
@@ -802,12 +877,13 @@ def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
     assert rungs == 4
     snapshots = rungs * 3
     per_snapshot = [n_aps for nx, ny in res.ladder for n_aps in [nx * ny] * 3]
-    assert sorted(symmetric_sizes) == sorted(per_snapshot)
+    assert sorted(pair_counts) == sorted(n * (n - 1) // 2 for n in per_snapshot if n > 1)
+    assert len(ssi_permutations) == snapshots * scn.wifi.k_wifi
     redraws = [rec.zf_redraws for rec in res.per_system["zf-ideal"].records]
     assert redraws == [rec.zf_redraws for rec in res.per_system["zf-erroneous"].records]
     assert dict(fading_by_caller) == {
         "faded_gains": snapshots,
-        "draw_symmetric_fading": sum(n > 1 for n in per_snapshot),
+        "ap_gains": sum(n > 1 for n in per_snapshot),
         "zf_snapshot": snapshots + sum(redraws),
         "delayed_csit": snapshots,
     }
@@ -816,6 +892,20 @@ def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
         "allocate_powers": rungs,
         "instances": snapshots,
     }
+
+
+def test_ap_gains_reciprocal():
+    # one fade per AP pair, read by both directions: the gains are symmetric
+    # bit for bit with a zero diagonal, and the 780 pair powers of a 40-AP
+    # layout average E|z|^2 = 1
+    scn = scenario.preset("table1-open")
+    ctx = engine.make_context(scn, geometry.place_aps(scn.area, 5, 8))
+    block = engine.draw_block(ctx, [np.random.default_rng(13)])
+    (g,) = block.ap_gains()
+    assert np.array_equal(g, g.T)
+    assert not np.diag(g).any()
+    off = (g / ctx.l_ap_ap)[np.triu_indices(40, k=1)]
+    assert np.mean(off) == pytest.approx(1.0, abs=0.15)
 
 
 def test_forced_redraws_keep_both_zf_systems_on_one_pass(monkeypatch):

@@ -119,7 +119,7 @@ def test_static_sinr_dominated_by_wifi_active_subset():
     channels = np.zeros(n, dtype=np.int64)
     assignment = ChannelAssignment(k=1, channel_of=channels)
     _, (static_sinr,) = static_rates([assignment], np.arange(n), gains)
-    act = wifi.sample_ssi(wifi.contention_graph(channels, gains, PT, -85.0), channels, 1, rng)
+    (act,) = wifi.sample_ssi([wifi.contention_graph(channels, gains, PT, -85.0)], channels, 1, rng)
     _, wifi_sinr = planning.reuse_rates(
         gains[np.ix_(act, act)] * PT, channels[act], 1, 3.75, W_MHZ, SIGMA2
     )
@@ -149,7 +149,7 @@ def test_all_plans_equal_per_channel_reference():
     rng = np.random.default_rng(43)
     for n_aps, n_served in ((9, 7), (40, 30)):
         l_ap_ap = 10 ** rng.uniform(-12, -5, (n_aps, n_aps))
-        plans = [planning.assign_channels(l_ap_ap, k, rng) for k in range(1, 13)]
+        plans = [planning.assign_channels(l_ap_ap, [k], [rng])[0] for k in range(1, 13)]
         plans.append(ChannelAssignment(k=4, channel_of=rng.integers(0, 4, n_aps)))
         sizes = [[n_served], [1, n_aps, n_served]]
         for block_sizes in sizes:

@@ -126,7 +126,7 @@ def test_ssi_clique_single_winner_uniform():
     rng = np.random.default_rng(30)
     counts = np.zeros(3)
     for _ in range(3000):
-        act = wifi.sample_ssi(adj, ONE_CHANNEL, 1, rng)
+        (act,) = wifi.sample_ssi([adj], ONE_CHANNEL, 1, rng)
         wifi.validate_active_set(adj, act)
         assert act.size == 1
         counts[act[0]] += 1
@@ -144,7 +144,7 @@ def test_ssi_path_distribution():
     rng = np.random.default_rng(31)
     ends = 0
     for _ in range(3000):
-        act = wifi.sample_ssi(adj, ONE_CHANNEL, 1, rng)
+        (act,) = wifi.sample_ssi([adj], ONE_CHANNEL, 1, rng)
         wifi.validate_active_set(adj, act)
         if act.size == 2:
             ends += 1
@@ -168,7 +168,7 @@ def test_ssi_empty_graph_all_active():
     adj = np.zeros((n, n), dtype=bool)
     rng = np.random.default_rng(32)
     for _ in range(50):
-        act = wifi.sample_ssi(adj, np.zeros(n, dtype=np.int64), 1, rng)
+        (act,) = wifi.sample_ssi([adj], np.zeros(n, dtype=np.int64), 1, rng)
         assert act.tolist() == list(range(n))
 
 
@@ -180,7 +180,7 @@ def test_ssi_respects_channels():
     np.fill_diagonal(adj, False)
     rng = np.random.default_rng(33)
     for _ in range(20):
-        act = wifi.sample_ssi(adj, channels, 2, rng)
+        (act,) = wifi.sample_ssi([adj], channels, 2, rng)
         wifi.validate_active_set(adj, act)
         assert channels[act].tolist() == [0, 1]
 
@@ -200,7 +200,7 @@ def test_raising_threshold_never_shrinks_active_sets():
             draw_rng = np.random.default_rng(777)  # matched admission orders
             total = 0
             for _ in range(40):
-                total += wifi.sample_ssi(adj, channels, 1, draw_rng).size
+                total += wifi.sample_ssi([adj], channels, 1, draw_rng)[0].size
             sizes.append(total / 40)
         assert sizes[0] <= sizes[1] + 1e-9 and sizes[1] <= sizes[2] + 1e-9
 
@@ -349,12 +349,21 @@ SSI_CASES = _ssi_cases()
 @pytest.mark.parametrize("case", list(SSI_CASES))
 def test_sample_ssi_matches_admission_loop(case):
     adjacency, channels, k = SSI_CASES[case]
-    for seed in range(20):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = wifi.sample_ssi(adjacency, channels, k, rng)
-        want = _loop_sample_ssi(adjacency, channels, k, ref_rng)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the case's graph, then a stack of it, a sparser graph and an empty one,
+    # as one threshold each: one visiting order serves every graph, so each
+    # active set equals a loop on that graph alone from the same state
+    thinned = adjacency & (np.random.default_rng(91).random(adjacency.shape) < 0.5)
+    thinned &= thinned.T
+    for graphs in ([adjacency], [adjacency, thinned, np.zeros_like(adjacency)]):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            got = wifi.sample_ssi(graphs, channels, k, rng)
+            assert len(got) == len(graphs)
+            for graph, active in zip(graphs, got):
+                ref_rng = np.random.default_rng(seed)
+                want = _loop_sample_ssi(graph, channels, k, ref_rng)
+                assert active.dtype == want.dtype and np.array_equal(active, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -390,5 +399,5 @@ def test_wifi_rates_match_per_channel_loop(seed):
             want = _loop_wifi_rates(active, channels, serving, gains[b], p, W_MHZ, SIGMA2)
             for g, w in zip((scored.rates_mbps, scored.sinr), want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
-            if cs == thresholds[-1]:  # each threshold's draw started at the same state
+            if cs == thresholds[-1]:  # one visiting order served every threshold
                 assert draw_rngs[b].bit_generator.state == ref_rng.bit_generator.state
