@@ -7,11 +7,12 @@ in a fresh ``perfbench/child.py`` process of that checkout with its own
 ``src`` on PYTHONPATH and the workload's environment (BLAS pinned to one
 thread). The checkout that runs first alternates from pair to pair. Prints
 each side's median and quartiles of the wall time that ``child.py`` reports,
-the ratio of the medians (new / old), the pairs the new checkout won (ties
-count for neither) and whether both sides wrote the same CSV bytes, then the
-verdict on a claimed gain: it holds when the new checkout wins at least nine
-tenths of the pairs and its median is below the old one's by more than the
-old side's interquartile range. The workloads are read from this checkout's
+beside the median of its peak RSS (``peak_rss_mb``), the ratio of the medians
+(new / old), the pairs the new checkout won (ties count for neither) and
+whether both sides wrote the same CSV bytes, then the verdict on a claimed
+gain: it holds when the new checkout wins at least nine tenths of the pairs
+and its median is below the old one's by more than the old side's
+interquartile range. The workloads are read from this checkout's
 ``perfbench/run.py``, which is only imported. Exits 1 if an invocation fails.
 """
 
@@ -38,8 +39,8 @@ def _workloads() -> dict:
     return module.WORKLOADS
 
 
-def run_once(checkout: Path, workload, seed: int, tmp: Path, tag: str) -> tuple[float, str]:
-    """One fresh invocation of ``checkout``; its wall time and the sha256 of its CSV."""
+def run_once(checkout: Path, workload, seed: int, tmp: Path, tag: str) -> tuple[float, float, str]:
+    """One fresh invocation of ``checkout``; its wall time, peak RSS (MB) and the sha256 of its CSV."""
     result, out = tmp / f"{tag}.json", tmp / f"{tag}.csv"
     cmd = [sys.executable, str(checkout / "perfbench" / "child.py"), str(result), "--",
            *workload.argv(seed, out)]
@@ -50,12 +51,14 @@ def run_once(checkout: Path, workload, seed: int, tmp: Path, tag: str) -> tuple[
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout} exited {proc.returncode}: {proc.stderr[-2000:]}")
     record = json.loads(result.read_text(encoding="utf-8"))
-    return record["wall_s"], hashlib.sha256(out.read_bytes()).hexdigest()
+    return record["wall_s"], record["peak_rss_mb"], hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def summary(values: list[float]) -> str:
+def summary(values: list[float], peaks_mb: list[float]) -> str:
+    """One side's wall-time median and quartiles, and its median peak RSS."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"median {median:.3f} s, quartiles {q1:.3f} / {q3:.3f} s (IQR {q3 - q1:.3f} s)"
+    return (f"median {median:.3f} s, quartiles {q1:.3f} / {q3:.3f} s (IQR {q3 - q1:.3f} s); "
+            f"peak RSS median {statistics.median(peaks_mb):.1f} MB")
 
 
 def verdict(old: list[float], new: list[float]) -> str:
@@ -87,6 +90,7 @@ def main(argv=None) -> int:
     workload = workloads[args.workload]
     sides = {"old": args.old.resolve(), "new": args.new.resolve()}
     walls: dict = {"old": [], "new": []}
+    peaks: dict = {"old": [], "new": []}
     same_bytes = True
     with tempfile.TemporaryDirectory() as tmp:
         for pair in range(args.pairs):
@@ -94,19 +98,20 @@ def main(argv=None) -> int:
             hashes = {}
             for side in order:
                 try:
-                    wall, hashes[side] = run_once(
+                    wall, peak, hashes[side] = run_once(
                         sides[side], workload, args.seed, Path(tmp), f"{side}-{pair}")
                 except RuntimeError as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     return 1
                 walls[side].append(wall)
+                peaks[side].append(peak)
             same_bytes &= hashes["old"] == hashes["new"]
             print(f"pair {pair + 1:2d} ({order[0]} first): old {walls['old'][-1]:.3f} s, "
                   f"new {walls['new'][-1]:.3f} s", flush=True)
     wins = sum(n < o for o, n in zip(walls["old"], walls["new"]))
     ratio = statistics.median(walls["new"]) / statistics.median(walls["old"])
-    print(f"old: {summary(walls['old'])}")
-    print(f"new: {summary(walls['new'])}")
+    print(f"old: {summary(walls['old'], peaks['old'])}")
+    print(f"new: {summary(walls['new'], peaks['new'])}")
     print(f"median ratio new/old {ratio:.3f}; new faster in {wins} of {args.pairs} pairs; "
           f"CSV bytes {'identical' if same_bytes else 'DIFFER'}")
     print(verdict(walls["old"], walls["new"]))

@@ -492,26 +492,31 @@ class Block:
         """AP-to-user power gains, one column per scheduled user, drawn from each S0."""
         if self._gains is None:
             n_aps, sigma_z2 = self.ctx.n_aps, self.ctx.scn.radio.sigma_z2
-            z = []
-            for b, state in enumerate(self._s0):
-                shape = (n_aps, self.starts[b + 1] - self.starts[b])
-                z.append(ch.draw_fading(self._at(b, state), shape, sigma_z2))
+            gains = np.empty_like(self.served_gains)
+            for b, state in enumerate(self._s0):  # one snapshot's complex draw alive at a time
+                cols = self.columns(b)
+                shape = (n_aps, cols.stop - cols.start)
+                power = np.abs(ch.draw_fading(self._at(b, state), shape, sigma_z2))
+                power = np.multiply(power, power, out=power)
+                np.multiply(self.served_gains[:, cols], power, out=gains[:, cols])
             self._s1 = [rng.bit_generator.state for rng in self._rngs]
-            self._gains = _read_only(self.served_gains * np.abs(np.concatenate(z, axis=1)) ** 2)
+            self._gains = _read_only(gains)
         return self._gains
 
     def received_powers(self) -> np.ndarray:
-        """Received powers, (size, n_aps, n_aps), from the faded gains.
+        """Received powers, (size, n_aps + 1, n_aps), from the faded gains.
 
         Entry [b, j, i] is AP j's power at the user that AP i serves in
         snapshot b. Rows and columns of the APs without a user in snapshot b
-        are zero.
+        are zero, and so is the last row, which pads
+        ``planning.reuse_rates``' member lists.
         """
         if self._rx is None:
             n_aps = self.ctx.n_aps
-            rx = np.zeros((self.size, n_aps, n_aps))
-            rx[self.snapshot, :, self.serving] = (self.faded_gains() * self.ctx.scn.radio.pt_mw).T
-            rx[~self.has_user] = 0.0
+            rx = np.zeros((self.size, n_aps + 1, n_aps))
+            rx[self.snapshot, :n_aps, self.serving] = (
+                self.faded_gains() * self.ctx.scn.radio.pt_mw).T
+            rx[:, :n_aps][~self.has_user] = 0.0
             self._rx = _read_only(rx)
         return self._rx
 
@@ -565,7 +570,10 @@ def draw_block(ctx: DeploymentContext, rngs: Sequence[np.random.Generator]) -> B
 
 
 def wifi_block(
-    block: Block, thresholds: Sequence[float], assignment: planning.ChannelAssignment
+    block: Block,
+    thresholds: Sequence[float],
+    assignment: planning.ChannelAssignment,
+    members: np.ndarray,
 ) -> list[list[Scored]]:
     """Wi-Fi epochs, one per snapshot and carrier-sense threshold, scored by static's reuse rule.
 
@@ -575,11 +583,11 @@ def wifi_block(
     threshold's graph (``wifi.sample_ssi``) into that snapshot's active sets,
     channel by channel; the APs without a user take no part. The active APs
     then transmit as every serving AP does under static reuse: one
-    ``planning.reuse_rates`` call scores every threshold and snapshot on
-    ``received_powers``, restricted to the APs active in any of them, with
-    the rows of the APs that do not transmit zeroed, so only the other
-    active co-channel APs interfere. Returns, per threshold, one ``Scored``
-    per snapshot in the order of its active set.
+    ``planning.reuse_rates`` call on the assignment's member table
+    (``members``) scores every threshold and snapshot on
+    ``received_powers`` with the rows of the APs that do not transmit
+    zeroed, so only the other active co-channel APs interfere. Returns, per
+    threshold, one ``Scored`` per snapshot in the order of its active set.
     """
     scn, channel_of, k = block.ctx.scn, assignment.channel_of, assignment.k
     g_ap_ap = block.ap_gains()
@@ -594,38 +602,35 @@ def wifi_block(
     active = [aps for per_snapshot in zip(*drawn) for aps in per_snapshot]  # threshold outer
     sizes = [aps.size for aps in active]
     row, aps = np.repeat(np.arange(len(active)), sizes), np.concatenate(active)
-    # The APs active in some snapshot at some threshold; the rows and columns
-    # of the others would only add exact zeros.
-    union = np.flatnonzero(np.bincount(aps, minlength=block.ctx.n_aps))
-    at = np.searchsorted(union, aps)
-    transmits = np.zeros((len(active), union.size), dtype=bool)
-    transmits[row, at] = True
-    rx = block.received_powers()[:, union[:, None], union]
+    rx = block.received_powers()
+    transmits = np.zeros((len(active), rx.shape[1]), dtype=bool)
+    transmits[row, aps] = True
     rates, sinr = planning.reuse_rates(
-        rx * transmits.reshape(len(thresholds), block.size, union.size, 1), channel_of[union],
-        k, scn.wifi.eta_wifi, scn.radio.bandwidth_mhz, scn.sigma2_mw,
+        rx * transmits.reshape(len(thresholds), block.size, -1, 1), [members], [k],
+        scn.wifi.eta_wifi, scn.radio.bandwidth_mhz, scn.sigma2_mw,
     )
-    shape = (len(active), union.size)
-    rates, sinr = rates.reshape(shape)[row, at], sinr.reshape(shape)[row, at]
+    shape = (len(active), block.ctx.n_aps)
+    rates, sinr = rates.reshape(shape)[row, aps], sinr.reshape(shape)[row, aps]
     ends = np.cumsum(sizes)
     scores = [Scored(rates[end - size:end], sinr[end - size:end]) for size, end in zip(sizes, ends)]
     return [scores[i:i + block.size] for i in range(0, len(scores), block.size)]
 
 
-def static_block(block: Block, assignments: Sequence[planning.ChannelAssignment]) -> list[Scored]:
+def static_block(
+    block: Block, assignments: Sequence[planning.ChannelAssignment], members: Sequence[np.ndarray]
+) -> list[Scored]:
     """Full-buffer frequency-planned cellular snapshots, one row per reuse plan.
 
     Every AP with traffic transmits in every snapshot, so each served user's
     interference sums over all co-channel serving APs: one
-    ``planning.reuse_rates`` call scores every plan of every snapshot on
-    ``received_powers``, whose rows of the APs without a user are zero.
-    Every plan is scored on the same fading draw.
+    ``planning.reuse_rates`` call, on each plan's member table
+    (``members[p]`` for ``assignments[p]``), scores every plan of every
+    snapshot on ``received_powers``, whose rows of the APs without a user
+    are zero. Every plan is scored on the same fading draw.
     """
     scn = block.ctx.scn
-    channels = np.array([a.channel_of for a in assignments])
-    k = np.array([[a.k] for a in assignments], dtype=float)
     rates, sinr = planning.reuse_rates(
-        block.received_powers()[:, None], channels, k,
+        block.received_powers(), members, [a.k for a in assignments],
         scn.static.eta_sta, scn.radio.bandwidth_mhz, scn.sigma2_mw,
     )
     # (n_plans, n_served) with contiguous rows, so _aggregate's sums are pairwise
@@ -768,17 +773,22 @@ class DeploymentRecord:
 
 
 # Snapshots evaluated together (run_rung): a block holds at most _BLOCK_USERS
-# users and _BLOCK_RATE_ENTRIES entries of static's (size, n_plans, n_aps,
-# n_aps) rate product (1 MB), and at least one snapshot. Its temporaries then
-# stay near those of one snapshot at 1,000 users and 100 APs.
+# users, and at least one snapshot. Counted in float (n_aps + 1, n_aps)
+# stacks, a rung with Wi-Fi and static holds about six of its own (the
+# AP-to-AP gains and the member tables of twelve plans) and seven per
+# snapshot of a block (the served users' average and faded gains, the
+# AP-to-AP fading, the received powers, Wi-Fi's copy of them at each of two
+# thresholds and the gathered member lists), which _block_size keeps within
+# _BLOCK_BYTES; the scores kept per snapshot come on top. That gives 8
+# snapshots at 1,000 users up to 56 APs, 6 at 64, 4 at 72, 3 at 81, and 2 at
+# 90 and 100.
 _BLOCK_USERS = 8192
-_BLOCK_RATE_ENTRIES = 1 << 17
+_BLOCK_BYTES = 1_700_000
 
 
 def _block_size(scn, n_aps: int) -> int:
-    n_plans = min(scn.static.k_max, n_aps)
-    by_rates = _BLOCK_RATE_ENTRIES // (n_plans * n_aps * n_aps)
-    return max(1, min(_BLOCK_USERS // scn.n_users, by_rates))
+    stacks = _BLOCK_BYTES // (8 * n_aps * (n_aps + 1))
+    return max(1, min(_BLOCK_USERS // scn.n_users, (stacks - 6) // 7))
 
 
 def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) -> dict:
@@ -786,25 +796,26 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
 
     Returns {system: {k: RunResult}}: K^wifi for Wi-Fi, every reuse number
     K = 1..min(k_max, n_aps) for static, and None for ZF. The AP-to-AP gains
-    are built once, and every K's channel assignment in one lockstep
-    ``planning.assign_channels`` call, each plan from its own substream;
-    the systems share them.
+    are built once, every K's channel assignment in one lockstep
+    ``planning.assign_channels`` call, each plan from its own substream, and
+    every plan's co-channel member table in one
+    ``planning.co_channel_members`` call; the systems share them.
 
     The scenario's ``engine.n_snapshots`` snapshots run in blocks of
-    consecutive indices (``_block_size``: at most _BLOCK_USERS users and
-    _BLOCK_RATE_ENTRIES entries of static's rate product, so one snapshot at
-    100 APs). Each snapshot draws from its own generator, derived from (seed,
+    consecutive indices (``_block_size``: at most _BLOCK_USERS users, and
+    the rung's arrays within _BLOCK_BYTES, so two snapshots at 100 APs).
+    Each snapshot draws from its own generator, derived from (seed,
     deployment_id, snapshot index), in the order a block of one would; a
     block makes one association and one gains call for all its snapshots
     (``draw_block``), whose results are elementwise over users, and one rate
     call for static and one for both Wi-Fi systems (``static_block``,
-    ``wifi_block``), whose sums gain only exact zeros, so no byte depends on
-    the block size. Every system reads the one ``Block``. The blocks run one after another in the calling thread: their
-    work holds the GIL for most of its time, which no thread pool can share
-    out. When a ZF system runs, each snapshot makes one ZF pass
-    (``zf_snapshot``) for both CSIT models, drawing the true channel only if
-    zf-erroneous runs; after the pass, one ``finish_zf`` call solves and
-    scores them all.
+    ``wifi_block``), whose sums are those of a block of one, so no byte
+    depends on the block size. Every system reads the one ``Block``. The
+    blocks run one after another in the calling thread: their work holds
+    the GIL for most of its time, which no thread pool can share out. When
+    a ZF system runs, each snapshot makes one ZF pass (``zf_snapshot``) for
+    both CSIT models, drawing the true channel only if zf-erroneous runs;
+    after the pass, one ``finish_zf`` call solves and scores them all.
 
     ``scn`` is the validated Scenario (see apdim.scenario). The rung's
     ``DeploymentContext`` holds it, and every system reads its parameters
@@ -828,10 +839,11 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
     if "static" in ks:
         ks["static"] = list(range(1, min(scn.static.k_max, ctx.n_aps) + 1))
     reuse = sorted({k for system in ks for k in ks[system] if k is not None})
-    plans = {}
+    plans, members = {}, {}
     if reuse:  # every reuse number's plan, each drawn from its own substream
         plan_rngs = [substream(seed, deployment_id, _SALT_PLANNING, k) for k in reuse]
         plans = dict(zip(reuse, planning.assign_channels(ctx.l_ap_ap, reuse, plan_rngs)))
+        members = dict(zip(reuse, planning.co_channel_members(list(plans.values()))))
     erroneous = "zf-erroneous" in ks
     run_zf = erroneous or "zf-ideal" in ks
     scored: dict = {system: [] for system in ks}  # per system, per snapshot
@@ -842,11 +854,14 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
         rngs = [substream(seed, deployment_id, _SALT_SNAPSHOT, s) for s in indices]
         block = draw_block(ctx, rngs)
         if wifi_systems:
-            scores_by_threshold = wifi_block(block, thresholds, plans[scn.wifi.k_wifi])
+            k = scn.wifi.k_wifi
+            scores_by_threshold = wifi_block(block, thresholds, plans[k], members[k])
             for system, scores in zip(wifi_systems, scores_by_threshold):
                 scored[system].extend(scores)
         if "static" in ks:
-            scored["static"].extend(static_block(block, [plans[k] for k in ks["static"]]))
+            static = ks["static"]
+            scored["static"].extend(
+                static_block(block, [plans[k] for k in static], [members[k] for k in static]))
         if run_zf:
             precoded.extend(zf_snapshot(block, b, erroneous) for b in range(block.size))
     if run_zf:

@@ -65,32 +65,64 @@ def assign_channels(
     return [ChannelAssignment(k=k, channel_of=row) for k, row in zip(ks, channel_of)]
 
 
+def co_channel_members(assignments: Sequence[ChannelAssignment]) -> list[np.ndarray]:
+    """``reuse_rates``' member table of each plan: (T_p, n_aps) flat indices.
+
+    Column i of plan p's table lists AP i's co-channel APs j, itself
+    included, in ascending order, each as the index j * n_aps + i of entry
+    [j, i] in a flattened (n_aps + 1, n_aps) matrix. T_p is the plan's
+    largest channel size, and a shorter list is padded at its end with the
+    index of entry [n_aps, i], in the matrix's last row, which
+    ``reuse_rates`` keeps zero. One stable sort groups every plan's APs by
+    (plan, channel) at once.
+    """
+    channel_of = np.array([a.channel_of for a in assignments])  # (n_plans, n_aps)
+    n = channel_of.shape[1]
+    first = np.cumsum([0] + [a.k for a in assignments])  # each plan's first channel key
+    keys = channel_of + first[:-1, None]  # one key per (plan, channel)
+    by_key = np.argsort(keys, axis=None, kind="stable")  # ascending AP within a key
+    sorted_keys = keys.ravel()[by_key]
+    counts = np.bincount(sorted_keys, minlength=first[-1])
+    slot = np.arange(by_key.size) - (np.cumsum(counts) - counts)[sorted_keys]
+    members = np.full((counts.max(), first[-1]), n * n)  # [slot, key]: rows j as j * n
+    members[slot, sorted_keys] = by_key % n * n
+    sizes = np.maximum.reduceat(counts, first[:-1]).tolist()  # each plan's largest channel
+    return [members[:size].take(plan_keys, axis=1) + np.arange(n)
+            for size, plan_keys in zip(sizes, keys)]
+
+
 def reuse_rates(
     rx: np.ndarray,
-    channels: np.ndarray,
-    k: float | np.ndarray,
+    members: Sequence[np.ndarray],
+    ks: Sequence[int],
     eta: float,
     w_total_mhz: float,
     sigma2_mw: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-link rate (Mbps) and SINR when the transmitters of ``rx`` all send at once.
+    """Per-link rate (Mbps) and SINR on each plan when the transmitters of ``rx`` all send.
 
-    ``rx[..., j, i]`` is the power of transmitter j at transmitter i's user
-    and ``channels[..., j]`` is transmitter j's channel on a plan of ``k``
-    channels. Leading axes broadcast: a plan axis of ``channels`` with ``k``
-    of shape (n_plans, 1), a stack of ``rx`` (one plan takes 1-D channels and
-    a scalar k). The other co-channel transmitters interfere with each user;
-    each link uses w = W / K, sees noise sigma2 / K, and its rate clamps at
-    w * eta.
+    ``rx[..., j, i]`` (shape (..., n + 1, n)) is the power of transmitter j
+    at transmitter i's user; its last row is zero. Plan p has ``ks[p]``
+    channels and the member table ``members[p]`` (``co_channel_members``).
+    Returns arrays of shape (..., n_plans, n). The other co-channel
+    transmitters interfere with each user; each link uses w = W / K, sees
+    noise sigma2 / K, and its rate clamps at w * eta.
 
-    The interference is summed over transmitters in ascending order; the exact
-    zeros of other channels, and of rows of transmitters that stay silent,
-    leave each co-channel sum bit-identical to a per-channel sum over the
-    transmitting APs, and every row of a stack to a call on its own.
+    Each interference sum gathers a column's members and adds them in
+    ascending transmitter order over an outer axis, so it is sequential. It
+    takes the same non-zero terms in the same order as a sum over every
+    transmitter times a co-channel mask, which only adds exact zeros, and
+    equals it bit for bit; so does a sum over the transmitting APs alone
+    when the rows of silent transmitters are zero, and each matrix of a
+    stack equals a call on its own.
     """
-    signal = np.diagonal(rx, axis1=-2, axis2=-1)
-    co_channel = channels[..., :, None] == channels[..., None, :]
-    interference = (rx * co_channel).sum(axis=-2) - signal
+    flat = rx.reshape(*rx.shape[:-2], -1)
+    interference = np.empty(rx.shape[:-2] + (len(members), rx.shape[-1]))
+    for p, table in enumerate(members):
+        np.add.reduce(np.take(flat, table, axis=-1), axis=-2, out=interference[..., p, :])
+    signal = np.diagonal(rx, axis1=-2, axis2=-1)[..., None, :]
+    interference -= signal
+    k = np.asarray(ks, dtype=float)[:, None]
     w = w_total_mhz / k
     sinr = signal / (interference + sigma2_mw / k)
     rates = np.minimum(w * np.log2(1.0 + sinr), w * eta)

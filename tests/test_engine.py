@@ -3,6 +3,7 @@ and the dimensioning walk."""
 
 import dataclasses
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -511,7 +512,8 @@ def test_snapshot_rate_sum_conservation():
     scn = scenario.preset("table1-open")
     ctx, cs_thr_dbm, assignment = _wifi_setup(scn, geometry.place_aps(scn.area, 2, 3))
     rngs = [engine.substream(5, 0, engine._SALT_SNAPSHOT, s) for s in range(10)]
-    (scores,) = engine.wifi_block(engine.draw_block(ctx, rngs), [cs_thr_dbm], assignment)
+    (members,) = planning.co_channel_members([assignment])
+    (scores,) = engine.wifi_block(engine.draw_block(ctx, rngs), [cs_thr_dbm], assignment, members)
     assert len(scores) == 10
     for scored in scores:
         (run,) = engine._aggregate(ctx, [scored])
@@ -700,13 +702,21 @@ def _reference_symmetric_fading(rng, n):
     return z
 
 
+def _subset_rates(rx, channels, k, eta, w, sigma2):
+    """planning.reuse_rates on the transmitters of ``rx`` alone, on their own plan."""
+    padded = np.vstack([rx, np.zeros(rx.shape[1])])
+    members = planning.co_channel_members([planning.ChannelAssignment(k, channels)])
+    rates, sinr = planning.reuse_rates(padded, members, [k], eta, w, sigma2)
+    return rates[0], sinr[0]
+
+
 def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_ap, rng):
     w, sigma2, pt = scn.radio.bandwidth_mhz, scn.sigma2_mw, scn.radio.pt_mw
     if system == "static":
         z = ch.draw_fading(rng, (layout.n_aps, cols.shape[0]))
         gains = avg[:, cols] * np.abs(z) ** 2
         rx, channels = gains[serving] * pt, assignment.channel_of[serving]
-        return planning.reuse_rates(rx, channels, assignment.k, scn.static.eta_sta, w, sigma2)
+        return _subset_rates(rx, channels, assignment.k, scn.static.eta_sta, w, sigma2)
     if system.startswith("wifi"):
         baseline = system == "wifi-baseline"
         cs = scn.wifi.cs_thr_baseline_dbm if baseline else scn.wifi.cs_thr_aggressive_dbm
@@ -717,7 +727,7 @@ def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_a
         adj = wifi.contention_graph(channels, g_ap_ap[np.ix_(serving, serving)], pt, cs)
         (act,) = wifi.sample_ssi([adj], channels, assignment.k, rng)
         rx = gains[np.ix_(serving[act], act)] * pt
-        return planning.reuse_rates(rx, channels[act], assignment.k, scn.wifi.eta_wifi, w, sigma2)
+        return _subset_rates(rx, channels[act], assignment.k, scn.wifi.eta_wifi, w, sigma2)
     sqrt_l = np.sqrt(avg[np.ix_(serving, cols)].T)
     while True:
         z = ch.draw_fading(rng, sqrt_l.shape)
@@ -1010,9 +1020,8 @@ def test_subsets_and_orders_of_systems_match_the_full_pass(full_pass, systems):
 # --- blocks of snapshots ------------------------------------------------------------
 
 def _force_block_size(monkeypatch, scn, n_aps, size):
-    n_plans = min(scn.static.k_max, n_aps)
     monkeypatch.setattr(engine, "_BLOCK_USERS", size * scn.n_users)
-    monkeypatch.setattr(engine, "_BLOCK_RATE_ENTRIES", size * n_plans * n_aps * n_aps)
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 8 * n_aps * (n_aps + 1) * (6 + 7 * size))
     assert engine._block_size(scn, n_aps) == size
 
 
@@ -1054,3 +1063,23 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, preset, users, nx,
             assert list(runs[system]) == list(reference[system]), (key, system)
             for k, run in runs[system].items():
                 _compare_runs(run, reference[system][k], (key, system, k))
+
+
+def test_a_rung_stays_within_the_block_byte_budget():
+    # _block_size counts the rung's own arrays and its block's in one byte
+    # budget; a 10x10 rung with Wi-Fi and static (two blocks of two
+    # snapshots) must peak within it.
+    raw = scenario.preset_raw("table1-open")
+    raw["engine"].update(seed=3, n_snapshots=4)
+    scn = scenario.from_dict(raw)
+    layout = geometry.place_aps(scn.area, 10, 10)
+    assert engine._block_size(scn, layout.n_aps) == 2
+    systems = ["wifi-baseline", "wifi-aggressive", "static"]
+    engine.run_rung(scn, layout, systems, 0)  # imports and first-call set-up
+    tracemalloc.start()
+    try:
+        engine.run_rung(scn, layout, systems, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= engine._BLOCK_BYTES

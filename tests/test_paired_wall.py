@@ -25,3 +25,10 @@ def test_verdict_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr():
     assert verdict(old, eight).startswith("verdict: gain not shown")
     narrow = [t - 0.04 for t in old]  # wins every pair by less than the IQR
     assert verdict(old, narrow).startswith("verdict: gain not shown")
+
+
+def test_summary_reports_the_wall_quartiles_and_the_median_peak_rss():
+    summary = _paired_wall().summary
+    line = summary([1.0, 1.2, 1.4, 1.6, 1.8], [40.2, 41.0, 40.6, 40.4, 40.8])
+    assert line == ("median 1.400 s, quartiles 1.200 / 1.600 s (IQR 0.400 s); "
+                    "peak RSS median 40.6 MB")

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from apdim import engine, planning
+from apdim import channel as ch
+from apdim import engine, geometry, planning, scenario, wifi
 from apdim.planning import ChannelAssignment
 
 W_MHZ = 60.0
@@ -37,7 +38,8 @@ def static_rates(assignments, serving_aps, gains):
     ``gains`` holds AP-to-user power gains with one column per served user,
     aligned with ``serving_aps``.
     """
-    (scored,) = engine.static_block(_FixedBlock([serving_aps], gains), assignments)
+    members = planning.co_channel_members(assignments)
+    (scored,) = engine.static_block(_FixedBlock([serving_aps], gains), assignments, members)
     return scored.rates_mbps, scored.sinr
 
 
@@ -111,8 +113,6 @@ def test_static_sinr_dominated_by_wifi_active_subset():
     # on identical gains, Wi-Fi's interferer set (an SSI active subset) is a
     # subset of the static full-load co-channel set, so the static SINR on the
     # same serving link cannot exceed the Wi-Fi SINR at equal channel width
-    from apdim import wifi
-
     rng = np.random.default_rng(42)
     n = 6
     gains = 10 ** rng.uniform(-9, -5, size=(n, n))
@@ -120,8 +120,9 @@ def test_static_sinr_dominated_by_wifi_active_subset():
     assignment = ChannelAssignment(k=1, channel_of=channels)
     _, (static_sinr,) = static_rates([assignment], np.arange(n), gains)
     (act,) = wifi.sample_ssi([wifi.contention_graph(channels, gains, PT, -85.0)], channels, 1, rng)
-    _, wifi_sinr = planning.reuse_rates(
-        gains[np.ix_(act, act)] * PT, channels[act], 1, 3.75, W_MHZ, SIGMA2
+    members = planning.co_channel_members([ChannelAssignment(k=1, channel_of=channels[act])])
+    _, (wifi_sinr,) = planning.reuse_rates(
+        _pad(gains[np.ix_(act, act)] * PT), members, [1], 3.75, W_MHZ, SIGMA2
     )
     assert act.size >= 1
     for p, s in zip(act, wifi_sinr):
@@ -159,7 +160,7 @@ def test_all_plans_equal_per_channel_reference():
                 for m in block_sizes
             ]
             block = _FixedBlock(servings, np.concatenate(gains, axis=1))
-            scores = engine.static_block(block, plans)
+            scores = engine.static_block(block, plans, planning.co_channel_members(plans))
             for scored, serving, gain in zip(scores, servings, gains):
                 for plan, rates, sinr in zip(plans, scored.rates_mbps, scored.sinr):
                     ref_rates, ref_sinr = _per_channel_rates(plan, serving, gain, W_MHZ, SIGMA2)
@@ -168,18 +169,132 @@ def test_all_plans_equal_per_channel_reference():
 
 
 def test_stacked_plans_equal_one_plan_calls():
-    # The engine scores every static plan in one (n_plans, n) call and Wi-Fi
-    # its one plan with 1-D channels and a scalar K; each plan's row of the
-    # stacked call must equal its one-plan call bit for bit.
+    # The engine scores every static plan in one call and Wi-Fi its one plan;
+    # each plan's row of the stacked call must equal its one-plan call bit
+    # for bit.
     rng = np.random.default_rng(44)
-    ks = np.arange(1, 13)
+    ks = list(range(1, 13))
     for n in range(1, 41):
-        rx = 10 ** rng.uniform(-12, -5, (n, n)) * rng.exponential(size=(n, n))
-        channels = np.array([rng.integers(0, k, n) for k in ks])
-        rates, sinr = planning.reuse_rates(
-            rx, channels, ks[:, None].astype(float), ETA, W_MHZ, SIGMA2
-        )
-        for k, plan, plan_rates, plan_sinr in zip(ks.tolist(), channels, rates, sinr):
-            one_rates, one_sinr = planning.reuse_rates(rx, plan, k, ETA, W_MHZ, SIGMA2)
+        rx = _pad(10 ** rng.uniform(-12, -5, (n, n)) * rng.exponential(size=(n, n)))
+        plans = [ChannelAssignment(k=k, channel_of=rng.integers(0, k, n)) for k in ks]
+        members = planning.co_channel_members(plans)
+        rates, sinr = planning.reuse_rates(rx, members, ks, ETA, W_MHZ, SIGMA2)
+        for k, table, plan_rates, plan_sinr in zip(ks, members, rates, sinr):
+            (one_rates,), (one_sinr,) = planning.reuse_rates(rx, [table], [k], ETA, W_MHZ, SIGMA2)
             assert np.array_equal(plan_sinr, one_sinr), (n, k)
             assert np.array_equal(plan_rates, one_rates), (n, k)
+
+
+# --- the member-list rule against the dense co-channel mask it replaced ---------------
+
+def _pad(rx):
+    """``rx`` with the zero row below its transmitters that ``reuse_rates`` reads."""
+    return np.concatenate([rx, np.zeros(rx.shape[:-2] + (1, rx.shape[-1]))], axis=-2)
+
+
+def _dense_reuse_rates(rx, channels, k, eta, w_total_mhz, sigma2_mw):
+    """The rate rule on a dense co-channel mask, kept frozen as the reference.
+
+    ``rx[..., j, i]`` is transmitter j's power at transmitter i's user (no
+    zero row) and ``channels[..., j]`` its channel. Every transmitter's
+    product with the mask is summed in ascending order, exact zeros included.
+    """
+    signal = np.diagonal(rx, axis1=-2, axis2=-1)
+    co_channel = channels[..., :, None] == channels[..., None, :]
+    interference = (rx * co_channel).sum(axis=-2) - signal
+    w = w_total_mhz / k
+    sinr = signal / (interference + sigma2_mw / k)
+    rates = np.minimum(w * np.log2(1.0 + sinr), w * eta)
+    return rates, sinr
+
+
+def _loop_members(assignment):
+    """co_channel_members of one plan, AP by AP."""
+    channel_of, n = assignment.channel_of, assignment.channel_of.size
+    lists = [[j for j in range(n) if channel_of[j] == channel_of[i]] for i in range(n)]
+    height = max(len(aps) for aps in lists)
+    table = np.array([aps + [n] * (height - len(aps)) for aps in lists]).T
+    return table * n + np.arange(n)
+
+
+def test_member_tables_list_co_channel_aps_ascending_then_the_zero_row():
+    rng = np.random.default_rng(45)
+    for n in (1, 2, 7, 30):
+        plans = [ChannelAssignment(k=k, channel_of=rng.integers(0, k, n)) for k in range(1, 13)]
+        plans.append(ChannelAssignment(k=5, channel_of=np.zeros(n, dtype=np.int64)))
+        for plan, table in zip(plans, planning.co_channel_members(plans)):
+            assert table.dtype == np.intp
+            assert np.array_equal(table, _loop_members(plan)), (n, plan.k)
+
+
+def _ladder_plans(preset, n_aps):
+    scn = scenario.preset(preset)
+    (shape,) = [(nx, ny) for nx, ny in geometry.grid_ladder(100) if nx * ny == n_aps]
+    layout = geometry.place_aps(scn.area, *shape)
+    l_ap_ap = ch.average_gains(scn.area, scn.propagation, layout.ap_xy, layout.ap_xy)
+    ks = list(range(1, min(12, n_aps) + 1))
+    rngs = [engine.substream(7, n_aps, engine._SALT_PLANNING, k) for k in ks]
+    return scn, l_ap_ap, planning.assign_channels(l_ap_ap, ks, rngs)
+
+
+def _silent_stack(rng, n_aps):
+    """Three snapshots of received powers: every AP, about half and one AP transmit."""
+    rx = 10 ** rng.uniform(-12, -5, (3, n_aps, n_aps)) * rng.exponential(size=(3, n_aps, n_aps))
+    rx[1, rng.random(n_aps) < 0.5] = 0.0
+    rx[2, np.arange(n_aps) != rng.integers(n_aps)] = 0.0
+    return rx
+
+
+@pytest.mark.parametrize("preset", ["table1-open", "table1-obstructed"])
+@pytest.mark.parametrize("n_aps", [1, 2, 9, 25, 100])
+def test_member_lists_equal_the_dense_mask_on_every_plan(preset, n_aps):
+    # Static's stacked call on the assign_channels plans of K = 1..min(12, n)
+    # against the dense rule, bit for bit, on a stack with silent rows; a
+    # lone AP has one plan and no interferer.
+    rng = np.random.default_rng(46 + n_aps)
+    _, _, plans = _ladder_plans(preset, n_aps)
+    rx = _silent_stack(rng, n_aps)
+    ks = [plan.k for plan in plans]
+    rates, sinr = planning.reuse_rates(
+        _pad(rx), planning.co_channel_members(plans), ks, ETA, W_MHZ, SIGMA2)
+    assert rates.shape == sinr.shape == (3, len(plans), n_aps)
+    for p, plan in enumerate(plans):
+        ref_rates, ref_sinr = _dense_reuse_rates(rx, plan.channel_of, plan.k, ETA, W_MHZ, SIGMA2)
+        assert np.array_equal(sinr[:, p], ref_sinr), plan.k
+        assert np.array_equal(rates[:, p], ref_rates), plan.k
+    if n_aps == 1:
+        assert np.array_equal(sinr[0, 0], rx[0, 0] / SIGMA2)
+
+
+@pytest.mark.parametrize("preset", ["table1-open", "table1-obstructed"])
+@pytest.mark.parametrize("n_aps", [1, 2, 9, 25, 100])
+def test_member_lists_equal_the_dense_mask_under_a_wifi_transmit_mask(preset, n_aps):
+    # Wi-Fi's call: the K^wifi plan's table on the received powers with the
+    # rows of the APs outside an SSI active set zeroed, at both carrier-sense
+    # thresholds. At the active APs it equals the dense rule on that stack
+    # and on the active APs alone, bit for bit.
+    rng = np.random.default_rng(47 + n_aps)
+    scn, l_ap_ap, plans = _ladder_plans(preset, n_aps)
+    k = min(scn.wifi.k_wifi, n_aps)
+    plan = plans[k - 1]
+    g = l_ap_ap * rng.exponential(size=(n_aps, n_aps))
+    g_ap_ap = np.triu(g, 1) + np.triu(g, 1).T
+    rx = 10 ** rng.uniform(-12, -5, (n_aps, n_aps)) * rng.exponential(size=(n_aps, n_aps))
+    thresholds = (scn.wifi.cs_thr_baseline_dbm, scn.wifi.cs_thr_aggressive_dbm)
+    graphs = [wifi.contention_graph(plan.channel_of, g_ap_ap, PT, cs) for cs in thresholds]
+    actives = wifi.sample_ssi(graphs, plan.channel_of, k, rng)
+    transmits = np.zeros((len(thresholds), n_aps), dtype=bool)
+    for t, active in enumerate(actives):
+        transmits[t, active] = True
+    masked = rx * transmits[:, :, None]
+    (members,) = planning.co_channel_members([plan])
+    (rates, sinr) = (a[:, 0] for a in planning.reuse_rates(
+        _pad(masked), [members], [k], ETA, W_MHZ, SIGMA2))
+    ref_rates, ref_sinr = _dense_reuse_rates(masked, plan.channel_of, k, ETA, W_MHZ, SIGMA2)
+    for t, active in enumerate(actives):
+        assert np.array_equal(sinr[t, active], ref_sinr[t, active])
+        assert np.array_equal(rates[t, active], ref_rates[t, active])
+        alone = _dense_reuse_rates(
+            rx[np.ix_(active, active)], plan.channel_of[active], k, ETA, W_MHZ, SIGMA2)
+        assert np.array_equal(sinr[t, active], alone[1])
+        assert np.array_equal(rates[t, active], alone[0])

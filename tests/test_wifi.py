@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from apdim import engine, wifi
+from apdim import engine, planning, wifi
 from apdim.oracles import enumerate_ssi_distribution
 from apdim.planning import ChannelAssignment
 
@@ -55,7 +55,8 @@ def wifi_scores(p, channel_of, serving, gains, g_ap_ap, rng):
     """engine.wifi_block on one snapshot's fixed gains: (rates, sinr) of the active users."""
     assignment = ChannelAssignment(k=p.k_wifi, channel_of=np.asarray(channel_of))
     block = _FixedBlock([serving], gains, g_ap_ap[None], [rng])
-    ((scored,),) = engine.wifi_block(block, [p.cs_thr_dbm], assignment)
+    (members,) = planning.co_channel_members([assignment])
+    ((scored,),) = engine.wifi_block(block, [p.cs_thr_dbm], assignment, members)
     return scored.rates_mbps, scored.sinr
 
 
@@ -386,7 +387,9 @@ def test_wifi_rates_match_per_channel_loop(seed):
         draw_seeds.append(int(rng.integers(2**31)))
     draw_rngs = [np.random.default_rng(draw_seed) for draw_seed in draw_seeds]
     block = _FixedBlock(servings, np.concatenate(gains, axis=1), np.stack(g_ap_ap), draw_rngs)
-    got = engine.wifi_block(block, thresholds, ChannelAssignment(k=k, channel_of=channel_of))
+    assignment = ChannelAssignment(k=k, channel_of=channel_of)
+    got = engine.wifi_block(
+        block, thresholds, assignment, planning.co_channel_members([assignment])[0])
     assert [len(scores) for scores in got] == [3, 3, 3]
     for scores, cs in zip(got, thresholds):
         p = params(cs=cs, k=k)
