@@ -4,11 +4,13 @@ estimates with confidence intervals, demand conversion, and the AP-count search.
 Determinism contract: every snapshot derives its own generator from
 (master_seed, deployment_id, snapshot_index), so results are bit-identical
 for any evaluation order. One serial snapshot pass per rung (``run_rung``)
-serves every system: the shared prefix and every later draw that several
-systems make (the faded gains, the AP-to-AP fading, the SSI visiting order)
-are drawn once, and each system continues on its own generator where its
-draws part from the others', so its results do not depend on which other
-systems run beside it.
+serves every system. ``draw_block`` makes the shared prefix and the
+fading that several systems read (the faded AP-to-user gains, the AP-to-AP
+fading) once and at once, in the order of the snapshot's draw tree; Wi-Fi's
+one SSI visiting order, shared by both thresholds, and the one ZF pass,
+shared by both CSIT models, continue on the snapshot's generator from the
+state where their branch starts, so a system's results do not depend on
+which other systems run beside it.
 The pass walks the snapshots in blocks of consecutive indices, evaluated
 together by stacked array calls that act on each snapshot as a block of one
 would, so the results do not depend on the block size either. Both ZF
@@ -411,139 +413,50 @@ def make_context(scn, layout: Layout) -> DeploymentContext:
     )
 
 
+@dataclass(frozen=True, eq=False)
 class Block:
-    """Consecutive snapshots' shared prefix, and their later shared draws, each made at most once.
+    """Consecutive snapshots' shared prefix and shared fading, all drawn by ``draw_block``.
 
-    Snapshot b draws only from its own generator. Its prefix (user drop,
-    association, selection) leaves that generator at S0. The draws below S0:
+    Snapshot b draws only from ``rngs[b]``, along one tree. Its prefix
+    (user drop, association, selection) ends at S0, saved in ``s0[b]``.
+    From there:
 
-    - the one ZF pass, shared by both CSIT models, starts at S0
-      (``generator(b)``): the CSIT fading until the precoder is accepted,
-      then the delayed CSIT if erroneous CSIT is scored;
-    - the faded AP-to-user gains are drawn from S0, leaving S1
-      (``faded_gains``; static and both Wi-Fi systems read them, stacked in
-      ``received_powers``);
-    - the AP-to-AP gains are drawn from S1, leaving S2 (``ap_gains``), and
-      one SSI visiting order, which both Wi-Fi systems pack at their own
-      thresholds, is drawn from S2 (``ssi_generator(b)``).
+    - the faded AP-to-user gains, which static and both Wi-Fi systems read
+      in ``rx``, are drawn from S0, leaving S1;
+    - the AP-to-AP fading, which both Wi-Fi systems read in ``g_ap_ap``, is
+      drawn from S1, leaving S2, where ``rngs[b]`` is left: the one SSI
+      visiting order, which both Wi-Fi systems pack at their own
+      thresholds, starts there;
+    - the one ZF pass, shared by both CSIT models, sets ``rngs[b]`` back to
+      S0 (``zf_snapshot``): the CSIT fading until the precoder is accepted,
+      then the delayed CSIT if erroneous CSIT is scored.
 
-    Every draw first sets the snapshot's generator to the state it starts
-    from. Every system thus consumes random numbers exactly as if it ran
-    alone, whatever ran before it, and every snapshot as if it were a block
-    of its own, so results depend neither on which other systems share the
-    snapshot nor on the block. A shared draw is made on first use and kept
-    only as long as this object, which lives for one block; the shared
-    arrays are read-only.
+    A shared draw is made only if a system that reads it runs, and is None
+    otherwise. Every system thus consumes random numbers exactly as if it
+    ran alone, and every snapshot as if it were a block of its own, so
+    results depend neither on which other systems share the snapshot nor on
+    the block. ``rx`` and ``g_ap_ap`` are read-only.
     """
 
-    def __init__(
-        self,
-        ctx: DeploymentContext,
-        serving: np.ndarray,
-        starts: np.ndarray,
-        served_gains: np.ndarray,
-        rngs: Sequence[np.random.Generator],
-    ):
-        """``rngs`` stand at S0; the later draws are made from them, so they are taken over."""
-        self.ctx = ctx
-        # The APs with a user, snapshot by snapshot and ascending within one;
-        # snapshot b's are serving[starts[b]:starts[b + 1]].
-        self.serving = serving
-        self.starts = starts
-        # Average gains to the scheduled users, (n_aps, n_served); column c
-        # belongs to the user of serving[c].
-        self.served_gains = served_gains
-        # snapshot[c]: the snapshot of column c; has_user[b, j]: AP j serves in snapshot b
-        self.snapshot = np.repeat(np.arange(len(rngs)), np.diff(starts))
-        self.has_user = np.zeros((len(rngs), ctx.n_aps), dtype=bool)
-        self.has_user[self.snapshot, serving] = True
-        self._rngs = rngs
-        self._s0 = [rng.bit_generator.state for rng in rngs]
-        self._s1: Optional[list] = None
-        self._s2: Optional[list] = None
-        self._gains: Optional[np.ndarray] = None
-        self._rx: Optional[np.ndarray] = None
-        self._g_ap_ap: Optional[np.ndarray] = None
+    serving: np.ndarray  # the APs with a user, snapshot by snapshot and ascending within one
+    starts: np.ndarray  # snapshot b's are serving[starts[b]:starts[b + 1]]
+    snapshot: np.ndarray  # snapshot[c]: the snapshot of serving[c]
+    has_user: np.ndarray  # (size, n_aps); [b, j]: AP j serves in snapshot b
+    # Average gains to the scheduled users, (n_aps, n_served); column c
+    # belongs to the user of serving[c].
+    served_gains: np.ndarray
+    rx: Optional[np.ndarray]  # from draw_received_powers, if static or Wi-Fi runs
+    g_ap_ap: Optional[np.ndarray]  # from draw_ap_gains, if Wi-Fi runs
+    rngs: Sequence[np.random.Generator]
+    s0: Sequence[dict]  # each generator's state at S0
 
     @property
     def size(self) -> int:
-        return len(self._rngs)
+        return len(self.rngs)
 
     def columns(self, b: int) -> slice:
         """Snapshot b's positions in ``serving`` and its columns of the gains."""
         return slice(self.starts[b], self.starts[b + 1])
-
-    def _at(self, b: int, state: dict) -> np.random.Generator:
-        # Setting a state is cheaper than building a generator on it.
-        rng = self._rngs[b]
-        rng.bit_generator.state = state
-        return rng
-
-    def generator(self, b: int) -> np.random.Generator:
-        """Snapshot b's generator at S0; it serves until the block's next draw."""
-        return self._at(b, self._s0[b])
-
-    def ssi_generator(self, b: int) -> np.random.Generator:
-        """Snapshot b's generator at S2; it serves until the block's next draw."""
-        self.ap_gains()
-        return self._at(b, self._s2[b])
-
-    def faded_gains(self) -> np.ndarray:
-        """AP-to-user power gains, one column per scheduled user, drawn from each S0."""
-        if self._gains is None:
-            n_aps, sigma_z2 = self.ctx.n_aps, self.ctx.scn.radio.sigma_z2
-            gains = np.empty_like(self.served_gains)
-            for b, state in enumerate(self._s0):  # one snapshot's complex draw alive at a time
-                cols = self.columns(b)
-                shape = (n_aps, cols.stop - cols.start)
-                power = np.abs(ch.draw_fading(self._at(b, state), shape, sigma_z2))
-                power = np.multiply(power, power, out=power)
-                np.multiply(self.served_gains[:, cols], power, out=gains[:, cols])
-            self._s1 = [rng.bit_generator.state for rng in self._rngs]
-            self._gains = _read_only(gains)
-        return self._gains
-
-    def received_powers(self) -> np.ndarray:
-        """Received powers, (size, n_aps + 1, n_aps), from the faded gains.
-
-        Entry [b, j, i] is AP j's power at the user that AP i serves in
-        snapshot b. Rows and columns of the APs without a user in snapshot b
-        are zero, and so is the last row, which pads
-        ``planning.reuse_rates``' member lists.
-        """
-        if self._rx is None:
-            n_aps = self.ctx.n_aps
-            rx = np.zeros((self.size, n_aps + 1, n_aps))
-            rx[self.snapshot, :n_aps, self.serving] = (
-                self.faded_gains() * self.ctx.scn.radio.pt_mw).T
-            rx[:, :n_aps][~self.has_user] = 0.0
-            self._rx = _read_only(rx)
-        return self._rx
-
-    def ap_gains(self) -> np.ndarray:
-        """(size, n_aps, n_aps) AP-to-AP power gains, drawn from each S1.
-
-        The links are reciprocal: snapshot b draws one complex fade per AP
-        pair above the diagonal, in row-major order, and both directions of
-        a pair read its power |z|^2; the diagonal is zero. The average gains
-        ``l_ap_ap`` are symmetric bit for bit, so the gains are too.
-        """
-        if self._g_ap_ap is None:
-            self.faded_gains()
-            n_aps, sigma_z2 = self.ctx.n_aps, self.ctx.scn.radio.sigma_z2
-            upper = ~np.tri(n_aps, dtype=bool)
-            n_pairs = n_aps * (n_aps - 1) // 2
-            g = np.zeros((self.size, n_aps, n_aps))
-            for b, state in enumerate(self._s1):
-                rng = self._at(b, state)
-                if n_pairs:  # a lone AP has no link to draw
-                    power = np.abs(ch.draw_fading(rng, n_pairs, sigma_z2))
-                    g[b][upper] = np.multiply(power, power, out=power)
-            self._s2 = [rng.bit_generator.state for rng in self._rngs]
-            g += g.transpose(0, 2, 1)  # the lower triangle adds to zeros
-            g *= self.ctx.l_ap_ap
-            self._g_ap_ap = _read_only(g)
-        return self._g_ap_ap
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -551,25 +464,85 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def draw_block(ctx: DeploymentContext, rngs: Sequence[np.random.Generator]) -> Block:
-    """Drop, associate and schedule each snapshot's users; exact gains for the scheduled only.
+def draw_received_powers(
+    ctx: DeploymentContext, rngs: Sequence[np.random.Generator], serving: np.ndarray,
+    starts: np.ndarray, served_gains: np.ndarray, has_user: np.ndarray,
+) -> np.ndarray:
+    """Received powers, (size, n_aps + 1, n_aps), drawn from each generator at S0, leaving S1.
 
-    Snapshot b draws its users and its selection from ``rngs[b]``. The
-    block's users are associated in one ``associate_candidates`` call and
-    their gains taken in one ``ch.average_gains`` call; both are elementwise
-    over users, so every snapshot's association and gains equal those of a
-    block of its own bit for bit. The returned block takes ``rngs`` over for
-    its later draws.
+    Entry [b, j, i] is AP j's power at the user that AP i serves in snapshot
+    b: the average gain times |z|^2 of one complex fade per (AP, served
+    user), times the transmit power. Rows and columns of the APs without a
+    user in snapshot b are zero, and so is the last row, which pads
+    ``planning.reuse_rates``' member lists.
     """
-    scn = ctx.scn
+    n_aps, radio = ctx.n_aps, ctx.scn.radio
+    rx = np.zeros((len(rngs), n_aps + 1, n_aps))
+    for b, rng in enumerate(rngs):  # one snapshot's complex draw alive at a time
+        cols = slice(starts[b], starts[b + 1])
+        power = np.abs(ch.draw_fading(rng, (n_aps, cols.stop - cols.start), radio.sigma_z2))
+        power = np.multiply(power, power, out=power)
+        power = np.multiply(served_gains[:, cols], power, out=power)
+        rx[b, :n_aps, serving[cols]] = np.multiply(power, radio.pt_mw, out=power).T
+    rx[:, :n_aps][~has_user] = 0.0
+    return _read_only(rx)
+
+
+def draw_ap_gains(ctx: DeploymentContext, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """(size, n_aps, n_aps) AP-to-AP power gains, drawn from each generator at S1, leaving S2.
+
+    The links are reciprocal: snapshot b draws one complex fade per AP pair
+    above the diagonal, in row-major order, and both directions of a pair
+    read its power |z|^2; the diagonal is zero. The average gains
+    ``l_ap_ap`` are symmetric bit for bit, so the gains are too.
+    """
+    n_aps, sigma_z2 = ctx.n_aps, ctx.scn.radio.sigma_z2
+    upper = ~np.tri(n_aps, dtype=bool)
+    n_pairs = n_aps * (n_aps - 1) // 2
+    g = np.zeros((len(rngs), n_aps, n_aps))
+    for b, rng in enumerate(rngs):
+        if n_pairs:  # a lone AP has no link to draw
+            power = np.abs(ch.draw_fading(rng, n_pairs, sigma_z2))
+            g[b][upper] = np.multiply(power, power, out=power)
+    g += g.transpose(0, 2, 1)  # the lower triangle adds to zeros
+    g *= ctx.l_ap_ap
+    return _read_only(g)
+
+
+def draw_block(
+    ctx: DeploymentContext, rngs: Sequence[np.random.Generator], systems: Sequence[str]
+) -> Block:
+    """Drop, associate and schedule each snapshot's users, then draw the fading ``systems`` share.
+
+    Snapshot b draws from ``rngs[b]`` in the order of ``Block``'s tree: its
+    users and its selection, ending at S0; the faded AP-to-user gains
+    (``draw_received_powers``) if static or a Wi-Fi system runs; the
+    AP-to-AP fading (``draw_ap_gains``) if a Wi-Fi system runs. The block's
+    users are associated in one ``associate_candidates`` call and their
+    gains taken in one ``ch.average_gains`` call; both are elementwise over
+    users, so every snapshot's association and gains equal those of a block
+    of its own bit for bit. The returned block takes ``rngs`` over.
+    """
+    scn, size = ctx.scn, len(rngs)
     users = np.concatenate([drop_users(scn.area, scn.n_users, rng) for rng in rngs])
-    assoc = associate_candidates(ctx.candidates, users).reshape(len(rngs), scn.n_users)
+    assoc = associate_candidates(ctx.candidates, users).reshape(size, scn.n_users)
     serving, cols, starts = select_served(assoc, ctx.n_aps, rngs)
     served_gains = ch.average_gains(scn.area, scn.propagation, ctx.layout.ap_xy, users[cols])
-    return Block(ctx, serving, starts, served_gains, rngs)
+    snapshot = np.repeat(np.arange(size), np.diff(starts))
+    has_user = np.zeros((size, ctx.n_aps), dtype=bool)
+    has_user[snapshot, serving] = True
+    s0 = [rng.bit_generator.state for rng in rngs]
+    wifi_runs = any(system.startswith("wifi-") for system in systems)
+    rx = g_ap_ap = None
+    if wifi_runs or "static" in systems:
+        rx = draw_received_powers(ctx, rngs, serving, starts, served_gains, has_user)
+    if wifi_runs:
+        g_ap_ap = draw_ap_gains(ctx, rngs)
+    return Block(serving, starts, snapshot, has_user, served_gains, rx, g_ap_ap, rngs, s0)
 
 
 def wifi_block(
+    ctx: DeploymentContext,
     block: Block,
     thresholds: Sequence[float],
     assignment: planning.ChannelAssignment,
@@ -578,38 +551,38 @@ def wifi_block(
     """Wi-Fi epochs, one per snapshot and carrier-sense threshold, scored by static's reuse rule.
 
     At each threshold (dBm) the serving APs contend (``wifi.contention_graph``
-    over the AP-to-AP fading). One SSI visiting order per snapshot, drawn
-    from S2 on the assignment's K^wifi channels, is packed on every
-    threshold's graph (``wifi.sample_ssi``) into that snapshot's active sets,
-    channel by channel; the APs without a user take no part. The active APs
-    then transmit as every serving AP does under static reuse: one
+    over ``block.g_ap_ap``). One SSI visiting order per snapshot, drawn on
+    the assignment's K^wifi channels from the snapshot's generator where
+    ``draw_block`` left it, at S2, is packed on every threshold's graph
+    (``wifi.sample_ssi``) into that snapshot's active sets, channel by
+    channel; the APs without a user take no part. The active APs then
+    transmit as every serving AP does under static reuse: one
     ``planning.reuse_rates`` call on the assignment's member table
-    (``members``) scores every threshold and snapshot on
-    ``received_powers`` with the rows of the APs that do not transmit
-    zeroed, so only the other active co-channel APs interfere. Returns, per
-    threshold, one ``Scored`` per snapshot in the order of its active set.
+    (``members``) scores every threshold and snapshot on ``block.rx`` with
+    the rows of the APs that do not transmit zeroed, so only the other
+    active co-channel APs interfere. Returns, per threshold, one ``Scored``
+    per snapshot in the order of its active set.
     """
-    scn, channel_of, k = block.ctx.scn, assignment.channel_of, assignment.k
-    g_ap_ap = block.ap_gains()
+    scn, channel_of, k = ctx.scn, assignment.channel_of, assignment.k
     # channel -1 keeps the APs without a user out of the SSI draw
     channels = np.where(block.has_user, channel_of, -1)
-    graphs = [wifi.contention_graph(channel_of, g_ap_ap, scn.radio.pt_mw, cs_thr_dbm)
+    graphs = [wifi.contention_graph(channel_of, block.g_ap_ap, scn.radio.pt_mw, cs_thr_dbm)
               for cs_thr_dbm in thresholds]
     drawn = [  # per snapshot, then per threshold
-        wifi.sample_ssi([graph[b] for graph in graphs], channels[b], k, block.ssi_generator(b))
-        for b in range(block.size)
+        wifi.sample_ssi([graph[b] for graph in graphs], channels[b], k, rng)
+        for b, rng in enumerate(block.rngs)
     ]
     active = [aps for per_snapshot in zip(*drawn) for aps in per_snapshot]  # threshold outer
     sizes = [aps.size for aps in active]
     row, aps = np.repeat(np.arange(len(active)), sizes), np.concatenate(active)
-    rx = block.received_powers()
+    rx = block.rx
     transmits = np.zeros((len(active), rx.shape[1]), dtype=bool)
     transmits[row, aps] = True
     rates, sinr = planning.reuse_rates(
         rx * transmits.reshape(len(thresholds), block.size, -1, 1), [members], [k],
         scn.wifi.eta_wifi, scn.radio.bandwidth_mhz, scn.sigma2_mw,
     )
-    shape = (len(active), block.ctx.n_aps)
+    shape = (len(active), ctx.n_aps)
     rates, sinr = rates.reshape(shape)[row, aps], sinr.reshape(shape)[row, aps]
     ends = np.cumsum(sizes)
     scores = [Scored(rates[end - size:end], sinr[end - size:end]) for size, end in zip(sizes, ends)]
@@ -617,7 +590,10 @@ def wifi_block(
 
 
 def static_block(
-    block: Block, assignments: Sequence[planning.ChannelAssignment], members: Sequence[np.ndarray]
+    ctx: DeploymentContext,
+    block: Block,
+    assignments: Sequence[planning.ChannelAssignment],
+    members: Sequence[np.ndarray],
 ) -> list[Scored]:
     """Full-buffer frequency-planned cellular snapshots, one row per reuse plan.
 
@@ -625,12 +601,12 @@ def static_block(
     interference sums over all co-channel serving APs: one
     ``planning.reuse_rates`` call, on each plan's member table
     (``members[p]`` for ``assignments[p]``), scores every plan of every
-    snapshot on ``received_powers``, whose rows of the APs without a user
-    are zero. Every plan is scored on the same fading draw.
+    snapshot on ``block.rx``, whose rows of the APs without a user are
+    zero. Every plan is scored on the same fading draw.
     """
-    scn = block.ctx.scn
+    scn = ctx.scn
     rates, sinr = planning.reuse_rates(
-        block.received_powers(), members, [a.k for a in assignments],
+        block.rx, members, [a.k for a in assignments],
         scn.static.eta_sta, scn.radio.bandwidth_mhz, scn.sigma2_mw,
     )
     # (n_plans, n_served) with contiguous rows, so _aggregate's sums are pairwise
@@ -649,11 +625,12 @@ class ZfPrecoded:
     redraws: int
 
 
-def zf_snapshot(block: Block, b: int, erroneous: bool) -> ZfPrecoded:
+def zf_snapshot(ctx: DeploymentContext, block: Block, b: int, erroneous: bool) -> ZfPrecoded:
     """Multi-cell ZF on snapshot b of ``block``, first phase: fading, precoder and true channel.
 
-    One pass serves both CSIT models. The CSIT is a fading draw from S0;
-    near-singular draws are replaced by a fresh one, up to
+    One pass serves both CSIT models. It sets snapshot b's generator back to
+    S0, so a second pass repeats the first. The CSIT is a fading draw from
+    S0; near-singular draws are replaced by a fresh one, up to
     MAX_REDRAWS_PER_SNAPSHOT. With ``erroneous`` set, the accepted CSIT is
     then evolved past the feedback delay (``ch.delayed_csit``, per-link
     outdated with the scenario's probability ``zf.delta`` and correlation
@@ -661,7 +638,8 @@ def zf_snapshot(block: Block, b: int, erroneous: bool) -> ZfPrecoded:
     This phase draws every random number of the snapshot; ``finish_zf``
     optimizes the PAPC powers and scores the result.
     """
-    scn, rng, cols = block.ctx.scn, block.generator(b), block.columns(b)
+    scn, rng, cols = ctx.scn, block.rngs[b], block.columns(b)
+    rng.bit_generator.state = block.s0[b]
     sqrt_l = np.sqrt(block.served_gains[block.serving[cols], cols].T)  # (user j, antenna i)
     redraws = 0
     while True:
@@ -775,13 +753,15 @@ class DeploymentRecord:
 # Snapshots evaluated together (run_rung): a block holds at most _BLOCK_USERS
 # users, and at least one snapshot. Counted in float (n_aps + 1, n_aps)
 # stacks, a rung with Wi-Fi and static holds about six of its own (the
-# AP-to-AP gains and the member tables of twelve plans) and seven per
-# snapshot of a block (the served users' average and faded gains, the
-# AP-to-AP fading, the received powers, Wi-Fi's copy of them at each of two
-# thresholds and the gathered member lists), which _block_size keeps within
-# _BLOCK_BYTES; the scores kept per snapshot come on top. That gives 8
-# snapshots at 1,000 users up to 56 APs, 6 at 64, 4 at 72, 3 at 81, and 2 at
-# 90 and 100.
+# average AP-to-AP gains and the member tables of twelve plans) and seven
+# per snapshot of a block: the three arrays a Block holds (the served users'
+# average gains, the received powers and the faded AP-to-AP gains), Wi-Fi's
+# copy of the received powers at each of two thresholds, the gathered member
+# lists, and one of headroom for the contention graphs and the temporaries
+# of the draws. _block_size keeps them within _BLOCK_BYTES, and run_rung
+# releases each block before it draws the next; the scores kept per
+# snapshot come on top. That gives 8 snapshots at 1,000 users up to 56 APs,
+# 6 at 64, 4 at 72, 3 at 81, and 2 at 90 and 100.
 _BLOCK_USERS = 8192
 _BLOCK_BYTES = 1_700_000
 
@@ -805,17 +785,19 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
     consecutive indices (``_block_size``: at most _BLOCK_USERS users, and
     the rung's arrays within _BLOCK_BYTES, so two snapshots at 100 APs).
     Each snapshot draws from its own generator, derived from (seed,
-    deployment_id, snapshot index), in the order a block of one would; a
-    block makes one association and one gains call for all its snapshots
-    (``draw_block``), whose results are elementwise over users, and one rate
-    call for static and one for both Wi-Fi systems (``static_block``,
-    ``wifi_block``), whose sums are those of a block of one, so no byte
-    depends on the block size. Every system reads the one ``Block``. The
-    blocks run one after another in the calling thread: their work holds
-    the GIL for most of its time, which no thread pool can share out. When
-    a ZF system runs, each snapshot makes one ZF pass (``zf_snapshot``) for
-    both CSIT models, drawing the true channel only if zf-erroneous runs;
-    after the pass, one ``finish_zf`` call solves and scores them all.
+    deployment_id, snapshot index), in the order a block of one would.
+    ``draw_block`` makes a block's every shared draw at once, with one
+    association and one gains call for all its snapshots, whose results are
+    elementwise over users; every system reads the one ``Block``, which is
+    released before the next one is drawn. Static and both Wi-Fi systems
+    make one rate call each per block (``static_block``, ``wifi_block``),
+    whose sums are those of a block of one, so no byte depends on the block
+    size. The blocks run one after another in the calling thread: their
+    work holds the GIL for most of its time, which no thread pool can share
+    out. When a ZF system runs, each snapshot makes one ZF pass
+    (``zf_snapshot``) for both CSIT models, drawing the true channel only if
+    zf-erroneous runs; after the pass, one ``finish_zf`` call solves and
+    scores them all.
 
     ``scn`` is the validated Scenario (see apdim.scenario). The rung's
     ``DeploymentContext`` holds it, and every system reads its parameters
@@ -852,18 +834,21 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
     for first in range(0, n_snapshots, size):
         indices = range(first, min(first + size, n_snapshots))
         rngs = [substream(seed, deployment_id, _SALT_SNAPSHOT, s) for s in indices]
-        block = draw_block(ctx, rngs)
+        block = draw_block(ctx, rngs, systems)
+        # Wi-Fi draws its SSI order from S2, where draw_block leaves each
+        # generator; the ZF pass sets it back to S0, so it comes last.
         if wifi_systems:
             k = scn.wifi.k_wifi
-            scores_by_threshold = wifi_block(block, thresholds, plans[k], members[k])
+            scores_by_threshold = wifi_block(ctx, block, thresholds, plans[k], members[k])
             for system, scores in zip(wifi_systems, scores_by_threshold):
                 scored[system].extend(scores)
         if "static" in ks:
             static = ks["static"]
-            scored["static"].extend(
-                static_block(block, [plans[k] for k in static], [members[k] for k in static]))
+            scored["static"].extend(static_block(
+                ctx, block, [plans[k] for k in static], [members[k] for k in static]))
         if run_zf:
-            precoded.extend(zf_snapshot(block, b, erroneous) for b in range(block.size))
+            precoded.extend(zf_snapshot(ctx, block, b, erroneous) for b in range(block.size))
+        del block  # released before the next block is drawn, as _block_size counts
     if run_zf:
         scored.update(finish_zf(ctx, precoded))
     return {system: dict(zip(ks[system], _aggregate(ctx, scored[system]))) for system in ks}

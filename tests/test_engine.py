@@ -373,7 +373,7 @@ def test_snapshot_served_gains_are_the_exact_matrix_columns(preset, nx, ny):
     layout = geometry.place_aps(scn.area, nx, ny)
     ctx = engine.make_context(scn, layout)
     rngs = [engine.substream(11, nx, s) for s in range(5)]
-    block = engine.draw_block(ctx, rngs)
+    block = engine.draw_block(ctx, rngs, engine.SYSTEMS)
     assert block.size == 5 and block.served_gains.shape == (layout.n_aps, block.serving.size)
     for s, rng in enumerate(rngs):
         replay = engine.substream(11, nx, s)
@@ -383,7 +383,7 @@ def test_snapshot_served_gains_are_the_exact_matrix_columns(preset, nx, ny):
         assert np.array_equal(block.serving[block.columns(s)], serving)
         assert np.array_equal(block.served_gains[:, block.columns(s)], avg[:, cols])
         assert np.array_equal(np.flatnonzero(block.has_user[s]), serving)
-        assert rng.bit_generator.state == replay.bit_generator.state
+        assert block.s0[s] == replay.bit_generator.state
 
 
 def test_select_served_one_user_per_nonempty_ap():
@@ -513,7 +513,8 @@ def test_snapshot_rate_sum_conservation():
     ctx, cs_thr_dbm, assignment = _wifi_setup(scn, geometry.place_aps(scn.area, 2, 3))
     rngs = [engine.substream(5, 0, engine._SALT_SNAPSHOT, s) for s in range(10)]
     (members,) = planning.co_channel_members([assignment])
-    (scores,) = engine.wifi_block(engine.draw_block(ctx, rngs), [cs_thr_dbm], assignment, members)
+    block = engine.draw_block(ctx, rngs, ["wifi-baseline"])
+    (scores,) = engine.wifi_block(ctx, block, [cs_thr_dbm], assignment, members)
     assert len(scores) == 10
     for scored in scores:
         (run,) = engine._aggregate(ctx, [scored])
@@ -798,8 +799,8 @@ def test_zf_rung_with_mixed_sizes_matches_solo_solves():
         engine.substream(scn.engine.seed, deployment_id, engine._SALT_SNAPSHOT, s)
         for s in range(n_snapshots)
     ]
-    block = engine.draw_block(ctx, rngs)
-    precoded = [engine.zf_snapshot(block, b, erroneous=True) for b in range(block.size)]
+    block = engine.draw_block(ctx, rngs, systems)
+    precoded = [engine.zf_snapshot(ctx, block, b, erroneous=True) for b in range(block.size)]
     assert {pre.beamformer.w.shape[0] for pre in precoded} == {1, 2, 3}
     finished = engine.finish_zf(ctx, precoded)
     for i, pre in enumerate(precoded):
@@ -854,7 +855,7 @@ def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
     def counted_fading(rng, shape, *args, **kwargs):
         caller = sys._getframe(1).f_code.co_name
         fading_by_caller[caller] += 1
-        if caller == "ap_gains":
+        if caller == "draw_ap_gains":
             pair_counts.append(shape)
         return draw_fading(rng, shape, *args, **kwargs)
 
@@ -892,8 +893,8 @@ def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
     redraws = [rec.zf_redraws for rec in res.per_system["zf-ideal"].records]
     assert redraws == [rec.zf_redraws for rec in res.per_system["zf-erroneous"].records]
     assert dict(fading_by_caller) == {
-        "faded_gains": snapshots,
-        "ap_gains": sum(n > 1 for n in per_snapshot),
+        "draw_received_powers": snapshots,
+        "draw_ap_gains": sum(n > 1 for n in per_snapshot),
         "zf_snapshot": snapshots + sum(redraws),
         "delayed_csit": snapshots,
     }
@@ -902,6 +903,13 @@ def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
         "allocate_powers": rungs,
         "instances": snapshots,
     }
+    # static alone draws no AP-to-AP fading, and ZF alone neither shared draw
+    fading_by_caller.clear()
+    engine.dimension(scn, ["static"], stop_when_satisfied=False)
+    assert dict(fading_by_caller) == {"draw_received_powers": snapshots}
+    fading_by_caller.clear()
+    engine.dimension(scn, ["zf-ideal", "zf-erroneous"], stop_when_satisfied=False)
+    assert set(fading_by_caller) == {"zf_snapshot", "delayed_csit"}
 
 
 def test_ap_gains_reciprocal():
@@ -910,8 +918,8 @@ def test_ap_gains_reciprocal():
     # layout average E|z|^2 = 1
     scn = scenario.preset("table1-open")
     ctx = engine.make_context(scn, geometry.place_aps(scn.area, 5, 8))
-    block = engine.draw_block(ctx, [np.random.default_rng(13)])
-    (g,) = block.ap_gains()
+    block = engine.draw_block(ctx, [np.random.default_rng(13)], ["wifi-baseline"])
+    (g,) = block.g_ap_ap
     assert np.array_equal(g, g.T)
     assert not np.diag(g).any()
     off = (g / ctx.l_ap_ap)[np.triu_indices(40, k=1)]
@@ -956,34 +964,43 @@ def test_forced_redraws_keep_both_zf_systems_on_one_pass(monkeypatch):
         assert run.outage == engine.wilson_estimate(hits, served), system
 
 
-def test_shared_draws_are_read_only_and_made_once():
+def test_draw_block_makes_every_shared_draw_at_once_in_stream_order():
+    # Each generator ends where a fresh replay of the prefix, the AP-to-user
+    # fading and the AP-to-AP fading ends, and the arrays hold those draws;
+    # every ZF pass starts over at S0; static alone draws the same received
+    # powers and no AP-to-AP fading.
     scn = scenario.preset("table1-obstructed")
-    ctx = engine.make_context(scn, geometry.place_aps(scn.area, 3, 3))
+    layout = geometry.place_aps(scn.area, 3, 3)
+    ctx = engine.make_context(scn, layout)
+    n, sigma_z2, pt = layout.n_aps, scn.radio.sigma_z2, scn.radio.pt_mw
 
-    def block():
+    def block(systems):
         rngs = [engine.substream(5, 0, engine._SALT_SNAPSHOT, s) for s in range(3)]
-        return engine.draw_block(ctx, rngs)
+        return engine.draw_block(ctx, rngs, systems)
 
-    draws = block()
-    zf_a = draws.generator(1).random(4)
-    assert np.array_equal(draws.generator(1).random(4), zf_a)  # each ZF pass starts at S0
-    gains, rx, g_ap_ap = draws.faded_gains(), draws.received_powers(), draws.ap_gains()
-    assert draws.faded_gains() is gains and draws.received_powers() is rx
-    assert draws.ap_gains() is g_ap_ap and g_ap_ap.shape == (3, 9, 9)
-    wifi_a = draws.ssi_generator(1).random(3)
-    draws.generator(1).random(5)  # a ZF pass between two SSI draws leaves S2 as it was
-    assert np.array_equal(draws.ssi_generator(1).random(3), wifi_a)
-    # the shared draws do not depend on what was drawn before them
-    fresh = block()
-    fresh.generator(0).random(7)
-    assert np.array_equal(fresh.ap_gains(), g_ap_ap) and np.array_equal(fresh.faded_gains(), gains)
-    assert np.array_equal(fresh.ssi_generator(1).random(3), wifi_a)
-    assert np.array_equal(fresh.generator(1).random(4), zf_a)
-    for shared in (gains, rx, g_ap_ap):
+    draws = block(engine.SYSTEMS)
+    assert draws.rx.shape == (3, n + 1, n) and draws.g_ap_ap.shape == (3, n, n)
+    for shared in (draws.rx, draws.g_ap_ap):
         with pytest.raises(ValueError):
             shared[0, 0] = 1.0
         with pytest.raises(ValueError):
             shared *= 2.0
+    for s, rng in enumerate(draws.rngs):
+        replay = engine.substream(5, 0, engine._SALT_SNAPSHOT, s)
+        avg, serving, cols = _reference_snapshot(scn, layout, replay)
+        assert draws.s0[s] == replay.bit_generator.state
+        gains = avg[:, cols] * np.abs(ch.draw_fading(replay, (n, cols.size), sigma_z2)) ** 2
+        rx = np.zeros((n + 1, n))
+        rx[np.ix_(serving, serving)] = gains[serving] * pt
+        assert np.array_equal(draws.rx[s], rx)
+        g_ap_ap = ctx.l_ap_ap * np.abs(_reference_symmetric_fading(replay, n)) ** 2
+        assert np.array_equal(draws.g_ap_ap[s], g_ap_ap)
+        assert rng.bit_generator.state == replay.bit_generator.state
+    first, again = (engine.zf_snapshot(ctx, draws, 1, erroneous=True) for _ in range(2))
+    assert np.array_equal(first.beamformer.w, again.beamformer.w)
+    assert np.array_equal(first.h_true, again.h_true)
+    static = block(["static"])
+    assert np.array_equal(static.rx, draws.rx) and static.g_ap_ap is None
 
 
 @pytest.fixture(scope="module")
@@ -1002,6 +1019,8 @@ def full_pass():
         ["wifi-aggressive"],
         ["static"],
         ["wifi-aggressive", "static", "wifi-baseline"],
+        ["zf-ideal"],
+        ["zf-erroneous", "wifi-baseline"],
         list(reversed(engine.SYSTEMS)),
     ],
 )
@@ -1065,15 +1084,17 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, preset, users, nx,
                 _compare_runs(run, reference[system][k], (key, system, k))
 
 
-def test_a_rung_stays_within_the_block_byte_budget():
+@pytest.mark.parametrize("preset", ["table1-open", "table1-obstructed"])
+@pytest.mark.parametrize("nx,ny,size", [(7, 8, 8), (8, 9, 4), (9, 9, 3), (10, 10, 2)])
+def test_a_rung_stays_within_the_block_byte_budget(preset, nx, ny, size):
     # _block_size counts the rung's own arrays and its block's in one byte
-    # budget; a 10x10 rung with Wi-Fi and static (two blocks of two
-    # snapshots) must peak within it.
-    raw = scenario.preset_raw("table1-open")
-    raw["engine"].update(seed=3, n_snapshots=4)
+    # budget; a rung with Wi-Fi and static, run as two blocks, must peak
+    # within it.
+    raw = scenario.preset_raw(preset)
+    raw["engine"].update(seed=3, n_snapshots=2 * size)
     scn = scenario.from_dict(raw)
-    layout = geometry.place_aps(scn.area, 10, 10)
-    assert engine._block_size(scn, layout.n_aps) == 2
+    layout = geometry.place_aps(scn.area, nx, ny)
+    assert engine._block_size(scn, layout.n_aps) == size
     systems = ["wifi-baseline", "wifi-aggressive", "static"]
     engine.run_rung(scn, layout, systems, 0)  # imports and first-call set-up
     tracemalloc.start()

@@ -15,21 +15,23 @@ PT = 100.0
 ETA = 3.75
 
 
-class _FixedBlock(engine.Block):
-    """A block with given faded gains, one column per served user snapshot by snapshot."""
-
-    def __init__(self, servings, gains):
-        radio = SimpleNamespace(pt_mw=PT, bandwidth_mhz=W_MHZ)
-        scn = SimpleNamespace(radio=radio, static=SimpleNamespace(eta_sta=ETA), sigma2_mw=SIGMA2)
-        ctx = SimpleNamespace(scn=scn, n_aps=gains.shape[0])
-        servings = [np.asarray(serving, dtype=np.int64) for serving in servings]
-        starts = np.cumsum([0] + [serving.size for serving in servings])
-        rngs = [np.random.default_rng(0) for _ in servings]  # the block draws nothing
-        super().__init__(ctx, np.concatenate(servings), starts, None, rngs)
-        self._fixed_gains = gains
-
-    def faded_gains(self):
-        return self._fixed_gains
+def _fixed_block(servings, gains):
+    """A context and an engine.Block with given faded gains, one column per served
+    user snapshot by snapshot."""
+    radio = SimpleNamespace(bandwidth_mhz=W_MHZ)
+    scn = SimpleNamespace(radio=radio, static=SimpleNamespace(eta_sta=ETA), sigma2_mw=SIGMA2)
+    n_aps = gains.shape[0]
+    serving = np.concatenate([np.asarray(aps, dtype=np.int64) for aps in servings])
+    starts = np.cumsum([0] + [len(aps) for aps in servings])
+    snapshot = np.repeat(np.arange(len(servings)), np.diff(starts))
+    has_user = np.zeros((len(servings), n_aps), dtype=bool)
+    has_user[snapshot, serving] = True
+    rx = np.zeros((len(servings), n_aps + 1, n_aps))
+    rx[snapshot, :n_aps, serving] = (gains * PT).T
+    rx[:, :n_aps][~has_user] = 0.0
+    rngs = [None] * len(servings)  # the block draws nothing
+    block = engine.Block(serving, starts, snapshot, has_user, None, rx, None, rngs, None)
+    return SimpleNamespace(scn=scn, n_aps=n_aps), block
 
 
 def static_rates(assignments, serving_aps, gains):
@@ -39,7 +41,7 @@ def static_rates(assignments, serving_aps, gains):
     aligned with ``serving_aps``.
     """
     members = planning.co_channel_members(assignments)
-    (scored,) = engine.static_block(_FixedBlock([serving_aps], gains), assignments, members)
+    (scored,) = engine.static_block(*_fixed_block([serving_aps], gains), assignments, members)
     return scored.rates_mbps, scored.sinr
 
 
@@ -159,8 +161,8 @@ def test_all_plans_equal_per_channel_reference():
                 10 ** rng.uniform(-12, -5, (n_aps, m)) * rng.exponential(size=(n_aps, m))
                 for m in block_sizes
             ]
-            block = _FixedBlock(servings, np.concatenate(gains, axis=1))
-            scores = engine.static_block(block, plans, planning.co_channel_members(plans))
+            ctx, block = _fixed_block(servings, np.concatenate(gains, axis=1))
+            scores = engine.static_block(ctx, block, plans, planning.co_channel_members(plans))
             for scored, serving, gain in zip(scores, servings, gains):
                 for plan, rates, sinr in zip(plans, scored.rates_mbps, scored.sinr):
                     ref_rates, ref_sinr = _per_channel_rates(plan, serving, gain, W_MHZ, SIGMA2)

@@ -23,40 +23,32 @@ def params(cs=-85.0, k=3):
     return SimpleNamespace(cs_thr_dbm=cs, k_wifi=k)
 
 
-class _FixedBlock(engine.Block):
-    """A block with given draws: faded gains, one column per served user snapshot
-    by snapshot, and one AP-to-AP gain matrix per snapshot. Snapshot b's SSI
-    draws start where ``rngs[b]`` stands."""
-
-    def __init__(self, servings, gains, g_ap_ap, rngs):
-        radio = SimpleNamespace(pt_mw=PT_MW, bandwidth_mhz=W_MHZ)
-        wifi_config = SimpleNamespace(eta_wifi=ETA_WIFI)
-        scn = SimpleNamespace(radio=radio, wifi=wifi_config, sigma2_mw=SIGMA2)
-        ctx = SimpleNamespace(scn=scn, n_aps=gains.shape[0])
-        servings = [np.asarray(serving, dtype=np.int64) for serving in servings]
-        starts = np.cumsum([0] + [serving.size for serving in servings])
-        super().__init__(ctx, np.concatenate(servings), starts, None, rngs)
-        self._gains, self._g_ap_ap = gains, g_ap_ap
-        self._starts = [(rng, rng.bit_generator.state) for rng in rngs]
-
-    def faded_gains(self):
-        return self._gains
-
-    def ap_gains(self):
-        return self._g_ap_ap
-
-    def ssi_generator(self, b):
-        rng, state = self._starts[b]
-        rng.bit_generator.state = state
-        return rng
+def _fixed_block(servings, gains, g_ap_ap, rngs):
+    """A context and an engine.Block with given draws: faded gains, one column per
+    served user snapshot by snapshot, and one AP-to-AP gain matrix per snapshot.
+    Snapshot b's SSI draws start where ``rngs[b]`` stands."""
+    radio = SimpleNamespace(pt_mw=PT_MW, bandwidth_mhz=W_MHZ)
+    wifi_config = SimpleNamespace(eta_wifi=ETA_WIFI)
+    scn = SimpleNamespace(radio=radio, wifi=wifi_config, sigma2_mw=SIGMA2)
+    n_aps = gains.shape[0]
+    serving = np.concatenate([np.asarray(aps, dtype=np.int64) for aps in servings])
+    starts = np.cumsum([0] + [len(aps) for aps in servings])
+    snapshot = np.repeat(np.arange(len(servings)), np.diff(starts))
+    has_user = np.zeros((len(servings), n_aps), dtype=bool)
+    has_user[snapshot, serving] = True
+    rx = np.zeros((len(servings), n_aps + 1, n_aps))
+    rx[snapshot, :n_aps, serving] = (gains * PT_MW).T
+    rx[:, :n_aps][~has_user] = 0.0
+    block = engine.Block(serving, starts, snapshot, has_user, None, rx, g_ap_ap, rngs, None)
+    return SimpleNamespace(scn=scn, n_aps=n_aps), block
 
 
 def wifi_scores(p, channel_of, serving, gains, g_ap_ap, rng):
     """engine.wifi_block on one snapshot's fixed gains: (rates, sinr) of the active users."""
     assignment = ChannelAssignment(k=p.k_wifi, channel_of=np.asarray(channel_of))
-    block = _FixedBlock([serving], gains, g_ap_ap[None], [rng])
+    ctx, block = _fixed_block([serving], gains, g_ap_ap[None], [rng])
     (members,) = planning.co_channel_members([assignment])
-    ((scored,),) = engine.wifi_block(block, [p.cs_thr_dbm], assignment, members)
+    ((scored,),) = engine.wifi_block(ctx, block, [p.cs_thr_dbm], assignment, members)
     return scored.rates_mbps, scored.sinr
 
 
@@ -386,10 +378,11 @@ def test_wifi_rates_match_per_channel_loop(seed):
         g_ap_ap.append((g + g.T) / 2)
         draw_seeds.append(int(rng.integers(2**31)))
     draw_rngs = [np.random.default_rng(draw_seed) for draw_seed in draw_seeds]
-    block = _FixedBlock(servings, np.concatenate(gains, axis=1), np.stack(g_ap_ap), draw_rngs)
+    ctx, block = _fixed_block(
+        servings, np.concatenate(gains, axis=1), np.stack(g_ap_ap), draw_rngs)
     assignment = ChannelAssignment(k=k, channel_of=channel_of)
     got = engine.wifi_block(
-        block, thresholds, assignment, planning.co_channel_members([assignment])[0])
+        ctx, block, thresholds, assignment, planning.co_channel_members([assignment])[0])
     assert [len(scores) for scores in got] == [3, 3, 3]
     for scores, cs in zip(got, thresholds):
         p = params(cs=cs, k=k)

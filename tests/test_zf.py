@@ -343,8 +343,9 @@ def test_iteration_cap_reports_not_converged(monkeypatch):
 
     scn = scenario.preset("table1-open")
     ctx = engine.make_context(scn, geometry.place_aps(scn.area, 2, 2))
-    block = engine.draw_block(ctx, [engine.substream(5, 0, engine._SALT_SNAPSHOT, 0)])
-    precoded = [engine.zf_snapshot(block, 0, erroneous=False)]
+    rngs = [engine.substream(5, 0, engine._SALT_SNAPSHOT, 0)]
+    block = engine.draw_block(ctx, rngs, ["zf-ideal"])
+    precoded = [engine.zf_snapshot(ctx, block, 0, erroneous=False)]
     (result,) = engine.finish_zf(ctx, precoded)["zf-ideal"]
     assert result.solver_fallbacks == 1
 
