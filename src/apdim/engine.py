@@ -20,7 +20,7 @@ they differ only in the channel their rates are scored on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -87,10 +87,6 @@ class Estimate:
     count: int
     ci_low: float
     ci_high: float
-
-    @property
-    def halfwidth(self) -> float:
-        return 0.5 * (self.ci_high - self.ci_low)
 
 
 def normal_estimate(samples) -> Estimate:
@@ -609,7 +605,8 @@ def static_block(
         block.rx, members, [a.k for a in assignments],
         scn.static.eta_sta, scn.radio.bandwidth_mhz, scn.sigma2_mw,
     )
-    # (n_plans, n_served) with contiguous rows, so _aggregate's sums are pairwise
+    # (n_plans, n_served) with contiguous rows, so _aggregate's per-snapshot rate
+    # sums are pairwise
     rates = np.ascontiguousarray(rates[block.snapshot, :, block.serving].T)
     sinr = np.ascontiguousarray(sinr[block.snapshot, :, block.serving].T)
     columns = [block.columns(b) for b in range(block.size)]
@@ -689,56 +686,15 @@ def finish_zf(ctx: DeploymentContext, precoded: Sequence[ZfPrecoded]) -> dict[st
 
 
 @dataclass(frozen=True, eq=False)
-class RunResult:
-    lambda_s: Estimate  # Mbps/km2
-    outage: Estimate  # proportion over served users, pooled
-    served_total: int
-    redraws: int
-    solver_fallbacks: int
-    lambda_samples: np.ndarray
-
-
-def _aggregate(ctx: DeploymentContext, scored: Sequence[Scored]) -> list[RunResult]:
-    """One RunResult per row of a system's per-snapshot scores (one per reuse plan)."""
-    # Each snapshot's rate sum runs over its own contiguous row: pairwise
-    # summation depends on where a row starts and ends.
-    rate_sums = np.array([sc.rates_mbps.sum(axis=-1) for sc in scored])  # (snapshot[, plan])
-    sinr = np.concatenate([np.atleast_2d(sc.sinr) for sc in scored], axis=1)
-    hits = (sinr < ctx.scn.gamma_t_linear).sum(axis=1)  # per plan, over snapshots
-    served_total = sinr.shape[1]
-    redraws = sum(sc.redraws for sc in scored)
-    solver_fallbacks = sum(sc.solver_fallbacks for sc in scored)
-    runs = []
-    for plan_sums, plan_hits in zip(np.atleast_2d(rate_sums.T), hits):
-        lambda_samples = plan_sums / ctx.scn.area.area_km2
-        runs.append(
-            RunResult(
-                lambda_s=normal_estimate(lambda_samples),
-                outage=wilson_estimate(int(plan_hits), served_total),
-                served_total=served_total,
-                redraws=redraws,
-                solver_fallbacks=solver_fallbacks,
-                lambda_samples=lambda_samples,
-            )
-        )
-    return runs
-
-
-# ---------------------------------------------------------------------------
-# Deployment evaluation and dimensioning
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
 class DeploymentRecord:
-    """One (deployment, system) evaluation, ready for a result row."""
+    """One (deployment, system, K) evaluation, ready for a result row."""
 
     system: str
     nx: int
     ny: int
     ap_count: int
     ap_density_per_km2: float
-    k_channels: Optional[int]  # K^wifi, K*, or None (ZF / no feasible K)
+    k_channels: Optional[int]  # K^wifi, static's K, or None (ZF / static with no feasible K)
     outage_feasible: bool  # upper 95% bound of outage < beta
     lambda_s: Estimate
     outage: Estimate
@@ -748,6 +704,54 @@ class DeploymentRecord:
     served_samples: int
     zf_redraws: int
     solver_fallbacks: int
+
+
+def outage_feasible(outage: Estimate, beta: float) -> bool:
+    """The one feasibility rule: the upper 95% bound of the outage is below beta."""
+    return bool(outage.ci_high < beta)
+
+
+def _aggregate(
+    ctx: DeploymentContext, system: str, ks: Sequence[Optional[int]], scored: Sequence[Scored]
+) -> dict:
+    """{k: DeploymentRecord} from a system's per-snapshot scores, one row of scores per k."""
+    scn, layout = ctx.scn, ctx.layout
+    # Each snapshot's rate sum runs over its own contiguous row: pairwise
+    # summation depends on where a row starts and ends.
+    rate_sums = np.array([sc.rates_mbps.sum(axis=-1) for sc in scored])  # (snapshot[, plan])
+    sinr = np.concatenate([np.atleast_2d(sc.sinr) for sc in scored], axis=1)
+    hits = (sinr < scn.gamma_t_linear).sum(axis=1)  # per plan, over snapshots
+    served_total = sinr.shape[1]
+    redraws = sum(sc.redraws for sc in scored)
+    solver_fallbacks = sum(sc.solver_fallbacks for sc in scored)
+    records = {}
+    for k, plan_sums, plan_hits in zip(ks, np.atleast_2d(rate_sums.T), hits, strict=True):
+        lambda_s = normal_estimate(plan_sums / scn.area.area_km2)
+        outage = wilson_estimate(int(plan_hits), served_total)
+        mu = lambda_s.mean / scn.traffic.lambda_u_per_km2
+        records[k] = DeploymentRecord(
+            system=system,
+            nx=layout.nx,
+            ny=layout.ny,
+            ap_count=layout.n_aps,
+            ap_density_per_km2=layout.density_per_km2,
+            k_channels=k,
+            outage_feasible=outage_feasible(outage, scn.radio.beta),
+            lambda_s=lambda_s,
+            outage=outage,
+            mu_mbps_per_user=mu,
+            demand_gb_month=throughput_to_demand(max(mu, 0.0), scn.traffic),
+            n_snapshots=len(scored),
+            served_samples=served_total,
+            zf_redraws=redraws,
+            solver_fallbacks=solver_fallbacks,
+        )
+    return records
+
+
+# ---------------------------------------------------------------------------
+# Deployment evaluation and dimensioning
+# ---------------------------------------------------------------------------
 
 
 # Snapshots evaluated together (run_rung): a block holds at most _BLOCK_USERS
@@ -774,8 +778,9 @@ def _block_size(scn, n_aps: int) -> int:
 def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) -> dict:
     """Run every system on one AP layout in one serial snapshot pass.
 
-    Returns {system: {k: RunResult}}: K^wifi for Wi-Fi, every reuse number
-    K = 1..min(k_max, n_aps) for static, and None for ZF. The AP-to-AP gains
+    Returns {system: {k: DeploymentRecord}}, one record per reuse number k:
+    K^wifi for Wi-Fi, every K = 1..min(k_max, n_aps) for static in ascending
+    order, and None for ZF. The AP-to-AP gains
     are built once, every K's channel assignment in one lockstep
     ``planning.assign_channels`` call, each plan from its own substream, and
     every plan's co-channel member table in one
@@ -851,55 +856,29 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
         del block  # released before the next block is drawn, as _block_size counts
     if run_zf:
         scored.update(finish_zf(ctx, precoded))
-    return {system: dict(zip(ks[system], _aggregate(ctx, scored[system]))) for system in ks}
-
-
-def outage_feasible(outage: Estimate, beta: float) -> bool:
-    """The one feasibility rule: the upper 95% bound of the outage is below beta."""
-    return bool(outage.ci_high < beta)
-
-
-def k_star(outages: dict, beta: float) -> Optional[int]:
-    """Smallest reuse number K whose outage estimate is feasible, or None."""
-    return min((k for k, est in outages.items() if outage_feasible(est, beta)), default=None)
+    return {system: _aggregate(ctx, system, ks[system], scored[system]) for system in ks}
 
 
 def evaluate_rung(
     scn, layout: Layout, systems: Sequence[str], deployment_id: int
 ) -> list[DeploymentRecord]:
-    """Evaluate each system on one AP layout; one record per system, in order."""
-    beta = scn.radio.beta
+    """Evaluate each system on one AP layout; one record per system, in order.
+
+    Each system reports its first feasible record in ascending K: for static
+    that is K*, the smallest feasible reuse number. A static rung with no
+    feasible K reports the K with the lowest mean outage (the smaller K on a
+    tie) as a diagnostic, with ``k_channels`` None. Wi-Fi and ZF report
+    their one record as it is.
+    """
     records = []
-    for system, runs in run_rung(scn, layout, systems, deployment_id).items():
-        if system == "static":
-            k_channels = k_star({k: run.outage for k, run in runs.items()}, beta)
-            if k_channels is None:
-                # No K is feasible; report the least-bad K as a diagnostic.
-                run = runs[min(runs, key=lambda k: (runs[k].outage.mean, k))]
-            else:
-                run = runs[k_channels]
-        else:
-            ((k_channels, run),) = runs.items()
-        mu = run.lambda_s.mean / scn.traffic.lambda_u_per_km2
-        records.append(
-            DeploymentRecord(
-                system=system,
-                nx=layout.nx,
-                ny=layout.ny,
-                ap_count=layout.n_aps,
-                ap_density_per_km2=layout.density_per_km2,
-                k_channels=k_channels,
-                outage_feasible=outage_feasible(run.outage, beta),
-                lambda_s=run.lambda_s,
-                outage=run.outage,
-                mu_mbps_per_user=mu,
-                demand_gb_month=throughput_to_demand(max(mu, 0.0), scn.traffic),
-                n_snapshots=scn.engine.n_snapshots,
-                served_samples=run.served_total,
-                zf_redraws=run.redraws,
-                solver_fallbacks=run.solver_fallbacks,
-            )
-        )
+    for system, per_k in run_rung(scn, layout, systems, deployment_id).items():
+        rec = next((rec for rec in per_k.values() if rec.outage_feasible), None)
+        if rec is None:
+            # min keeps the first of a tie, the smaller K: per_k is in ascending K
+            rec = min(per_k.values(), key=lambda rec: rec.outage.mean)
+            if system == "static":
+                rec = replace(rec, k_channels=None)
+        records.append(rec)
     return records
 
 

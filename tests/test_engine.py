@@ -55,12 +55,13 @@ def test_normal_estimate_basics():
     assert est.mean == pytest.approx(5.0)
     assert est.count == 4
     assert est.ci_low < 5.0 < est.ci_high
-    assert est.halfwidth == pytest.approx(engine.Z95 * np.std([2, 4, 6, 8], ddof=1) / 2)
+    halfwidth = (est.ci_high - est.ci_low) / 2
+    assert halfwidth == pytest.approx(engine.Z95 * np.std([2, 4, 6, 8], ddof=1) / 2)
 
 
 def test_normal_estimate_single_sample_degenerate():
     est = engine.normal_estimate([3.0])
-    assert est.mean == 3.0 and est.halfwidth == 0.0
+    assert est.mean == 3.0 and (est.ci_high - est.ci_low) / 2 == 0.0
 
 
 def test_wilson_estimate_bounds():
@@ -495,8 +496,8 @@ def _wifi_run(scn, layout, n_snapshots, master_seed, deployment_id):
     raw = scn.to_dict()
     raw["engine"].update(seed=master_seed, n_snapshots=n_snapshots)
     runs = engine.run_rung(scenario.from_dict(raw), layout, ["wifi-baseline"], deployment_id)
-    (run,) = runs["wifi-baseline"].values()
-    return run
+    (rec,) = runs["wifi-baseline"].values()
+    return rec
 
 
 def test_run_rung_deterministic():
@@ -505,7 +506,7 @@ def test_run_rung_deterministic():
     a = _wifi_run(scn, layout, 25, master_seed=9, deployment_id=3)
     b = _wifi_run(scn, layout, 25, master_seed=9, deployment_id=3)
     assert a.lambda_s == b.lambda_s and a.outage == b.outage
-    assert (a.lambda_samples == b.lambda_samples).all()
+    _compare_runs(a, b, "rerun")
 
 
 def test_snapshot_rate_sum_conservation():
@@ -517,8 +518,8 @@ def test_snapshot_rate_sum_conservation():
     (scores,) = engine.wifi_block(ctx, block, [cs_thr_dbm], assignment, members)
     assert len(scores) == 10
     for scored in scores:
-        (run,) = engine._aggregate(ctx, [scored])
-        assert run.lambda_samples[0] * scn.area.area_km2 == pytest.approx(
+        (run,) = engine._aggregate(ctx, "wifi-baseline", [assignment.k], [scored]).values()
+        assert run.lambda_s.mean * scn.area.area_km2 == pytest.approx(
             scored.rates_mbps.sum(), rel=1e-9
         )
         hits = int((scored.sinr < scn.gamma_t_linear).sum())
@@ -526,12 +527,9 @@ def test_snapshot_rate_sum_conservation():
 
 
 def _compare_runs(got, want, where):
-    for field in dataclasses.fields(engine.RunResult):
+    for field in dataclasses.fields(engine.DeploymentRecord):
         a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(a, np.ndarray):
-            assert np.array_equal(a, b), (where, field.name)
-        else:
-            assert a == b, (where, field.name)
+        assert a == b, (where, field.name)
 
 
 def test_stacked_static_score_aggregates_like_one_row_scores():
@@ -553,15 +551,15 @@ def test_stacked_static_score_aggregates_like_one_row_scores():
                 )
                 for n in sizes
             ]
-            stacked = engine._aggregate(ctx, scored)
-            assert len(stacked) == k
-            for row, got in enumerate(stacked):
+            stacked = engine._aggregate(ctx, "static", range(1, k + 1), scored)
+            assert list(stacked) == list(range(1, k + 1))
+            for row, got in enumerate(stacked.values()):
                 rows = [engine.Scored(sc.rates_mbps[row], sc.sinr[row]) for sc in scored]
-                (want,) = engine._aggregate(ctx, rows)
+                (want,) = engine._aggregate(ctx, "static", [row + 1], rows).values()
                 _compare_runs(got, want, (k, trial, row))
                 # the per-snapshot sample as it was computed before stacking
                 reference = [float(sc.rates_mbps.sum()) / area_km2 for sc in rows]
-                assert np.array_equal(want.lambda_samples, reference), (k, trial, row)
+                assert want.lambda_s == engine.normal_estimate(reference), (k, trial, row)
 
 
 def test_open_env_wifi_saturation_small():
@@ -642,27 +640,85 @@ def test_evaluate_rung_rejects_unknown_system():
         engine.evaluate_rung(scn, geometry.place_aps(scn.area, 1, 1), ["zf-ideal", "lte"], 0)
 
 
-# --- reuse number K* ----------------------------------------------------------------
+# --- selecting one record per system ------------------------------------------------
 
 def _outage(mean, ci_high=None):
     ci_high = mean if ci_high is None else ci_high
     return engine.Estimate(mean=mean, count=1000, ci_low=mean, ci_high=ci_high)
 
 
-def test_k_star_picks_smallest_feasible():
+def _record(system, k, outage, beta):
+    # each K carries its own throughput, so a test can tell whose estimates a row shows
+    lambda_s = engine.Estimate(mean=1000.0 * (k or 1), count=10, ci_low=900.0, ci_high=1100.0)
+    return engine.DeploymentRecord(
+        system=system, nx=2, ny=2, ap_count=4, ap_density_per_km2=400.0, k_channels=k,
+        outage_feasible=engine.outage_feasible(outage, beta), lambda_s=lambda_s,
+        outage=outage, mu_mbps_per_user=float(k or 1), demand_gb_month=10.0 * (k or 1),
+        n_snapshots=10, served_samples=1000, zf_redraws=2, solver_fallbacks=1,
+    )
+
+
+def _select(monkeypatch, outages_by_system):
+    """evaluate_rung on a run_rung stub that returns hand-made records per K."""
+    scn = _tiny_scenario([1.0])
+    beta = scn.radio.beta
+    per_system = {
+        system: {k: _record(system, k, est, beta) for k, est in outages.items()}
+        for system, outages in outages_by_system.items()
+    }
+
+    def stub(scn_, layout, systems, deployment_id):
+        return {system: per_system[system] for system in systems}
+
+    monkeypatch.setattr(engine, "run_rung", stub)
+    layout = geometry.place_aps(scn.area, 2, 2)
+    records = engine.evaluate_rung(scn, layout, list(outages_by_system), 0)
+    assert [rec.system for rec in records] == list(outages_by_system)
+    return records, per_system
+
+
+def test_evaluate_rung_picks_smallest_feasible_k(monkeypatch):
     outages = {1: 0.4, 2: 0.2, 3: 0.04, 4: 0.01}
-    assert engine.k_star({k: _outage(v) for k, v in outages.items()}, 0.05) == 3
+    static = {k: _outage(v) for k, v in outages.items()}
+    (rec,), per_system = _select(monkeypatch, {"static": static})
+    assert rec is per_system["static"][3]
 
 
-def test_k_star_none_feasible():
-    assert engine.k_star({k: _outage(0.5) for k in (1, 2, 3)}, 0.05) is None
+def test_evaluate_rung_none_feasible(monkeypatch):
+    (rec,), per_system = _select(monkeypatch, {"static": {k: _outage(0.5) for k in (1, 2, 3)}})
+    assert rec.k_channels is None and rec.outage_feasible is False
+    # every K ties on the mean outage: the smallest K's estimates are reported
+    want = dataclasses.replace(per_system["static"][1], k_channels=None)
+    _compare_runs(rec, want, "tie")
 
 
-def test_k_star_uses_the_outage_upper_bound():
+def test_evaluate_rung_uses_the_outage_upper_bound(monkeypatch):
     # K = 1 and 2 have a mean outage below beta but an upper bound above it
     outages = {1: _outage(0.04, 0.07), 2: _outage(0.03, 0.05), 3: _outage(0.02, 0.04)}
-    assert engine.k_star(outages, 0.05) == 3
+    (rec,), per_system = _select(monkeypatch, {"static": outages})
+    assert rec is per_system["static"][3]
     assert [engine.outage_feasible(est, 0.05) for est in outages.values()] == [False, False, True]
+
+
+def test_evaluate_rung_reports_the_least_bad_static_k(monkeypatch):
+    # no feasible K: the lowest mean outage wins, the smaller K on a tie
+    outages = {1: 0.3, 2: 0.1, 3: 0.1, 4: 0.2}
+    static = {k: _outage(v) for k, v in outages.items()}
+    (rec,), per_system = _select(monkeypatch, {"static": static})
+    assert rec.k_channels is None and rec.outage_feasible is False
+    want = dataclasses.replace(per_system["static"][2], k_channels=None)
+    _compare_runs(rec, want, "least bad")
+
+
+def test_evaluate_rung_keeps_infeasible_wifi_and_zf_records(monkeypatch):
+    k_wifi = 3
+    records, per_system = _select(monkeypatch, {
+        "wifi-aggressive": {k_wifi: _outage(0.5)},
+        "zf-erroneous": {None: _outage(0.5)},
+    })
+    for rec, system, k in zip(records, ["wifi-aggressive", "zf-erroneous"], [k_wifi, None]):
+        assert rec is per_system[system][k]
+        assert rec.k_channels == k and rec.outage_feasible is False
 
 
 def test_static_reuse_numbers_capped_at_n_aps():
@@ -779,8 +835,8 @@ def test_shared_pass_matches_independent_runs(preset, nx, ny):
             lambdas, hits, served = _reference_run(
                 scn, layout, system, k, deployment_id, n_snapshots
             )
-            assert np.array_equal(run.lambda_samples, lambdas), (system, k)
-            assert run.served_total == served, (system, k)
+            assert run.lambda_s == engine.normal_estimate(lambdas), (system, k)
+            assert run.served_samples == served, (system, k)
             assert run.outage == engine.wilson_estimate(hits, served), (system, k)
 
 
@@ -817,8 +873,8 @@ def test_zf_rung_with_mixed_sizes_matches_solo_solves():
             scn, layout, system, None, deployment_id, n_snapshots
         )
         run = runs[system][None]
-        assert np.array_equal(run.lambda_samples, lambdas), system
-        assert run.served_total == served, system
+        assert run.lambda_s == engine.normal_estimate(lambdas), system
+        assert run.served_samples == served, system
         assert run.outage == engine.wilson_estimate(hits, served), system
 
 
@@ -953,14 +1009,14 @@ def test_forced_redraws_keep_both_zf_systems_on_one_pass(monkeypatch):
     runs = engine.run_rung(scn, layout, systems, deployment_id)
     assert len(delayed_calls) == n_snapshots
     ideal, erroneous = runs["zf-ideal"][None], runs["zf-erroneous"][None]
-    assert ideal.redraws == erroneous.redraws > 0
+    assert ideal.zf_redraws == erroneous.zf_redraws > 0
     for system in systems:
         lambdas, hits, served = _reference_run(
             scn, layout, system, None, deployment_id, n_snapshots
         )
         run = runs[system][None]
-        assert np.array_equal(run.lambda_samples, lambdas), system
-        assert run.served_total == served, system
+        assert run.lambda_s == engine.normal_estimate(lambdas), system
+        assert run.served_samples == served, system
         assert run.outage == engine.wilson_estimate(hits, served), system
 
 
