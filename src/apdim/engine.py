@@ -2,24 +2,15 @@
 estimates with confidence intervals, demand conversion, and the AP-count search.
 
 Determinism contract: every snapshot derives its own generator from
-(master_seed, deployment_id, snapshot_index), so results are bit-identical
-for any evaluation order. One serial snapshot pass per rung (``run_rung``)
-serves every system. ``draw_block`` makes the shared prefix and the
-fading that several systems read (the faded AP-to-user gains, the AP-to-AP
-fading) once and at once, in the order of the snapshot's draw tree; Wi-Fi's
-one SSI visiting order, shared by both thresholds, and the one ZF pass,
-shared by both CSIT models, continue on the snapshot's generator from the
-state where their branch starts, so a system's results do not depend on
-which other systems run beside it.
-The pass walks the snapshots in blocks of consecutive indices, evaluated
-together by stacked array calls that act on each snapshot as a block of one
-would, so the results do not depend on the block size either. Both ZF
-systems share one ZF pass per snapshot and one stacked power solve per rung;
-they differ only in the channel their rates are scored on.
+(master_seed, deployment_id, snapshot_index) and draws along one tree
+(``Block``), so a system's results depend neither on the evaluation order,
+nor on which other systems share the rung's one snapshot pass, nor on how
+``run_rung`` cuts the pass into blocks and ZF power solves.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -368,17 +359,28 @@ def select_served(
 
 
 @dataclass(frozen=True, eq=False)
-class Scored:
-    """One system's raw outcome of one snapshot: rate (Mbps) and SINR per served user.
+class Tally:
+    """Every scorer's result on consecutive snapshots b and plans p (static's reuse
+    numbers, else one): rate sums (Mbps), users below gamma_t, users counted,
+    and ZF's singular-channel redraws and unconverged power solves."""
 
-    The arrays are (n_served,), or (n_plans, n_served) with one row per reuse
-    plan for static, which scores every plan on one draw.
-    """
+    rate_sums: np.ndarray  # (n_snapshots, n_plans)
+    hits: np.ndarray  # (n_snapshots, n_plans)
+    served: np.ndarray  # (n_snapshots,)
+    redraws: np.ndarray  # (n_snapshots,)
+    solver_fallbacks: np.ndarray  # (n_snapshots,)
 
-    rates_mbps: np.ndarray
-    sinr: np.ndarray
-    redraws: int = 0
-    solver_fallbacks: int = 0
+
+def _tally(ctx, rates: np.ndarray, sinr: np.ndarray, starts: np.ndarray, **zf_counts) -> Tally:
+    """Tally per-user (n_plans, n_users) ``rates`` and ``sinr``, snapshot b's in the
+    columns [starts[b], starts[b + 1]). Each rate sum is the ``.sum`` of one
+    contiguous row segment, pairwise as over that snapshot's row alone."""
+    rate_sums = np.array([rates[:, lo:hi].sum(axis=1) for lo, hi in zip(starts, starts[1:])])
+    below = np.zeros((sinr.shape[0], sinr.shape[1] + 1), dtype=np.intp)
+    np.cumsum(sinr < ctx.scn.gamma_t_linear, axis=1, out=below[:, 1:])
+    zeros = np.zeros(len(starts) - 1, dtype=np.intp)
+    counts = {"redraws": zeros, "solver_fallbacks": zeros, **zf_counts}
+    return Tally(rate_sums, np.diff(below[:, starts], axis=1).T, np.diff(starts), **counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,7 +545,7 @@ def wifi_block(
     thresholds: Sequence[float],
     assignment: planning.ChannelAssignment,
     members: np.ndarray,
-) -> list[list[Scored]]:
+) -> list[Tally]:
     """Wi-Fi epochs, one per snapshot and carrier-sense threshold, scored by static's reuse rule.
 
     At each threshold (dBm) the serving APs contend (``wifi.contention_graph``
@@ -556,8 +558,8 @@ def wifi_block(
     ``planning.reuse_rates`` call on the assignment's member table
     (``members``) scores every threshold and snapshot on ``block.rx`` with
     the rows of the APs that do not transmit zeroed, so only the other
-    active co-channel APs interfere. Returns, per threshold, one ``Scored``
-    per snapshot in the order of its active set.
+    active co-channel APs interfere. Returns one ``Tally`` per threshold over
+    the active APs' users, each snapshot's summed in active-set order.
     """
     scn, channel_of, k = ctx.scn, assignment.channel_of, assignment.k
     # channel -1 keeps the APs without a user out of the SSI draw
@@ -571,18 +573,17 @@ def wifi_block(
     active = [aps for per_snapshot in zip(*drawn) for aps in per_snapshot]  # threshold outer
     sizes = [aps.size for aps in active]
     row, aps = np.repeat(np.arange(len(active)), sizes), np.concatenate(active)
-    rx = block.rx
-    transmits = np.zeros((len(active), rx.shape[1]), dtype=bool)
+    transmits = np.zeros((len(active), block.rx.shape[1]), dtype=bool)
     transmits[row, aps] = True
     rates, sinr = planning.reuse_rates(
-        rx * transmits.reshape(len(thresholds), block.size, -1, 1), [members], [k],
+        block.rx * transmits.reshape(len(thresholds), block.size, -1, 1), [members], [k],
         scn.wifi.eta_wifi, scn.radio.bandwidth_mhz, scn.sigma2_mw,
     )
     shape = (len(active), ctx.n_aps)
     rates, sinr = rates.reshape(shape)[row, aps], sinr.reshape(shape)[row, aps]
-    ends = np.cumsum(sizes)
-    scores = [Scored(rates[end - size:end], sinr[end - size:end]) for size, end in zip(sizes, ends)]
-    return [scores[i:i + block.size] for i in range(0, len(scores), block.size)]
+    starts = np.cumsum([0] + sizes)  # (threshold, snapshot) t * size + b owns a segment
+    return [_tally(ctx, rates[None], sinr[None], starts[first:first + block.size + 1])
+            for first in range(0, len(active), block.size)]
 
 
 def static_block(
@@ -590,8 +591,8 @@ def static_block(
     block: Block,
     assignments: Sequence[planning.ChannelAssignment],
     members: Sequence[np.ndarray],
-) -> list[Scored]:
-    """Full-buffer frequency-planned cellular snapshots, one row per reuse plan.
+) -> Tally:
+    """Full-buffer frequency-planned cellular snapshots, one plan per reuse number.
 
     Every AP with traffic transmits in every snapshot, so each served user's
     interference sums over all co-channel serving APs: one
@@ -605,12 +606,9 @@ def static_block(
         block.rx, members, [a.k for a in assignments],
         scn.static.eta_sta, scn.radio.bandwidth_mhz, scn.sigma2_mw,
     )
-    # (n_plans, n_served) with contiguous rows, so _aggregate's per-snapshot rate
-    # sums are pairwise
+    # contiguous (n_plans, n_served) rows: each snapshot's rate sum is pairwise
     rates = np.ascontiguousarray(rates[block.snapshot, :, block.serving].T)
-    sinr = np.ascontiguousarray(sinr[block.snapshot, :, block.serving].T)
-    columns = [block.columns(b) for b in range(block.size)]
-    return [Scored(rates[:, cols], sinr[:, cols]) for cols in columns]
+    return _tally(ctx, rates, sinr[block.snapshot, :, block.serving].T, block.starts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -656,28 +654,30 @@ def zf_snapshot(ctx: DeploymentContext, block: Block, b: int, erroneous: bool) -
     return ZfPrecoded(beamformer=bf, h_true=h_true, redraws=redraws)
 
 
-def finish_zf(ctx: DeploymentContext, precoded: Sequence[ZfPrecoded]) -> dict[str, list[Scored]]:
-    """Optimize the PAPC powers of all ``precoded`` snapshots at once, then score each.
+def finish_zf(ctx: DeploymentContext, precoded: Sequence[ZfPrecoded]) -> dict[str, Tally]:
+    """Optimize the PAPC powers of all ``precoded`` snapshots at once, then tally them.
 
-    One ``zf.allocate_powers`` call stacks one instance per snapshot; each
-    result equals that of a solve on its own, so the scores do not depend on
-    which snapshots are finished together. Both CSIT models read the one
-    allocation: returns {"zf-ideal": scores, "zf-erroneous": scores}, the
-    latter for the snapshots that carry ``h_true``. Both rows of a snapshot
-    report its redraws and solver fallbacks.
+    One ``zf.allocate_powers`` call stacks one instance per snapshot, each
+    solved as on its own, and both CSIT models read the one allocation:
+    returns {"zf-ideal": tally, "zf-erroneous": tally}, the latter if the
+    snapshots carry ``h_true``.
     """
     scn = ctx.scn
     w, sigma2, eta_zf = scn.radio.bandwidth_mhz, scn.sigma2_mw, scn.zf.eta_zf
     beamformers = [pre.beamformer for pre in precoded]
     allocs = zf.allocate_powers(beamformers, sigma2, scn.radio.pt_mw, w, eta_zf)
-    scored: dict = {"zf-ideal": [], "zf-erroneous": []}
-    for pre, alloc in zip(precoded, allocs):
-        counts = {"redraws": pre.redraws, "solver_fallbacks": 0 if alloc.converged else 1}
-        scored["zf-ideal"].append(Scored(*zf.zf_rates_ideal(alloc, w, sigma2, eta_zf), **counts))
-        if pre.h_true is not None:
-            rates = zf.zf_rates_erroneous(pre.h_true, pre.beamformer, alloc, w, sigma2, eta_zf)
-            scored["zf-erroneous"].append(Scored(*rates, **counts))
-    return scored
+    scores = {"zf-ideal": [zf.zf_rates_ideal(alloc, w, sigma2, eta_zf) for alloc in allocs]}
+    if precoded[0].h_true is not None:
+        scores["zf-erroneous"] = [
+            zf.zf_rates_erroneous(pre.h_true, pre.beamformer, alloc, w, sigma2, eta_zf)
+            for pre, alloc in zip(precoded, allocs)
+        ]
+    starts = np.cumsum([0] + [alloc.p_mw.size for alloc in allocs])
+    redraws = np.array([pre.redraws for pre in precoded])
+    fallbacks = np.array([not alloc.converged for alloc in allocs], dtype=np.intp)
+    return {system: _tally(ctx, *(np.concatenate(v)[None] for v in zip(*pairs)), starts,
+                           redraws=redraws, solver_fallbacks=fallbacks)
+            for system, pairs in scores.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -712,20 +712,17 @@ def outage_feasible(outage: Estimate, beta: float) -> bool:
 
 
 def _aggregate(
-    ctx: DeploymentContext, system: str, ks: Sequence[Optional[int]], scored: Sequence[Scored]
+    ctx: DeploymentContext, system: str, ks: Sequence[Optional[int]], tallies: Sequence[Tally]
 ) -> dict:
-    """{k: DeploymentRecord} from a system's per-snapshot scores, one row of scores per k."""
+    """{k: DeploymentRecord} from a system's tallies in snapshot order, one plan per k."""
     scn, layout = ctx.scn, ctx.layout
-    # Each snapshot's rate sum runs over its own contiguous row: pairwise
-    # summation depends on where a row starts and ends.
-    rate_sums = np.array([sc.rates_mbps.sum(axis=-1) for sc in scored])  # (snapshot[, plan])
-    sinr = np.concatenate([np.atleast_2d(sc.sinr) for sc in scored], axis=1)
-    hits = (sinr < scn.gamma_t_linear).sum(axis=1)  # per plan, over snapshots
-    served_total = sinr.shape[1]
-    redraws = sum(sc.redraws for sc in scored)
-    solver_fallbacks = sum(sc.solver_fallbacks for sc in scored)
+    rate_sums = np.concatenate([t.rate_sums for t in tallies])  # (snapshot, plan)
+    hits = np.concatenate([t.hits for t in tallies]).sum(axis=0)  # per plan
+    served_total = int(sum(t.served.sum() for t in tallies))
+    redraws = int(sum(t.redraws.sum() for t in tallies))
+    solver_fallbacks = int(sum(t.solver_fallbacks.sum() for t in tallies))
     records = {}
-    for k, plan_sums, plan_hits in zip(ks, np.atleast_2d(rate_sums.T), hits, strict=True):
+    for k, plan_sums, plan_hits in zip(ks, rate_sums.T, hits, strict=True):
         lambda_s = normal_estimate(plan_sums / scn.area.area_km2)
         outage = wilson_estimate(int(plan_hits), served_total)
         mu = lambda_s.mean / scn.traffic.lambda_u_per_km2
@@ -741,7 +738,7 @@ def _aggregate(
             outage=outage,
             mu_mbps_per_user=mu,
             demand_gb_month=throughput_to_demand(max(mu, 0.0), scn.traffic),
-            n_snapshots=len(scored),
+            n_snapshots=rate_sums.shape[0],
             served_samples=served_total,
             zf_redraws=redraws,
             solver_fallbacks=solver_fallbacks,
@@ -763,11 +760,16 @@ def _aggregate(
 # copy of the received powers at each of two thresholds, the gathered member
 # lists, and one of headroom for the contention graphs and the temporaries
 # of the draws. _block_size keeps them within _BLOCK_BYTES, and run_rung
-# releases each block before it draws the next; the scores kept per
-# snapshot come on top. That gives 8 snapshots at 1,000 users up to 56 APs,
-# 6 at 64, 4 at 72, 3 at 81, and 2 at 90 and 100.
+# releases each block before it draws the next. That gives 8 snapshots at
+# 1,000 users up to 56 APs, 6 at 64, 4 at 72, 3 at 81, and 2 at 90 and 100.
 _BLOCK_USERS = 8192
 _BLOCK_BYTES = 1_700_000
+# run_rung solves the ZF snapshots it holds (finish_zf) once their precoders and
+# true channels (32 n^2 bytes a snapshot of n users) pass _ZF_BYTES; the solve's
+# stacks add 24 n^2. Paper-default ZF full ladder (table1-open, 500 snapshots):
+# 8/16/24/32 MB peak at 56/73/88/104 MB RSS (384 MB holding whole rungs), with
+# no wall-time difference resolved in alternating 12-16 s runs on 2 cores.
+_ZF_BYTES = 16_000_000
 
 
 def _block_size(scn, n_aps: int) -> int:
@@ -780,34 +782,28 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
 
     Returns {system: {k: DeploymentRecord}}, one record per reuse number k:
     K^wifi for Wi-Fi, every K = 1..min(k_max, n_aps) for static in ascending
-    order, and None for ZF. The AP-to-AP gains
-    are built once, every K's channel assignment in one lockstep
-    ``planning.assign_channels`` call, each plan from its own substream, and
-    every plan's co-channel member table in one
-    ``planning.co_channel_members`` call; the systems share them.
+    order, and None for ZF. The AP-to-AP gains, every K's channel assignment
+    (one lockstep ``planning.assign_channels`` call, each plan from its own
+    substream) and every plan's co-channel member table are built once, and
+    the systems share them.
 
     The scenario's ``engine.n_snapshots`` snapshots run in blocks of
-    consecutive indices (``_block_size``: at most _BLOCK_USERS users, and
-    the rung's arrays within _BLOCK_BYTES, so two snapshots at 100 APs).
-    Each snapshot draws from its own generator, derived from (seed,
-    deployment_id, snapshot index), in the order a block of one would.
-    ``draw_block`` makes a block's every shared draw at once, with one
-    association and one gains call for all its snapshots, whose results are
-    elementwise over users; every system reads the one ``Block``, which is
-    released before the next one is drawn. Static and both Wi-Fi systems
-    make one rate call each per block (``static_block``, ``wifi_block``),
-    whose sums are those of a block of one, so no byte depends on the block
-    size. The blocks run one after another in the calling thread: their
-    work holds the GIL for most of its time, which no thread pool can share
-    out. When a ZF system runs, each snapshot makes one ZF pass
-    (``zf_snapshot``) for both CSIT models, drawing the true channel only if
-    zf-erroneous runs; after the pass, one ``finish_zf`` call solves and
-    scores them all.
+    consecutive indices (``_block_size``), one after another in the calling
+    thread: their work holds the GIL for most of its time, which no thread
+    pool can share out. Each snapshot draws from its own generator, derived
+    from (seed, deployment_id, snapshot index), in the order a block of one
+    would. Every system reads the one ``Block`` that ``draw_block`` makes,
+    released before the next is drawn: static and both Wi-Fi systems make
+    one rate call each per block (``static_block``, ``wifi_block``), and
+    each snapshot makes one ZF pass for both CSIT models (``zf_snapshot``).
+    Once the held passes take more than _ZF_BYTES, and after the last
+    snapshot, one ``finish_zf`` call solves and tallies them. Every scorer
+    returns a ``Tally`` whose sums are those of a block of one, so no byte
+    depends on the blocks or the solves, and the rung keeps only tallies.
 
-    ``scn`` is the validated Scenario (see apdim.scenario). The rung's
-    ``DeploymentContext`` holds it, and every system reads its parameters
-    from there; only its documented attributes are touched, keeping this
-    module independent of the config layer.
+    ``scn`` is the validated Scenario (see apdim.scenario), held by the
+    rung's ``DeploymentContext``; only its documented attributes are read,
+    keeping this module independent of the config layer.
     """
     for system in systems:
         if system not in SYSTEMS:
@@ -833,8 +829,8 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
         members = dict(zip(reuse, planning.co_channel_members(list(plans.values()))))
     erroneous = "zf-erroneous" in ks
     run_zf = erroneous or "zf-ideal" in ks
-    scored: dict = {system: [] for system in ks}  # per system, per snapshot
-    precoded = []
+    tallies = defaultdict(list)  # per system, in snapshot order
+    precoded, held = [], 0
     n_snapshots, size = scn.engine.n_snapshots, _block_size(scn, ctx.n_aps)
     for first in range(0, n_snapshots, size):
         indices = range(first, min(first + size, n_snapshots))
@@ -844,19 +840,22 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
         # generator; the ZF pass sets it back to S0, so it comes last.
         if wifi_systems:
             k = scn.wifi.k_wifi
-            scores_by_threshold = wifi_block(ctx, block, thresholds, plans[k], members[k])
-            for system, scores in zip(wifi_systems, scores_by_threshold):
-                scored[system].extend(scores)
+            for system, tally in zip(wifi_systems, wifi_block(
+                    ctx, block, thresholds, plans[k], members[k])):
+                tallies[system].append(tally)
         if "static" in ks:
             static = ks["static"]
-            scored["static"].extend(static_block(
+            tallies["static"].append(static_block(
                 ctx, block, [plans[k] for k in static], [members[k] for k in static]))
-        if run_zf:
-            precoded.extend(zf_snapshot(ctx, block, b, erroneous) for b in range(block.size))
+        for b in range(block.size if run_zf else 0):
+            precoded.append(zf_snapshot(ctx, block, b, erroneous))
+            held += precoded[-1].beamformer.w.nbytes * (2 if erroneous else 1)  # h_true too
+            if held > _ZF_BYTES or indices[b] == n_snapshots - 1:
+                for system, tally in finish_zf(ctx, precoded).items():
+                    tallies[system].append(tally)
+                precoded, held = [], 0
         del block  # released before the next block is drawn, as _block_size counts
-    if run_zf:
-        scored.update(finish_zf(ctx, precoded))
-    return {system: _aggregate(ctx, system, ks[system], scored[system]) for system in ks}
+    return {system: _aggregate(ctx, system, ks[system], tallies[system]) for system in ks}
 
 
 def evaluate_rung(

@@ -126,17 +126,16 @@ def allocate_powers(
         by_size.setdefault(bf.w.shape[0], []).append(i)
     allocations: list = [None] * len(beamformers)
     for members in by_size.values():
-        # a[k, i, j]: antenna i load coefficient on user j of instance k
-        a = np.stack([np.abs(beamformers[i].w) ** 2 for i in members])
-        b = a * sigma2_mw  # constraint matrices in q = p / sigma2 units
-        for i, a_i, (q, converged, kkt, iters) in zip(
-            members, a, _interior_point_solve(b, pt_mw, q_cap)
-        ):
+        # b[k, i, j] = |w_ij|^2 sigma2: antenna i's load coefficient on user j
+        # of instance k in q = p / sigma2 units; the antenna loads recompute
+        # |w|^2 per instance rather than keep a second (k, n, n) stack
+        b = np.stack([np.abs(beamformers[i].w) ** 2 for i in members]) * sigma2_mw
+        for i, (q, converged, kkt, iters) in zip(members, _interior_point_solve(b, pt_mw, q_cap)):
             p = q * sigma2_mw
             rates = np.minimum(w_mhz * np.log2(1.0 + q), w_mhz * eta_zf)
             allocations[i] = PowerAllocation(
                 p_mw=p,
-                antenna_load_mw=a_i @ p,
+                antenna_load_mw=np.abs(beamformers[i].w) ** 2 @ p,
                 sum_rate_mbps=float(rates.sum()),
                 converged=converged,
                 kkt_residual=kkt,

@@ -515,15 +515,28 @@ def test_snapshot_rate_sum_conservation():
     rngs = [engine.substream(5, 0, engine._SALT_SNAPSHOT, s) for s in range(10)]
     (members,) = planning.co_channel_members([assignment])
     block = engine.draw_block(ctx, rngs, ["wifi-baseline"])
-    (scores,) = engine.wifi_block(ctx, block, [cs_thr_dbm], assignment, members)
-    assert len(scores) == 10
-    for scored in scores:
-        (run,) = engine._aggregate(ctx, "wifi-baseline", [assignment.k], [scored]).values()
+    (tally,) = engine.wifi_block(ctx, block, [cs_thr_dbm], assignment, members)
+    assert tally.rate_sums.shape == tally.hits.shape == (10, 1)
+    for b in range(10):
+        one = _snapshot_tally(tally, b)
+        (run,) = engine._aggregate(ctx, "wifi-baseline", [assignment.k], [one]).values()
         assert run.lambda_s.mean * scn.area.area_km2 == pytest.approx(
-            scored.rates_mbps.sum(), rel=1e-9
+            tally.rate_sums[b, 0], rel=1e-9
         )
-        hits = int((scored.sinr < scn.gamma_t_linear).sum())
-        assert run.outage == engine.wilson_estimate(hits, scored.rates_mbps.size)
+        assert run.outage == engine.wilson_estimate(int(tally.hits[b, 0]), int(tally.served[b]))
+        assert (run.n_snapshots, run.served_samples) == (1, tally.served[b])
+
+
+def _snapshot_tally(tally, b):
+    """Snapshot b's rows of ``tally``, as a tally of its own."""
+    fields = dataclasses.fields(engine.Tally)
+    return engine.Tally(**{f.name: getattr(tally, f.name)[b:b + 1] for f in fields})
+
+
+def _compare_tallies(got, want, where):
+    for field in dataclasses.fields(engine.Tally):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (where, field.name)
 
 
 def _compare_runs(got, want, where):
@@ -533,9 +546,10 @@ def _compare_runs(got, want, where):
 
 
 def test_stacked_static_score_aggregates_like_one_row_scores():
-    # Static scores all K plans of a snapshot in one (K, n_served) array; its
-    # row sums must equal the per-plan sums a one-row score gives, bit for bit,
-    # or the CSV changes silently.
+    # Static tallies all K plans of a snapshot from one (K, n_served) array;
+    # its row sums must equal the per-plan sums a one-row tally gives, bit for
+    # bit, or the CSV changes silently. Tallies of consecutive parts of the
+    # rung must aggregate as the one tally of the whole.
     scn = scenario.preset("table1-open")
     ctx = engine.make_context(scn, geometry.place_aps(scn.area, 1, 1))
     gamma, area_km2 = scn.gamma_t_linear, scn.area.area_km2
@@ -544,22 +558,30 @@ def test_stacked_static_score_aggregates_like_one_row_scores():
         for trial in range(8):
             sizes = rng.integers(1, 201, size=rng.integers(1, 9))
             sizes[0] = (1, 200, sizes[0])[min(trial, 2)]  # pin both extreme sizes once
-            scored = [
-                engine.Scored(
-                    rng.exponential(50.0, (k, n)) * rng.integers(0, 2, (k, n)),
-                    gamma * 10.0 ** rng.uniform(-1.0, 1.0, (k, n)),
-                )
-                for n in sizes
-            ]
-            stacked = engine._aggregate(ctx, "static", range(1, k + 1), scored)
+            starts = np.cumsum([0, *sizes])
+            rates = rng.exponential(50.0, (k, starts[-1])) * rng.integers(0, 2, (k, starts[-1]))
+            sinr = gamma * 10.0 ** rng.uniform(-1.0, 1.0, (k, starts[-1]))
+            stacked = engine._aggregate(
+                ctx, "static", range(1, k + 1), [engine._tally(ctx, rates, sinr, starts)])
             assert list(stacked) == list(range(1, k + 1))
+            if sizes.size > 1:
+                cut = sizes.size // 2
+                parts = [engine._tally(ctx, rates, sinr, starts[:cut + 1]),
+                         engine._tally(ctx, rates, sinr, starts[cut:])]
+                for got, want in zip(
+                        engine._aggregate(ctx, "static", range(1, k + 1), parts).values(),
+                        stacked.values()):
+                    _compare_runs(got, want, (k, trial, "parts"))
             for row, got in enumerate(stacked.values()):
-                rows = [engine.Scored(sc.rates_mbps[row], sc.sinr[row]) for sc in scored]
-                (want,) = engine._aggregate(ctx, "static", [row + 1], rows).values()
+                one = engine._tally(ctx, rates[row:row + 1], sinr[row:row + 1], starts)
+                (want,) = engine._aggregate(ctx, "static", [row + 1], [one]).values()
                 _compare_runs(got, want, (k, trial, row))
-                # the per-snapshot sample as it was computed before stacking
-                reference = [float(sc.rates_mbps.sum()) / area_km2 for sc in rows]
+                # the per-snapshot sample as each snapshot's own row sums it
+                reference = [float(rates[row, lo:hi].sum()) / area_km2
+                             for lo, hi in zip(starts, starts[1:])]
                 assert want.lambda_s == engine.normal_estimate(reference), (k, trial, row)
+                hits = int((sinr[row] < gamma).sum())
+                assert want.outage == engine.wilson_estimate(hits, int(starts[-1]))
 
 
 def test_open_env_wifi_saturation_small():
@@ -840,6 +862,39 @@ def test_shared_pass_matches_independent_runs(preset, nx, ny):
             assert run.outage == engine.wilson_estimate(hits, served), (system, k)
 
 
+def test_wifi_counts_outage_over_its_active_sets(monkeypatch):
+    # Wi-Fi takes a snapshot's outage over the users of its SSI active set,
+    # the APs that transmit in the epoch; static and ZF over every scheduled
+    # user. Pinned at 10x10 APs on table1-obstructed, 20 snapshots, seed 1.
+    active_sizes, scheduled = Counter(), []
+    sample_ssi, select_served = wifi.sample_ssi, engine.select_served
+
+    def spy_ssi(graphs, channels, k, rng):
+        active = sample_ssi(graphs, channels, k, rng)
+        active_sizes.update({t: aps.size for t, aps in enumerate(active)})
+        return active
+
+    def spy_select(assoc, n_aps, rngs):
+        serving, cols, starts = select_served(assoc, n_aps, rngs)
+        scheduled.append(serving.size)
+        return serving, cols, starts
+
+    monkeypatch.setattr(wifi, "sample_ssi", spy_ssi)
+    monkeypatch.setattr(engine, "select_served", spy_select)
+    raw = scenario.preset_raw("table1-obstructed")
+    raw["engine"].update(seed=1, n_snapshots=20)
+    scn = scenario.from_dict(raw)
+    ladder = geometry.grid_ladder(100)
+    runs = engine.run_rung(scn, geometry.place_aps(scn.area, 10, 10), engine.SYSTEMS,
+                           ladder.index((10, 10)))
+    served = {system: {rec.served_samples for rec in per_k.values()}
+              for system, per_k in runs.items()}
+    assert served == {"wifi-baseline": {751}, "wifi-aggressive": {1695}, "static": {2000},
+                      "zf-ideal": {2000}, "zf-erroneous": {2000}}
+    assert active_sizes == {0: 751, 1: 1695}  # baseline's threshold first
+    assert sum(scheduled) == 2000
+
+
 def test_zf_rung_with_mixed_sizes_matches_solo_solves():
     # 3 users on 2x2 APs: a snapshot serves 1, 2 or 3 APs, so one rung stacks
     # PAPC instances of several sizes.
@@ -859,13 +914,12 @@ def test_zf_rung_with_mixed_sizes_matches_solo_solves():
     precoded = [engine.zf_snapshot(ctx, block, b, erroneous=True) for b in range(block.size)]
     assert {pre.beamformer.w.shape[0] for pre in precoded} == {1, 2, 3}
     finished = engine.finish_zf(ctx, precoded)
+    assert list(finished) == list(systems)
     for i, pre in enumerate(precoded):
         solo = engine.finish_zf(ctx, [pre])
         for system in systems:
-            got, (want,) = finished[system][i], solo[system]
-            assert np.array_equal(got.rates_mbps, want.rates_mbps)
-            assert np.array_equal(got.sinr, want.sinr)
-            assert (got.redraws, got.solver_fallbacks) == (want.redraws, want.solver_fallbacks)
+            _compare_tallies(_snapshot_tally(finished[system], i), solo[system], (system, i))
+    assert finished["zf-ideal"].served.tolist() == [pre.beamformer.w.shape[0] for pre in precoded]
 
     runs = engine.run_rung(scn, layout, systems, deployment_id)
     for system in systems:
@@ -1112,7 +1166,9 @@ def _force_block_size(monkeypatch, scn, n_aps, size):
 )
 def test_results_do_not_depend_on_the_block_size(monkeypatch, preset, users, nx, ny, systems):
     # Blocks of one snapshot, of a part of the rung and of the whole rung give
-    # the same bytes; a system run alone matches the full pass at every size.
+    # the same bytes, and so do ZF power solves of one snapshot, of a few and
+    # of the whole rung at every block size; a system run alone matches the
+    # full pass at every size.
     raw = scenario.preset_raw(preset)
     n_snapshots = 12
     raw["engine"].update(seed=20240601, n_snapshots=n_snapshots)
@@ -1123,14 +1179,39 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, preset, users, nx,
     layout = geometry.place_aps(scn.area, nx, ny)
     if users is not None:
         assert scn.n_users == users < layout.n_aps
+    # _ZF_BYTES and the ZF power solves it gives a rung: one per snapshot; one
+    # once the held precoders pass a snapshot's precoder and true channel at
+    # the most users a snapshot can serve, so every two snapshots or more;
+    # one per rung
+    n = min(scn.n_users, layout.n_aps)
+    budgets = {0: {n_snapshots}, 2 * 16 * n * n: set(range(2, n_snapshots // 2 + 1)),
+               engine._ZF_BYTES: {1}}
+    finish_zf, calls = engine.finish_zf, []
+
+    def counted_finish(ctx, precoded):
+        calls.append(len(precoded))
+        return finish_zf(ctx, precoded)
+
+    monkeypatch.setattr(engine, "finish_zf", counted_finish)
+
+    def run(systems, solves):
+        calls.clear()
+        runs = engine.run_rung(scn, layout, systems, 6)
+        zf_runs = any(system.startswith("zf-") for system in systems)
+        assert len(calls) in (solves if zf_runs else {0}), calls
+        assert sum(calls) == (n_snapshots if zf_runs else 0)
+        return runs
+
     results = {}
     for size in (1, 5, n_snapshots):
         _force_block_size(monkeypatch, scn, layout.n_aps, size)
-        results[size] = engine.run_rung(scn, layout, systems, 6)
-        if list(systems) != list(engine.SYSTEMS):
-            full = engine.run_rung(scn, layout, engine.SYSTEMS, 6)
-            results[size, "full"] = {system: full[system] for system in systems}
-    reference = results[1]
+        for zf_bytes, solves in budgets.items():
+            monkeypatch.setattr(engine, "_ZF_BYTES", zf_bytes)
+            results[size, zf_bytes] = run(systems, solves)
+            if list(systems) != list(engine.SYSTEMS):
+                full = run(engine.SYSTEMS, solves)
+                results[size, zf_bytes, "full"] = {system: full[system] for system in systems}
+    reference = results[1, 0]
     assert list(reference) == list(systems)
     for key, runs in results.items():
         assert list(runs) == list(systems), key
@@ -1160,3 +1241,26 @@ def test_a_rung_stays_within_the_block_byte_budget(preset, nx, ny, size):
     finally:
         tracemalloc.stop()
     assert peak <= engine._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("systems", [["static"], ["zf-ideal", "zf-erroneous"]])
+def test_a_paper_default_rung_stays_within_its_byte_budget(systems):
+    # At 500 snapshots a rung keeps only its tallies: static within the block
+    # budget, and ZF within twice its precoder budget, since run_rung solves
+    # once the held precoders and true channels pass _ZF_BYTES (by one
+    # snapshot's at most) and the solve's (k, n, n) stacks add three quarters
+    # of their bytes.
+    raw = scenario.preset_raw("table1-open")
+    raw["engine"].update(seed=1, n_snapshots=500)
+    scn = scenario.from_dict(raw)
+    layout = geometry.place_aps(scn.area, 10, 10)
+    warm = scenario.from_dict({**raw, "engine": {**raw["engine"], "n_snapshots": 2}})
+    engine.run_rung(warm, layout, systems, 0)  # imports and first-call set-up
+    tracemalloc.start()
+    try:
+        runs = engine.run_rung(scn, layout, systems, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(rec.n_snapshots == 500 for per_k in runs.values() for rec in per_k.values())
+    assert peak <= (engine._BLOCK_BYTES if systems == ["static"] else 2 * engine._ZF_BYTES)

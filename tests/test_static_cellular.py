@@ -13,13 +13,15 @@ W_MHZ = 60.0
 SIGMA2 = 2.484e-10
 PT = 100.0
 ETA = 3.75
+GAMMA_T = 10 ** 0.3  # 3 dB
 
 
 def _fixed_block(servings, gains):
     """A context and an engine.Block with given faded gains, one column per served
     user snapshot by snapshot."""
     radio = SimpleNamespace(bandwidth_mhz=W_MHZ)
-    scn = SimpleNamespace(radio=radio, static=SimpleNamespace(eta_sta=ETA), sigma2_mw=SIGMA2)
+    scn = SimpleNamespace(
+        radio=radio, static=SimpleNamespace(eta_sta=ETA), sigma2_mw=SIGMA2, gamma_t_linear=GAMMA_T)
     n_aps = gains.shape[0]
     serving = np.concatenate([np.asarray(aps, dtype=np.int64) for aps in servings])
     starts = np.cumsum([0] + [len(aps) for aps in servings])
@@ -34,15 +36,31 @@ def _fixed_block(servings, gains):
     return SimpleNamespace(scn=scn, n_aps=n_aps), block
 
 
+def assert_tally(tally, rates, sinrs):
+    """``tally`` holds, per snapshot and plan, the sum of the row ``rates[b][p]``
+    in its order, bit for bit, the count of ``sinrs[b][p]`` below GAMMA_T, and
+    each snapshot's user count."""
+    assert np.array_equal(tally.rate_sums, [r.sum(axis=1) for r in rates])
+    assert np.array_equal(tally.hits, [(s < GAMMA_T).sum(axis=1) for s in sinrs])
+    assert tally.served.tolist() == [r.shape[1] for r in rates] == [s.shape[1] for s in sinrs]
+    assert not tally.redraws.any() and not tally.solver_fallbacks.any()
+
+
 def static_rates(assignments, serving_aps, gains):
-    """engine.static_block: every serving AP transmits; (rates, sinr) with one row per plan.
+    """Every serving AP transmits: (rates, sinr) of the served users, one row per plan.
 
     ``gains`` holds AP-to-user power gains with one column per served user,
-    aligned with ``serving_aps``.
+    aligned with ``serving_aps``. The per-user values come from the call
+    engine.static_block makes, planning.reuse_rates on the received powers;
+    engine.static_block's tally must hold their sums and counts.
     """
     members = planning.co_channel_members(assignments)
-    (scored,) = engine.static_block(*_fixed_block([serving_aps], gains), assignments, members)
-    return scored.rates_mbps, scored.sinr
+    ctx, block = _fixed_block([serving_aps], gains)
+    ks = [a.k for a in assignments]
+    rates, sinr = planning.reuse_rates(block.rx[0], members, ks, ETA, W_MHZ, SIGMA2)
+    rates, sinr = rates[:, serving_aps], sinr[:, serving_aps]
+    assert_tally(engine.static_block(ctx, block, assignments, members), [rates], [sinr])
+    return rates, sinr
 
 
 def test_single_ap_link_budget_caps():
@@ -162,12 +180,16 @@ def test_all_plans_equal_per_channel_reference():
                 for m in block_sizes
             ]
             ctx, block = _fixed_block(servings, np.concatenate(gains, axis=1))
-            scores = engine.static_block(ctx, block, plans, planning.co_channel_members(plans))
-            for scored, serving, gain in zip(scores, servings, gains):
-                for plan, rates, sinr in zip(plans, scored.rates_mbps, scored.sinr):
-                    ref_rates, ref_sinr = _per_channel_rates(plan, serving, gain, W_MHZ, SIGMA2)
-                    assert np.array_equal(sinr, ref_sinr)
-                    assert np.array_equal(rates, ref_rates)
+            tally = engine.static_block(ctx, block, plans, planning.co_channel_members(plans))
+            refs = [
+                [_per_channel_rates(plan, serving, gain, W_MHZ, SIGMA2) for plan in plans]
+                for serving, gain in zip(servings, gains)
+            ]
+            assert_tally(
+                tally,
+                [np.array([rates for rates, _ in ref]) for ref in refs],
+                [np.array([sinr for _, sinr in ref]) for ref in refs],
+            )
 
 
 def test_stacked_plans_equal_one_plan_calls():

@@ -16,6 +16,7 @@ SIGMA2 = 2.484e-10
 
 
 ETA_WIFI = 2.7
+GAMMA_T = 10 ** 0.3  # 3 dB
 
 
 def params(cs=-85.0, k=3):
@@ -29,7 +30,7 @@ def _fixed_block(servings, gains, g_ap_ap, rngs):
     Snapshot b's SSI draws start where ``rngs[b]`` stands."""
     radio = SimpleNamespace(pt_mw=PT_MW, bandwidth_mhz=W_MHZ)
     wifi_config = SimpleNamespace(eta_wifi=ETA_WIFI)
-    scn = SimpleNamespace(radio=radio, wifi=wifi_config, sigma2_mw=SIGMA2)
+    scn = SimpleNamespace(radio=radio, wifi=wifi_config, sigma2_mw=SIGMA2, gamma_t_linear=GAMMA_T)
     n_aps = gains.shape[0]
     serving = np.concatenate([np.asarray(aps, dtype=np.int64) for aps in servings])
     starts = np.cumsum([0] + [len(aps) for aps in servings])
@@ -43,13 +44,41 @@ def _fixed_block(servings, gains, g_ap_ap, rngs):
     return SimpleNamespace(scn=scn, n_aps=n_aps), block
 
 
+def assert_tally(tally, rates, sinrs):
+    """``tally`` holds each snapshot's ``rates[b]`` summed in their order, bit for
+    bit, its ``sinrs[b]`` below GAMMA_T counted, and their count."""
+    assert tally.rate_sums.shape == tally.hits.shape == (len(rates), 1)
+    assert np.array_equal(tally.rate_sums[:, 0], [r.sum() for r in rates])
+    assert np.array_equal(tally.hits[:, 0], [(s < GAMMA_T).sum() for s in sinrs])
+    assert tally.served.tolist() == [r.size for r in rates] == [s.size for s in sinrs]
+    assert not tally.redraws.any() and not tally.solver_fallbacks.any()
+
+
 def wifi_scores(p, channel_of, serving, gains, g_ap_ap, rng):
-    """engine.wifi_block on one snapshot's fixed gains: (rates, sinr) of the active users."""
+    """One snapshot's Wi-Fi epoch on fixed gains: (rates, sinr) of the active users.
+
+    The per-user values come from the calls engine.wifi_block makes
+    (wifi.contention_graph, wifi.sample_ssi from a copy of ``rng``,
+    planning.reuse_rates on the active APs' rows); engine.wifi_block's tally
+    must hold their sums and counts and leave ``rng`` where the copy ends.
+    """
     assignment = ChannelAssignment(k=p.k_wifi, channel_of=np.asarray(channel_of))
     ctx, block = _fixed_block([serving], gains, g_ap_ap[None], [rng])
     (members,) = planning.co_channel_members([assignment])
-    ((scored,),) = engine.wifi_block(ctx, block, [p.cs_thr_dbm], assignment, members)
-    return scored.rates_mbps, scored.sinr
+    replay = np.random.default_rng()
+    replay.bit_generator.state = rng.bit_generator.state
+    (tally,) = engine.wifi_block(ctx, block, [p.cs_thr_dbm], assignment, members)
+    graph = wifi.contention_graph(assignment.channel_of, g_ap_ap, PT_MW, p.cs_thr_dbm)
+    channels = np.where(block.has_user[0], assignment.channel_of, -1)
+    (active,) = wifi.sample_ssi([graph], channels, p.k_wifi, replay)
+    transmits = np.zeros((block.rx.shape[1], 1), dtype=bool)
+    transmits[active] = True
+    rates, sinr = planning.reuse_rates(
+        block.rx[0] * transmits, [members], [p.k_wifi], ETA_WIFI, W_MHZ, SIGMA2)
+    rates, sinr = rates[0, active], sinr[0, active]
+    assert_tally(tally, [rates], [sinr])
+    assert rng.bit_generator.state == replay.bit_generator.state
+    return rates, sinr
 
 
 def test_contention_clique_at_worst_case_separation():
@@ -383,17 +412,18 @@ def test_wifi_rates_match_per_channel_loop(seed):
     assignment = ChannelAssignment(k=k, channel_of=channel_of)
     got = engine.wifi_block(
         ctx, block, thresholds, assignment, planning.co_channel_members([assignment])[0])
-    assert [len(scores) for scores in got] == [3, 3, 3]
-    for scores, cs in zip(got, thresholds):
+    assert len(got) == 3
+    for tally, cs in zip(got, thresholds):
         p = params(cs=cs, k=k)
-        for b, (scored, serving) in enumerate(zip(scores, servings)):
+        wants = []
+        for b, serving in enumerate(servings):
             ref_rng = np.random.default_rng(draw_seeds[b])
             channels, g_served = channel_of[serving], g_ap_ap[b][np.ix_(serving, serving)]
             adj = _loop_contention_graph(channels, g_served, p)
             assert np.array_equal(wifi.contention_graph(channels, g_served, PT_MW, cs), adj)
             active = _loop_sample_ssi(adj, channels, k, ref_rng)
-            want = _loop_wifi_rates(active, channels, serving, gains[b], p, W_MHZ, SIGMA2)
-            for g, w in zip((scored.rates_mbps, scored.sinr), want):
-                assert g.dtype == w.dtype and np.array_equal(g, w)
+            wants.append(_loop_wifi_rates(active, channels, serving, gains[b], p, W_MHZ, SIGMA2))
             if cs == thresholds[-1]:  # one visiting order served every threshold
                 assert draw_rngs[b].bit_generator.state == ref_rng.bit_generator.state
+        assert_tally(tally, [rates for rates, _ in wants], [sinr for _, sinr in wants])
+        assert 0 < tally.hits.sum() < tally.served.sum()  # both sides of gamma_t are scored
