@@ -40,7 +40,7 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
         default="1",
-        help="thread count, or 'auto'; recorded in the manifest; snapshots run in one thread",
+        help="thread count, recorded in the manifest; snapshots run in one thread",
     )
     p.add_argument(
         "--full-ladder",
@@ -51,18 +51,12 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_threads(text: str) -> int:
-    if text == "auto":
-        # The CPUs this process may run on, which CPU affinity can restrict
-        # below the machine's count; sched_getaffinity is missing on some OSes.
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
     try:
         n = int(text)
     except ValueError:
         n = 0
     if n < 1:
-        raise ValueError(f"--threads must be a positive integer or 'auto', got {text!r}")
+        raise ValueError(f"--threads must be a positive integer, got {text!r}")
     return n
 
 

@@ -665,7 +665,7 @@ def finish_zf(ctx: DeploymentContext, precoded: Sequence[ZfPrecoded]) -> dict[st
     scn = ctx.scn
     w, sigma2, eta_zf = scn.radio.bandwidth_mhz, scn.sigma2_mw, scn.zf.eta_zf
     beamformers = [pre.beamformer for pre in precoded]
-    allocs = zf.allocate_powers(beamformers, sigma2, scn.radio.pt_mw, w, eta_zf)
+    allocs = zf.allocate_powers(beamformers, sigma2, scn.radio.pt_mw, eta_zf)
     scores = {"zf-ideal": [zf.zf_rates_ideal(alloc, w, sigma2, eta_zf) for alloc in allocs]}
     if precoded[0].h_true is not None:
         scores["zf-erroneous"] = [

@@ -124,12 +124,12 @@ def random_papc_instance(
     gains = 10.0 ** rng.uniform(-9.0, -5.0, size=(2, 2))
     h = np.sqrt(gains) * ch.draw_fading(rng, (2, 2))
     bf = zf.build_beamformer(h)
-    alloc = zf.allocate_powers([bf], sigma2_mw, pt_mw, w_mhz, eta)[0]
-    grid = grid_search_sum_rate(np.abs(bf.w) ** 2, sigma2_mw, pt_mw, w_mhz, eta, points)
+    alloc = zf.allocate_powers([bf], sigma2_mw, pt_mw, eta)[0]
+    a = np.abs(bf.w) ** 2
     return PapcInstance(
-        solver_sum_rate=alloc.sum_rate_mbps,
-        grid_sum_rate=grid,
-        max_antenna_load=float(alloc.antenna_load_mw.max()),
+        solver_sum_rate=float(zf.zf_rates_ideal(alloc, w_mhz, sigma2_mw, eta)[0].sum()),
+        grid_sum_rate=grid_search_sum_rate(a, sigma2_mw, pt_mw, w_mhz, eta, points),
+        max_antenna_load=float((a @ alloc.p_mw).max()),
         pt_mw=pt_mw,
     )
 

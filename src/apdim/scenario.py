@@ -194,39 +194,35 @@ def _check_keys(prefix: str, value: dict, expected) -> None:
         raise ScenarioError(f"{prefix}missing key(s): {', '.join(sorted(missing))}")
 
 
-def _check(path: str, kind: str, value) -> None:
-    check, label, _ = _CHECKS[kind]
+def _convert(path: str, kind: str, value):
+    check, label, convert = _CHECKS[kind]
     if not check(value):
         raise _fail(path, label, value)
-
-
-def validate_raw(raw: dict) -> None:
-    """Schema-check a raw scenario dict; raises ScenarioError naming the key."""
-    if not isinstance(raw, dict):
-        raise _fail("scenario", "a JSON object", type(raw).__name__)
-    _check_keys("", raw, _SCHEMA)
-    for key, spec in _SCHEMA.items():
-        value = raw[key]
-        if isinstance(spec, str):
-            _check(key, spec, value)
-            continue
-        if not isinstance(value, dict):
-            raise _fail(key, "a JSON object", value)
-        _check_keys(f"{key}: ", value, [sub for sub, _, _ in spec[1]])
-        for sub, _, kind in spec[1]:
-            _check(f"{key}.{sub}", kind, value[sub])
+    return convert(value)
 
 
 def from_dict(raw: dict) -> Scenario:
-    """Build a validated Scenario from a raw dict (no defaults applied)."""
-    validate_raw(raw)
+    """Build a validated Scenario from a raw dict (no defaults applied).
+
+    Each key is checked as it is converted, in schema order, so the
+    ScenarioError names the first offending key.
+    """
+    if not isinstance(raw, dict):
+        raise _fail("scenario", "a JSON object", type(raw).__name__)
+    _check_keys("", raw, _SCHEMA)
     values = {}
     for key, spec in _SCHEMA.items():
+        value = raw[key]
         if isinstance(spec, str):
-            values[key] = _CHECKS[spec][2](raw[key])
-        else:
-            cls, keys = spec
-            values[key] = cls(**{name: _CHECKS[kind][2](raw[key][k]) for k, name, kind in keys})
+            values[key] = _convert(key, spec, value)
+            continue
+        if not isinstance(value, dict):
+            raise _fail(key, "a JSON object", value)
+        cls, keys = spec
+        _check_keys(f"{key}: ", value, [sub for sub, _, _ in keys])
+        values[key] = cls(
+            **{name: _convert(f"{key}.{sub}", kind, value[sub]) for sub, name, kind in keys}
+        )
     return Scenario(**values)
 
 

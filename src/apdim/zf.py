@@ -95,11 +95,9 @@ def build_beamformer(h_hat: np.ndarray) -> Beamformer:
 
 @dataclass(frozen=True, eq=False)
 class PowerAllocation:
-    """Optimized symbol powers and the per-antenna loads they induce."""
+    """Optimized symbol powers and how the solve that found them ended."""
 
     p_mw: np.ndarray  # (N,) symbol powers
-    antenna_load_mw: np.ndarray  # (N,) sum_j |w_ij|^2 p_j
-    sum_rate_mbps: float
     converged: bool
     kkt_residual: float
     newton_iterations: int  # interior-point iterations (one Newton matrix each)
@@ -109,7 +107,6 @@ def allocate_powers(
     beamformers: Sequence[Beamformer],
     sigma2_mw: float,
     pt_mw: float,
-    w_mhz: float,
     eta_zf: float,
 ) -> list[PowerAllocation]:
     """Maximize each capped sum rate subject to its per-antenna power constraints.
@@ -127,16 +124,11 @@ def allocate_powers(
     allocations: list = [None] * len(beamformers)
     for members in by_size.values():
         # b[k, i, j] = |w_ij|^2 sigma2: antenna i's load coefficient on user j
-        # of instance k in q = p / sigma2 units; the antenna loads recompute
-        # |w|^2 per instance rather than keep a second (k, n, n) stack
+        # of instance k in q = p / sigma2 units
         b = np.stack([np.abs(beamformers[i].w) ** 2 for i in members]) * sigma2_mw
         for i, (q, converged, kkt, iters) in zip(members, _interior_point_solve(b, pt_mw, q_cap)):
-            p = q * sigma2_mw
-            rates = np.minimum(w_mhz * np.log2(1.0 + q), w_mhz * eta_zf)
             allocations[i] = PowerAllocation(
-                p_mw=p,
-                antenna_load_mw=np.abs(beamformers[i].w) ** 2 @ p,
-                sum_rate_mbps=float(rates.sum()),
+                p_mw=q * sigma2_mw,
                 converged=converged,
                 kkt_residual=kkt,
                 newton_iterations=iters,

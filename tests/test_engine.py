@@ -815,7 +815,7 @@ def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_a
             break
         except zf.SingularChannelError:
             pass
-    alloc = zf.allocate_powers([bf], sigma2, pt, w, scn.zf.eta_zf)[0]
+    alloc = zf.allocate_powers([bf], sigma2, pt, scn.zf.eta_zf)[0]
     if system == "zf-erroneous":
         z_now = ch.delayed_csit(z, scn.zf.delta, scn.zf.rho, rng)
         return zf.zf_rates_erroneous(sqrt_l * z_now, bf, alloc, w, sigma2, scn.zf.eta_zf)

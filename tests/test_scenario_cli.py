@@ -295,7 +295,7 @@ def test_python_m_apdim_runs_the_cli(tmp_path):
     assert csvs[0] == csvs[1]
 
 
-@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", "", "auto"])
 def test_cli_bad_threads_usage_error(tmp_path, threads):
     proc = _run_cli(
         ["run", "--preset", "table1-open", "--systems", "static",
@@ -303,7 +303,7 @@ def test_cli_bad_threads_usage_error(tmp_path, threads):
     )
     assert proc.returncode == 2
     assert proc.stderr == (
-        f"error: --threads must be a positive integer or 'auto', got {threads!r}\n"
+        f"error: --threads must be a positive integer, got {threads!r}\n"
     )
     assert not (tmp_path / "o.csv").exists()
 
@@ -490,14 +490,3 @@ def test_parse_systems_helper():
         cli._parse_systems(" , ")
     with pytest.raises(ValueError):
         cli._parse_systems("wifi")
-
-
-def test_parse_threads_auto_follows_cpu_affinity(monkeypatch):
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    assert cli._parse_threads("auto") == 2
-    monkeypatch.delattr(cli.os, "sched_getaffinity")
-    assert cli._parse_threads("auto") == 8
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli._parse_threads("auto") == 1
-    assert cli._parse_threads("3") == 3

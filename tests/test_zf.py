@@ -18,6 +18,15 @@ def random_h(rng, n, lo=-9.0, hi=-5.0):
     return np.sqrt(gains) * ch.draw_fading(rng, (n, n))
 
 
+def antenna_loads(bf, alloc) -> np.ndarray:
+    """Each antenna's power, sum_j |w_ij|^2 p_j."""
+    return np.abs(bf.w) ** 2 @ alloc.p_mw
+
+
+def sum_rate(alloc) -> float:
+    return float(zf.zf_rates_ideal(alloc, W_MHZ, SIGMA2, ETA)[0].sum())
+
+
 def test_beamformer_scalar_inverse():
     h = np.array([[0.3 - 0.4j]])
     bf = zf.build_beamformer(h)
@@ -118,7 +127,7 @@ def test_allocate_power_scalar_closed_form():
     # N=1: either the antenna budget binds (p = Pt*g) or the cap binds
     for g in (1e-9, 1e-6):
         h = np.array([[np.sqrt(g)]], dtype=complex)
-        alloc = zf.allocate_powers([zf.build_beamformer(h)], SIGMA2, PT, W_MHZ, ETA)[0]
+        alloc = zf.allocate_powers([zf.build_beamformer(h)], SIGMA2, PT, ETA)[0]
         expected = min(PT * g, SIGMA2 * (2**ETA - 1))
         assert alloc.p_mw[0] == pytest.approx(expected, rel=1e-6)
 
@@ -126,7 +135,7 @@ def test_allocate_power_scalar_closed_form():
 def test_allocate_power_diagonal_symmetry():
     g = 1e-10  # weak: the antenna budget binds before the cap
     h = np.diag(np.full(3, np.sqrt(g))).astype(complex)
-    alloc = zf.allocate_powers([zf.build_beamformer(h)], SIGMA2, PT, W_MHZ, ETA)[0]
+    alloc = zf.allocate_powers([zf.build_beamformer(h)], SIGMA2, PT, ETA)[0]
     expected = min(PT * g, SIGMA2 * (2**ETA - 1))
     assert np.allclose(alloc.p_mw, expected, rtol=1e-6)
 
@@ -142,8 +151,8 @@ def test_allocate_power_papc_feasible_and_kkt():
     rng = np.random.default_rng(52)
     for n in (2, 5, 9):
         bf = zf.build_beamformer(random_h(rng, n))
-        alloc = zf.allocate_powers([bf], SIGMA2, PT, W_MHZ, ETA)[0]
-        assert (alloc.antenna_load_mw <= PT * (1 + 1e-6)).all()
+        alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
+        assert (antenna_loads(bf, alloc) <= PT * (1 + 1e-6)).all()
         assert (alloc.p_mw >= 0).all()
         assert alloc.converged
         assert alloc.kkt_residual <= 1e-6
@@ -162,19 +171,19 @@ def test_allocate_power_beats_equal_power_baseline():
     rng = np.random.default_rng(53)
     for n in (2, 4, 8):
         bf = zf.build_beamformer(random_h(rng, n, lo=-12, hi=-6))
-        alloc = zf.allocate_powers([bf], SIGMA2, PT, W_MHZ, ETA)[0]
+        alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
         p_eq = _equal_power_baseline(bf, SIGMA2, PT, ETA)
         base_rate = np.minimum(W_MHZ * np.log2(1 + p_eq / SIGMA2), W_MHZ * ETA).sum()
-        assert alloc.sum_rate_mbps >= base_rate - 1e-6
+        assert sum_rate(alloc) >= base_rate - 1e-6
 
 
 def test_allocate_power_permutation_symmetry():
     rng = np.random.default_rng(54)
     h = random_h(rng, 5)
-    alloc = zf.allocate_powers([zf.build_beamformer(h)], SIGMA2, PT, W_MHZ, ETA)[0]
+    alloc = zf.allocate_powers([zf.build_beamformer(h)], SIGMA2, PT, ETA)[0]
     perm = np.random.default_rng(1).permutation(5)
-    alloc_p = zf.allocate_powers([zf.build_beamformer(h[perm])], SIGMA2, PT, W_MHZ, ETA)[0]
-    assert alloc_p.sum_rate_mbps == pytest.approx(alloc.sum_rate_mbps, rel=1e-6)
+    alloc_p = zf.allocate_powers([zf.build_beamformer(h[perm])], SIGMA2, PT, ETA)[0]
+    assert sum_rate(alloc_p) == pytest.approx(sum_rate(alloc), rel=1e-6)
 
 
 # --- the interior-point solver against the log-barrier reference -----------------
@@ -336,10 +345,10 @@ def test_iteration_cap_reports_not_converged(monkeypatch):
     monkeypatch.setattr(zf, "_MAX_ITERATIONS", 1)
     rng = np.random.default_rng(60)
     bf = zf.build_beamformer(random_h(rng, 4))
-    alloc = zf.allocate_powers([bf], SIGMA2, PT, W_MHZ, ETA)[0]
+    alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
     assert alloc.converged is False
     assert alloc.newton_iterations == 1
-    assert (alloc.antenna_load_mw <= PT).all() and (alloc.p_mw > 0).all()
+    assert (antenna_loads(bf, alloc) <= PT).all() and (alloc.p_mw > 0).all()
 
     scn = scenario.preset("table1-open")
     ctx = engine.make_context(scn, geometry.place_aps(scn.area, 2, 2))
@@ -428,15 +437,10 @@ def _solo_max_step(v: np.ndarray, dv: np.ndarray) -> float:
 
 def _solo_allocation(beamformer) -> zf.PowerAllocation:
     """zf.allocate_power as it was before the stacked solver, on ``_solo_solve``."""
-    a = np.abs(beamformer.w) ** 2
     q_cap = 2.0**ETA - 1.0
-    q, converged, kkt, iters = _solo_solve(a * SIGMA2, PT, q_cap)
-    p = q * SIGMA2
-    rates = np.minimum(W_MHZ * np.log2(1.0 + q), W_MHZ * ETA)
+    q, converged, kkt, iters = _solo_solve(np.abs(beamformer.w) ** 2 * SIGMA2, PT, q_cap)
     return zf.PowerAllocation(
-        p_mw=p,
-        antenna_load_mw=a @ p,
-        sum_rate_mbps=float(rates.sum()),
+        p_mw=q * SIGMA2,
         converged=converged,
         kkt_residual=kkt,
         newton_iterations=iters,
@@ -445,8 +449,6 @@ def _solo_allocation(beamformer) -> zf.PowerAllocation:
 
 def _assert_same_allocation(got: zf.PowerAllocation, want: zf.PowerAllocation) -> None:
     assert np.array_equal(got.p_mw, want.p_mw)
-    assert np.array_equal(got.antenna_load_mw, want.antenna_load_mw)
-    assert got.sum_rate_mbps == want.sum_rate_mbps
     assert got.converged is want.converged
     assert got.kkt_residual == want.kkt_residual
     assert got.newton_iterations == want.newton_iterations
@@ -467,7 +469,7 @@ def test_allocate_powers_matches_solo_solves():
     beamformers = _papc_batch(61)
     # sizes shuffled within the one call: grouping by n must keep the order
     order = np.random.default_rng(0).permutation(len(beamformers))
-    got = zf.allocate_powers([beamformers[i] for i in order], SIGMA2, PT, W_MHZ, ETA)
+    got = zf.allocate_powers([beamformers[i] for i in order], SIGMA2, PT, ETA)
     assert len(got) == len(beamformers)
     iterations: dict = {}
     for i, alloc in zip(order, got):
@@ -480,16 +482,16 @@ def test_allocate_powers_matches_solo_solves():
 
 
 def test_allocate_powers_batch_of_one():
-    assert zf.allocate_powers([], SIGMA2, PT, W_MHZ, ETA) == []
+    assert zf.allocate_powers([], SIGMA2, PT, ETA) == []
     for bf in _papc_batch(63, per_regime=1):
-        (alloc,) = zf.allocate_powers([bf], SIGMA2, PT, W_MHZ, ETA)
+        (alloc,) = zf.allocate_powers([bf], SIGMA2, PT, ETA)
         _assert_same_allocation(alloc, _solo_allocation(bf))
 
 
 def test_allocate_powers_at_iteration_cap(monkeypatch):
     monkeypatch.setattr(zf, "_MAX_ITERATIONS", 1)
     beamformers = _papc_batch(64, per_regime=1)
-    for bf, alloc in zip(beamformers, zf.allocate_powers(beamformers, SIGMA2, PT, W_MHZ, ETA)):
+    for bf, alloc in zip(beamformers, zf.allocate_powers(beamformers, SIGMA2, PT, ETA)):
         want = _solo_allocation(bf)
         _assert_same_allocation(alloc, want)
         assert want.converged is False and want.newton_iterations == 1
@@ -525,21 +527,20 @@ def test_singular_newton_step_fails_only_its_instance(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(zf.np.linalg, "solve", flaky_solve)
-    got = zf.allocate_powers(beamformers, SIGMA2, PT, W_MHZ, ETA)
+    got = zf.allocate_powers(beamformers, SIGMA2, PT, ETA)
     assert calls["single"] == 2 * len(beamformers) - 1  # every other instance stepped alone
     assert calls["stacked"] > 2 * failing_iteration + 1  # and the stack went on without it
     for alloc, expected in zip(got, want):
         _assert_same_allocation(alloc, expected)
     assert got[target].converged is False
     assert got[target].newton_iterations == failing_iteration
-    assert (got[target].antenna_load_mw <= PT).all() and (got[target].p_mw > 0).all()
+    assert (antenna_loads(beamformers[target], got[target]) <= PT).all()
+    assert (got[target].p_mw > 0).all()
 
 
 def test_zf_rates_ideal_zero_power():
     alloc = zf.PowerAllocation(
         p_mw=np.zeros(2),
-        antenna_load_mw=np.zeros(2),
-        sum_rate_mbps=0.0,
         converged=True,
         kkt_residual=0.0,
         newton_iterations=0,
@@ -553,8 +554,6 @@ def test_zf_rates_ideal_cap_boundary():
     p = SIGMA2 * (2**ETA - 1)
     alloc = zf.PowerAllocation(
         p_mw=np.array([p]),
-        antenna_load_mw=np.array([0.0]),
-        sum_rate_mbps=0.0,
         converged=True,
         kkt_residual=0.0,
         newton_iterations=0,
@@ -568,7 +567,7 @@ def test_zf_rates_erroneous_reduces_to_ideal_when_exact():
     rng = np.random.default_rng(55)
     h = random_h(rng, 4)
     bf = zf.build_beamformer(h)
-    alloc = zf.allocate_powers([bf], SIGMA2, PT, W_MHZ, ETA)[0]
+    alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
     rates_i, snr_i = zf.zf_rates_ideal(alloc, W_MHZ, SIGMA2, ETA)
     rates_e, sinr_e = zf.zf_rates_erroneous(h, bf, alloc, W_MHZ, SIGMA2, ETA)
     assert np.allclose(rates_e, rates_i, rtol=1e-9)
@@ -599,7 +598,7 @@ def test_zf_erroneous_median_sinr_collapse_at_full_outdating():
         h_hat = sqrt_l * z_prev
         h_true = sqrt_l * z_now
         bf = zf.build_beamformer(h_hat)
-        alloc = zf.allocate_powers([bf], SIGMA2, PT, W_MHZ, ETA)[0]
+        alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
         _, snr_i = zf.zf_rates_ideal(alloc, W_MHZ, SIGMA2, ETA)
         _, sinr_e = zf.zf_rates_erroneous(h_true, bf, alloc, W_MHZ, SIGMA2, ETA)
         drops.append(10 * np.log10(np.median(snr_i) / np.median(sinr_e)))
@@ -620,7 +619,7 @@ def test_outage_non_decreasing_in_delta_matched_seeds():
             z_now = ch.delayed_csit(z_prev, delta=delta, rho=0.9, rng=rng)
             h_hat = sqrt_l * z_prev
             bf = zf.build_beamformer(h_hat)
-            alloc = zf.allocate_powers([bf], SIGMA2, PT, W_MHZ, ETA)[0]
+            alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
             _, sinr = zf.zf_rates_erroneous(sqrt_l * z_now, bf, alloc, W_MHZ, SIGMA2, ETA)
             hits += int((sinr < gamma).sum())
             total += sinr.size
