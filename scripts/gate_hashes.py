@@ -43,7 +43,7 @@ GATES = {
     ),
     "open-full-ladder": (
         "table1-open", 5, 10, 1, True, None,
-        "da536f1cdd6ed01a0a62fe3b584dd2311c3dc4942cd98eab8ccc8c9530d222dc",
+        "dd7630f5d463abfbd9aff1b9c964a527aa887145387962895129a15fd2dae5f6",
     ),
 }
 

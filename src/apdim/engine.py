@@ -5,7 +5,7 @@ Determinism contract: every snapshot derives its own generator from
 (master_seed, deployment_id, snapshot_index) and draws along one tree
 (``Block``), so a system's results depend neither on the evaluation order,
 nor on which other systems share the rung's one snapshot pass, nor on how
-``run_rung`` cuts the pass into blocks and ZF power solves.
+``run_rung`` cuts the pass into blocks.
 """
 
 from __future__ import annotations
@@ -426,7 +426,7 @@ class Block:
       visiting order, which both Wi-Fi systems pack at their own
       thresholds, starts there;
     - the one ZF pass, shared by both CSIT models, sets ``rngs[b]`` back to
-      S0 (``zf_snapshot``): the CSIT fading until the precoder is accepted,
+      S0 (``zf_block``): the CSIT fading until the precoder is accepted,
       then the delayed CSIT if erroneous CSIT is scored.
 
     A shared draw is made only if a system that reads it runs, and is None
@@ -611,72 +611,53 @@ def static_block(
     return _tally(ctx, rates, sinr[block.snapshot, :, block.serving].T, block.starts)
 
 
-@dataclass(frozen=True, eq=False)
-class ZfPrecoded:
-    """A ZF snapshot up to its power allocation, which ``finish_zf`` takes for many at once."""
+def zf_block(ctx: DeploymentContext, block: Block, erroneous: bool) -> dict[str, Tally]:
+    """Multi-cell ZF on every snapshot of ``block``, one pass for both CSIT models.
 
-    beamformer: zf.Beamformer
-    h_true: Optional[np.ndarray]  # true channel after the feedback delay, if drawn
-    redraws: int
-
-
-def zf_snapshot(ctx: DeploymentContext, block: Block, b: int, erroneous: bool) -> ZfPrecoded:
-    """Multi-cell ZF on snapshot b of ``block``, first phase: fading, precoder and true channel.
-
-    One pass serves both CSIT models. It sets snapshot b's generator back to
-    S0, so a second pass repeats the first. The CSIT is a fading draw from
-    S0; near-singular draws are replaced by a fresh one, up to
-    MAX_REDRAWS_PER_SNAPSHOT. With ``erroneous`` set, the accepted CSIT is
-    then evolved past the feedback delay (``ch.delayed_csit``, per-link
-    outdated with the scenario's probability ``zf.delta`` and correlation
-    ``zf.rho``) into the true channel on which erroneous CSIT is scored.
-    This phase draws every random number of the snapshot; ``finish_zf``
-    optimizes the PAPC powers and scores the result.
-    """
-    scn, rng, cols = ctx.scn, block.rngs[b], block.columns(b)
-    rng.bit_generator.state = block.s0[b]
-    sqrt_l = np.sqrt(block.served_gains[block.serving[cols], cols].T)  # (user j, antenna i)
-    redraws = 0
-    while True:
-        z = ch.draw_fading(rng, sqrt_l.shape, scn.radio.sigma_z2)
-        try:
-            bf = zf.build_beamformer(sqrt_l * z)
-            break
-        except zf.SingularChannelError:
-            redraws += 1
-            if redraws > MAX_REDRAWS_PER_SNAPSHOT:
-                raise RuntimeError(
-                    f"snapshot exceeded {MAX_REDRAWS_PER_SNAPSHOT} singular-channel redraws"
-                )
-    h_true = None
-    if erroneous:
-        h_true = sqrt_l * ch.delayed_csit(z, scn.zf.delta, scn.zf.rho, rng, scn.radio.sigma_z2)
-    return ZfPrecoded(beamformer=bf, h_true=h_true, redraws=redraws)
-
-
-def finish_zf(ctx: DeploymentContext, precoded: Sequence[ZfPrecoded]) -> dict[str, Tally]:
-    """Optimize the PAPC powers of all ``precoded`` snapshots at once, then tally them.
-
-    One ``zf.allocate_powers`` call stacks one instance per snapshot, each
-    solved as on its own, and both CSIT models read the one allocation:
-    returns {"zf-ideal": tally, "zf-erroneous": tally}, the latter if the
-    snapshots carry ``h_true``.
+    Each snapshot's generator is set back to S0, so a second pass repeats
+    the first. Its CSIT is a fading draw from S0; near-singular draws are
+    replaced by a fresh one, up to MAX_REDRAWS_PER_SNAPSHOT. With
+    ``erroneous`` set, the accepted CSIT is then evolved past the feedback
+    delay (``ch.delayed_csit``, per-link outdated with the scenario's
+    probability ``zf.delta`` and correlation ``zf.rho``) into the true
+    channel on which erroneous CSIT is scored. One ``zf.allocate_powers``
+    call then optimizes the PAPC powers of every snapshot, each as on its
+    own, and both CSIT models read the one allocation: returns
+    {"zf-ideal": tally, "zf-erroneous": tally}, the latter if ``erroneous``.
     """
     scn = ctx.scn
     w, sigma2, eta_zf = scn.radio.bandwidth_mhz, scn.sigma2_mw, scn.zf.eta_zf
-    beamformers = [pre.beamformer for pre in precoded]
+    beamformers, h_true, redraws = [], [], []
+    for b, rng in enumerate(block.rngs):
+        rng.bit_generator.state = block.s0[b]
+        cols = block.columns(b)
+        sqrt_l = np.sqrt(block.served_gains[block.serving[cols], cols].T)  # (user j, antenna i)
+        redraws.append(0)
+        while True:
+            z = ch.draw_fading(rng, sqrt_l.shape, scn.radio.sigma_z2)
+            try:
+                beamformers.append(zf.build_beamformer(sqrt_l * z))
+                break
+            except zf.SingularChannelError:
+                redraws[-1] += 1
+                if redraws[-1] > MAX_REDRAWS_PER_SNAPSHOT:
+                    raise RuntimeError(
+                        f"snapshot exceeded {MAX_REDRAWS_PER_SNAPSHOT} singular-channel redraws"
+                    )
+        if erroneous:
+            h_true.append(
+                sqrt_l * ch.delayed_csit(z, scn.zf.delta, scn.zf.rho, rng, scn.radio.sigma_z2)
+            )
     allocs = zf.allocate_powers(beamformers, sigma2, scn.radio.pt_mw, eta_zf)
     scores = {"zf-ideal": [zf.zf_rates_ideal(alloc, w, sigma2, eta_zf) for alloc in allocs]}
-    if precoded[0].h_true is not None:
+    if erroneous:
         scores["zf-erroneous"] = [
-            zf.zf_rates_erroneous(pre.h_true, pre.beamformer, alloc, w, sigma2, eta_zf)
-            for pre, alloc in zip(precoded, allocs)
+            zf.zf_rates_erroneous(h, bf, alloc, w, sigma2, eta_zf)
+            for h, bf, alloc in zip(h_true, beamformers, allocs)
         ]
-    starts = np.cumsum([0] + [alloc.p_mw.size for alloc in allocs])
-    redraws = np.array([pre.redraws for pre in precoded])
     fallbacks = np.array([not alloc.converged for alloc in allocs], dtype=np.intp)
-    return {system: _tally(ctx, *(np.concatenate(v)[None] for v in zip(*pairs)), starts,
-                           redraws=redraws, solver_fallbacks=fallbacks)
+    return {system: _tally(ctx, *(np.concatenate(v)[None] for v in zip(*pairs)), block.starts,
+                           redraws=np.array(redraws), solver_fallbacks=fallbacks)
             for system, pairs in scores.items()}
 
 
@@ -759,17 +740,15 @@ def _aggregate(
 # average gains, the received powers and the faded AP-to-AP gains), Wi-Fi's
 # copy of the received powers at each of two thresholds, the gathered member
 # lists, and one of headroom for the contention graphs and the temporaries
-# of the draws. _block_size keeps them within _BLOCK_BYTES, and run_rung
-# releases each block before it draws the next. That gives 8 snapshots at
-# 1,000 users up to 56 APs, 6 at 64, 4 at 72, 3 at 81, and 2 at 90 and 100.
+# of the draws. A ZF snapshot of n <= n_aps users holds its precoder and
+# true channel, 32 n^2 bytes, fewer than the seven stacks; the inversion's
+# and the power solve's temporaries add a few n^2 per snapshot on top, so a
+# ZF rung peaks within twice _BLOCK_BYTES. _block_size keeps the stacks
+# within _BLOCK_BYTES, and run_rung releases each block before it draws the
+# next. That gives 8 snapshots at 1,000 users up to 56 APs, 6 at 64, 4 at
+# 72, 3 at 81, and 2 at 90 and 100.
 _BLOCK_USERS = 8192
 _BLOCK_BYTES = 1_700_000
-# run_rung solves the ZF snapshots it holds (finish_zf) once their precoders and
-# true channels (32 n^2 bytes a snapshot of n users) pass _ZF_BYTES; the solve's
-# stacks add 24 n^2. Paper-default ZF full ladder (table1-open, 500 snapshots):
-# 8/16/24/32 MB peak at 56/73/88/104 MB RSS (384 MB holding whole rungs), with
-# no wall-time difference resolved in alternating 12-16 s runs on 2 cores.
-_ZF_BYTES = 16_000_000
 
 
 def _block_size(scn, n_aps: int) -> int:
@@ -795,11 +774,9 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
     would. Every system reads the one ``Block`` that ``draw_block`` makes,
     released before the next is drawn: static and both Wi-Fi systems make
     one rate call each per block (``static_block``, ``wifi_block``), and
-    each snapshot makes one ZF pass for both CSIT models (``zf_snapshot``).
-    Once the held passes take more than _ZF_BYTES, and after the last
-    snapshot, one ``finish_zf`` call solves and tallies them. Every scorer
-    returns a ``Tally`` whose sums are those of a block of one, so no byte
-    depends on the blocks or the solves, and the rung keeps only tallies.
+    both ZF systems one pass with one power solve (``zf_block``). Every
+    scorer returns a ``Tally`` whose sums are those of a block of one, so no
+    byte depends on the blocks, and the rung keeps only tallies.
 
     ``scn`` is the validated Scenario (see apdim.scenario), held by the
     rung's ``DeploymentContext``; only its documented attributes are read,
@@ -830,7 +807,6 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
     erroneous = "zf-erroneous" in ks
     run_zf = erroneous or "zf-ideal" in ks
     tallies = defaultdict(list)  # per system, in snapshot order
-    precoded, held = [], 0
     n_snapshots, size = scn.engine.n_snapshots, _block_size(scn, ctx.n_aps)
     for first in range(0, n_snapshots, size):
         indices = range(first, min(first + size, n_snapshots))
@@ -847,13 +823,9 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
             static = ks["static"]
             tallies["static"].append(static_block(
                 ctx, block, [plans[k] for k in static], [members[k] for k in static]))
-        for b in range(block.size if run_zf else 0):
-            precoded.append(zf_snapshot(ctx, block, b, erroneous))
-            held += precoded[-1].beamformer.w.nbytes * (2 if erroneous else 1)  # h_true too
-            if held > _ZF_BYTES or indices[b] == n_snapshots - 1:
-                for system, tally in finish_zf(ctx, precoded).items():
-                    tallies[system].append(tally)
-                precoded, held = [], 0
+        if run_zf:
+            for system, tally in zf_block(ctx, block, erroneous).items():
+                tallies[system].append(tally)
         del block  # released before the next block is drawn, as _block_size counts
     return {system: _aggregate(ctx, system, ks[system], tallies[system]) for system in ks}
 

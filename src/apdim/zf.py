@@ -14,7 +14,6 @@ SNR-scaled variables q = p / sigma2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,18 +25,9 @@ class SingularChannelError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Beamformer:
-    """Channel-inverting beamforming matrix with its conditioning diagnostic."""
+    """Channel-inverting beamforming matrix."""
 
     w: np.ndarray  # (N, N) complex, H_hat @ w == I
-
-    @cached_property
-    def cond(self) -> float:
-        """Condition number of H_hat @ H_hat^dagger, computed on first read.
-
-        The singular values of w are those of H_hat inverted, so their
-        ratio gives it without keeping H_hat.
-        """
-        return _svd_cond(self.w)
 
 
 COND_LIMIT = 1e12
@@ -111,8 +101,11 @@ def allocate_powers(
 ) -> list[PowerAllocation]:
     """Maximize each capped sum rate subject to its per-antenna power constraints.
 
-    The beamformers of one size n are solved together in one stacked
-    interior-point loop. Each instance follows exactly the iterates it would
+    An instance whose antenna loads stay within ``pt_mw`` with every user at
+    the rate cap, q = q_cap, has that point as its optimum: it gets
+    p = q_cap sigma2 exactly, converged, with a KKT residual of 0 after 0
+    iterations. The other instances of one size n are solved together in one
+    stacked interior-point loop. Each follows exactly the iterates it would
     follow alone, so its result does not depend on the other beamformers in
     the call. ``newton_iterations`` of a result counts interior-point
     iterations. Results are returned in the order of ``beamformers``.
@@ -122,11 +115,24 @@ def allocate_powers(
     for i, bf in enumerate(beamformers):
         by_size.setdefault(bf.w.shape[0], []).append(i)
     allocations: list = [None] * len(beamformers)
-    for members in by_size.values():
+    for n, members in by_size.items():
+        members = np.array(members)
         # b[k, i, j] = |w_ij|^2 sigma2: antenna i's load coefficient on user j
         # of instance k in q = p / sigma2 units
         b = np.stack([np.abs(beamformers[i].w) ** 2 for i in members]) * sigma2_mw
-        for i, (q, converged, kkt, iters) in zip(members, _interior_point_solve(b, pt_mw, q_cap)):
+        at_cap = (b.sum(axis=2) * q_cap <= pt_mw).all(axis=1)
+        for i in members[at_cap]:
+            allocations[i] = PowerAllocation(
+                p_mw=np.full(n, q_cap * sigma2_mw),
+                converged=True,
+                kkt_residual=0.0,
+                newton_iterations=0,
+            )
+        if at_cap.all():
+            continue
+        for i, (q, converged, kkt, iters) in zip(
+            members[~at_cap], _interior_point_solve(b[~at_cap], pt_mw, q_cap)
+        ):
             allocations[i] = PowerAllocation(
                 p_mw=q * sigma2_mw,
                 converged=converged,

@@ -195,7 +195,6 @@ def criterion_04(scn, records) -> dict:
     return {
         "worst lambda_s deviation <= 0.02": _le(worst_dev, 0.02),
         "worst demand deviation <= 0.02": _le(worst_demand_dev, 0.02),
-        "|ceiling D - 10.7| <= 0.05": _le(abs(ceiling_demand - 10.7), 0.05),
     }
 
 

@@ -11,6 +11,7 @@ SIGMA2 = 2.484e-10
 PT = 100.0
 W_MHZ = 60.0
 ETA = 3.75
+Q_CAP = 2.0**ETA - 1.0
 
 
 def random_h(rng, n, lo=-9.0, hi=-5.0):
@@ -25,6 +26,12 @@ def antenna_loads(bf, alloc) -> np.ndarray:
 
 def sum_rate(alloc) -> float:
     return float(zf.zf_rates_ideal(alloc, W_MHZ, SIGMA2, ETA)[0].sum())
+
+
+def at_cap(bf) -> bool:
+    """Whether every antenna stays within PT with every user at the rate cap,
+    where allocate_powers takes q = q_cap without a solve."""
+    return bool(((np.abs(bf.w) ** 2 * SIGMA2).sum(axis=1) * Q_CAP <= PT).all())
 
 
 def test_beamformer_scalar_inverse():
@@ -61,7 +68,8 @@ def test_beamformer_rejects_non_square():
 def test_beamformer_cond_diagnostic():
     h = np.diag(np.array([1.0, 1e-3], dtype=complex))
     bf = zf.build_beamformer(h)
-    assert bf.cond == pytest.approx(1e6, rel=1e-6)  # cond(H H^dagger) = cond(H)^2
+    # the singular values of w are those of h inverted: cond(H H^dagger) = cond(H)^2
+    assert zf._svd_cond(bf.w) == pytest.approx(1e6, rel=1e-6)
 
 
 def test_beamformer_cond_limit_boundary():
@@ -344,18 +352,19 @@ def test_interior_point_matches_barrier_reference():
 def test_iteration_cap_reports_not_converged(monkeypatch):
     monkeypatch.setattr(zf, "_MAX_ITERATIONS", 1)
     rng = np.random.default_rng(60)
-    bf = zf.build_beamformer(random_h(rng, 4))
+    bf = zf.build_beamformer(random_h(rng, 4, lo=-13, hi=-11))
+    assert not at_cap(bf)
     alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
     assert alloc.converged is False
     assert alloc.newton_iterations == 1
     assert (antenna_loads(bf, alloc) <= PT).all() and (alloc.p_mw > 0).all()
 
-    scn = scenario.preset("table1-open")
+    # behind walls this snapshot's antennas cannot carry every user at the cap
+    scn = scenario.preset("table1-obstructed")
     ctx = engine.make_context(scn, geometry.place_aps(scn.area, 2, 2))
     rngs = [engine.substream(5, 0, engine._SALT_SNAPSHOT, 0)]
     block = engine.draw_block(ctx, rngs, ["zf-ideal"])
-    precoded = [engine.zf_snapshot(ctx, block, 0, erroneous=False)]
-    tallies = engine.finish_zf(ctx, precoded)
+    tallies = engine.zf_block(ctx, block, erroneous=False)
     assert list(tallies) == ["zf-ideal"]
     assert tallies["zf-ideal"].solver_fallbacks.tolist() == [1]
 
@@ -454,14 +463,27 @@ def _assert_same_allocation(got: zf.PowerAllocation, want: zf.PowerAllocation) -
     assert got.newton_iterations == want.newton_iterations
 
 
+# gain at one cell's distance for instances that allocate_powers solves by
+# interior point: few, some or many users end at their cap
+SOLVER_REGIMES = {"weak": 1e-13, "mixed": 1e-12, "near-cap": 1e-11}
+
+
+def _solver_bound_beamformer(rng, n, g0):
+    """``_geometric_beamformer``, redrawn while every antenna can carry every user at the cap."""
+    while at_cap(bf := _geometric_beamformer(rng, n, g0)):
+        pass
+    return bf
+
+
 def _papc_batch(seed: int, per_regime: int = 3) -> list:
-    """Precoders of every size in PAPC_REGIMES' three regimes, regimes interleaved."""
+    """Solver-bound precoders of every size in SOLVER_REGIMES' three regimes, regimes
+    interleaved."""
     rng = np.random.default_rng(seed)
     return [
-        _geometric_beamformer(rng, n, g0)
+        _solver_bound_beamformer(rng, n, g0)
         for n in (1, 2, 5, 9, 25, 49)
         for _ in range(per_regime)
-        for g0 in PAPC_REGIMES.values()
+        for g0 in SOLVER_REGIMES.values()
     ]
 
 
@@ -500,7 +522,7 @@ def test_allocate_powers_at_iteration_cap(monkeypatch):
 def test_singular_newton_step_fails_only_its_instance(monkeypatch):
     rng = np.random.default_rng(65)
     beamformers = [
-        _geometric_beamformer(rng, 9, g0) for g0 in PAPC_REGIMES.values() for _ in (0, 1)
+        _solver_bound_beamformer(rng, 9, g0) for g0 in SOLVER_REGIMES.values() for _ in (0, 1)
     ]
     want = [_solo_allocation(bf) for bf in beamformers]
     # Every instance takes at least 7 iterations, so all 6 are still stacked
@@ -536,6 +558,36 @@ def test_singular_newton_step_fails_only_its_instance(monkeypatch):
     assert got[target].newton_iterations == failing_iteration
     assert (antenna_loads(beamformers[target], got[target]) <= PT).all()
     assert (got[target].p_mw > 0).all()
+
+
+def test_allocate_powers_closed_form_at_the_rate_cap():
+    # Strong channels carry every user at its cap: allocate_powers returns
+    # q = q_cap without a solve, where the interior point ends within its
+    # tolerances. Stacked with solver-bound instances of the same sizes, those
+    # still match solo solves bit for bit.
+    rng = np.random.default_rng(66)
+    capped = [_geometric_beamformer(rng, n, PAPC_REGIMES["strong"]) for n in (1, 2, 5, 9, 25, 49)]
+    assert all(at_cap(bf) for bf in capped)
+    beamformers = capped + _papc_batch(67, per_regime=1)
+    order = np.random.default_rng(1).permutation(len(beamformers))
+    got = zf.allocate_powers([beamformers[i] for i in order], SIGMA2, PT, ETA)
+    for i, alloc in zip(order, got):
+        bf = beamformers[i]
+        if i >= len(capped):
+            _assert_same_allocation(alloc, _solo_allocation(bf))
+            continue
+        n = bf.w.shape[0]
+        want = zf.PowerAllocation(
+            p_mw=np.full(n, Q_CAP * SIGMA2), converged=True, kkt_residual=0.0, newton_iterations=0
+        )
+        _assert_same_allocation(alloc, want)
+        q, converged, kkt, iters = zf._interior_point_solve(
+            np.abs(bf.w)[None] ** 2 * SIGMA2, PT, Q_CAP
+        )[0]
+        assert converged and kkt <= 1e-8 and iters > 0
+        f_cap = n * np.log1p(Q_CAP)
+        assert 0.0 <= f_cap - np.log1p(q).sum() <= 1e-10 * max(1.0, f_cap)  # its gap tolerance
+        assert np.abs(q - Q_CAP).max() <= 1e-7 * Q_CAP
 
 
 def test_zf_rates_ideal_zero_power():
