@@ -615,50 +615,67 @@ def zf_block(ctx: DeploymentContext, block: Block, erroneous: bool) -> dict[str,
     """Multi-cell ZF on every snapshot of ``block``, one pass for both CSIT models.
 
     Each snapshot's generator is set back to S0, so a second pass repeats
-    the first. Its CSIT is a fading draw from S0; near-singular draws are
-    replaced by a fresh one, up to MAX_REDRAWS_PER_SNAPSHOT. With
+    the first. Its CSIT is a fading draw from S0, and the block's CSIT
+    matrices of each size are inverted together (``zf.build_beamformers``).
+    A near-singular draw is replaced by a fresh one from the snapshot's own
+    generator, inverted alone, up to MAX_REDRAWS_PER_SNAPSHOT times. With
     ``erroneous`` set, the accepted CSIT is then evolved past the feedback
     delay (``ch.delayed_csit``, per-link outdated with the scenario's
     probability ``zf.delta`` and correlation ``zf.rho``) into the true
     channel on which erroneous CSIT is scored. One ``zf.allocate_powers``
     call then optimizes the PAPC powers of every snapshot, each as on its
-    own, and both CSIT models read the one allocation: returns
+    own, and both CSIT models read the one allocation, each scored with one
+    rate call per block (erroneous CSIT: one per size): returns
     {"zf-ideal": tally, "zf-erroneous": tally}, the latter if ``erroneous``.
     """
     scn = ctx.scn
     w, sigma2, eta_zf = scn.radio.bandwidth_mhz, scn.sigma2_mw, scn.zf.eta_zf
-    beamformers, h_true, redraws = [], [], []
+    sigma_z2 = scn.radio.sigma_z2
+    sqrt_l, z = [], []  # per snapshot, (user j, antenna i)
     for b, rng in enumerate(block.rngs):
         rng.bit_generator.state = block.s0[b]
         cols = block.columns(b)
-        sqrt_l = np.sqrt(block.served_gains[block.serving[cols], cols].T)  # (user j, antenna i)
-        redraws.append(0)
-        while True:
-            z = ch.draw_fading(rng, sqrt_l.shape, scn.radio.sigma_z2)
-            try:
-                beamformers.append(zf.build_beamformer(sqrt_l * z))
-                break
-            except zf.SingularChannelError:
-                redraws[-1] += 1
-                if redraws[-1] > MAX_REDRAWS_PER_SNAPSHOT:
+        sqrt_l.append(np.sqrt(block.served_gains[block.serving[cols], cols].T))
+        z.append(ch.draw_fading(rng, sqrt_l[b].shape, sigma_z2))
+    by_size: dict = {}  # the snapshots of each size, in snapshot order
+    for b, n in enumerate(np.diff(block.starts).tolist()):
+        by_size.setdefault(n, []).append(b)
+    beamformers, redraws = [None] * block.size, np.zeros(block.size, dtype=np.intp)
+    h_true = {}  # per size, the true channels of its snapshots
+    for n, members in by_size.items():
+        inverted = zf.build_beamformers(np.stack([sqrt_l[b] * z[b] for b in members]))
+        if erroneous:
+            h_true[n] = np.empty((len(members), n, n), dtype=complex)
+        for j, (b, bf) in enumerate(zip(members, inverted)):
+            rng = block.rngs[b]
+            while bf is None:  # the snapshot's generator alone redraws it
+                redraws[b] += 1
+                if redraws[b] > MAX_REDRAWS_PER_SNAPSHOT:
                     raise RuntimeError(
                         f"snapshot exceeded {MAX_REDRAWS_PER_SNAPSHOT} singular-channel redraws"
                     )
-        if erroneous:
-            h_true.append(
-                sqrt_l * ch.delayed_csit(z, scn.zf.delta, scn.zf.rho, rng, scn.radio.sigma_z2)
-            )
+                z[b] = ch.draw_fading(rng, sqrt_l[b].shape, sigma_z2)
+                (bf,) = zf.build_beamformers((sqrt_l[b] * z[b])[None])
+            beamformers[b] = bf
+            if erroneous:
+                z_now = ch.delayed_csit(z[b], scn.zf.delta, scn.zf.rho, rng, sigma_z2)
+                h_true[n][j] = sqrt_l[b] * z_now
     allocs = zf.allocate_powers(beamformers, sigma2, scn.radio.pt_mw, eta_zf)
-    scores = {"zf-ideal": [zf.zf_rates_ideal(alloc, w, sigma2, eta_zf) for alloc in allocs]}
+    p_mw = np.concatenate([alloc.p_mw for alloc in allocs])
+    scores = {"zf-ideal": zf.zf_rates_ideal(p_mw, w, sigma2, eta_zf)}
     if erroneous:
-        scores["zf-erroneous"] = [
-            zf.zf_rates_erroneous(h, bf, alloc, w, sigma2, eta_zf)
-            for h, bf, alloc in zip(h_true, beamformers, allocs)
-        ]
+        rates, sinr = np.empty_like(p_mw), np.empty_like(p_mw)
+        for n, members in by_size.items():
+            cols = (block.starts[members][:, None] + np.arange(n)).ravel()
+            rates[cols], sinr[cols] = (v.ravel() for v in zf.zf_rates_erroneous(
+                h_true.pop(n), np.stack([beamformers[b].w for b in members]),
+                np.stack([allocs[b].p_mw for b in members]), w, sigma2, eta_zf,
+            ))
+        scores["zf-erroneous"] = rates, sinr
     fallbacks = np.array([not alloc.converged for alloc in allocs], dtype=np.intp)
-    return {system: _tally(ctx, *(np.concatenate(v)[None] for v in zip(*pairs)), block.starts,
-                           redraws=np.array(redraws), solver_fallbacks=fallbacks)
-            for system, pairs in scores.items()}
+    return {system: _tally(ctx, rates[None], sinr[None], block.starts,
+                           redraws=redraws, solver_fallbacks=fallbacks)
+            for system, (rates, sinr) in scores.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -732,28 +749,35 @@ def _aggregate(
 # ---------------------------------------------------------------------------
 
 
-# Snapshots evaluated together (run_rung): a block holds at most _BLOCK_USERS
-# users, and at least one snapshot. Counted in float (n_aps + 1, n_aps)
-# stacks, a rung with Wi-Fi and static holds about six of its own (the
-# average AP-to-AP gains and the member tables of twelve plans) and seven
-# per snapshot of a block: the three arrays a Block holds (the served users'
-# average gains, the received powers and the faded AP-to-AP gains), Wi-Fi's
-# copy of the received powers at each of two thresholds, the gathered member
-# lists, and one of headroom for the contention graphs and the temporaries
-# of the draws. A ZF snapshot of n <= n_aps users holds its precoder and
-# true channel, 32 n^2 bytes, fewer than the seven stacks; the inversion's
-# and the power solve's temporaries add a few n^2 per snapshot on top, so a
-# ZF rung peaks within twice _BLOCK_BYTES. _block_size keeps the stacks
-# within _BLOCK_BYTES, and run_rung releases each block before it draws the
-# next. That gives 8 snapshots at 1,000 users up to 56 APs, 6 at 64, 4 at
-# 72, 3 at 81, and 2 at 90 and 100.
-_BLOCK_USERS = 8192
+# Snapshots evaluated together (run_rung): one byte budget sizes a block, of
+# at least one snapshot and at most the rung's. Counted in float
+# (n_aps + 1, n_aps) stacks, a rung with Wi-Fi and static holds about six of
+# its own (the average AP-to-AP gains and the member tables of twelve plans)
+# and seven per snapshot of a block: the three arrays a Block holds (the
+# served users' average gains, the received powers and the faded AP-to-AP
+# gains), Wi-Fi's copy of the received powers at each of two thresholds, the
+# gathered member lists, and one of headroom for the contention graphs and
+# the temporaries of the draws. Association adds about 8 (3 height + 5)
+# bytes per user of the block: associate_candidates' three (height,
+# n_users) temporaries over the candidate table's height, and each user's
+# coordinates, cell and best cost. A ZF snapshot of n <= n_aps users holds
+# its amplitudes, CSIT fading, precoder and true channel, 56 n^2 bytes, about
+# the seven stacks; the stacked inversion's and the power solve's
+# temporaries come on top, so a ZF rung peaks within twice _BLOCK_BYTES.
+# _block_size keeps the stacks and the association within _BLOCK_BYTES, and
+# run_rung releases each block before it draws the next. At 1,000 users and
+# a height of 4 that gives 12 snapshots up to 9 APs, 11 at 12 and 16, 10 at
+# 20, 9 at 25, 8 at 30, 7 at 36, 6 at 42, 5 at 49, 4 at 56 and 64, 3 at 72,
+# 2 at 81 and 90, and 1 at 100.
 _BLOCK_BYTES = 1_700_000
 
 
-def _block_size(scn, n_aps: int) -> int:
-    stacks = _BLOCK_BYTES // (8 * n_aps * (n_aps + 1))
-    return max(1, min(_BLOCK_USERS // scn.n_users, (stacks - 6) // 7))
+def _block_size(ctx: DeploymentContext) -> int:
+    n_aps, scn = ctx.n_aps, ctx.scn
+    stack = 8 * n_aps * (n_aps + 1)
+    per_user = 8 * (3 * ctx.candidates.aps.shape[0] + 5)
+    size = (_BLOCK_BYTES - 6 * stack) // (7 * stack + scn.n_users * per_user)
+    return max(1, min(scn.engine.n_snapshots, size))
 
 
 def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) -> dict:
@@ -807,7 +831,7 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
     erroneous = "zf-erroneous" in ks
     run_zf = erroneous or "zf-ideal" in ks
     tallies = defaultdict(list)  # per system, in snapshot order
-    n_snapshots, size = scn.engine.n_snapshots, _block_size(scn, ctx.n_aps)
+    n_snapshots, size = scn.engine.n_snapshots, _block_size(ctx)
     for first in range(0, n_snapshots, size):
         indices = range(first, min(first + size, n_snapshots))
         rngs = [substream(seed, deployment_id, _SALT_SNAPSHOT, s) for s in indices]

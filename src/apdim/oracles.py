@@ -83,6 +83,10 @@ def enumerate_ssi_distribution(adjacency: np.ndarray) -> dict[frozenset, float]:
 
 # --- PAPC power allocation -----------------------------------------------------
 
+# The three ways zf.allocate_powers reaches an optimum.
+PAPC_PATHS = ("rate cap", "water-filling", "interior point")
+
+
 @dataclass(frozen=True)
 class PapcInstance:
     """One random N=2 problem with both the solver answer and the grid optimum."""
@@ -91,6 +95,7 @@ class PapcInstance:
     grid_sum_rate: float
     max_antenna_load: float
     pt_mw: float
+    path: str  # one of PAPC_PATHS
 
 
 def grid_search_sum_rate(
@@ -120,18 +125,50 @@ def random_papc_instance(
     eta: float = 3.75,
     points: int = 400,
 ) -> PapcInstance:
-    """Draw a random N=2 channel (random path gains + Rayleigh) and solve both ways."""
-    gains = 10.0 ** rng.uniform(-9.0, -5.0, size=(2, 2))
+    """Draw a random N=2 channel and solve it both ways.
+
+    Each user's path gain to its own AP is 10^U(-13, -9), and to the other
+    AP 10^-U(0, 2) times that, with Rayleigh fading on every link. The
+    strong draws carry both users at the rate cap, the weak ones load both
+    antennas to their budget (the interior point), and the uneven ones in
+    between bind one antenna (water-filling), so every path of
+    ``zf.allocate_powers`` is taken.
+    """
+    own = rng.uniform(-13.0, -9.0, size=2)  # log10 of user j's gain to AP j
+    cross = own - rng.uniform(0.0, 2.0, size=2)  # and to the other AP
+    gains = 10.0 ** np.array([[own[0], cross[0]], [cross[1], own[1]]])
     h = np.sqrt(gains) * ch.draw_fading(rng, (2, 2))
     bf = zf.build_beamformer(h)
     alloc = zf.allocate_powers([bf], sigma2_mw, pt_mw, eta)[0]
     a = np.abs(bf.w) ** 2
+    if alloc.newton_iterations > 0:
+        path = "interior point"
+    elif (alloc.p_mw == (2.0**eta - 1.0) * sigma2_mw).all():
+        path = "rate cap"
+    else:
+        path = "water-filling"
     return PapcInstance(
-        solver_sum_rate=float(zf.zf_rates_ideal(alloc, w_mhz, sigma2_mw, eta)[0].sum()),
+        solver_sum_rate=float(zf.zf_rates_ideal(alloc.p_mw, w_mhz, sigma2_mw, eta)[0].sum()),
         grid_sum_rate=grid_search_sum_rate(a, sigma2_mw, pt_mw, w_mhz, eta, points),
         max_antenna_load=float((a @ alloc.p_mw).max()),
         pt_mw=pt_mw,
+        path=path,
     )
+
+
+def papc_grid_check(rng: np.random.Generator, count: int) -> dict:
+    """{path: (instances, worst relative sum-rate difference, worst load / Pt)} over
+    ``count`` random instances, for each of PAPC_PATHS (0, 0.0, 0.0 where none took it)."""
+    worst = {path: (0, 0.0, 0.0) for path in PAPC_PATHS}
+    for _ in range(count):
+        inst = random_papc_instance(rng)
+        n, rel, load = worst[inst.path]
+        worst[inst.path] = (
+            n + 1,
+            max(rel, abs(inst.solver_sum_rate - inst.grid_sum_rate) / inst.grid_sum_rate),
+            max(load, inst.max_antenna_load / inst.pt_mw),
+        )
+    return worst
 
 
 # --- fading statistics -----------------------------------------------------------
@@ -173,16 +210,11 @@ def run_all(print_fn=print) -> bool:
     print_fn(f"SSI enumeration, 3-path: P(ends) = 2/3, P(middle) = 1/3 "
              f"{'PASS' if passed else 'FAIL'}")
 
-    worst_rel = 0.0
-    worst_load = 0.0
-    for _ in range(20):
-        inst = random_papc_instance(rng)
-        worst_rel = max(worst_rel, abs(inst.solver_sum_rate - inst.grid_sum_rate) / inst.grid_sum_rate)
-        worst_load = max(worst_load, inst.max_antenna_load / inst.pt_mw)
-    passed = worst_rel <= 0.01 and worst_load <= 1.0 + 1e-6
-    ok &= passed
-    print_fn(f"PAPC solver vs 400x400 grid (20 instances): worst rel diff {worst_rel:.3e}, "
-             f"worst load/Pt {worst_load:.9f} {'PASS' if passed else 'FAIL'}")
+    for path, (n, rel, load) in papc_grid_check(rng, 20).items():
+        passed = n > 0 and rel <= 0.01 and load <= 1.0 + 1e-6
+        ok &= passed
+        print_fn(f"PAPC {path} vs 400x400 grid ({n} of 20 instances): worst rel diff {rel:.3e}, "
+                 f"worst load/Pt {load:.9f} {'PASS' if passed else 'FAIL'}")
 
     p = fading_power_ks_pvalue(20_000)
     passed = p > 0.01

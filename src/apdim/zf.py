@@ -14,7 +14,7 @@ SNR-scaled variables q = p / sigma2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,26 +61,49 @@ def build_beamformer(h_hat: np.ndarray) -> Beamformer:
     h_hat = np.asarray(h_hat, dtype=complex)
     if h_hat.ndim != 2 or h_hat.shape[0] != h_hat.shape[1]:
         raise ValueError(f"expected a square channel matrix, got shape {h_hat.shape}")
-    n = h_hat.shape[0]
+    (beamformer,) = build_beamformers(h_hat[None])
+    if beamformer is None:
+        raise SingularChannelError(f"channel condition exceeds {COND_LIMIT:.1e} or is singular")
+    return beamformer
+
+
+def build_beamformers(h_hat: np.ndarray) -> list[Optional[Beamformer]]:
+    """``build_beamformer`` of every matrix of a (k, n, n) complex stack, None where it rejects.
+
+    One stacked ``solve`` inverts the stack, and the Frobenius bound, the
+    residual test and the refinement are stacked too; only a matrix that the
+    bound cannot accept computes more on its own. Stacked ``solve`` and
+    ``matmul`` make per matrix the LAPACK and BLAS calls that the matrix
+    alone makes, so each precoder equals ``build_beamformer``'s bit for bit.
+    An exactly singular matrix fails the stacked ``solve`` as a whole; the
+    stack is then inverted one matrix at a time.
+    """
+    k, n, _ = h_hat.shape
     eye = np.eye(n, dtype=complex)
     try:
         w = np.linalg.solve(h_hat, eye)
     except np.linalg.LinAlgError:
-        raise SingularChannelError("channel matrix is singular") from None
-    kappa_f2 = float(np.vdot(h_hat, h_hat).real * np.vdot(w, w).real)  # kappa_F^2
-    if not kappa_f2 <= COND_LIMIT * (1.0 - _BOUND_MARGIN):  # the bound does not accept
-        if kappa_f2 > COND_LIMIT * (1.0 + _BOUND_MARGIN) * n * n:
-            cond = kappa_f2 / (n * n)  # a lower bound
+        return [None] if k == 1 else [bf for h in h_hat for bf in build_beamformers(h[None])]
+    kappa_f2 = _frobenius2(h_hat) * _frobenius2(w)  # kappa_F^2
+    accepted = kappa_f2 <= COND_LIMIT * (1.0 - _BOUND_MARGIN)
+    for j in np.flatnonzero(~accepted):  # the bound does not accept
+        if kappa_f2[j] > COND_LIMIT * (1.0 + _BOUND_MARGIN) * n * n:
+            cond = kappa_f2[j] / (n * n)  # a lower bound
         else:
-            cond = _svd_cond(h_hat)
-        if cond > COND_LIMIT:
-            raise SingularChannelError(f"channel condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
+            cond = _svd_cond(h_hat[j])
+        accepted[j] = not cond > COND_LIMIT
     residual = eye - h_hat @ w
-    if np.abs(residual).max() > _INVERSION_TOL:
-        w = w + np.linalg.solve(h_hat, residual)
-        if np.abs(h_hat @ w - eye).max() > _INVERSION_TOL:
-            raise SingularChannelError("inversion residual did not reach tolerance")
-    return Beamformer(w=w)
+    refine = accepted & (np.abs(residual).max(axis=(1, 2)) > _INVERSION_TOL)
+    if refine.any():
+        h = h_hat[refine]
+        w[refine] = w[refine] + np.linalg.solve(h, residual[refine])
+        accepted[refine] = ~(np.abs(h @ w[refine] - eye).max(axis=(1, 2)) > _INVERSION_TOL)
+    return [Beamformer(w=w[j]) if accepted[j] else None for j in range(k)]
+
+
+def _frobenius2(a: np.ndarray) -> np.ndarray:
+    """The squared Frobenius norm of each matrix of a stack."""
+    return np.einsum("kij,kij->k", a, a.conj()).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +124,12 @@ def allocate_powers(
 ) -> list[PowerAllocation]:
     """Maximize each capped sum rate subject to its per-antenna power constraints.
 
-    An instance whose antenna loads stay within ``pt_mw`` with every user at
-    the rate cap, q = q_cap, has that point as its optimum: it gets
-    p = q_cap sigma2 exactly, converged, with a KKT residual of 0 after 0
-    iterations. The other instances of one size n are solved together in one
+    Instances are grouped by size n. An instance whose optimum has at most
+    one binding antenna gets it in closed form (``_closed_form``): with every
+    user at the rate cap, q = q_cap, where the antennas carry that, else by
+    water-filling on the one antenna that binds. Such a point is exact up to
+    rounding and is reported converged, with a KKT residual of 0 after 0
+    iterations. The other instances of one size are solved together in one
     stacked interior-point loop. Each follows exactly the iterates it would
     follow alone, so its result does not depend on the other beamformers in
     the call. ``newton_iterations`` of a result counts interior-point
@@ -115,31 +140,102 @@ def allocate_powers(
     for i, bf in enumerate(beamformers):
         by_size.setdefault(bf.w.shape[0], []).append(i)
     allocations: list = [None] * len(beamformers)
-    for n, members in by_size.items():
+    for members in by_size.values():
         members = np.array(members)
         # b[k, i, j] = |w_ij|^2 sigma2: antenna i's load coefficient on user j
         # of instance k in q = p / sigma2 units
         b = np.stack([np.abs(beamformers[i].w) ** 2 for i in members]) * sigma2_mw
-        at_cap = (b.sum(axis=2) * q_cap <= pt_mw).all(axis=1)
-        for i in members[at_cap]:
+        q, closed = _closed_form(b, pt_mw, q_cap)
+        for i, q_i in zip(members[closed], q[closed]):
             allocations[i] = PowerAllocation(
-                p_mw=np.full(n, q_cap * sigma2_mw),
+                p_mw=q_i * sigma2_mw,
                 converged=True,
                 kkt_residual=0.0,
                 newton_iterations=0,
             )
-        if at_cap.all():
+        if closed.all():
             continue
-        for i, (q, converged, kkt, iters) in zip(
-            members[~at_cap], _interior_point_solve(b[~at_cap], pt_mw, q_cap)
+        for i, (q_i, converged, kkt, iters) in zip(
+            members[~closed], _interior_point_solve(b[~closed], pt_mw, q_cap)
         ):
             allocations[i] = PowerAllocation(
-                p_mw=q * sigma2_mw,
+                p_mw=q_i * sigma2_mw,
                 converged=converged,
                 kkt_residual=kkt,
                 newton_iterations=iters,
             )
     return allocations
+
+
+# Water-filling aims the binding antenna's load this far (relative) below the
+# budget and accepts a point only where every antenna keeps half of it: far
+# above the rounding of an n-term load, far below the interior point's
+# tolerances.
+_WATER_FILL_MARGIN = 1e-12
+
+
+def _closed_form(b: np.ndarray, budget: float, q_cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """The optimum of each instance of a (k, n, n) stack with at most one binding antenna.
+
+    Returns q, (k, n), and where it holds, (k,). An instance whose antennas
+    all carry every user at the cap has the optimum q = q_cap. Else each
+    antenna i overloaded at the cap is taken alone: its constraint
+    sum_j b_ij q_j <= budget with 0 <= q <= q_cap is met by water-filling
+    (Yu and Lan, IEEE TSP 2007), q_j = clip(x / b_ij - 1, 0, q_cap), at the
+    level x where the antenna's load sum_j clip(x - b_ij, 0, q_cap b_ij)
+    meets the budget. The load is piecewise linear in x: user j is active
+    from x = b_ij and capped from x = (1 + q_cap) b_ij. Sorting those
+    breakpoints and summing along them finds the breakpoint past which the
+    load exceeds the budget, and with it the active and the capped users; a
+    user with b_ij = 0 is capped from the start. Each active user's share
+    x - b_ij follows from differences to the largest active b_ik, which
+    round relative to themselves, so the load stays exact to rounding even
+    where q_j is tiny.
+
+    Each antenna's point maximizes the objective over a superset of the
+    feasible set, so none falls below the optimum, and one that fits every
+    antenna is the optimum. Only the smallest of an instance's points can
+    fit, and it is tested. Each instance is computed on its own rows, so
+    its result does not depend on the others in the stack.
+    """
+    k, n, _ = b.shape
+    q = np.full((k, n), q_cap)
+    over = ~(b.sum(axis=2) * q_cap <= budget)  # NaN loads go to the interior point
+    closed = ~over.any(axis=1)
+    inst, antenna = np.nonzero(over)
+    if inst.size == 0:
+        return q, closed
+    c = b[inst, antenna]  # (rows, n): each overloaded antenna's coefficients
+    rows = np.arange(inst.size)[:, None]
+    target = budget * (1.0 - _WATER_FILL_MARGIN)
+    breaks = np.concatenate((c, c * (1.0 + q_cap)), axis=1)
+    order = np.argsort(breaks, axis=1)
+    sign = np.where(order < n, 1.0, -1.0)  # an active user starts, or reaches its cap
+    at = breaks[rows, order]
+    load = np.cumsum(sign, axis=1) * at - np.cumsum(sign * at, axis=1)
+    first = np.argmax(load > target, axis=1)  # 0 where no breakpoint's load exceeds it
+    rank = np.empty_like(order)
+    rank[rows, order] = np.arange(2 * n)
+    passed = rank < first[:, None]
+    capped = passed[:, n:]
+    active = passed[:, :n] & ~capped
+    # |A| (x - c_j) = spare + sum over active k of (c_k - c_top) + |A| (c_top - c_j)
+    top = np.where(active, c, 0.0).max(axis=1, keepdims=True)
+    spare = target - q_cap * np.where(capped, c, 0.0).sum(axis=1, keepdims=True)
+    spare += np.where(active, c - top, 0.0).sum(axis=1, keepdims=True)
+    n_active = active.sum(axis=1, keepdims=True)
+    share = spare + n_active * (top - c)
+    q_rows = np.divide(share, n_active * c, out=np.zeros_like(c), where=active)
+    q_rows = np.where(capped, q_cap, np.clip(q_rows, 0.0, q_cap))
+    # per instance, its smallest single-antenna optimum: rows sorted by instance, then value
+    by_value = np.lexsort((np.log1p(q_rows).sum(axis=1), inst))
+    smallest = by_value[np.diff(inst[by_value], prepend=-1) > 0]
+    inst, q_rows = inst[smallest], q_rows[smallest]
+    loads = _matvec(b[inst], q_rows)
+    fits = (first[smallest] > 0) & (loads <= budget * (1.0 - 0.5 * _WATER_FILL_MARGIN)).all(axis=1)
+    q[inst[fits]] = q_rows[fits]
+    closed[inst[fits]] = True
+    return q, closed
 
 
 _MAX_ITERATIONS = 100  # interior-point iterations per solve
@@ -295,35 +391,39 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
 
 
 def zf_rates_ideal(
-    alloc: PowerAllocation, w_mhz: float, sigma2_mw: float, eta_zf: float
+    p_mw: np.ndarray, w_mhz: float, sigma2_mw: float, eta_zf: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user rate (Mbps) and effective SNR with perfect CSIT.
+    """Per-user rate (Mbps) and effective SNR with perfect CSIT, for symbol powers of any shape.
 
     Inversion leaves each user with only its own symbol plus noise, so the SNR
     is p_j / sigma2 and the rate is min{W log2(1 + SNR), W eta}.
     """
-    snr = alloc.p_mw / sigma2_mw
+    snr = p_mw / sigma2_mw
     rates = np.minimum(w_mhz * np.log2(1.0 + snr), w_mhz * eta_zf)
     return rates, snr
 
 
 def zf_rates_erroneous(
     h_true: np.ndarray,
-    beamformer: Beamformer,
-    alloc: PowerAllocation,
+    w: np.ndarray,
+    p_mw: np.ndarray,
     w_mhz: float,
     sigma2_mw: float,
     eta_zf: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-user rate and SINR when the precoder was built from stale CSIT.
 
-    The true channel applied to the stale beamformer leaves the residual
+    The true channel applied to the stale precoder leaves the residual
     coupling C = H_true @ W; user j keeps |c_jj|^2 p_j of signal and absorbs
     sum_{m != j} |c_jm|^2 p_m of leakage from the other users' symbols.
+    ``h_true`` and ``w`` are (..., n, n) and ``p_mw`` is (..., n): one
+    instance, or a stack of one size, whose products are taken per instance
+    by the BLAS calls that the instance alone makes.
     """
-    coupling = np.abs(np.asarray(h_true) @ beamformer.w) ** 2
-    signal = np.diag(coupling) * alloc.p_mw
-    leakage = coupling @ alloc.p_mw - signal
+    coupling = np.abs(h_true @ w)
+    coupling *= coupling
+    signal = np.diagonal(coupling, axis1=-2, axis2=-1) * p_mw
+    leakage = (coupling @ p_mw[..., None])[..., 0] - signal
     sinr = signal / (leakage + sigma2_mw)
     rates = np.minimum(w_mhz * np.log2(1.0 + sinr), w_mhz * eta_zf)
     return rates, sinr

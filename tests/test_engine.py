@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from apdim import channel as ch
-from apdim import engine, geometry, planning, scenario, wifi, zf
+from apdim import engine, geometry, planning, results, scenario, wifi, zf
 
 OPEN_AREA = geometry.ServiceArea(lx=100, ly=100)
 
@@ -625,6 +625,10 @@ def _tiny_scenario(demands, ladder_cap=9, snapshots=90):
     return scenario.from_dict(raw)
 
 
+def _block_size(scn, nx, ny):
+    return engine._block_size(engine.make_context(scn, geometry.place_aps(scn.area, nx, ny)))
+
+
 def test_dimension_single_ap_suffices_for_tiny_demand():
     scn = _tiny_scenario([0.5])
     res = engine.dimension(scn, ["wifi-baseline", "zf-ideal"])
@@ -820,8 +824,8 @@ def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_a
     alloc = zf.allocate_powers([bf], sigma2, pt, scn.zf.eta_zf)[0]
     if system == "zf-erroneous":
         z_now = ch.delayed_csit(z, scn.zf.delta, scn.zf.rho, rng)
-        return zf.zf_rates_erroneous(sqrt_l * z_now, bf, alloc, w, sigma2, scn.zf.eta_zf)
-    return zf.zf_rates_ideal(alloc, w, sigma2, scn.zf.eta_zf)
+        return zf.zf_rates_erroneous(sqrt_l * z_now, bf.w, alloc.p_mw, w, sigma2, scn.zf.eta_zf)
+    return zf.zf_rates_ideal(alloc.p_mw, w, sigma2, scn.zf.eta_zf)
 
 
 def _reference_run(scn, layout, system, k, deployment_id, n_snapshots):
@@ -951,6 +955,7 @@ def test_zf_rung_with_mixed_sizes_matches_solo_solves(monkeypatch):
 
 def test_dimension_computes_average_gains_once_per_snapshot(monkeypatch):
     scn = _tiny_scenario([1.0], ladder_cap=6, snapshots=3)
+    blocks = [-(-3 // _block_size(scn, nx, ny)) for nx, ny in geometry.grid_ladder(6)]
     calls = []
     average_gains = ch.average_gains
 
@@ -963,7 +968,6 @@ def test_dimension_computes_average_gains_once_per_snapshot(monkeypatch):
     rungs = len(res.ladder)
     assert rungs == 4
     assert all(len(dims.records) == rungs for dims in res.per_system.values())
-    blocks = [-(-3 // engine._block_size(scn, nx * ny)) for nx, ny in res.ladder]
     assert len(calls) == rungs + sum(blocks)  # AP-to-AP once, AP-to-user once per block
 
 
@@ -977,7 +981,7 @@ def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
     zf_calls = Counter()
     ssi_permutations = []
     draw_fading, sample_ssi = ch.draw_fading, wifi.sample_ssi
-    build_beamformer, allocate_powers = zf.build_beamformer, zf.allocate_powers
+    build_beamformers, allocate_powers = zf.build_beamformers, zf.allocate_powers
 
     def counted_fading(rng, shape, *args, **kwargs):
         caller = sys._getframe(1).f_code.co_name
@@ -998,8 +1002,8 @@ def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
         return sample_ssi(graphs, channels, k, CountingGenerator(rng))
 
     def counted_build(h_hat):
-        zf_calls["build_beamformer"] += 1
-        return build_beamformer(h_hat)
+        zf_calls["inverted"] += len(h_hat)
+        return build_beamformers(h_hat)
 
     def counted_allocate(beamformers, *args):
         zf_calls["allocate_powers"] += 1
@@ -1008,7 +1012,7 @@ def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
 
     monkeypatch.setattr(ch, "draw_fading", counted_fading)
     monkeypatch.setattr(wifi, "sample_ssi", counted_ssi)
-    monkeypatch.setattr(zf, "build_beamformer", counted_build)
+    monkeypatch.setattr(zf, "build_beamformers", counted_build)
     monkeypatch.setattr(zf, "allocate_powers", counted_allocate)
     res = engine.dimension(scn, engine.SYSTEMS, stop_when_satisfied=False)
     rungs = len(res.ladder)
@@ -1025,9 +1029,9 @@ def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
         "zf_block": snapshots + sum(redraws),
         "delayed_csit": snapshots,
     }
-    blocks = [-(-3 // engine._block_size(scn, nx * ny)) for nx, ny in res.ladder]
+    blocks = [-(-3 // _block_size(scn, nx, ny)) for nx, ny in res.ladder]
     assert dict(zf_calls) == {
-        "build_beamformer": snapshots + sum(redraws),
+        "inverted": snapshots + sum(redraws),
         "allocate_powers": sum(blocks),
         "instances": snapshots,
     }
@@ -1055,22 +1059,22 @@ def test_ap_gains_reciprocal():
 
 
 def test_forced_redraws_keep_both_zf_systems_on_one_pass(monkeypatch):
-    # Rejecting by content, not by call order, makes the engine and the
-    # reference redraw the same snapshots. The true channel is drawn once,
-    # after the accepted CSIT, so both ZF rows report the same redraws.
-    build_beamformer, delayed_csit = zf.build_beamformer, ch.delayed_csit
+    # Rejecting by content, not by call order, makes the engine's stacked
+    # inversion and the reference's one-matrix inversion (build_beamformer,
+    # which calls build_beamformers) redraw the same snapshots. The true
+    # channel is drawn once, after the accepted CSIT, so both ZF rows report
+    # the same redraws.
+    build_beamformers, delayed_csit = zf.build_beamformers, ch.delayed_csit
     delayed_calls = []
 
     def rejecting(h_hat):
-        if h_hat[0, 0].real > 0:
-            raise zf.SingularChannelError("forced redraw")
-        return build_beamformer(h_hat)
+        return [None if h[0, 0].real > 0 else bf for h, bf in zip(h_hat, build_beamformers(h_hat))]
 
     def counted_delayed(*args, **kwargs):
         delayed_calls.append(1)
         return delayed_csit(*args, **kwargs)
 
-    monkeypatch.setattr(zf, "build_beamformer", rejecting)
+    monkeypatch.setattr(zf, "build_beamformers", rejecting)
     monkeypatch.setattr(ch, "delayed_csit", counted_delayed)
     raw = scenario.preset_raw("table1-obstructed")
     n_snapshots, deployment_id = 16, 5
@@ -1090,6 +1094,55 @@ def test_forced_redraws_keep_both_zf_systems_on_one_pass(monkeypatch):
         assert run.lambda_s == engine.normal_estimate(lambdas), system
         assert run.served_samples == served, system
         assert run.outage == engine.wilson_estimate(hits, served), system
+
+
+def test_a_singular_first_csit_is_redrawn_as_in_the_per_snapshot_loop(monkeypatch, tmp_path):
+    # Snapshot 7's first CSIT on every rung is forced exactly singular. It
+    # fails its block's stacked inversion, which then inverts one matrix at a
+    # time, and that snapshot alone redraws, from its own generator. Redraws,
+    # ZF draws and run CSV bytes equal those of blocks of one snapshot, where
+    # each snapshot is inverted on its own, as in the per-snapshot loop.
+    raw = scenario.preset_raw("table1-obstructed")
+    n_snapshots, target = 12, 7
+    raw["engine"].update(seed=20240601, n_snapshots=n_snapshots, ladder_max_aps=4)
+    scn = scenario.from_dict(raw)
+    ladder = geometry.grid_ladder(4)
+    systems = ["zf-ideal", "zf-erroneous"]
+    at_s0 = []  # the target's S0 state on each rung
+    for rung, (nx, ny) in enumerate(ladder):
+        ctx = engine.make_context(scn, geometry.place_aps(scn.area, nx, ny))
+        assert engine._block_size(ctx) == n_snapshots  # one block: one stacked inversion per size
+        rng = engine.substream(scn.engine.seed, rung, engine._SALT_SNAPSHOT, target)
+        at_s0.append(engine.draw_block(ctx, [rng], systems).s0[0])
+    draw_fading, draws = ch.draw_fading, Counter()
+
+    def singular_at_s0(rng, shape, *args, **kwargs):
+        forced = rng.bit_generator.state in at_s0
+        draws[sys._getframe(1).f_code.co_name, forced] += 1
+        z = draw_fading(rng, shape, *args, **kwargs)
+        return np.zeros_like(z) if forced else z
+
+    monkeypatch.setattr(ch, "draw_fading", singular_at_s0)
+
+    def run(name):
+        draws.clear()
+        res = engine.dimension(scn, systems, stop_when_satisfied=False)
+        path = tmp_path / f"{name}.csv"
+        results.write_result_csv(str(path), "singular", res)
+        return res, dict(draws), path.read_bytes()
+
+    stacked, stacked_draws, stacked_csv = run("stacked")
+    monkeypatch.setattr(engine, "_block_size", lambda ctx: 1)
+    _, alone_draws, alone_csv = run("alone")
+    rungs = len(ladder)
+    assert stacked_csv == alone_csv
+    assert stacked_draws == alone_draws == {
+        ("zf_block", True): rungs,
+        ("zf_block", False): rungs * n_snapshots,  # the others' CSIT and the one redraw
+        ("delayed_csit", False): rungs * n_snapshots,
+    }
+    for system in systems:
+        assert [rec.zf_redraws for rec in stacked.per_system[system].records] == [1] * rungs
 
 
 def test_draw_block_makes_every_shared_draw_at_once_in_stream_order():
@@ -1169,10 +1222,13 @@ def test_subsets_and_orders_of_systems_match_the_full_pass(full_pass, systems):
 
 # --- blocks of snapshots ------------------------------------------------------------
 
-def _force_block_size(monkeypatch, scn, n_aps, size):
-    monkeypatch.setattr(engine, "_BLOCK_USERS", size * scn.n_users)
-    monkeypatch.setattr(engine, "_BLOCK_BYTES", 8 * n_aps * (n_aps + 1) * (6 + 7 * size))
-    assert engine._block_size(scn, n_aps) == size
+def _force_block_size(monkeypatch, ctx, size):
+    """Set the byte budget to what a block of ``size`` snapshots of ``ctx`` takes."""
+    stack = 8 * ctx.n_aps * (ctx.n_aps + 1)
+    per_user = 8 * (3 * ctx.candidates.aps.shape[0] + 5)
+    budget = 6 * stack + size * (7 * stack + ctx.scn.n_users * per_user)
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", budget)
+    assert engine._block_size(ctx) == size
 
 
 @pytest.mark.parametrize(
@@ -1218,7 +1274,7 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, preset, users, nx,
 
     results = {}
     for size in (1, 5, n_snapshots):
-        _force_block_size(monkeypatch, scn, layout.n_aps, size)
+        _force_block_size(monkeypatch, engine.make_context(scn, layout), size)
         results[size] = run(systems, size)
         if list(systems) != list(engine.SYSTEMS):
             full = run(engine.SYSTEMS, size)
@@ -1233,17 +1289,29 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, preset, users, nx,
                 _compare_runs(run, reference[system][k], (key, system, k))
 
 
+# Block sizes at 1,000 users: walls leave the obstructed 4x5 rung 2
+# candidates per cell, where the others have 4.
+_BLOCK_SIZES = {(3, 3): 12, (4, 5): 10, (7, 8): 4, (8, 9): 3, (9, 9): 2, (10, 10): 1}
+
+
 @pytest.mark.parametrize("preset", ["table1-open", "table1-obstructed"])
-@pytest.mark.parametrize("nx,ny,size", [(7, 8, 8), (8, 9, 4), (9, 9, 3), (10, 10, 2)])
-def test_a_rung_stays_within_the_block_byte_budget(preset, nx, ny, size):
-    # _block_size counts the rung's own arrays and its block's in one byte
-    # budget; a rung with Wi-Fi and static, run as two blocks, must peak
-    # within it.
+@pytest.mark.parametrize(
+    "nx,ny,n_snapshots",
+    # small rungs, where the association's per-user temporaries dominate, then large ones
+    [(3, 3, 24), (4, 5, 30), (7, 8, 8), (8, 9, 4), (9, 9, 3), (10, 10, 2)],
+)
+def test_a_rung_stays_within_the_block_byte_budget(preset, nx, ny, n_snapshots):
+    # _block_size counts the rung's own arrays, its block's and the block's
+    # association in one byte budget; a rung with Wi-Fi and static, run as
+    # two blocks or more, must peak within it.
     raw = scenario.preset_raw(preset)
-    raw["engine"].update(seed=3, n_snapshots=2 * size)
+    raw["engine"].update(seed=3, n_snapshots=n_snapshots)
     scn = scenario.from_dict(raw)
     layout = geometry.place_aps(scn.area, nx, ny)
-    assert engine._block_size(scn, layout.n_aps) == size
+    assert scn.n_users == 1000
+    size = engine._block_size(engine.make_context(scn, layout))
+    assert size == (15 if (preset, nx, ny) == ("table1-obstructed", 4, 5) else _BLOCK_SIZES[nx, ny])
+    assert size < n_snapshots
     systems = ["wifi-baseline", "wifi-aggressive", "static"]
     engine.run_rung(scn, layout, systems, 0)  # imports and first-call set-up
     tracemalloc.start()
@@ -1252,7 +1320,7 @@ def test_a_rung_stays_within_the_block_byte_budget(preset, nx, ny, size):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= engine._BLOCK_BYTES
+    assert peak <= engine._BLOCK_BYTES, peak
 
 
 @pytest.mark.parametrize("systems", [["static"], ["zf-ideal", "zf-erroneous"]])

@@ -1,5 +1,7 @@
 """Zero-forcing: inversion, PAPC power optimization vs the grid oracle, rates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,13 +27,24 @@ def antenna_loads(bf, alloc) -> np.ndarray:
 
 
 def sum_rate(alloc) -> float:
-    return float(zf.zf_rates_ideal(alloc, W_MHZ, SIGMA2, ETA)[0].sum())
+    return float(zf.zf_rates_ideal(alloc.p_mw, W_MHZ, SIGMA2, ETA)[0].sum())
 
 
 def at_cap(bf) -> bool:
     """Whether every antenna stays within PT with every user at the rate cap,
     where allocate_powers takes q = q_cap without a solve."""
     return bool(((np.abs(bf.w) ** 2 * SIGMA2).sum(axis=1) * Q_CAP <= PT).all())
+
+
+def closed_form(bf) -> bool:
+    """Whether allocate_powers takes bf's optimum in closed form: at the rate cap
+    or by water-filling on its one binding antenna."""
+    return bool(zf._closed_form(np.abs(bf.w)[None] ** 2 * SIGMA2, PT, Q_CAP)[1][0])
+
+
+def binding_antennas(bf, alloc) -> int:
+    """The antennas whose load at ``alloc`` is within 1e-6 of PT."""
+    return int((antenna_loads(bf, alloc) >= PT * (1 - 1e-6)).sum())
 
 
 def test_beamformer_scalar_inverse():
@@ -129,6 +142,28 @@ def test_frobenius_bound_decides_as_the_singular_values(monkeypatch):
         if i < plain:
             assert len(svd_calls) == calls, i  # no SVD for a well-conditioned channel
     assert 0 < len(svd_calls) < len(cases) - plain
+
+
+def test_stacked_inversion_matches_one_matrix_at_a_time():
+    # Random channels, matrices conditioned around COND_LIMIT and an exactly
+    # singular one in one stack: each precoder equals the one-matrix
+    # reference bit for bit, and None stands where that rejects. The singular
+    # matrix fails the stacked solve, and the others are still inverted.
+    rng = np.random.default_rng(70)
+    for n in (1, 2, 3, 6):
+        stack = [random_h(rng, n) for _ in range(4)]
+        stack += [_conditioned(rng, n, zf.COND_LIMIT * f) for f in (0.5, 0.999, 1.001, 2.0)]
+        for extra in ([], [np.zeros((n, n), dtype=complex)]):
+            h = np.stack(stack + extra)
+            got = zf.build_beamformers(h)
+            assert len(got) == len(h)
+            for h_j, bf in zip(h, got):
+                want_w, _ = _svd_first_beamformer(h_j)
+                if want_w is None:
+                    assert bf is None
+                else:
+                    assert bf is not None and np.array_equal(bf.w, want_w)
+            assert got[-1] is None if extra else got[0] is not None
 
 
 def test_allocate_power_scalar_closed_form():
@@ -350,10 +385,11 @@ def test_interior_point_matches_barrier_reference():
 
 
 def test_iteration_cap_reports_not_converged(monkeypatch):
-    monkeypatch.setattr(zf, "_MAX_ITERATIONS", 1)
     rng = np.random.default_rng(60)
-    bf = zf.build_beamformer(random_h(rng, 4, lo=-13, hi=-11))
-    assert not at_cap(bf)
+    while closed_form(bf := zf.build_beamformer(random_h(rng, 4, lo=-13, hi=-11))):
+        pass
+    assert binding_antennas(bf, _solo_allocation(bf)) >= 2
+    monkeypatch.setattr(zf, "_MAX_ITERATIONS", 1)
     alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
     assert alloc.converged is False
     assert alloc.newton_iterations == 1
@@ -469,19 +505,20 @@ SOLVER_REGIMES = {"weak": 1e-13, "mixed": 1e-12, "near-cap": 1e-11}
 
 
 def _solver_bound_beamformer(rng, n, g0):
-    """``_geometric_beamformer``, redrawn while every antenna can carry every user at the cap."""
-    while at_cap(bf := _geometric_beamformer(rng, n, g0)):
+    """``_geometric_beamformer``, redrawn while allocate_powers would take it in closed form.
+    Its optimum then binds two antennas or more, which the callers assert."""
+    while closed_form(bf := _geometric_beamformer(rng, n, g0)):
         pass
     return bf
 
 
 def _papc_batch(seed: int, per_regime: int = 3) -> list:
     """Solver-bound precoders of every size in SOLVER_REGIMES' three regimes, regimes
-    interleaved."""
+    interleaved. A single antenna is always solved in closed form, so n >= 2."""
     rng = np.random.default_rng(seed)
     return [
         _solver_bound_beamformer(rng, n, g0)
-        for n in (1, 2, 5, 9, 25, 49)
+        for n in (2, 5, 9, 25, 49)
         for _ in range(per_regime)
         for g0 in SOLVER_REGIMES.values()
     ]
@@ -498,21 +535,25 @@ def test_allocate_powers_matches_solo_solves():
         want = _solo_allocation(beamformers[i])
         _assert_same_allocation(alloc, want)
         assert want.converged
+        assert binding_antennas(beamformers[i], want) >= 2
         iterations.setdefault(beamformers[i].w.shape[0], set()).add(want.newton_iterations)
     # instances of one size leave the stack at different iterations
-    assert all(len(counts) > 1 for n, counts in iterations.items() if n > 1), iterations
+    assert all(len(counts) > 1 for counts in iterations.values()), iterations
 
 
 def test_allocate_powers_batch_of_one():
     assert zf.allocate_powers([], SIGMA2, PT, ETA) == []
     for bf in _papc_batch(63, per_regime=1):
         (alloc,) = zf.allocate_powers([bf], SIGMA2, PT, ETA)
-        _assert_same_allocation(alloc, _solo_allocation(bf))
+        want = _solo_allocation(bf)
+        assert binding_antennas(bf, want) >= 2
+        _assert_same_allocation(alloc, want)
 
 
 def test_allocate_powers_at_iteration_cap(monkeypatch):
-    monkeypatch.setattr(zf, "_MAX_ITERATIONS", 1)
     beamformers = _papc_batch(64, per_regime=1)
+    assert all(binding_antennas(bf, _solo_allocation(bf)) >= 2 for bf in beamformers)
+    monkeypatch.setattr(zf, "_MAX_ITERATIONS", 1)
     for bf, alloc in zip(beamformers, zf.allocate_powers(beamformers, SIGMA2, PT, ETA)):
         want = _solo_allocation(bf)
         _assert_same_allocation(alloc, want)
@@ -525,6 +566,7 @@ def test_singular_newton_step_fails_only_its_instance(monkeypatch):
         _solver_bound_beamformer(rng, 9, g0) for g0 in SOLVER_REGIMES.values() for _ in (0, 1)
     ]
     want = [_solo_allocation(bf) for bf in beamformers]
+    assert all(binding_antennas(bf, w) >= 2 for bf, w in zip(beamformers, want))
     # Every instance takes at least 7 iterations, so all 6 are still stacked
     # at iteration 3: its predictor solve is the 7th stacked call. The
     # instance-by-instance redo then solves twice per instance before it
@@ -590,6 +632,100 @@ def test_allocate_powers_closed_form_at_the_rate_cap():
         assert np.abs(q - Q_CAP).max() <= 1e-7 * Q_CAP
 
 
+# --- water-filling where one antenna binds ------------------------------------------
+
+def _one_binding_beamformer(rng, n):
+    """``_geometric_beamformer`` at gains that overload some antenna at the cap, redrawn
+    until the optimum that a solo solve finds binds exactly one antenna."""
+    for g0 in itertools.cycle((1e-12, 1e-11, 3e-11, 1e-10)):
+        bf = _geometric_beamformer(rng, n, g0)
+        if not at_cap(bf) and binding_antennas(bf, _solo_allocation(bf)) == 1:
+            return bf
+
+
+def overloaded_antennas(bf) -> int:
+    """The antennas that cannot carry every user at the rate cap."""
+    return int(((np.abs(bf.w) ** 2 * SIGMA2).sum(axis=1) * Q_CAP > PT).sum())
+
+
+def test_water_filling_matches_the_interior_point():
+    # Where one antenna binds, also where several are overloaded at the cap,
+    # allocate_powers water-fills without a solve; the interior point on the
+    # same instance converges within its tolerances of that point, and both
+    # bind the one antenna. Stacked or alone, an instance gets the same
+    # allocation.
+    rng = np.random.default_rng(68)
+    beamformers = [_one_binding_beamformer(rng, n) for n in (1, 2, 5, 9, 25, 49) for _ in (0, 1)]
+    assert max(overloaded_antennas(bf) for bf in beamformers) >= 2
+    for bf, alloc in zip(beamformers, zf.allocate_powers(beamformers, SIGMA2, PT, ETA)):
+        n = bf.w.shape[0]
+        assert alloc.converged and alloc.kkt_residual == 0.0 and alloc.newton_iterations == 0
+        _assert_same_allocation(alloc, zf.allocate_powers([bf], SIGMA2, PT, ETA)[0])
+        assert (antenna_loads(bf, alloc) <= PT).all() and (alloc.p_mw >= 0).all()
+        assert binding_antennas(bf, alloc) == 1
+        want = _solo_allocation(bf)
+        assert want.converged and want.newton_iterations > 0
+        assert binding_antennas(bf, want) == 1
+        f, f_ip = np.log1p(alloc.p_mw / SIGMA2).sum(), np.log1p(want.p_mw / SIGMA2).sum()
+        assert abs(f - f_ip) <= 1e-10 * max(1.0, n * np.log1p(Q_CAP))  # the gap tolerance
+        assert np.abs(alloc.p_mw - want.p_mw).max() <= 1e-6 * Q_CAP * SIGMA2
+
+
+def test_water_filling_meets_kkt():
+    # With the binding antenna's multiplier lambda and all others zero, every
+    # user strictly inside (0, q_cap) has 1 / (1 + q_j) = lambda b_ij, a user at
+    # 0 has lambda b_ij >= 1, and a user at the cap lambda b_ij <= 1 / (1 + q_cap).
+    rng = np.random.default_rng(69)
+    for n in (1, 2, 5, 9, 25, 49):
+        bf = _one_binding_beamformer(rng, n)
+        (alloc,) = zf.allocate_powers([bf], SIGMA2, PT, ETA)
+        assert alloc.newton_iterations == 0
+        q, b = alloc.p_mw / SIGMA2, np.abs(bf.w) ** 2 * SIGMA2
+        loads = b @ q
+        i = int(np.argmax(loads))
+        assert PT * (1 - 1e-9) <= loads[i] <= PT
+        assert (np.delete(loads, i) < PT).all()
+        inside = (q > 0) & (q < Q_CAP)
+        price = 1.0 / ((1.0 + q[inside]) * b[i, inside])
+        lam = price.mean()
+        assert np.abs(price - lam).max() <= 1e-9 * lam
+        assert (lam * b[i, q == 0] >= 1 - 1e-9).all()
+        assert (lam * b[i, q == Q_CAP] <= (1 + 1e-9) / (1 + Q_CAP)).all()
+        assert ((q == 0) | inside | (q == Q_CAP)).all()
+
+
+def test_water_filling_caps_a_user_at_zero_load():
+    # A lower-triangular precoder: antenna 0 spends nothing on user 1. Antenna
+    # 0 alone binds, so user 1 stays at its cap and user 0 takes antenna 0's
+    # budget, q_0 = PT / b_00.
+    bf = zf.Beamformer(w=np.array([[np.sqrt(1e11) * np.exp(0.3j), 0.0],
+                                   [np.sqrt(1e9) * np.exp(1.1j), np.sqrt(1e9) * np.exp(-0.7j)]]))
+    b = np.abs(bf.w) ** 2 * SIGMA2
+    assert b[0, 1] == 0.0 and b[0, 0] * Q_CAP > PT and b[1].sum() * Q_CAP < PT
+    (alloc,) = zf.allocate_powers([bf], SIGMA2, PT, ETA)
+    assert alloc.converged and alloc.newton_iterations == 0
+    assert alloc.p_mw[1] == Q_CAP * SIGMA2
+    assert alloc.p_mw[0] == pytest.approx(PT / b[0, 0] * SIGMA2, rel=1e-11)
+    assert (antenna_loads(bf, alloc) <= PT).all()
+    want = _solo_allocation(bf)
+    assert np.abs(alloc.p_mw - want.p_mw).max() <= 1e-6 * Q_CAP * SIGMA2
+
+
+def test_water_filling_declines_two_binding_antennas():
+    # A weak, nearly diagonal channel overloads both antennas, and its optimum
+    # binds both: each antenna's water-filling point overloads the other, so
+    # the instance goes to the interior point and matches its solo solve.
+    h = np.sqrt(1e-12) * np.array([[1.0, 0.1j], [0.2, 0.9 - 0.1j]])
+    bf = zf.build_beamformer(h)
+    assert ((np.abs(bf.w) ** 2 * SIGMA2).sum(axis=1) * Q_CAP > PT).all()
+    want = _solo_allocation(bf)
+    assert want.converged and binding_antennas(bf, want) == 2
+    assert not closed_form(bf)
+    (alloc,) = zf.allocate_powers([bf], SIGMA2, PT, ETA)
+    assert alloc.newton_iterations > 0
+    _assert_same_allocation(alloc, want)
+
+
 def test_zf_rates_ideal_zero_power():
     alloc = zf.PowerAllocation(
         p_mw=np.zeros(2),
@@ -597,7 +733,7 @@ def test_zf_rates_ideal_zero_power():
         kkt_residual=0.0,
         newton_iterations=0,
     )
-    rates, snr = zf.zf_rates_ideal(alloc, W_MHZ, SIGMA2, ETA)
+    rates, snr = zf.zf_rates_ideal(alloc.p_mw, W_MHZ, SIGMA2, ETA)
     assert (rates == 0).all()
     assert (snr == 0).all()
 
@@ -610,7 +746,7 @@ def test_zf_rates_ideal_cap_boundary():
         kkt_residual=0.0,
         newton_iterations=0,
     )
-    rates, snr = zf.zf_rates_ideal(alloc, W_MHZ, SIGMA2, ETA)
+    rates, snr = zf.zf_rates_ideal(alloc.p_mw, W_MHZ, SIGMA2, ETA)
     assert rates[0] == pytest.approx(W_MHZ * ETA)
     assert snr[0] == pytest.approx(2**ETA - 1)
 
@@ -620,10 +756,29 @@ def test_zf_rates_erroneous_reduces_to_ideal_when_exact():
     h = random_h(rng, 4)
     bf = zf.build_beamformer(h)
     alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
-    rates_i, snr_i = zf.zf_rates_ideal(alloc, W_MHZ, SIGMA2, ETA)
-    rates_e, sinr_e = zf.zf_rates_erroneous(h, bf, alloc, W_MHZ, SIGMA2, ETA)
+    rates_i, snr_i = zf.zf_rates_ideal(alloc.p_mw, W_MHZ, SIGMA2, ETA)
+    rates_e, sinr_e = zf.zf_rates_erroneous(h, bf.w, alloc.p_mw, W_MHZ, SIGMA2, ETA)
     assert np.allclose(rates_e, rates_i, rtol=1e-9)
     assert np.allclose(sinr_e, snr_i, rtol=1e-6)
+
+
+def test_zf_rates_erroneous_on_a_stack_equals_the_formula_per_instance():
+    # Stacked instances of one size: each user's SINR is |c_jj|^2 p_j over the
+    # leakage sum_{m != j} |c_jm|^2 p_m plus noise, for C = H_true W, and each
+    # instance's rates equal those of a call on it alone, bit for bit.
+    rng = np.random.default_rng(71)
+    h_true = np.stack([random_h(rng, 4) for _ in range(3)])
+    w = np.stack([zf.build_beamformer(random_h(rng, 4)).w for _ in range(3)])
+    p = rng.uniform(0.0, Q_CAP * SIGMA2, size=(3, 4))
+    rates, sinr = zf.zf_rates_erroneous(h_true, w, p, W_MHZ, SIGMA2, ETA)
+    for h_k, w_k, p_k, rates_k, sinr_k in zip(h_true, w, p, rates, sinr):
+        alone = zf.zf_rates_erroneous(h_k, w_k, p_k, W_MHZ, SIGMA2, ETA)
+        assert np.array_equal(alone[0], rates_k) and np.array_equal(alone[1], sinr_k)
+        c = np.abs(h_k @ w_k) ** 2
+        for j in range(4):
+            leak = sum(c[j, m] * p_k[m] for m in range(4) if m != j)
+            assert sinr_k[j] == pytest.approx(c[j, j] * p_k[j] / (leak + SIGMA2), rel=1e-12)
+        assert np.allclose(rates_k, np.minimum(W_MHZ * np.log2(1 + sinr_k), W_MHZ * ETA))
 
 
 def test_zf_rates_erroneous_zero_leakage_without_outdating():
@@ -651,8 +806,8 @@ def test_zf_erroneous_median_sinr_collapse_at_full_outdating():
         h_true = sqrt_l * z_now
         bf = zf.build_beamformer(h_hat)
         alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
-        _, snr_i = zf.zf_rates_ideal(alloc, W_MHZ, SIGMA2, ETA)
-        _, sinr_e = zf.zf_rates_erroneous(h_true, bf, alloc, W_MHZ, SIGMA2, ETA)
+        _, snr_i = zf.zf_rates_ideal(alloc.p_mw, W_MHZ, SIGMA2, ETA)
+        _, sinr_e = zf.zf_rates_erroneous(h_true, bf.w, alloc.p_mw, W_MHZ, SIGMA2, ETA)
         drops.append(10 * np.log10(np.median(snr_i) / np.median(sinr_e)))
     assert np.median(drops) >= 20.0
 
@@ -672,7 +827,7 @@ def test_outage_non_decreasing_in_delta_matched_seeds():
             h_hat = sqrt_l * z_prev
             bf = zf.build_beamformer(h_hat)
             alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
-            _, sinr = zf.zf_rates_erroneous(sqrt_l * z_now, bf, alloc, W_MHZ, SIGMA2, ETA)
+            _, sinr = zf.zf_rates_erroneous(sqrt_l * z_now, bf.w, alloc.p_mw, W_MHZ, SIGMA2, ETA)
             hits += int((sinr < gamma).sum())
             total += sinr.size
         outage_by_delta.append(hits / total)
