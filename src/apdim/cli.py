@@ -2,8 +2,9 @@
 
 `run` walks the AP-count ladder for each requested system and writes one CSV
 row per evaluated deployment plus a JSON manifest sidecar; `sweep` writes the
-demand-axis table (minimum APs per demand point). Output is byte-identical for
-a given (scenario, seed) regardless of --threads.
+demand-axis table (minimum APs per demand point). --threads N evaluates the
+ladder's rungs on up to N processes, one per usable CPU; output is
+byte-identical for a given (scenario, seed) regardless of --threads.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
         default="1",
-        help="thread count, recorded in the manifest; snapshots run in one thread",
+        help="processes that evaluate rungs, at most one per usable CPU; output bytes do not "
+        "depend on it",
     )
     p.add_argument(
         "--full-ladder",
@@ -110,6 +112,7 @@ def _run_dimensioning(args, sweep: bool) -> int:
             systems,
             stop_when_satisfied=not args.full_ladder,
             progress=progress,
+            threads=threads,
         )
     except Exception as exc:  # noqa: BLE001 - surface module hard-errors as exit 1
         print(f"error: {exc}", file=sys.stderr)
@@ -122,6 +125,7 @@ def _run_dimensioning(args, sweep: bool) -> int:
         args.out + ".manifest.json",
         scenario_dict=scn.to_dict(),
         threads=threads,
+        usable_cpus=engine.usable_cpus(),
         wall_clock_s=elapsed,
         rows_written=rows,
         result=result,

@@ -5,12 +5,16 @@ Determinism contract: every snapshot derives its own generator from
 (master_seed, deployment_id, snapshot_index) and draws along one tree
 (``Block``), so a system's results depend neither on the evaluation order,
 nor on which other systems share the rung's one snapshot pass, nor on how
-``run_rung`` cuts the pass into blocks.
+``run_rung`` cuts the pass into blocks, nor on which process ``dimension``
+runs a rung in.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -82,13 +86,24 @@ class Estimate:
 
 def normal_estimate(samples) -> Estimate:
     """Sample mean with a normal-approximation interval (degenerate at n = 1)."""
-    samples = np.asarray(samples, dtype=float)
-    n = int(samples.size)
+    (estimate,) = normal_estimates(np.asarray(samples, dtype=float).reshape(1, -1))
+    return estimate
+
+
+def normal_estimates(rows: np.ndarray) -> list[Estimate]:
+    """``normal_estimate`` of each row of ``rows``, with one ``mean`` and one ``std`` call.
+
+    Both reduce along contiguous rows, each with the pairwise sum of a row on
+    its own, so every estimate equals that of its row alone bit for bit.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    n = rows.shape[1]
     if n < 1:
         raise ValueError("need at least one sample")
-    mean = float(samples.mean())
-    hw = float(Z95 * samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return Estimate(mean=mean, count=n, ci_low=mean - hw, ci_high=mean + hw)
+    means = rows.mean(axis=1).tolist()
+    hws = (Z95 * rows.std(axis=1, ddof=1) / np.sqrt(n)).tolist() if n > 1 else [0.0] * len(means)
+    return [Estimate(mean=mean, count=n, ci_low=mean - hw, ci_high=mean + hw)
+            for mean, hw in zip(means, hws)]
 
 
 def wilson_estimate(successes: int, trials: int) -> Estimate:
@@ -720,8 +735,8 @@ def _aggregate(
     redraws = int(sum(t.redraws.sum() for t in tallies))
     solver_fallbacks = int(sum(t.solver_fallbacks.sum() for t in tallies))
     records = {}
-    for k, plan_sums, plan_hits in zip(ks, rate_sums.T, hits, strict=True):
-        lambda_s = normal_estimate(plan_sums / scn.area.area_km2)
+    lambdas = normal_estimates(np.ascontiguousarray(rate_sums.T) / scn.area.area_km2)
+    for k, lambda_s, plan_hits in zip(ks, lambdas, hits, strict=True):
         outage = wilson_estimate(int(plan_hits), served_total)
         mu = lambda_s.mean / scn.traffic.lambda_u_per_km2
         records[k] = DeploymentRecord(
@@ -792,8 +807,9 @@ def run_rung(scn, layout: Layout, systems: Sequence[str], deployment_id: int) ->
 
     The scenario's ``engine.n_snapshots`` snapshots run in blocks of
     consecutive indices (``_block_size``), one after another in the calling
-    thread: their work holds the GIL for most of its time, which no thread
-    pool can share out. Each snapshot draws from its own generator, derived
+    process. Their work holds the GIL for most of its time, which no thread
+    pool can share out, so ``dimension`` spreads whole rungs over worker
+    processes instead. Each snapshot draws from its own generator, derived
     from (seed, deployment_id, snapshot index), in the order a block of one
     would. Every system reads the one ``Block`` that ``draw_block`` makes,
     released before the next is drawn: static and both Wi-Fi systems make
@@ -889,6 +905,144 @@ class DimensioningResult:
     demand_grid: tuple[float, ...]
     ladder: tuple[tuple[int, int], ...]
     per_system: dict
+    workers: int = 1  # the processes that evaluated rungs, the caller's included
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _evaluate_ladder_rung(scn, ladder, rung_id: int, systems) -> list[DeploymentRecord]:
+    nx, ny = ladder[rung_id]
+    return evaluate_rung(scn, place_aps(scn.area, nx, ny), systems, rung_id)
+
+
+def _serve(scn, ladder, tasks, results) -> None:
+    """A worker's loop: for each pickled (rung_id, systems) task read from the
+    file ``tasks``, write the rung's list of records, or a tuple of the
+    exception it raised and its formatted traceback, to the file
+    ``results``. Returns at the end of ``tasks``, also when the caller died."""
+    while True:
+        try:
+            rung_id, systems = pickle.load(tasks)
+        except EOFError:
+            return
+        try:
+            reply = pickle.dumps(_evaluate_ladder_rung(scn, ladder, rung_id, systems))
+        except Exception as exc:  # noqa: BLE001 - handed to the caller, which raises it
+            import traceback
+
+            trace = traceback.format_exc()
+            try:
+                reply = pickle.dumps((exc, trace))
+            except Exception:  # noqa: BLE001 - an exception that does not pickle
+                reply = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), trace))
+        results.write(reply)
+        results.flush()
+
+
+@contextmanager
+def _rung_processes(scn, ladder, threads: int):
+    """Yield (n, evaluate) for ``n`` = min(threads, usable CPUs) processes.
+
+    ``evaluate(rung_ids, systems)`` returns each rung's ``evaluate_rung``
+    records, in the order of ``rung_ids``. With more than one process,
+    ``os.fork`` starts n - 1 workers once, each pinned to its own CPU of the
+    caller's affinity mask, and the caller to the first of them. The rungs
+    are dealt largest first, round-robin, the workers first and the caller
+    last, since the caller also reads the records and writes the outputs.
+    Tasks and records go pickled over one pipe per direction and worker.
+    The caller evaluates its own share before it reads the workers' records,
+    which wait in the pipes: a rung's five records take about 1.4 KB, so a
+    64 KB pipe holds a worker's whole share of a ladder to 100 APs. On leaving,
+    the caller's mask is restored and every worker reaped, after a kill if
+    an exception is on its way out. Where the platform cannot fork or pin,
+    one process runs.
+    """
+    can_pin = hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
+    mask = os.sched_getaffinity(0) if can_pin else {0}  # else one process, never pinned
+    cpus = sorted(mask)[:max(1, threads)]
+    workers = []  # (pid, task writer, result reader)
+
+    def evaluate(rung_ids, systems):
+        dealt = sorted(rung_ids, reverse=True)  # largest first: the ladder ascends
+        for i, (_, tasks, _) in enumerate(workers):
+            for rung_id in dealt[i::len(cpus)]:
+                pickle.dump((rung_id, systems), tasks)
+            tasks.flush()
+        found = {rung_id: _evaluate_ladder_rung(scn, ladder, rung_id, systems)
+                 for rung_id in dealt[len(workers)::len(cpus)]}
+        for i, (pid, _, results) in enumerate(workers):
+            for rung_id in dealt[i::len(cpus)]:
+                try:
+                    reply = pickle.load(results)
+                except EOFError:
+                    raise RuntimeError(f"rung worker {pid} exited before rung {rung_id}") from None
+                if isinstance(reply, tuple):  # the rung failed
+                    exc, trace = reply
+                    raise exc from RuntimeError(f"in rung worker {pid}:\n{trace}")
+                found[rung_id] = reply
+        return [found[rung_id] for rung_id in rung_ids]
+
+    if len(cpus) < 2:
+        yield 1, evaluate
+        return
+    import gc  # only a run on several processes loads it
+
+    # Before the fork, numpy imports its random module, which every rung
+    # reads, once rather than once per process, and the caller's objects
+    # leave the cyclic collector's reach, so that no process's collections
+    # write to (and so copy) the memory the processes share.
+    np.random.default_rng  # noqa: B018 - the lazy import
+    gc.freeze()
+    try:
+        for cpu in cpus[1:]:
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (task_r, task_w, result_r, result_w):
+                    os.close(fd)
+                raise
+            if pid == 0:  # a worker never returns into the caller's stack
+                code = 1
+                try:
+                    os.close(task_w)
+                    os.close(result_r)
+                    for _, tasks, results in workers:  # the earlier workers' pipes
+                        os.close(tasks.fileno())
+                        os.close(results.fileno())
+                    os.sched_setaffinity(0, {cpu})
+                    with os.fdopen(task_r, "rb") as tasks, os.fdopen(result_w, "wb") as results:
+                        _serve(scn, ladder, tasks, results)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(task_r)
+            os.close(result_w)
+            workers.append((pid, os.fdopen(task_w, "wb"), os.fdopen(result_r, "rb")))
+        os.sched_setaffinity(0, {cpus[0]})
+        yield len(cpus), evaluate
+    except BaseException:
+        import signal
+
+        for pid, _, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.sched_setaffinity(0, mask)
+        gc.unfreeze()
+        for pid, tasks, results in workers:
+            try:
+                tasks.close()  # end of tasks: an idle worker returns
+            except OSError:  # a killed worker's pipe
+                pass
+            results.close()
+            os.waitpid(pid, 0)
 
 
 def dimension(
@@ -896,6 +1050,7 @@ def dimension(
     systems: Sequence[str],
     stop_when_satisfied: bool = True,
     progress: Optional[Callable[[str], None]] = None,
+    threads: int = 1,
 ) -> DimensioningResult:
     """Minimum AP count per demand point, per system, walking the grid ladder.
 
@@ -905,6 +1060,15 @@ def dimension(
     one pass of the scenario's ``engine.n_snapshots`` snapshots. A system
     stops early once every demand point has found its minimum, unless
     ``stop_when_satisfied`` is off.
+
+    The ladder is walked in rounds on min(threads, usable CPUs) processes
+    (``_rung_processes``). With early stop a round is the next rung per
+    process, each evaluating the systems walking at the round's start, and a
+    record of a system that stopped at an earlier rung of the round is
+    dropped; on a full ladder the whole ladder is one round. Records are
+    applied in ladder order, and a system's records do not depend on which
+    other systems share its pass, so the records, the progress lines and
+    every output byte are the same at any ``threads``.
     """
     demand_grid = tuple(scn.demand_gb_month)
     ladder = tuple(grid_ladder(scn.engine.ladder_max_aps))
@@ -916,25 +1080,33 @@ def dimension(
     records = {system: [] for system in systems}
     minimums = {system: dict.fromkeys(demand_grid) for system in systems}
     walking = systems
-    for rung_id, (nx, ny) in enumerate(ladder):
-        if not walking:
-            break
-        layout = place_aps(scn.area, nx, ny)
-        for rec in evaluate_rung(scn, layout, walking, rung_id):
-            records[rec.system].append(rec)
-            if progress is not None:
-                progress(
-                    f"{rec.system} {nx}x{ny}: lambda_s={rec.lambda_s.mean:.4g} Mbps/km2 "
-                    f"outage={rec.outage.mean:.4f} feasible={rec.outage_feasible}"
-                )
-            mins = minimums[rec.system]
-            for d in demand_grid:
-                if mins[d] is None and rec.outage_feasible and rec.lambda_s.mean >= targets[d]:
-                    mins[d] = rec
-        if stop_when_satisfied:
-            walking = [s for s in walking if any(v is None for v in minimums[s].values())]
+    with _rung_processes(scn, ladder, threads) as (workers, evaluate):
+        step = workers if stop_when_satisfied or workers == 1 else len(ladder)
+        for first in range(0, len(ladder), step):
+            if not walking:
+                break
+            rung_ids = range(first, min(first + step, len(ladder)))
+            for rung_id, rung_records in zip(rung_ids, evaluate(rung_ids, walking)):
+                nx, ny = ladder[rung_id]
+                for rec in rung_records:
+                    if rec.system not in walking:  # stopped at an earlier rung of the round
+                        continue
+                    records[rec.system].append(rec)
+                    if progress is not None:
+                        progress(
+                            f"{rec.system} {nx}x{ny}: lambda_s={rec.lambda_s.mean:.4g} Mbps/km2 "
+                            f"outage={rec.outage.mean:.4f} feasible={rec.outage_feasible}"
+                        )
+                    mins = minimums[rec.system]
+                    for d in demand_grid:
+                        if (mins[d] is None and rec.outage_feasible
+                                and rec.lambda_s.mean >= targets[d]):
+                            mins[d] = rec
+                if stop_when_satisfied:
+                    walking = [s for s in walking if any(v is None for v in minimums[s].values())]
     per_system = {
         system: SystemDimensioning(records=tuple(records[system]), minimums=minimums[system])
         for system in systems
     }
-    return DimensioningResult(demand_grid=demand_grid, ladder=ladder, per_system=per_system)
+    return DimensioningResult(demand_grid=demand_grid, ladder=ladder, per_system=per_system,
+                              workers=workers)

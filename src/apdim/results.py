@@ -106,6 +106,7 @@ def write_manifest(
     path: str,
     scenario_dict: dict,
     threads: int,
+    usable_cpus: int,
     wall_clock_s: float,
     rows_written: int,
     result: DimensioningResult,
@@ -138,6 +139,8 @@ def write_manifest(
         "seed": scenario_dict["engine"]["seed"],
         "n_snapshots": scenario_dict["engine"]["n_snapshots"],
         "threads": threads,
+        "workers": result.workers,
+        "usable_cpus": usable_cpus,
         "wall_clock_s": round(wall_clock_s, 3),
         "rows_written": rows_written,
         "dimensioning": dimensioning,

@@ -377,39 +377,45 @@ def test_criterion_09_determinism_across_threads(tmp_path):
         "APDIM_ENGINE__LADDER_MAX_APS": "9",
         "APDIM_ENGINE__N_SNAPSHOTS": "60",
     }
-    outputs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"threads_{threads}.csv"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "apdim.cli",
-                "run",
-                "--preset",
-                "table1-open",
-                "--systems",
-                "wifi-baseline,static,zf-ideal,zf-erroneous",
-                "--out",
-                str(out),
-                "--seed",
-                str(SEED),
-                "--threads",
-                threads,
-                "--quiet",
-            ],
-            capture_output=True,
-            text=True,
-            env={**dict(__import__("os").environ), **env},
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out.read_bytes())
-    ok = outputs[0] == outputs[1]
+    # Both round schedules of engine.dimension: the next rung per process
+    # with early stop, the whole ladder in one round with --full-ladder.
+    same = {}
+    for ladder in ([], ["--full-ladder"]):
+        outputs = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"threads_{threads}{'_full' if ladder else ''}.csv"
+            proc = subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "apdim.cli",
+                    "run",
+                    "--preset",
+                    "table1-open",
+                    "--systems",
+                    "wifi-baseline,static,zf-ideal,zf-erroneous",
+                    "--out",
+                    str(out),
+                    "--seed",
+                    str(SEED),
+                    "--threads",
+                    threads,
+                    "--quiet",
+                    *ladder,
+                ],
+                capture_output=True,
+                text=True,
+                env={**dict(__import__("os").environ), **env},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        same["full ladder" if ladder else "early stop"] = outputs[0] == outputs[1]
+    ok = all(same.values())
     _report(
         9,
         "thread-count determinism",
         ok,
-        f"1 vs 4 threads byte-identical CSV: {ok}, {time.perf_counter() - t0:.0f} s",
+        f"1 vs 4 threads byte-identical CSV: {same}, {time.perf_counter() - t0:.0f} s",
     )
     assert ok
 

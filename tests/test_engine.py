@@ -2,6 +2,10 @@
 and the dimensioning walk."""
 
 import dataclasses
+import gc
+import io
+import os
+import pickle
 import sys
 import tracemalloc
 from collections import Counter
@@ -660,6 +664,143 @@ def test_dimension_early_stop():
     scn = _tiny_scenario([0.5], ladder_cap=100)
     res = engine.dimension(scn, ["zf-ideal"])
     assert len(res.per_system["zf-ideal"].records) == 1  # stopped at 1x1
+
+
+# --- rung worker processes -----------------------------------------------------------
+
+def _fake_cpus(monkeypatch, n):
+    """n usable CPUs whatever the host has; the caller's pins are recorded, not made."""
+    pins = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: pins.append(set(mask)))
+    return pins
+
+
+def _dimension_bytes(scn, systems, stop, threads):
+    lines = []
+    res = engine.dimension(scn, systems, stop_when_satisfied=stop, progress=lines.append,
+                           threads=threads)
+    records = {system: [repr(dataclasses.astuple(rec)) for rec in dims.records]
+               for system, dims in res.per_system.items()}
+    minimums = {system: {d: None if rec is None else rec.ap_count
+                         for d, rec in dims.minimums.items()}
+                for system, dims in res.per_system.items()}
+    return res.workers, (records, minimums, lines)
+
+
+@pytest.mark.parametrize(
+    "stop, systems",
+    [(True, engine.SYSTEMS), (False, engine.SYSTEMS), (True, ["zf-erroneous", "static"])],
+)
+def test_rung_workers_give_the_records_of_one_process(monkeypatch, stop, systems):
+    # Static and ZF stop at 2x2 APs and both Wi-Fi systems walk to 16, so
+    # with two processes the early-stop walk drops records of the 2x3 rung.
+    scn = _tiny_scenario([1.0, 3.0], ladder_cap=16, snapshots=20)
+    _, want = _dimension_bytes(scn, systems, stop, threads=1)
+    for workers in (2, 3):
+        pins = _fake_cpus(monkeypatch, workers)
+        assert _dimension_bytes(scn, systems, stop, threads=8) == (workers, want), workers
+        assert pins == [{0}, set(range(workers))]  # the caller's pin, then its mask again
+
+
+@pytest.mark.parametrize("failing", ["worker", "parent"])
+def test_a_failed_rung_reaches_the_caller_and_leaves_no_process(monkeypatch, failing):
+    # A full ladder of four rungs on two processes: the worker takes rungs 3
+    # and 1, the caller 2 and 0. With one usable CPU the caller takes all four.
+    scn = _tiny_scenario([1.0], ladder_cap=6, snapshots=4)
+    mask = os.sched_getaffinity(0)
+    failing_rung = {"worker": 3, "parent": 2}[failing]
+    evaluate_rung, fork, forks = engine.evaluate_rung, os.fork, []
+
+    def evaluate_or_fail(scn, layout, systems, deployment_id):
+        if deployment_id == failing_rung:
+            raise RuntimeError(f"rung {deployment_id} failed")
+        return evaluate_rung(scn, layout, systems, deployment_id)
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(engine, "evaluate_rung", evaluate_or_fail)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    with pytest.raises(RuntimeError, match=f"^rung {failing_rung} failed$") as raised:
+        engine.dimension(scn, ["static", "zf-ideal"], stop_when_satisfied=False, threads=2)
+    assert len(forks) == min(2, len(mask)) - 1
+    if forks and failing == "worker":  # the worker's traceback comes along
+        assert "in evaluate_or_fail" in str(raised.value.__cause__)
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == mask
+
+
+def test_a_failed_fork_leaves_no_pipe_pin_or_frozen_object(monkeypatch):
+    scn = _tiny_scenario([1.0], ladder_cap=4, snapshots=4)
+    pins = _fake_cpus(monkeypatch, 2)
+
+    def fail():
+        raise OSError("no fork")
+
+    monkeypatch.setattr(os, "fork", fail)
+    open_fds = os.listdir("/proc/self/fd")
+    with pytest.raises(OSError, match="no fork"):
+        engine.dimension(scn, ["static"], threads=2)
+    assert os.listdir("/proc/self/fd") == open_fds
+    assert pins == [{0, 1}]  # the mask restored, never pinned
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("platform", ["one usable CPU", "no fork", "no sched_setaffinity"])
+def test_one_process_forks_nothing(monkeypatch, platform):
+    scn = _tiny_scenario([1.0, 3.0], ladder_cap=9, snapshots=10)
+    _, want = _dimension_bytes(scn, engine.SYSTEMS, False, threads=1)
+
+    def refuse(*args):
+        raise AssertionError("one process must not fork or pin")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    if platform == "one usable CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.delattr(os, platform[3:])
+    assert _dimension_bytes(scn, engine.SYSTEMS, False, threads=4) == (1, want)
+
+
+def test_a_worker_serves_its_tasks_until_their_end():
+    # A worker's loop returns at the end of its task pipe, as when the caller
+    # dies, and a failed rung (no rung 99 on this ladder) stops no later one.
+    scn = _tiny_scenario([1.0], ladder_cap=4, snapshots=4)
+    ladder = geometry.grid_ladder(4)
+    tasks = io.BytesIO()
+    for rung_id in (2, 99, 0):
+        pickle.dump((rung_id, ["static", "zf-ideal"]), tasks)
+    tasks.seek(0)
+    results = io.BytesIO()
+    engine._serve(scn, ladder, tasks, results)
+    results.seek(0)
+    for rung_id in (2, 99, 0):
+        reply = pickle.load(results)
+        if rung_id == 99:
+            exc, trace = reply
+            assert isinstance(exc, IndexError) and "_evaluate_ladder_rung" in trace
+            continue
+        nx, ny = ladder[rung_id]
+        want = engine.evaluate_rung(scn, geometry.place_aps(scn.area, nx, ny),
+                                    ["static", "zf-ideal"], rung_id)
+        assert [dataclasses.astuple(rec) for rec in reply] == [
+            dataclasses.astuple(rec) for rec in want]
+    assert results.read() == b""
+
+
+def test_normal_estimates_equal_each_row_alone():
+    rows = np.random.default_rng(5).gamma(2.0, 1e3, size=(12, 37))
+    assert engine.normal_estimates(rows) == [engine.normal_estimate(row) for row in rows]
+    for n in (1, 2, 400):  # against one row's own mean and std
+        row = rows.ravel()[:n]
+        mean = float(row.mean())
+        hw = float(engine.Z95 * row.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        want = engine.Estimate(mean, n, mean - hw, mean + hw)
+        assert engine.normal_estimates(row[None]) == [want]
 
 
 def test_evaluate_rung_rejects_unknown_system():

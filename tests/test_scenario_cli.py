@@ -351,6 +351,8 @@ def test_cli_run_writes_csv_and_manifest(tmp_path):
             str(out),
             "--snapshots",
             "80",
+            "--threads",
+            "3",
             "--quiet",
         ],
         env_extra={"APDIM_DEMAND_GB_MONTH": "[1.0]", "APDIM_ENGINE__LADDER_MAX_APS": "4"},
@@ -364,9 +366,11 @@ def test_cli_run_writes_csv_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
     assert list(manifest) == [
         "tool", "version", "python", "numpy", "scenario", "systems", "seed", "n_snapshots",
-        "threads", "wall_clock_s", "rows_written", "dimensioning",
+        "threads", "workers", "usable_cpus", "wall_clock_s", "rows_written", "dimensioning",
     ]
     assert manifest["tool"] == "apdim"
+    assert manifest["usable_cpus"] == len(os.sched_getaffinity(0))
+    assert (manifest["threads"], manifest["workers"]) == (3, min(3, manifest["usable_cpus"]))
     assert manifest["seed"] == scenario.preset("table1-open").engine.seed
     assert manifest["n_snapshots"] == 80
     assert manifest["dimensioning"]["zf-ideal"][0]["feasible"] is True
