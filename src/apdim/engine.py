@@ -467,10 +467,6 @@ class Block:
     def size(self) -> int:
         return len(self.rngs)
 
-    def columns(self, b: int) -> slice:
-        """Snapshot b's positions in ``serving`` and its columns of the gains."""
-        return slice(self.starts[b], self.starts[b + 1])
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -629,65 +625,61 @@ def static_block(
 def zf_block(ctx: DeploymentContext, block: Block, erroneous: bool) -> dict[str, Tally]:
     """Multi-cell ZF on every snapshot of ``block``, one pass for both CSIT models.
 
-    Each snapshot's generator is set back to S0, so a second pass repeats
-    the first. Its CSIT is a fading draw from S0, and the block's CSIT
-    matrices of each size are inverted together (``zf.build_beamformers``).
-    A near-singular draw is replaced by a fresh one from the snapshot's own
-    generator, inverted alone, up to MAX_REDRAWS_PER_SNAPSHOT times. With
-    ``erroneous`` set, the accepted CSIT is then evolved past the feedback
-    delay (``ch.delayed_csit``, per-link outdated with the scenario's
-    probability ``zf.delta`` and correlation ``zf.rho``) into the true
-    channel on which erroneous CSIT is scored. One ``zf.allocate_powers``
-    call then optimizes the PAPC powers of every snapshot, each as on its
-    own, and both CSIT models read the one allocation, each scored with one
-    rate call per block (erroneous CSIT: one per size): returns
+    The snapshots of each size n run one pipeline on (k, n, n) stacks. Each
+    generator is set back to S0, so a second pass repeats the first, and
+    draws its CSIT fading; the stack is inverted at once
+    (``zf.build_beamformers``). A near-singular draw is replaced by a fresh
+    one from the snapshot's own generator, inverted alone, up to
+    MAX_REDRAWS_PER_SNAPSHOT times. With ``erroneous`` set, the accepted
+    CSIT is then evolved past the feedback delay (``ch.delayed_csit``,
+    per-link outdated with the scenario's probability ``zf.delta`` and
+    correlation ``zf.rho``) into the true channel. One ``zf.allocate_powers``
+    call optimizes the stack's PAPC powers, each as on its own, and
+    erroneous CSIT is scored on the stack; the powers, rates, SINR and
+    fallbacks go into the block's per-user and per-snapshot arrays, and
+    ideal CSIT is scored on the block's powers at once. Returns
     {"zf-ideal": tally, "zf-erroneous": tally}, the latter if ``erroneous``.
     """
     scn = ctx.scn
-    w, sigma2, eta_zf = scn.radio.bandwidth_mhz, scn.sigma2_mw, scn.zf.eta_zf
+    w_mhz, sigma2, eta_zf = scn.radio.bandwidth_mhz, scn.sigma2_mw, scn.zf.eta_zf
     sigma_z2 = scn.radio.sigma_z2
-    sqrt_l, z = [], []  # per snapshot, (user j, antenna i)
-    for b, rng in enumerate(block.rngs):
-        rng.bit_generator.state = block.s0[b]
-        cols = block.columns(b)
-        sqrt_l.append(np.sqrt(block.served_gains[block.serving[cols], cols].T))
-        z.append(ch.draw_fading(rng, sqrt_l[b].shape, sigma_z2))
-    by_size: dict = {}  # the snapshots of each size, in snapshot order
-    for b, n in enumerate(np.diff(block.starts).tolist()):
-        by_size.setdefault(n, []).append(b)
-    beamformers, redraws = [None] * block.size, np.zeros(block.size, dtype=np.intp)
-    h_true = {}  # per size, the true channels of its snapshots
-    for n, members in by_size.items():
-        inverted = zf.build_beamformers(np.stack([sqrt_l[b] * z[b] for b in members]))
-        if erroneous:
-            h_true[n] = np.empty((len(members), n, n), dtype=complex)
-        for j, (b, bf) in enumerate(zip(members, inverted)):
-            rng = block.rngs[b]
-            while bf is None:  # the snapshot's generator alone redraws it
+    sizes = np.diff(block.starts)
+    p_mw = np.empty(block.serving.size)
+    rates, sinr = np.empty_like(p_mw), np.empty_like(p_mw)  # erroneous CSIT's
+    redraws = np.zeros(block.size, dtype=np.intp)
+    fallbacks = np.zeros(block.size, dtype=np.intp)
+    for n in sorted(set(sizes.tolist())):
+        members = np.flatnonzero(sizes == n)
+        cols = block.starts[members][:, None] + np.arange(n)  # (k, n): each member's users
+        # sqrt_l[m, j, i]: user j's amplitude gain from antenna i, the AP of user i
+        sqrt_l = np.sqrt(block.served_gains[block.serving[cols][:, None, :], cols[:, :, None]])
+        z = np.empty(sqrt_l.shape, dtype=complex)
+        for m, b in enumerate(members):
+            block.rngs[b].bit_generator.state = block.s0[b]
+            z[m] = ch.draw_fading(block.rngs[b], (n, n), sigma_z2)
+        w, accepted = zf.build_beamformers(sqrt_l * z)
+        for m in np.flatnonzero(~accepted):
+            b = members[m]
+            while not accepted[m]:  # the snapshot's generator alone redraws it
                 redraws[b] += 1
                 if redraws[b] > MAX_REDRAWS_PER_SNAPSHOT:
                     raise RuntimeError(
                         f"snapshot exceeded {MAX_REDRAWS_PER_SNAPSHOT} singular-channel redraws"
                     )
-                z[b] = ch.draw_fading(rng, sqrt_l[b].shape, sigma_z2)
-                (bf,) = zf.build_beamformers((sqrt_l[b] * z[b])[None])
-            beamformers[b] = bf
-            if erroneous:
-                z_now = ch.delayed_csit(z[b], scn.zf.delta, scn.zf.rho, rng, sigma_z2)
-                h_true[n][j] = sqrt_l[b] * z_now
-    allocs = zf.allocate_powers(beamformers, sigma2, scn.radio.pt_mw, eta_zf)
-    p_mw = np.concatenate([alloc.p_mw for alloc in allocs])
-    scores = {"zf-ideal": zf.zf_rates_ideal(p_mw, w, sigma2, eta_zf)}
+                z[m] = ch.draw_fading(block.rngs[b], (n, n), sigma_z2)
+                (w[m],), (accepted[m],) = zf.build_beamformers((sqrt_l[m] * z[m])[None])
+        alloc = zf.allocate_powers(w, sigma2, scn.radio.pt_mw, eta_zf)
+        p_mw[cols] = alloc.p_mw
+        fallbacks[members] = ~alloc.converged
+        if erroneous:  # z moves on to the fading past the delay
+            for m, b in enumerate(members):
+                z[m] = ch.delayed_csit(z[m], scn.zf.delta, scn.zf.rho, block.rngs[b], sigma_z2)
+            rates[cols], sinr[cols] = zf.zf_rates_erroneous(
+                sqrt_l * z, w, alloc.p_mw, w_mhz, sigma2, eta_zf
+            )
+    scores = {"zf-ideal": zf.zf_rates_ideal(p_mw, w_mhz, sigma2, eta_zf)}
     if erroneous:
-        rates, sinr = np.empty_like(p_mw), np.empty_like(p_mw)
-        for n, members in by_size.items():
-            cols = (block.starts[members][:, None] + np.arange(n)).ravel()
-            rates[cols], sinr[cols] = (v.ravel() for v in zf.zf_rates_erroneous(
-                h_true.pop(n), np.stack([beamformers[b].w for b in members]),
-                np.stack([allocs[b].p_mw for b in members]), w, sigma2, eta_zf,
-            ))
         scores["zf-erroneous"] = rates, sinr
-    fallbacks = np.array([not alloc.converged for alloc in allocs], dtype=np.intp)
     return {system: _tally(ctx, rates[None], sinr[None], block.starts,
                            redraws=redraws, solver_fallbacks=fallbacks)
             for system, (rates, sinr) in scores.items()}

@@ -138,19 +138,21 @@ def random_papc_instance(
     cross = own - rng.uniform(0.0, 2.0, size=2)  # and to the other AP
     gains = 10.0 ** np.array([[own[0], cross[0]], [cross[1], own[1]]])
     h = np.sqrt(gains) * ch.draw_fading(rng, (2, 2))
-    bf = zf.build_beamformer(h)
-    alloc = zf.allocate_powers([bf], sigma2_mw, pt_mw, eta)[0]
-    a = np.abs(bf.w) ** 2
-    if alloc.newton_iterations > 0:
+    (w,), (accepted,) = zf.build_beamformers(h[None])
+    if not accepted:
+        raise RuntimeError("the N=2 channel draw is too ill-conditioned to invert")
+    alloc = zf.allocate_powers(w[None], sigma2_mw, pt_mw, eta)
+    p_mw, a = alloc.p_mw[0], np.abs(w) ** 2
+    if alloc.newton_iterations[0] > 0:
         path = "interior point"
-    elif (alloc.p_mw == (2.0**eta - 1.0) * sigma2_mw).all():
+    elif (p_mw == (2.0**eta - 1.0) * sigma2_mw).all():
         path = "rate cap"
     else:
         path = "water-filling"
     return PapcInstance(
-        solver_sum_rate=float(zf.zf_rates_ideal(alloc.p_mw, w_mhz, sigma2_mw, eta)[0].sum()),
+        solver_sum_rate=float(zf.zf_rates_ideal(p_mw, w_mhz, sigma2_mw, eta)[0].sum()),
         grid_sum_rate=grid_search_sum_rate(a, sigma2_mw, pt_mw, w_mhz, eta, points),
-        max_antenna_load=float((a @ alloc.p_mw).max()),
+        max_antenna_load=float((a @ p_mw).max()),
         pt_mw=pt_mw,
         path=path,
     )

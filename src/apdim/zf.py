@@ -1,5 +1,8 @@
 """Multi-cell zero-forcing: channel inversion, PAPC power optimization, rate evaluation.
 
+Each step takes a stack of k instances of one size n, with the instances on
+axis 0, and returns arrays of per-instance results.
+
 The symbol-power problem is
 
     maximize   sum_j min{ W log2(1 + p_j / sigma2), W eta }
@@ -14,20 +17,8 @@ SNR-scaled variables q = p / sigma2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
-
-
-class SingularChannelError(RuntimeError):
-    """Raised when the CSIT matrix is too ill-conditioned to invert reliably."""
-
-
-@dataclass(frozen=True, eq=False)
-class Beamformer:
-    """Channel-inverting beamforming matrix."""
-
-    w: np.ndarray  # (N, N) complex, H_hat @ w == I
 
 
 COND_LIMIT = 1e12
@@ -43,47 +34,38 @@ def _svd_cond(h_hat: np.ndarray) -> float:
     return np.inf if s[-1] == 0.0 else float((s[0] / s[-1]) ** 2)
 
 
-def build_beamformer(h_hat: np.ndarray) -> Beamformer:
-    """Invert the CSIT matrix so that every user receives only its own symbol.
+def build_beamformers(h_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert each CSIT matrix of a (k, n, n) complex stack so that every user
+    receives only its own symbol; returns the precoders w, (k, n, n), and which
+    are accepted, (k,).
 
     For the square N = M case the precoder H^dagger (H H^dagger)^{-1} is the
     plain matrix inverse; one step of iterative refinement keeps the
     multiply-back residual ||H_hat w - I||_inf below 1e-8. Channels whose
     H H^dagger condition number exceeds COND_LIMIT are rejected so the
-    caller can redraw the snapshot's fading.
+    caller can redraw the snapshot's fading; a rejected matrix's w is no
+    precoder.
 
     The condition is tested on the inverse: kappa_F = ||H||_F ||W||_F
     brackets the 2-norm condition, kappa_F / N <= kappa_2 <= kappa_F, so
     the bound accepts or rejects unless COND_LIMIT lies within the bracket,
-    where the singular values decide. A matrix that ``solve`` finds exactly
-    singular is rejected.
-    """
-    h_hat = np.asarray(h_hat, dtype=complex)
-    if h_hat.ndim != 2 or h_hat.shape[0] != h_hat.shape[1]:
-        raise ValueError(f"expected a square channel matrix, got shape {h_hat.shape}")
-    (beamformer,) = build_beamformers(h_hat[None])
-    if beamformer is None:
-        raise SingularChannelError(f"channel condition exceeds {COND_LIMIT:.1e} or is singular")
-    return beamformer
-
-
-def build_beamformers(h_hat: np.ndarray) -> list[Optional[Beamformer]]:
-    """``build_beamformer`` of every matrix of a (k, n, n) complex stack, None where it rejects.
-
-    One stacked ``solve`` inverts the stack, and the Frobenius bound, the
-    residual test and the refinement are stacked too; only a matrix that the
-    bound cannot accept computes more on its own. Stacked ``solve`` and
-    ``matmul`` make per matrix the LAPACK and BLAS calls that the matrix
-    alone makes, so each precoder equals ``build_beamformer``'s bit for bit.
-    An exactly singular matrix fails the stacked ``solve`` as a whole; the
-    stack is then inverted one matrix at a time.
+    where the singular values decide. One stacked ``solve`` inverts the
+    stack, and the bound, the residual test and the refinement are stacked
+    too. Stacked ``solve`` and ``matmul`` make per matrix the LAPACK and BLAS
+    calls that the matrix alone makes, so each precoder equals that of a
+    stack of one bit for bit. An exactly singular matrix fails the stacked
+    ``solve`` as a whole; the stack is then inverted one matrix at a time,
+    and the singular one is rejected.
     """
     k, n, _ = h_hat.shape
     eye = np.eye(n, dtype=complex)
     try:
         w = np.linalg.solve(h_hat, eye)
     except np.linalg.LinAlgError:
-        return [None] if k == 1 else [bf for h in h_hat for bf in build_beamformers(h[None])]
+        if k == 1:
+            return np.full_like(h_hat, np.nan), np.zeros(1, dtype=bool)
+        w, accepted = zip(*(build_beamformers(h[None]) for h in h_hat))
+        return np.concatenate(w), np.concatenate(accepted)
     kappa_f2 = _frobenius2(h_hat) * _frobenius2(w)  # kappa_F^2
     accepted = kappa_f2 <= COND_LIMIT * (1.0 - _BOUND_MARGIN)
     for j in np.flatnonzero(~accepted):  # the bound does not accept
@@ -98,7 +80,7 @@ def build_beamformers(h_hat: np.ndarray) -> list[Optional[Beamformer]]:
         h = h_hat[refine]
         w[refine] = w[refine] + np.linalg.solve(h, residual[refine])
         accepted[refine] = ~(np.abs(h @ w[refine] - eye).max(axis=(1, 2)) > _INVERSION_TOL)
-    return [Beamformer(w=w[j]) if accepted[j] else None for j in range(k)]
+    return w, accepted
 
 
 def _frobenius2(a: np.ndarray) -> np.ndarray:
@@ -107,64 +89,44 @@ def _frobenius2(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PowerAllocation:
-    """Optimized symbol powers and how the solve that found them ended."""
+class PowerAllocations:
+    """Optimized symbol powers of a stack's instances and how each solve ended."""
 
-    p_mw: np.ndarray  # (N,) symbol powers
-    converged: bool
-    kkt_residual: float
-    newton_iterations: int  # interior-point iterations (one Newton matrix each)
+    p_mw: np.ndarray  # (k, n) symbol powers
+    converged: np.ndarray  # (k,) bool
+    kkt_residual: np.ndarray  # (k,)
+    newton_iterations: np.ndarray  # (k,) interior-point iterations (one Newton matrix each)
 
 
 def allocate_powers(
-    beamformers: Sequence[Beamformer],
-    sigma2_mw: float,
-    pt_mw: float,
-    eta_zf: float,
-) -> list[PowerAllocation]:
+    w: np.ndarray, sigma2_mw: float, pt_mw: float, eta_zf: float
+) -> PowerAllocations:
     """Maximize each capped sum rate subject to its per-antenna power constraints.
 
-    Instances are grouped by size n. An instance whose optimum has at most
-    one binding antenna gets it in closed form (``_closed_form``): with every
-    user at the rate cap, q = q_cap, where the antennas carry that, else by
-    water-filling on the one antenna that binds. Such a point is exact up to
-    rounding and is reported converged, with a KKT residual of 0 after 0
-    iterations. The other instances of one size are solved together in one
-    stacked interior-point loop. Each follows exactly the iterates it would
-    follow alone, so its result does not depend on the other beamformers in
-    the call. ``newton_iterations`` of a result counts interior-point
-    iterations. Results are returned in the order of ``beamformers``.
+    ``w`` stacks k precoders of one size n, shape (k, n, n). An instance
+    whose optimum has at most one binding antenna gets it in closed form
+    (``_closed_form``): with every user at the rate cap, q = q_cap, where
+    the antennas carry that, else by water-filling on the one antenna that
+    binds. Such a point is exact up to rounding and is reported converged,
+    with a KKT residual of 0 after 0 iterations. The other instances are
+    solved together in one stacked interior-point loop. Each follows
+    exactly the iterates it would follow alone, so its result does not
+    depend on the other precoders in the stack.
     """
     q_cap = 2.0**eta_zf - 1.0  # SNR value at which the rate cap binds
-    by_size: dict = {}
-    for i, bf in enumerate(beamformers):
-        by_size.setdefault(bf.w.shape[0], []).append(i)
-    allocations: list = [None] * len(beamformers)
-    for members in by_size.values():
-        members = np.array(members)
-        # b[k, i, j] = |w_ij|^2 sigma2: antenna i's load coefficient on user j
-        # of instance k in q = p / sigma2 units
-        b = np.stack([np.abs(beamformers[i].w) ** 2 for i in members]) * sigma2_mw
-        q, closed = _closed_form(b, pt_mw, q_cap)
-        for i, q_i in zip(members[closed], q[closed]):
-            allocations[i] = PowerAllocation(
-                p_mw=q_i * sigma2_mw,
-                converged=True,
-                kkt_residual=0.0,
-                newton_iterations=0,
-            )
-        if closed.all():
-            continue
-        for i, (q_i, converged, kkt, iters) in zip(
-            members[~closed], _interior_point_solve(b[~closed], pt_mw, q_cap)
-        ):
-            allocations[i] = PowerAllocation(
-                p_mw=q_i * sigma2_mw,
-                converged=converged,
-                kkt_residual=kkt,
-                newton_iterations=iters,
-            )
-    return allocations
+    # b[k, i, j] = |w_ij|^2 sigma2: antenna i's load coefficient on user j
+    # of instance k in q = p / sigma2 units
+    b = np.abs(w) ** 2 * sigma2_mw
+    q, closed = _closed_form(b, pt_mw, q_cap)
+    converged = np.ones(len(b), dtype=bool)
+    kkt = np.zeros(len(b))
+    iters = np.zeros(len(b), dtype=np.intp)
+    if not closed.all():
+        solved = ~closed
+        q[solved], converged[solved], kkt[solved], iters[solved] = _interior_point_solve(
+            b[solved], pt_mw, q_cap
+        )
+    return PowerAllocations(q * sigma2_mw, converged, kkt, iters)
 
 
 # Water-filling aims the binding antenna's load this far (relative) below the
@@ -244,7 +206,7 @@ _STEP_TO_BOUNDARY = 0.99  # fraction of the longest step that keeps s, y > 0
 
 def _interior_point_solve(
     b: np.ndarray, budget: float, q_cap: float
-) -> list[tuple[np.ndarray, bool, float, int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """max sum(log(1+q)) s.t. b @ q <= budget, 0 <= q <= q_cap, by primal-dual interior point.
 
     ``b`` stacks k instances of one size n, shape (k, n, n); every array of
@@ -258,9 +220,10 @@ def _interior_point_solve(
     search. The corrector's centering target never drops below a tenth of the
     gap tolerance per constraint, so the gap cannot collapse while the
     stationarity residual still lags. Converged means both tolerances hold.
-    Returns (q, converged, relative KKT stationarity residual, iterations)
-    per instance; at the iteration cap or on a singular matrix the current
-    strictly feasible q is returned with converged False.
+    Returns q, (k, n), and per instance whether it converged, its relative
+    KKT stationarity residual and its iterations, (k,) each; at the
+    iteration cap or on a singular matrix the current strictly feasible q
+    is returned with converged False.
 
     Each instance's iterates equal those of a solve on it alone, bit for
     bit: every product and sum is taken per instance by the BLAS call the
@@ -287,7 +250,8 @@ def _interior_point_solve(
     r0 = _g_t(b, y) - 1.0 / (1.0 + q)
     y[:, n : 2 * n] += np.maximum(r0, 0.0)
     y[:, 2 * n :] -= np.minimum(r0, 0.0)
-    solved: list = [None] * k
+    # per instance: q, converged, KKT residual, iterations
+    solved = (np.empty((k, n)), np.zeros(k, dtype=bool), np.empty(k), np.empty(k, dtype=np.intp))
     active = np.arange(k)  # instance index of each row of the stack
     iters = 0
     while True:
@@ -297,8 +261,8 @@ def _interior_point_solve(
         converged = (kkt <= grad_tol) & (gap <= gap_tol)
         stop = converged | (iters >= _MAX_ITERATIONS)
         if stop.any():
-            for j in np.flatnonzero(stop):
-                solved[active[j]] = (q[j], bool(converged[j]), float(kkt[j]), iters)
+            for out, v in zip(solved, (q[stop], converged[stop], kkt[stop], iters)):
+                out[active[stop]] = v
             if stop.all():
                 return solved
             keep = ~stop
@@ -317,7 +281,8 @@ def _interior_point_solve(
                 try:
                     steps.append(_mehrotra_step(*state, mu_floor))
                 except np.linalg.LinAlgError:
-                    solved[active[j]] = (q[j], False, float(kkt[j]), iters)
+                    for out, v in zip(solved, (q[j], False, kkt[j], iters)):
+                        out[active[j]] = v
                     keep[j] = False
             if not steps:
                 return solved

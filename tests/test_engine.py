@@ -387,8 +387,9 @@ def test_snapshot_served_gains_are_the_exact_matrix_columns(preset, nx, ny):
         users = engine.drop_users(scn.area, scn.n_users, replay)
         avg = ch.average_gains(scn.area, scn.propagation, layout.ap_xy, users)
         serving, cols = _select_served_per_ap(engine.associate(avg), layout.n_aps, replay)
-        assert np.array_equal(block.serving[block.columns(s)], serving)
-        assert np.array_equal(block.served_gains[:, block.columns(s)], avg[:, cols])
+        own = slice(block.starts[s], block.starts[s + 1])  # snapshot s's served users
+        assert np.array_equal(block.serving[own], serving)
+        assert np.array_equal(block.served_gains[:, own], avg[:, cols])
         assert np.array_equal(np.flatnonzero(block.has_user[s]), serving)
         assert block.s0[s] == replay.bit_generator.state
 
@@ -957,16 +958,14 @@ def _reference_rates(scn, layout, system, assignment, avg, serving, cols, l_ap_a
     sqrt_l = np.sqrt(avg[np.ix_(serving, cols)].T)
     while True:
         z = ch.draw_fading(rng, sqrt_l.shape)
-        try:
-            bf = zf.build_beamformer(sqrt_l * z)
+        (w_zf,), (accepted,) = zf.build_beamformers((sqrt_l * z)[None])
+        if accepted:
             break
-        except zf.SingularChannelError:
-            pass
-    alloc = zf.allocate_powers([bf], sigma2, pt, scn.zf.eta_zf)[0]
+    (p_mw,) = zf.allocate_powers(w_zf[None], sigma2, pt, scn.zf.eta_zf).p_mw
     if system == "zf-erroneous":
         z_now = ch.delayed_csit(z, scn.zf.delta, scn.zf.rho, rng)
-        return zf.zf_rates_erroneous(sqrt_l * z_now, bf.w, alloc.p_mw, w, sigma2, scn.zf.eta_zf)
-    return zf.zf_rates_ideal(alloc.p_mw, w, sigma2, scn.zf.eta_zf)
+        return zf.zf_rates_erroneous(sqrt_l * z_now, w_zf, p_mw, w, sigma2, scn.zf.eta_zf)
+    return zf.zf_rates_ideal(p_mw, w, sigma2, scn.zf.eta_zf)
 
 
 def _reference_run(scn, layout, system, k, deployment_id, n_snapshots):
@@ -1043,9 +1042,10 @@ def test_wifi_counts_outage_over_its_active_sets(monkeypatch):
 
 
 def test_zf_rung_with_mixed_sizes_matches_solo_solves(monkeypatch):
-    # 3 users on 2x2 APs: a snapshot serves 1, 2 or 3 APs, so one block's
-    # power solve takes PAPC instances of several sizes. Behind walls, some of
-    # one size take the closed form at the rate cap and some the interior point.
+    # 3 users on 2x2 APs: a snapshot serves 1, 2 or 3 APs, so one block
+    # solves the PAPC powers of several sizes, one stack per size. Behind
+    # walls, some of one size take the closed form at the rate cap and some
+    # the interior point.
     raw = scenario.preset_raw("table1-obstructed")
     area_km2 = scenario.preset("table1-obstructed").area.area_km2
     raw["traffic"].update(lambda_u_per_km2=3.0 / area_km2)
@@ -1062,22 +1062,21 @@ def test_zf_rung_with_mixed_sizes_matches_solo_solves(monkeypatch):
 
     allocate_powers, calls = zf.allocate_powers, []
 
-    def spy(beamformers, *args):
-        allocs = allocate_powers(beamformers, *args)
-        calls.append([(bf.w.shape[0], a.newton_iterations > 0)
-                      for bf, a in zip(beamformers, allocs)])
+    def spy(w, *args):
+        allocs = allocate_powers(w, *args)
+        calls.append([(w.shape[1], iters > 0) for iters in allocs.newton_iterations])
         return allocs
 
     monkeypatch.setattr(zf, "allocate_powers", spy)
     finished = engine.zf_block(ctx, engine.draw_block(ctx, rngs(range(n_snapshots)), systems),
                                erroneous=True)
     assert list(finished) == list(systems)
-    (stacked,) = calls
-    assert {n for n, _ in stacked} == {1, 2, 3}
+    assert [{n for n, _ in call} for call in calls] == [{1}, {2}, {3}]
+    stacked = [instance for call in calls for instance in call]
     iterated = {n for n, solved in stacked if solved}
     closed_form = {n for n, solved in stacked if not solved}
     assert {2, 3} <= iterated & closed_form
-    assert finished["zf-ideal"].served.tolist() == [n for n, _ in stacked]
+    assert sorted(finished["zf-ideal"].served.tolist()) == [n for n, _ in stacked]
     for i in range(n_snapshots):
         solo = engine.zf_block(ctx, engine.draw_block(ctx, rngs([i]), systems), erroneous=True)
         for system in systems:
@@ -1116,13 +1115,14 @@ def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
     # Static and both Wi-Fi systems read one AP-to-user draw per snapshot, and
     # the Wi-Fi systems one AP-to-AP draw and one SSI visiting order (one
     # permutation per channel) for both thresholds; both ZF systems share one
-    # ZF pass.
+    # ZF pass, which per block inverts and solves each size's stack once.
     scn = _tiny_scenario([1.0], ladder_cap=6, snapshots=3)
     fading_by_caller, pair_counts = Counter(), []
     zf_calls = Counter()
     ssi_permutations = []
-    draw_fading, sample_ssi = ch.draw_fading, wifi.sample_ssi
+    draw_fading, sample_ssi, draw_block = ch.draw_fading, wifi.sample_ssi, engine.draw_block
     build_beamformers, allocate_powers = zf.build_beamformers, zf.allocate_powers
+    size_groups = []  # per block, the sizes of its snapshots
 
     def counted_fading(rng, shape, *args, **kwargs):
         caller = sys._getframe(1).f_code.co_name
@@ -1142,15 +1142,22 @@ def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
     def counted_ssi(graphs, channels, k, rng):
         return sample_ssi(graphs, channels, k, CountingGenerator(rng))
 
+    def counted_block(*args):
+        block = draw_block(*args)
+        size_groups.append(len(np.unique(np.diff(block.starts))))
+        return block
+
     def counted_build(h_hat):
+        zf_calls["build_beamformers"] += 1
         zf_calls["inverted"] += len(h_hat)
         return build_beamformers(h_hat)
 
-    def counted_allocate(beamformers, *args):
+    def counted_allocate(w, *args):
         zf_calls["allocate_powers"] += 1
-        zf_calls["instances"] += len(beamformers)
-        return allocate_powers(beamformers, *args)
+        zf_calls["instances"] += len(w)
+        return allocate_powers(w, *args)
 
+    monkeypatch.setattr(engine, "draw_block", counted_block)
     monkeypatch.setattr(ch, "draw_fading", counted_fading)
     monkeypatch.setattr(wifi, "sample_ssi", counted_ssi)
     monkeypatch.setattr(zf, "build_beamformers", counted_build)
@@ -1171,9 +1178,11 @@ def test_dimension_draws_shared_fading_once_per_snapshot(monkeypatch):
         "delayed_csit": snapshots,
     }
     blocks = [-(-3 // _block_size(scn, nx, ny)) for nx, ny in res.ladder]
+    assert len(size_groups) == sum(blocks)
     assert dict(zf_calls) == {
+        "build_beamformers": sum(size_groups) + sum(redraws),
         "inverted": snapshots + sum(redraws),
-        "allocate_powers": sum(blocks),
+        "allocate_powers": sum(size_groups),
         "instances": snapshots,
     }
     # static alone draws no AP-to-AP fading, and ZF alone neither shared draw
@@ -1201,15 +1210,16 @@ def test_ap_gains_reciprocal():
 
 def test_forced_redraws_keep_both_zf_systems_on_one_pass(monkeypatch):
     # Rejecting by content, not by call order, makes the engine's stacked
-    # inversion and the reference's one-matrix inversion (build_beamformer,
-    # which calls build_beamformers) redraw the same snapshots. The true
+    # inversion and the reference's one-matrix inversion (a stack of one)
+    # redraw the same snapshots. The true
     # channel is drawn once, after the accepted CSIT, so both ZF rows report
     # the same redraws.
     build_beamformers, delayed_csit = zf.build_beamformers, ch.delayed_csit
     delayed_calls = []
 
     def rejecting(h_hat):
-        return [None if h[0, 0].real > 0 else bf for h, bf in zip(h_hat, build_beamformers(h_hat))]
+        w, accepted = build_beamformers(h_hat)
+        return w, accepted & ~(h_hat[:, 0, 0].real > 0)
 
     def counted_delayed(*args, **kwargs):
         delayed_calls.append(1)

@@ -1,6 +1,7 @@
 """Zero-forcing: inversion, PAPC power optimization vs the grid oracle, rates."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,77 +22,114 @@ def random_h(rng, n, lo=-9.0, hi=-5.0):
     return np.sqrt(gains) * ch.draw_fading(rng, (n, n))
 
 
-def antenna_loads(bf, alloc) -> np.ndarray:
+def invert(h):
+    """``zf.build_beamformers`` on one matrix: its precoder, or None where it rejects."""
+    (w,), (accepted,) = zf.build_beamformers(h[None])
+    return w if accepted else None
+
+
+@dataclass(frozen=True, eq=False)
+class Allocation:
+    """One instance's powers and how its solve ended, as Python scalars."""
+
+    p_mw: np.ndarray
+    converged: bool
+    kkt_residual: float
+    newton_iterations: int
+
+
+def instances(allocs: zf.PowerAllocations) -> list[Allocation]:
+    """Each instance of a stacked allocation."""
+    return [
+        Allocation(p, bool(c), float(kkt), int(iters))
+        for p, c, kkt, iters in zip(
+            allocs.p_mw, allocs.converged, allocs.kkt_residual, allocs.newton_iterations
+        )
+    ]
+
+
+def allocate_one(w) -> Allocation:
+    """``zf.allocate_powers`` on a stack of one precoder."""
+    (alloc,) = instances(zf.allocate_powers(w[None], SIGMA2, PT, ETA))
+    return alloc
+
+
+def allocate_stacks(ws) -> list[Allocation]:
+    """``zf.allocate_powers`` once on the stack of each size among ``ws``, in the
+    order of ``ws``; the allocations in that order."""
+    got: list = [None] * len(ws)
+    for n in {w.shape[0] for w in ws}:
+        members = [i for i, w in enumerate(ws) if w.shape[0] == n]
+        allocs = zf.allocate_powers(np.stack([ws[i] for i in members]), SIGMA2, PT, ETA)
+        for i, alloc in zip(members, instances(allocs)):
+            got[i] = alloc
+    return got
+
+
+def antenna_loads(w, alloc) -> np.ndarray:
     """Each antenna's power, sum_j |w_ij|^2 p_j."""
-    return np.abs(bf.w) ** 2 @ alloc.p_mw
+    return np.abs(w) ** 2 @ alloc.p_mw
 
 
 def sum_rate(alloc) -> float:
     return float(zf.zf_rates_ideal(alloc.p_mw, W_MHZ, SIGMA2, ETA)[0].sum())
 
 
-def at_cap(bf) -> bool:
+def at_cap(w) -> bool:
     """Whether every antenna stays within PT with every user at the rate cap,
     where allocate_powers takes q = q_cap without a solve."""
-    return bool(((np.abs(bf.w) ** 2 * SIGMA2).sum(axis=1) * Q_CAP <= PT).all())
+    return bool(((np.abs(w) ** 2 * SIGMA2).sum(axis=1) * Q_CAP <= PT).all())
 
 
-def closed_form(bf) -> bool:
-    """Whether allocate_powers takes bf's optimum in closed form: at the rate cap
+def closed_form(w) -> bool:
+    """Whether allocate_powers takes w's optimum in closed form: at the rate cap
     or by water-filling on its one binding antenna."""
-    return bool(zf._closed_form(np.abs(bf.w)[None] ** 2 * SIGMA2, PT, Q_CAP)[1][0])
+    return bool(zf._closed_form(np.abs(w)[None] ** 2 * SIGMA2, PT, Q_CAP)[1][0])
 
 
-def binding_antennas(bf, alloc) -> int:
+def binding_antennas(w, alloc) -> int:
     """The antennas whose load at ``alloc`` is within 1e-6 of PT."""
-    return int((antenna_loads(bf, alloc) >= PT * (1 - 1e-6)).sum())
+    return int((antenna_loads(w, alloc) >= PT * (1 - 1e-6)).sum())
 
 
 def test_beamformer_scalar_inverse():
     h = np.array([[0.3 - 0.4j]])
-    bf = zf.build_beamformer(h)
-    assert bf.w[0, 0] == pytest.approx(1.0 / h[0, 0])
-    assert np.abs(bf.w[0, 0]) ** 2 == pytest.approx(1.0 / np.abs(h[0, 0]) ** 2)
+    w = invert(h)
+    assert w[0, 0] == pytest.approx(1.0 / h[0, 0])
+    assert np.abs(w[0, 0]) ** 2 == pytest.approx(1.0 / np.abs(h[0, 0]) ** 2)
 
 
 def test_beamformer_diagonal_channel():
     d = np.array([0.5 + 0.1j, -0.2 + 0.9j, 1.5 - 0.3j])
-    bf = zf.build_beamformer(np.diag(d))
-    assert np.allclose(bf.w, np.diag(1.0 / d))
+    w = invert(np.diag(d))
+    assert np.allclose(w, np.diag(1.0 / d))
 
 
 def test_beamformer_multiply_back():
     rng = np.random.default_rng(50)
     h = ch.draw_fading(rng, (4, 4))
-    bf = zf.build_beamformer(h)
-    assert np.abs(h @ bf.w - np.eye(4)).max() < 1e-8
+    w = invert(h)
+    assert np.abs(h @ w - np.eye(4)).max() < 1e-8
 
 
 def test_beamformer_rejects_singular():
     h = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    with pytest.raises(zf.SingularChannelError):
-        zf.build_beamformer(h)
-
-
-def test_beamformer_rejects_non_square():
-    with pytest.raises(ValueError):
-        zf.build_beamformer(np.ones((2, 3), dtype=complex))
+    assert invert(h) is None
 
 
 def test_beamformer_cond_diagnostic():
     h = np.diag(np.array([1.0, 1e-3], dtype=complex))
-    bf = zf.build_beamformer(h)
+    w = invert(h)
     # the singular values of w are those of h inverted: cond(H H^dagger) = cond(H)^2
-    assert zf._svd_cond(bf.w) == pytest.approx(1e6, rel=1e-6)
+    assert zf._svd_cond(w) == pytest.approx(1e6, rel=1e-6)
 
 
 def test_beamformer_cond_limit_boundary():
-    with pytest.raises(zf.SingularChannelError):
-        zf.build_beamformer(np.diag(np.array([1.0, 1e-7], dtype=complex)))  # cond^2 = 1e14
+    assert invert(np.diag(np.array([1.0, 1e-7], dtype=complex))) is None  # cond^2 = 1e14
 
 
 def _svd_first_beamformer(h_hat):
-    """build_beamformer as it was before the Frobenius bound: the singular values
+    """One matrix's inversion as it was before the Frobenius bound: the singular values
     decide first, then the same solve and refinement."""
     s = np.linalg.svd(h_hat, compute_uv=False)
     cond = np.inf if s[-1] == 0.0 else float((s[0] / s[-1]) ** 2)
@@ -133,12 +171,11 @@ def test_frobenius_bound_decides_as_the_singular_values(monkeypatch):
     for i, h in enumerate(cases):
         want_w, want_cond = _svd_first_beamformer(h)
         calls = len(svd_calls)
-        try:
-            bf = zf.build_beamformer(h)
-        except zf.SingularChannelError:
+        w = invert(h)
+        if w is None:
             assert want_w is None, (i, want_cond)
         else:
-            assert want_w is not None and np.array_equal(bf.w, want_w), (i, want_cond)
+            assert want_w is not None and np.array_equal(w, want_w), (i, want_cond)
         if i < plain:
             assert len(svd_calls) == calls, i  # no SVD for a well-conditioned channel
     assert 0 < len(svd_calls) < len(cases) - plain
@@ -147,7 +184,7 @@ def test_frobenius_bound_decides_as_the_singular_values(monkeypatch):
 def test_stacked_inversion_matches_one_matrix_at_a_time():
     # Random channels, matrices conditioned around COND_LIMIT and an exactly
     # singular one in one stack: each precoder equals the one-matrix
-    # reference bit for bit, and None stands where that rejects. The singular
+    # reference bit for bit, and none is accepted where that rejects. The singular
     # matrix fails the stacked solve, and the others are still inverted.
     rng = np.random.default_rng(70)
     for n in (1, 2, 3, 6):
@@ -155,22 +192,22 @@ def test_stacked_inversion_matches_one_matrix_at_a_time():
         stack += [_conditioned(rng, n, zf.COND_LIMIT * f) for f in (0.5, 0.999, 1.001, 2.0)]
         for extra in ([], [np.zeros((n, n), dtype=complex)]):
             h = np.stack(stack + extra)
-            got = zf.build_beamformers(h)
-            assert len(got) == len(h)
-            for h_j, bf in zip(h, got):
+            w, accepted = zf.build_beamformers(h)
+            assert len(w) == len(accepted) == len(h)
+            for h_j, w_j, ok in zip(h, w, accepted):
                 want_w, _ = _svd_first_beamformer(h_j)
                 if want_w is None:
-                    assert bf is None
+                    assert not ok
                 else:
-                    assert bf is not None and np.array_equal(bf.w, want_w)
-            assert got[-1] is None if extra else got[0] is not None
+                    assert ok and np.array_equal(w_j, want_w)
+            assert not accepted[-1] if extra else accepted[0]
 
 
 def test_allocate_power_scalar_closed_form():
     # N=1: either the antenna budget binds (p = Pt*g) or the cap binds
     for g in (1e-9, 1e-6):
         h = np.array([[np.sqrt(g)]], dtype=complex)
-        alloc = zf.allocate_powers([zf.build_beamformer(h)], SIGMA2, PT, ETA)[0]
+        alloc = allocate_one(invert(h))
         expected = min(PT * g, SIGMA2 * (2**ETA - 1))
         assert alloc.p_mw[0] == pytest.approx(expected, rel=1e-6)
 
@@ -178,7 +215,7 @@ def test_allocate_power_scalar_closed_form():
 def test_allocate_power_diagonal_symmetry():
     g = 1e-10  # weak: the antenna budget binds before the cap
     h = np.diag(np.full(3, np.sqrt(g))).astype(complex)
-    alloc = zf.allocate_powers([zf.build_beamformer(h)], SIGMA2, PT, ETA)[0]
+    alloc = allocate_one(invert(h))
     expected = min(PT * g, SIGMA2 * (2**ETA - 1))
     assert np.allclose(alloc.p_mw, expected, rtol=1e-6)
 
@@ -193,17 +230,17 @@ def test_allocate_power_vs_grid_oracle_spot():
 def test_allocate_power_papc_feasible_and_kkt():
     rng = np.random.default_rng(52)
     for n in (2, 5, 9):
-        bf = zf.build_beamformer(random_h(rng, n))
-        alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
-        assert (antenna_loads(bf, alloc) <= PT * (1 + 1e-6)).all()
+        w = invert(random_h(rng, n))
+        alloc = allocate_one(w)
+        assert (antenna_loads(w, alloc) <= PT * (1 + 1e-6)).all()
         assert (alloc.p_mw >= 0).all()
         assert alloc.converged
         assert alloc.kkt_residual <= 1e-6
 
 
-def _equal_power_baseline(beamformer, sigma2_mw: float, pt_mw: float, eta_zf: float) -> np.ndarray:
+def _equal_power_baseline(w, sigma2_mw: float, pt_mw: float, eta_zf: float) -> np.ndarray:
     """Uniform feasible powers, scaled to the tightest antenna constraint and capped."""
-    a = np.abs(beamformer.w) ** 2
+    a = np.abs(w) ** 2
     tightest = a.sum(axis=1).max()
     c = pt_mw / max(tightest, np.finfo(float).tiny)
     p_cap = sigma2_mw * (2.0**eta_zf - 1.0)
@@ -213,9 +250,9 @@ def _equal_power_baseline(beamformer, sigma2_mw: float, pt_mw: float, eta_zf: fl
 def test_allocate_power_beats_equal_power_baseline():
     rng = np.random.default_rng(53)
     for n in (2, 4, 8):
-        bf = zf.build_beamformer(random_h(rng, n, lo=-12, hi=-6))
-        alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
-        p_eq = _equal_power_baseline(bf, SIGMA2, PT, ETA)
+        w = invert(random_h(rng, n, lo=-12, hi=-6))
+        alloc = allocate_one(w)
+        p_eq = _equal_power_baseline(w, SIGMA2, PT, ETA)
         base_rate = np.minimum(W_MHZ * np.log2(1 + p_eq / SIGMA2), W_MHZ * ETA).sum()
         assert sum_rate(alloc) >= base_rate - 1e-6
 
@@ -223,9 +260,9 @@ def test_allocate_power_beats_equal_power_baseline():
 def test_allocate_power_permutation_symmetry():
     rng = np.random.default_rng(54)
     h = random_h(rng, 5)
-    alloc = zf.allocate_powers([zf.build_beamformer(h)], SIGMA2, PT, ETA)[0]
+    alloc = allocate_one(invert(h))
     perm = np.random.default_rng(1).permutation(5)
-    alloc_p = zf.allocate_powers([zf.build_beamformer(h[perm])], SIGMA2, PT, ETA)[0]
+    alloc_p = allocate_one(invert(h[perm]))
     assert sum_rate(alloc_p) == pytest.approx(sum_rate(alloc), rel=1e-6)
 
 
@@ -342,12 +379,12 @@ def _geometric_beamformer(rng, n, g0):
     users = cells + rng.uniform(0.0, 1.0, size=(n, 2))
     d = np.hypot(*(users[:, None, :] - (cells + 0.5)[None, :, :]).transpose(2, 0, 1))
     h = np.sqrt(g0 * np.maximum(d, 0.05) ** -4.0) * ch.draw_fading(rng, (n, n))
-    return zf.build_beamformer(h)
+    return invert(h)
 
 
 def _geometric_b(rng, n, g0):
     """PAPC constraint matrix of ``_geometric_beamformer``'s precoder."""
-    return np.abs(_geometric_beamformer(rng, n, g0).w) ** 2 * SIGMA2
+    return np.abs(_geometric_beamformer(rng, n, g0)) ** 2 * SIGMA2
 
 
 # gain at one cell's distance: the antenna budget binds, every cap binds, or both occur
@@ -363,7 +400,8 @@ def test_interior_point_matches_barrier_reference():
         for n in (1, 2, 5, 9, 25, 49, 100):
             for _ in range(3 if n <= 25 else 1):
                 b = _geometric_b(rng, n, g0)
-                q, converged, kkt, iters = zf._interior_point_solve(b[None], PT, q_cap)[0]
+                solved = zf._interior_point_solve(b[None], PT, q_cap)
+                q, converged, kkt, iters = (v[0] for v in solved)
                 q_ref, ref_converged, ref_kkt, _ = _barrier_reference(b, PT, q_cap)
                 iterations.append(iters)
                 assert converged and kkt <= 1e-8
@@ -386,14 +424,14 @@ def test_interior_point_matches_barrier_reference():
 
 def test_iteration_cap_reports_not_converged(monkeypatch):
     rng = np.random.default_rng(60)
-    while closed_form(bf := zf.build_beamformer(random_h(rng, 4, lo=-13, hi=-11))):
+    while closed_form(w := invert(random_h(rng, 4, lo=-13, hi=-11))):
         pass
-    assert binding_antennas(bf, _solo_allocation(bf)) >= 2
+    assert binding_antennas(w, _solo_allocation(w)) >= 2
     monkeypatch.setattr(zf, "_MAX_ITERATIONS", 1)
-    alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
+    alloc = allocate_one(w)
     assert alloc.converged is False
     assert alloc.newton_iterations == 1
-    assert (antenna_loads(bf, alloc) <= PT).all() and (alloc.p_mw > 0).all()
+    assert (antenna_loads(w, alloc) <= PT).all() and (alloc.p_mw > 0).all()
 
     # behind walls this snapshot's antennas cannot carry every user at the cap
     scn = scenario.preset("table1-obstructed")
@@ -480,11 +518,11 @@ def _solo_max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float((v[neg] / -dv[neg]).min()) if neg.any() else np.inf
 
 
-def _solo_allocation(beamformer) -> zf.PowerAllocation:
+def _solo_allocation(w) -> Allocation:
     """zf.allocate_power as it was before the stacked solver, on ``_solo_solve``."""
     q_cap = 2.0**ETA - 1.0
-    q, converged, kkt, iters = _solo_solve(np.abs(beamformer.w) ** 2 * SIGMA2, PT, q_cap)
-    return zf.PowerAllocation(
+    q, converged, kkt, iters = _solo_solve(np.abs(w) ** 2 * SIGMA2, PT, q_cap)
+    return Allocation(
         p_mw=q * SIGMA2,
         converged=converged,
         kkt_residual=kkt,
@@ -492,7 +530,7 @@ def _solo_allocation(beamformer) -> zf.PowerAllocation:
     )
 
 
-def _assert_same_allocation(got: zf.PowerAllocation, want: zf.PowerAllocation) -> None:
+def _assert_same_allocation(got: Allocation, want: Allocation) -> None:
     assert np.array_equal(got.p_mw, want.p_mw)
     assert got.converged is want.converged
     assert got.kkt_residual == want.kkt_residual
@@ -507,9 +545,9 @@ SOLVER_REGIMES = {"weak": 1e-13, "mixed": 1e-12, "near-cap": 1e-11}
 def _solver_bound_beamformer(rng, n, g0):
     """``_geometric_beamformer``, redrawn while allocate_powers would take it in closed form.
     Its optimum then binds two antennas or more, which the callers assert."""
-    while closed_form(bf := _geometric_beamformer(rng, n, g0)):
+    while closed_form(w := _geometric_beamformer(rng, n, g0)):
         pass
-    return bf
+    return w
 
 
 def _papc_batch(seed: int, per_regime: int = 3) -> list:
@@ -526,9 +564,9 @@ def _papc_batch(seed: int, per_regime: int = 3) -> list:
 
 def test_allocate_powers_matches_solo_solves():
     beamformers = _papc_batch(61)
-    # sizes shuffled within the one call: grouping by n must keep the order
+    # each size's stack shuffled: allocations come back in stack order
     order = np.random.default_rng(0).permutation(len(beamformers))
-    got = zf.allocate_powers([beamformers[i] for i in order], SIGMA2, PT, ETA)
+    got = allocate_stacks([beamformers[i] for i in order])
     assert len(got) == len(beamformers)
     iterations: dict = {}
     for i, alloc in zip(order, got):
@@ -536,26 +574,26 @@ def test_allocate_powers_matches_solo_solves():
         _assert_same_allocation(alloc, want)
         assert want.converged
         assert binding_antennas(beamformers[i], want) >= 2
-        iterations.setdefault(beamformers[i].w.shape[0], set()).add(want.newton_iterations)
+        iterations.setdefault(beamformers[i].shape[0], set()).add(want.newton_iterations)
     # instances of one size leave the stack at different iterations
     assert all(len(counts) > 1 for counts in iterations.values()), iterations
 
 
 def test_allocate_powers_batch_of_one():
-    assert zf.allocate_powers([], SIGMA2, PT, ETA) == []
-    for bf in _papc_batch(63, per_regime=1):
-        (alloc,) = zf.allocate_powers([bf], SIGMA2, PT, ETA)
-        want = _solo_allocation(bf)
-        assert binding_antennas(bf, want) >= 2
+    assert instances(zf.allocate_powers(np.empty((0, 2, 2), dtype=complex), SIGMA2, PT, ETA)) == []
+    for w in _papc_batch(63, per_regime=1):
+        alloc = allocate_one(w)
+        want = _solo_allocation(w)
+        assert binding_antennas(w, want) >= 2
         _assert_same_allocation(alloc, want)
 
 
 def test_allocate_powers_at_iteration_cap(monkeypatch):
     beamformers = _papc_batch(64, per_regime=1)
-    assert all(binding_antennas(bf, _solo_allocation(bf)) >= 2 for bf in beamformers)
+    assert all(binding_antennas(w, _solo_allocation(w)) >= 2 for w in beamformers)
     monkeypatch.setattr(zf, "_MAX_ITERATIONS", 1)
-    for bf, alloc in zip(beamformers, zf.allocate_powers(beamformers, SIGMA2, PT, ETA)):
-        want = _solo_allocation(bf)
+    for w, alloc in zip(beamformers, allocate_stacks(beamformers)):
+        want = _solo_allocation(w)
         _assert_same_allocation(alloc, want)
         assert want.converged is False and want.newton_iterations == 1
 
@@ -565,8 +603,8 @@ def test_singular_newton_step_fails_only_its_instance(monkeypatch):
     beamformers = [
         _solver_bound_beamformer(rng, 9, g0) for g0 in SOLVER_REGIMES.values() for _ in (0, 1)
     ]
-    want = [_solo_allocation(bf) for bf in beamformers]
-    assert all(binding_antennas(bf, w) >= 2 for bf, w in zip(beamformers, want))
+    want = [_solo_allocation(w) for w in beamformers]
+    assert all(binding_antennas(w, a) >= 2 for w, a in zip(beamformers, want))
     # Every instance takes at least 7 iterations, so all 6 are still stacked
     # at iteration 3: its predictor solve is the 7th stacked call. The
     # instance-by-instance redo then solves twice per instance before it
@@ -591,7 +629,7 @@ def test_singular_newton_step_fails_only_its_instance(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(zf.np.linalg, "solve", flaky_solve)
-    got = zf.allocate_powers(beamformers, SIGMA2, PT, ETA)
+    got = instances(zf.allocate_powers(np.stack(beamformers), SIGMA2, PT, ETA))
     assert calls["single"] == 2 * len(beamformers) - 1  # every other instance stepped alone
     assert calls["stacked"] > 2 * failing_iteration + 1  # and the stack went on without it
     for alloc, expected in zip(got, want):
@@ -609,23 +647,23 @@ def test_allocate_powers_closed_form_at_the_rate_cap():
     # still match solo solves bit for bit.
     rng = np.random.default_rng(66)
     capped = [_geometric_beamformer(rng, n, PAPC_REGIMES["strong"]) for n in (1, 2, 5, 9, 25, 49)]
-    assert all(at_cap(bf) for bf in capped)
+    assert all(at_cap(w) for w in capped)
     beamformers = capped + _papc_batch(67, per_regime=1)
     order = np.random.default_rng(1).permutation(len(beamformers))
-    got = zf.allocate_powers([beamformers[i] for i in order], SIGMA2, PT, ETA)
+    got = allocate_stacks([beamformers[i] for i in order])
     for i, alloc in zip(order, got):
-        bf = beamformers[i]
+        w = beamformers[i]
         if i >= len(capped):
-            _assert_same_allocation(alloc, _solo_allocation(bf))
+            _assert_same_allocation(alloc, _solo_allocation(w))
             continue
-        n = bf.w.shape[0]
-        want = zf.PowerAllocation(
+        n = w.shape[0]
+        want = Allocation(
             p_mw=np.full(n, Q_CAP * SIGMA2), converged=True, kkt_residual=0.0, newton_iterations=0
         )
         _assert_same_allocation(alloc, want)
-        q, converged, kkt, iters = zf._interior_point_solve(
-            np.abs(bf.w)[None] ** 2 * SIGMA2, PT, Q_CAP
-        )[0]
+        q, converged, kkt, iters = (
+            v[0] for v in zf._interior_point_solve(np.abs(w)[None] ** 2 * SIGMA2, PT, Q_CAP)
+        )
         assert converged and kkt <= 1e-8 and iters > 0
         f_cap = n * np.log1p(Q_CAP)
         assert 0.0 <= f_cap - np.log1p(q).sum() <= 1e-10 * max(1.0, f_cap)  # its gap tolerance
@@ -638,14 +676,14 @@ def _one_binding_beamformer(rng, n):
     """``_geometric_beamformer`` at gains that overload some antenna at the cap, redrawn
     until the optimum that a solo solve finds binds exactly one antenna."""
     for g0 in itertools.cycle((1e-12, 1e-11, 3e-11, 1e-10)):
-        bf = _geometric_beamformer(rng, n, g0)
-        if not at_cap(bf) and binding_antennas(bf, _solo_allocation(bf)) == 1:
-            return bf
+        w = _geometric_beamformer(rng, n, g0)
+        if not at_cap(w) and binding_antennas(w, _solo_allocation(w)) == 1:
+            return w
 
 
-def overloaded_antennas(bf) -> int:
+def overloaded_antennas(w) -> int:
     """The antennas that cannot carry every user at the rate cap."""
-    return int(((np.abs(bf.w) ** 2 * SIGMA2).sum(axis=1) * Q_CAP > PT).sum())
+    return int(((np.abs(w) ** 2 * SIGMA2).sum(axis=1) * Q_CAP > PT).sum())
 
 
 def test_water_filling_matches_the_interior_point():
@@ -656,16 +694,16 @@ def test_water_filling_matches_the_interior_point():
     # allocation.
     rng = np.random.default_rng(68)
     beamformers = [_one_binding_beamformer(rng, n) for n in (1, 2, 5, 9, 25, 49) for _ in (0, 1)]
-    assert max(overloaded_antennas(bf) for bf in beamformers) >= 2
-    for bf, alloc in zip(beamformers, zf.allocate_powers(beamformers, SIGMA2, PT, ETA)):
-        n = bf.w.shape[0]
+    assert max(overloaded_antennas(w) for w in beamformers) >= 2
+    for w, alloc in zip(beamformers, allocate_stacks(beamformers)):
+        n = w.shape[0]
         assert alloc.converged and alloc.kkt_residual == 0.0 and alloc.newton_iterations == 0
-        _assert_same_allocation(alloc, zf.allocate_powers([bf], SIGMA2, PT, ETA)[0])
-        assert (antenna_loads(bf, alloc) <= PT).all() and (alloc.p_mw >= 0).all()
-        assert binding_antennas(bf, alloc) == 1
-        want = _solo_allocation(bf)
+        _assert_same_allocation(alloc, allocate_one(w))
+        assert (antenna_loads(w, alloc) <= PT).all() and (alloc.p_mw >= 0).all()
+        assert binding_antennas(w, alloc) == 1
+        want = _solo_allocation(w)
         assert want.converged and want.newton_iterations > 0
-        assert binding_antennas(bf, want) == 1
+        assert binding_antennas(w, want) == 1
         f, f_ip = np.log1p(alloc.p_mw / SIGMA2).sum(), np.log1p(want.p_mw / SIGMA2).sum()
         assert abs(f - f_ip) <= 1e-10 * max(1.0, n * np.log1p(Q_CAP))  # the gap tolerance
         assert np.abs(alloc.p_mw - want.p_mw).max() <= 1e-6 * Q_CAP * SIGMA2
@@ -677,10 +715,10 @@ def test_water_filling_meets_kkt():
     # 0 has lambda b_ij >= 1, and a user at the cap lambda b_ij <= 1 / (1 + q_cap).
     rng = np.random.default_rng(69)
     for n in (1, 2, 5, 9, 25, 49):
-        bf = _one_binding_beamformer(rng, n)
-        (alloc,) = zf.allocate_powers([bf], SIGMA2, PT, ETA)
+        w = _one_binding_beamformer(rng, n)
+        alloc = allocate_one(w)
         assert alloc.newton_iterations == 0
-        q, b = alloc.p_mw / SIGMA2, np.abs(bf.w) ** 2 * SIGMA2
+        q, b = alloc.p_mw / SIGMA2, np.abs(w) ** 2 * SIGMA2
         loads = b @ q
         i = int(np.argmax(loads))
         assert PT * (1 - 1e-9) <= loads[i] <= PT
@@ -698,16 +736,16 @@ def test_water_filling_caps_a_user_at_zero_load():
     # A lower-triangular precoder: antenna 0 spends nothing on user 1. Antenna
     # 0 alone binds, so user 1 stays at its cap and user 0 takes antenna 0's
     # budget, q_0 = PT / b_00.
-    bf = zf.Beamformer(w=np.array([[np.sqrt(1e11) * np.exp(0.3j), 0.0],
-                                   [np.sqrt(1e9) * np.exp(1.1j), np.sqrt(1e9) * np.exp(-0.7j)]]))
-    b = np.abs(bf.w) ** 2 * SIGMA2
+    w = np.array([[np.sqrt(1e11) * np.exp(0.3j), 0.0],
+                  [np.sqrt(1e9) * np.exp(1.1j), np.sqrt(1e9) * np.exp(-0.7j)]])
+    b = np.abs(w) ** 2 * SIGMA2
     assert b[0, 1] == 0.0 and b[0, 0] * Q_CAP > PT and b[1].sum() * Q_CAP < PT
-    (alloc,) = zf.allocate_powers([bf], SIGMA2, PT, ETA)
+    alloc = allocate_one(w)
     assert alloc.converged and alloc.newton_iterations == 0
     assert alloc.p_mw[1] == Q_CAP * SIGMA2
     assert alloc.p_mw[0] == pytest.approx(PT / b[0, 0] * SIGMA2, rel=1e-11)
-    assert (antenna_loads(bf, alloc) <= PT).all()
-    want = _solo_allocation(bf)
+    assert (antenna_loads(w, alloc) <= PT).all()
+    want = _solo_allocation(w)
     assert np.abs(alloc.p_mw - want.p_mw).max() <= 1e-6 * Q_CAP * SIGMA2
 
 
@@ -716,37 +754,53 @@ def test_water_filling_declines_two_binding_antennas():
     # binds both: each antenna's water-filling point overloads the other, so
     # the instance goes to the interior point and matches its solo solve.
     h = np.sqrt(1e-12) * np.array([[1.0, 0.1j], [0.2, 0.9 - 0.1j]])
-    bf = zf.build_beamformer(h)
-    assert ((np.abs(bf.w) ** 2 * SIGMA2).sum(axis=1) * Q_CAP > PT).all()
-    want = _solo_allocation(bf)
-    assert want.converged and binding_antennas(bf, want) == 2
-    assert not closed_form(bf)
-    (alloc,) = zf.allocate_powers([bf], SIGMA2, PT, ETA)
+    w = invert(h)
+    assert ((np.abs(w) ** 2 * SIGMA2).sum(axis=1) * Q_CAP > PT).all()
+    want = _solo_allocation(w)
+    assert want.converged and binding_antennas(w, want) == 2
+    assert not closed_form(w)
+    alloc = allocate_one(w)
     assert alloc.newton_iterations > 0
     _assert_same_allocation(alloc, want)
 
 
+def test_one_stack_of_all_three_paths_matches_each_instance_alone():
+    # One size's stack interleaves instances at the rate cap, water-filled on
+    # one binding antenna and bound to the interior point: each instance's
+    # allocation equals that of a stack of its own bit for bit, and the
+    # interior-point ones that of the solo solver.
+    rng = np.random.default_rng(72)
+    n = 5
+    capped = [_geometric_beamformer(rng, n, PAPC_REGIMES["strong"]) for _ in range(2)]
+    water = [_one_binding_beamformer(rng, n) for _ in range(2)]
+    solver = [_solver_bound_beamformer(rng, n, g0) for g0 in SOLVER_REGIMES.values()]
+    paths = ["cap"] * 2 + ["water"] * 2 + ["solver"] * len(solver)
+    order = np.random.default_rng(2).permutation(len(paths))
+    ws = [(capped + water + solver)[i] for i in order]
+    got = instances(zf.allocate_powers(np.stack(ws), SIGMA2, PT, ETA))
+    assert len(got) == len(ws)
+    for i, w, alloc in zip(order, ws, got):
+        _assert_same_allocation(alloc, allocate_one(w))
+        if paths[i] == "cap":
+            assert at_cap(w) and alloc.newton_iterations == 0
+            assert (alloc.p_mw == Q_CAP * SIGMA2).all()
+        elif paths[i] == "water":
+            assert not at_cap(w) and alloc.newton_iterations == 0
+            assert binding_antennas(w, alloc) == 1
+        else:
+            assert alloc.newton_iterations > 0
+            _assert_same_allocation(alloc, _solo_allocation(w))
+
+
 def test_zf_rates_ideal_zero_power():
-    alloc = zf.PowerAllocation(
-        p_mw=np.zeros(2),
-        converged=True,
-        kkt_residual=0.0,
-        newton_iterations=0,
-    )
-    rates, snr = zf.zf_rates_ideal(alloc.p_mw, W_MHZ, SIGMA2, ETA)
+    rates, snr = zf.zf_rates_ideal(np.zeros(2), W_MHZ, SIGMA2, ETA)
     assert (rates == 0).all()
     assert (snr == 0).all()
 
 
 def test_zf_rates_ideal_cap_boundary():
     p = SIGMA2 * (2**ETA - 1)
-    alloc = zf.PowerAllocation(
-        p_mw=np.array([p]),
-        converged=True,
-        kkt_residual=0.0,
-        newton_iterations=0,
-    )
-    rates, snr = zf.zf_rates_ideal(alloc.p_mw, W_MHZ, SIGMA2, ETA)
+    rates, snr = zf.zf_rates_ideal(np.array([p]), W_MHZ, SIGMA2, ETA)
     assert rates[0] == pytest.approx(W_MHZ * ETA)
     assert snr[0] == pytest.approx(2**ETA - 1)
 
@@ -754,10 +808,10 @@ def test_zf_rates_ideal_cap_boundary():
 def test_zf_rates_erroneous_reduces_to_ideal_when_exact():
     rng = np.random.default_rng(55)
     h = random_h(rng, 4)
-    bf = zf.build_beamformer(h)
-    alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
+    w = invert(h)
+    alloc = allocate_one(w)
     rates_i, snr_i = zf.zf_rates_ideal(alloc.p_mw, W_MHZ, SIGMA2, ETA)
-    rates_e, sinr_e = zf.zf_rates_erroneous(h, bf.w, alloc.p_mw, W_MHZ, SIGMA2, ETA)
+    rates_e, sinr_e = zf.zf_rates_erroneous(h, w, alloc.p_mw, W_MHZ, SIGMA2, ETA)
     assert np.allclose(rates_e, rates_i, rtol=1e-9)
     assert np.allclose(sinr_e, snr_i, rtol=1e-6)
 
@@ -768,7 +822,7 @@ def test_zf_rates_erroneous_on_a_stack_equals_the_formula_per_instance():
     # instance's rates equal those of a call on it alone, bit for bit.
     rng = np.random.default_rng(71)
     h_true = np.stack([random_h(rng, 4) for _ in range(3)])
-    w = np.stack([zf.build_beamformer(random_h(rng, 4)).w for _ in range(3)])
+    w = np.stack([invert(random_h(rng, 4)) for _ in range(3)])
     p = rng.uniform(0.0, Q_CAP * SIGMA2, size=(3, 4))
     rates, sinr = zf.zf_rates_erroneous(h_true, w, p, W_MHZ, SIGMA2, ETA)
     for h_k, w_k, p_k, rates_k, sinr_k in zip(h_true, w, p, rates, sinr):
@@ -787,7 +841,7 @@ def test_zf_rates_erroneous_zero_leakage_without_outdating():
     z_prev = ch.draw_fading(rng, (5, 5))
     z_now = ch.delayed_csit(z_prev, delta=0.0, rho=0.9, rng=rng)
     assert not (z_now != z_prev).any()
-    coupling = np.abs(h @ zf.build_beamformer(h).w) ** 2
+    coupling = np.abs(h @ invert(h)) ** 2
     off_diag = coupling - np.diag(np.diag(coupling))
     assert off_diag.max() < 1e-12
 
@@ -804,10 +858,10 @@ def test_zf_erroneous_median_sinr_collapse_at_full_outdating():
         z_now = ch.delayed_csit(z_prev, delta=1.0, rho=0.0, rng=rng)
         h_hat = sqrt_l * z_prev
         h_true = sqrt_l * z_now
-        bf = zf.build_beamformer(h_hat)
-        alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
+        w = invert(h_hat)
+        alloc = allocate_one(w)
         _, snr_i = zf.zf_rates_ideal(alloc.p_mw, W_MHZ, SIGMA2, ETA)
-        _, sinr_e = zf.zf_rates_erroneous(h_true, bf.w, alloc.p_mw, W_MHZ, SIGMA2, ETA)
+        _, sinr_e = zf.zf_rates_erroneous(h_true, w, alloc.p_mw, W_MHZ, SIGMA2, ETA)
         drops.append(10 * np.log10(np.median(snr_i) / np.median(sinr_e)))
     assert np.median(drops) >= 20.0
 
@@ -825,9 +879,9 @@ def test_outage_non_decreasing_in_delta_matched_seeds():
             z_prev = ch.draw_fading(rng, (6, 6))
             z_now = ch.delayed_csit(z_prev, delta=delta, rho=0.9, rng=rng)
             h_hat = sqrt_l * z_prev
-            bf = zf.build_beamformer(h_hat)
-            alloc = zf.allocate_powers([bf], SIGMA2, PT, ETA)[0]
-            _, sinr = zf.zf_rates_erroneous(sqrt_l * z_now, bf.w, alloc.p_mw, W_MHZ, SIGMA2, ETA)
+            w = invert(h_hat)
+            alloc = allocate_one(w)
+            _, sinr = zf.zf_rates_erroneous(sqrt_l * z_now, w, alloc.p_mw, W_MHZ, SIGMA2, ETA)
             hits += int((sinr < gamma).sum())
             total += sinr.size
         outage_by_delta.append(hits / total)
