@@ -3,10 +3,11 @@ and the dimensioning walk."""
 
 import dataclasses
 import gc
-import io
 import os
-import pickle
+import select
+import signal
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -698,10 +699,23 @@ def test_rung_workers_give_the_records_of_one_process(monkeypatch, stop, systems
     # with two processes the early-stop walk drops records of the 2x3 rung.
     scn = _tiny_scenario([1.0, 3.0], ladder_cap=16, snapshots=20)
     _, want = _dimension_bytes(scn, systems, stop, threads=1)
+    evaluate_round, rounds = engine._evaluate_round, []
+
+    def spy_round(scn, ladder, rung_ids, systems, cpus):
+        found = evaluate_round(scn, ladder, rung_ids, systems, cpus)
+        rounds.append(len(rung_ids))
+        with pytest.raises(ChildProcessError):  # no child outlives its round
+            os.waitpid(-1, os.WNOHANG)
+        return found
+
+    monkeypatch.setattr(engine, "_evaluate_round", spy_round)
     for workers in (2, 3):
-        pins = _fake_cpus(monkeypatch, workers)
+        pins, rounds[:] = _fake_cpus(monkeypatch, workers), []
         assert _dimension_bytes(scn, systems, stop, threads=8) == (workers, want), workers
-        assert pins == [{0}, set(range(workers))]  # the caller's pin, then its mask again
+        forked = sum(n > 1 for n in rounds)  # a round of one rung runs in the caller alone
+        assert forked >= 1 and (stop or rounds == [len(geometry.grid_ladder(16))])
+        # per round on several processes, the caller's pin, then its mask again
+        assert pins == [{0}, set(range(workers))] * forked
 
 
 @pytest.mark.parametrize("failing", ["worker", "parent"])
@@ -767,30 +781,135 @@ def test_one_process_forks_nothing(monkeypatch, platform):
     assert _dimension_bytes(scn, engine.SYSTEMS, False, threads=4) == (1, want)
 
 
-def test_a_worker_serves_its_tasks_until_their_end():
-    # A worker's loop returns at the end of its task pipe, as when the caller
-    # dies, and a failed rung (no rung 99 on this ladder) stops no later one.
-    scn = _tiny_scenario([1.0], ladder_cap=4, snapshots=4)
-    ladder = geometry.grid_ladder(4)
-    tasks = io.BytesIO()
-    for rung_id in (2, 99, 0):
-        pickle.dump((rung_id, ["static", "zf-ideal"]), tasks)
-    tasks.seek(0)
-    results = io.BytesIO()
-    engine._serve(scn, ladder, tasks, results)
-    results.seek(0)
-    for rung_id in (2, 99, 0):
-        reply = pickle.load(results)
-        if rung_id == 99:
-            exc, trace = reply
-            assert isinstance(exc, IndexError) and "_evaluate_ladder_rung" in trace
-            continue
-        nx, ny = ladder[rung_id]
-        want = engine.evaluate_rung(scn, geometry.place_aps(scn.area, nx, ny),
-                                    ["static", "zf-ideal"], rung_id)
-        assert [dataclasses.astuple(rec) for rec in reply] == [
-            dataclasses.astuple(rec) for rec in want]
-    assert results.read() == b""
+class _TwoArgumentError(Exception):
+    """Pickles by its one message, then cannot be built again from it."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@pytest.mark.parametrize("kind", ["local class", "two-argument class"])
+def test_an_exception_that_does_not_pickle_reaches_the_caller_by_name(monkeypatch, kind):
+    # A full ladder of four rungs on two (faked) CPUs: the child takes rungs
+    # 3 and 1, the caller 2 and 0, and the child's rung 3 fails.
+    class LocalError(Exception):
+        pass
+
+    scn = _tiny_scenario([1.0], ladder_cap=6, snapshots=4)
+    _fake_cpus(monkeypatch, 2)
+    evaluate_rung = engine.evaluate_rung
+
+    def evaluate_or_fail(scn, layout, systems, deployment_id):
+        if deployment_id == 3:
+            raise (LocalError("rung 3 failed") if kind == "local class"
+                   else _TwoArgumentError("rung 3 failed", "the child"))
+        return evaluate_rung(scn, layout, systems, deployment_id)
+
+    monkeypatch.setattr(engine, "evaluate_rung", evaluate_or_fail)
+    with pytest.raises(RuntimeError) as raised:
+        engine.dimension(scn, ["static"], stop_when_satisfied=False, threads=2)
+    assert str(raised.value) == {"local class": "LocalError: rung 3 failed",
+                                 "two-argument class": "_TwoArgumentError: rung 3 failed at "
+                                                       "the child"}[kind]
+    cause = str(raised.value.__cause__)  # the child's traceback comes along
+    assert cause.startswith("in rung process ") and "in evaluate_or_fail" in cause
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_that_dies_without_replying_fails_the_round(monkeypatch):
+    scn = _tiny_scenario([1.0], ladder_cap=6, snapshots=4)
+    pins = _fake_cpus(monkeypatch, 2)
+    test_pid, evaluate_rung, fork, forked = os.getpid(), engine.evaluate_rung, os.fork, []
+
+    def evaluate_or_die(scn, layout, systems, deployment_id):
+        if os.getpid() != test_pid:
+            os._exit(3)
+        return evaluate_rung(scn, layout, systems, deployment_id)
+
+    def spy_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(engine, "evaluate_rung", evaluate_or_die)
+    monkeypatch.setattr(os, "fork", spy_fork)
+    with pytest.raises(RuntimeError) as raised:
+        engine.dimension(scn, ["static"], stop_when_satisfied=False, threads=2)
+    assert len(forked) == 1
+    assert str(raised.value) == (
+        f"rung process {forked[0]} exited without the records of rungs [3, 1]")
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert pins == [{0}, {0, 1}]  # the caller's pin, then its mask again
+    assert gc.get_freeze_count() == 0
+
+
+def _read_lines(fd, until, timeout_s=30.0):
+    """Lines read from ``fd`` until ``until(lines)`` holds or the pipe ends."""
+    deadline, data = time.monotonic() + timeout_s, b""
+    while not until(data.decode().splitlines()):
+        ready, _, _ = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))
+        assert ready, f"nothing on the pipe for {timeout_s} s: {data!r}"
+        chunk = os.read(fd, 4096)
+        if not chunk:
+            break
+        data += chunk
+    return data.decode().splitlines()
+
+
+def test_a_dead_callers_child_starts_no_further_rung(monkeypatch):
+    # A full ladder of four rungs on two (faked) CPUs, so that this runs on
+    # one CPU too: the child takes rungs 3 and 1, the caller 2 and 0. The
+    # caller is killed once the child has evaluated rung 3, and the child
+    # then exits without starting rung 1.
+    scn = _tiny_scenario([1.0], ladder_cap=6, snapshots=4)
+    _fake_cpus(monkeypatch, 2)
+    events_r, events_w = os.pipe()
+    evaluate_rung, caller = engine.evaluate_rung, []
+
+    def evaluate_and_report(scn, layout, systems, deployment_id):
+        if os.getpid() == caller[0]:
+            time.sleep(60)  # the caller's own share: it is killed meanwhile
+        os.write(events_w, f"{os.getpid()} start {deployment_id}\n".encode())
+        records = evaluate_rung(scn, layout, systems, deployment_id)
+        os.write(events_w, f"{os.getpid()} done {deployment_id}\n".encode())
+        deadline = time.monotonic() + 30
+        while os.getppid() == caller[0] and time.monotonic() < deadline:
+            time.sleep(0.01)  # so the caller dies before the child's next rung
+        return records
+
+    monkeypatch.setattr(engine, "evaluate_rung", evaluate_and_report)
+    pid = os.fork()
+    if pid == 0:  # the caller, which never returns into the test
+        try:
+            os.close(events_r)
+            caller.append(os.getpid())
+            engine.dimension(scn, ["static"], stop_when_satisfied=False, threads=2)
+        finally:
+            os._exit(0)
+    os.close(events_w)
+    try:
+        lines = _read_lines(events_r, lambda lines: len(lines) >= 2)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    lines += _read_lines(events_r, lambda lines: False)  # to the end: the child has exited
+    os.close(events_r)
+    child = lines[0].split()[0]
+    assert lines == [f"{child} start 3", f"{child} done 3"]
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:  # gone, or a zombie its new parent has not reaped
+        try:
+            with open(f"/proc/{child}/stat") as stat:
+                if stat.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    break
+        except FileNotFoundError:
+            break
+        time.sleep(0.01)
+    else:
+        raise AssertionError(f"child {child} still runs")
 
 
 def test_normal_estimates_equal_each_row_alone():
